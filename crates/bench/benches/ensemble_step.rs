@@ -1,7 +1,6 @@
 //! Criterion bench: one lockstep ensemble step over `R` same-shape
 //! replicas vs `R` sequential standalone steps. The archival counterpart
-//! (construction included) is `cargo run --release -p hibd-bench --bin
-//! bench_pr7`.
+//! is the ladder's `engine.ensemble_r4.*` rung (`bench_ladder set`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hibd_bench::suspension;

@@ -4,6 +4,7 @@
 //! per-column baseline it replaced.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use hibd_bench::compose::apply_multi_columnwise;
 use hibd_bench::suspension;
 use hibd_krylov::{block_lanczos_sqrt, KrylovConfig};
 use hibd_linalg::{CholeskyFactor, LinearOperator};
@@ -27,7 +28,7 @@ impl LinearOperator for ColumnwiseOp {
     }
 
     fn apply_multi(&mut self, x: &[f64], y: &mut [f64], s: usize) {
-        self.0.apply_multi_columnwise(x, y, s);
+        apply_multi_columnwise(&mut self.0, x, y, s);
     }
 }
 

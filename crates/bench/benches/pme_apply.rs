@@ -2,6 +2,7 @@
 //! kernel), sequential and overlapped.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use hibd_bench::compose::{apply_overlapped, RecipScratch};
 use hibd_bench::suspension;
 use hibd_linalg::LinearOperator;
 use hibd_pme::{tune, PmeOperator};
@@ -21,7 +22,8 @@ fn bench_apply(c: &mut Criterion) {
             b.iter(|| op.apply(&f, &mut u));
         });
         group.bench_with_input(BenchmarkId::new("overlapped", n), &n, |b, _| {
-            b.iter(|| op.apply_overlapped(&f, &mut u));
+            let mut scratch = RecipScratch::new(&op);
+            b.iter(|| apply_overlapped(&op, &mut scratch, &f, &mut u));
         });
         let s = 4;
         let fs: Vec<f64> = (0..3 * n * s).map(|i| (i as f64 * 0.31).sin()).collect();

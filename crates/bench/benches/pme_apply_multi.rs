@@ -3,6 +3,7 @@
 //! batched 3D FFT" gap, now filled). Table III-style configuration.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use hibd_bench::compose::apply_multi_columnwise;
 use hibd_bench::suspension;
 use hibd_linalg::LinearOperator;
 use hibd_pme::{tune, PmeOperator};
@@ -25,7 +26,7 @@ fn bench_apply_multi(c: &mut Criterion) {
             b.iter(|| op.apply_multi(&x, &mut y, s));
         });
         group.bench_with_input(BenchmarkId::new("per_column", s), &s, |b, &s| {
-            b.iter(|| op.apply_multi_columnwise(&x, &mut y, s));
+            b.iter(|| apply_multi_columnwise(&mut op, &x, &mut y, s));
         });
         // `s` independent single-RHS applies on contiguous vectors: the
         // no-block-structure-at-all lower bound the paper's Algorithm 1

@@ -5,6 +5,7 @@
 //! applied 300+ times per configuration) against recomputing B-spline
 //! weights at every application.
 
+use hibd_bench::compose::{recip_apply_add_on_the_fly, RecipScratch};
 use hibd_bench::{flush_stdout, fmt_secs, suspension, table3_sizes, time_mean, Opts};
 use hibd_pme::{tune, PmeOperator};
 
@@ -24,6 +25,7 @@ fn main() {
         let mut op = PmeOperator::new(sys.positions(), params).expect("operator");
         let f: Vec<f64> = (0..3 * n).map(|i| ((i * 37 + 11) % 101) as f64 / 50.0 - 1.0).collect();
         let mut u = vec![0.0; 3 * n];
+        let mut scratch = RecipScratch::new(&op);
 
         let t_pre = time_mean(reps, || {
             u.fill(0.0);
@@ -31,7 +33,7 @@ fn main() {
         });
         let t_fly = time_mean(reps, || {
             u.fill(0.0);
-            op.recip_apply_add_on_the_fly(&f, &mut u);
+            recip_apply_add_on_the_fly(&op, &mut scratch, &f, &mut u);
         });
         println!(
             "{n:>8} {:>6} {:>3} {:>12} {:>12} {:>8.2}x",

@@ -40,7 +40,7 @@ fn main() {
         // Each row is one fresh telemetry window; phase totals and workload
         // counters come from the shared recorder instead of ad-hoc sums.
         let ((), snap) = telemetry_window(|| mf.run(lambda).expect("run"));
-        let p = *mf.pme_params().expect("periodic run has PME params");
+        let p = mf.shape().pme.expect("periodic run has PME params");
         println!(
             "{n:>8} {:>6} {:>3} | {:>10} {:>10} {:>10} {:>11} | {:>10} {:>6} {:>6}",
             p.mesh_dim,

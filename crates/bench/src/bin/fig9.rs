@@ -6,8 +6,9 @@
 //! offload. A genuinely executed overlapped apply on this host is measured
 //! as a sanity anchor for the concurrency mechanism.
 
+use hibd_bench::compose::{apply_overlapped, RecipScratch};
+use hibd_bench::hybrid::HybridModel;
 use hibd_bench::{flush_stdout, fmt_secs, suspension, table3_sizes, Opts};
-use hibd_core::hybrid::HybridModel;
 use hibd_pme::perf::Machine;
 use hibd_pme::{tune, PmeOperator};
 
@@ -43,10 +44,10 @@ fn main() {
     let n = if opts.full { 10_000 } else { 2000 };
     let params = tune(n, phi, 1.0, 1.0, 1e-3).params;
     let sys = suspension(n, phi, opts.seed);
-    let mut op = PmeOperator::new(sys.positions(), params).expect("operator");
+    let op = PmeOperator::new(sys.positions(), params).expect("operator");
     let f: Vec<f64> = (0..3 * n).map(|i| ((i * 17 + 5) % 83) as f64 / 41.0 - 1.0).collect();
     let mut u = vec![0.0; 3 * n];
-    let (t_real, t_recip) = op.apply_overlapped(&f, &mut u);
+    let (t_real, t_recip) = apply_overlapped(&op, &mut RecipScratch::new(&op), &f, &mut u);
     println!();
     println!(
         "# overlapped-apply anchor at n = {n}: real {} || recip {} (concurrent branches)",

@@ -67,7 +67,7 @@ fn main() {
     let mut bd = MatrixFreeBd::new(sys, MatrixFreeConfig::default(), opts.seed).expect("driver");
     bd.add_force(RepulsiveHarmonic::default());
     let ((), snap) = telemetry_window(|| bd.run(bd_steps).expect("run"));
-    let p = *bd.pme_params().expect("periodic run has PME params");
+    let p = bd.shape().pme.expect("periodic run has PME params");
     let cols = columns_applied(&snap);
     println!(
         "# measured run: n = {bd_n}, K = {}, p = {}, {bd_steps} steps, {cols} columns",

@@ -11,17 +11,18 @@
 //! 2. **static partitioning** — for the *block* PME application of
 //!    Algorithm 2 line 6, contiguous **column chunks** of the Krylov block
 //!    are assigned to devices (CPUs included) proportionally to their
-//!    modeled throughput; each device runs its chunk through the batched
-//!    reciprocal pipeline ([`PmeOperator::recip_apply_add_cols`]), so a
-//!    device with `c` columns pays one batched spread/FFT trip, not `c`
-//!    single-RHS trips.
+//!    modeled throughput; each device runs its gathered chunk through the
+//!    batched reciprocal pipeline ([`PmeOperator::recip_apply_add_multi`]),
+//!    so a device with `c` columns pays one batched spread/FFT trip, not
+//!    `c` single-RHS trips.
 //!
 //! **Hardware substitution.** This host has no Xeon Phi; accelerator
 //! devices are *modeled* with the Table I machine descriptions (see
 //! DESIGN.md). The partitioning/balancing logic is identical to what would
 //! drive real offload, the real/reciprocal *overlap* is genuinely executed
-//! (see [`PmeOperator::apply_overlapped`]), and all timing predictions come
-//! from the same performance model the paper's scheduler uses.
+//! (see [`crate::compose::apply_overlapped`]), and all timing predictions
+//! come from the same performance model the paper's scheduler uses. None of
+//! this is production code, which is why it lives with the harnesses.
 
 use hibd_pme::perf::{Machine, PerfModel};
 use hibd_pme::{PmeOperator, PmeParams};
@@ -240,21 +241,14 @@ pub fn balance_alpha(
     (params, tr, tk)
 }
 
-/// Execute one genuinely-overlapped hybrid application on the host (the
-/// real/reciprocal concurrency of the paper) and return the measured branch
-/// times.
-pub fn apply_overlapped_host(op: &mut PmeOperator, f: &[f64], u: &mut [f64]) -> (f64, f64) {
-    op.apply_overlapped(f, u)
-}
-
 /// Execute one block application `Y = M X` with the static column
 /// partitioning of Algorithm 2 line 6: the real-space SpMM runs once over
 /// the whole block, then each device's contiguous column chunk goes through
 /// the batched reciprocal pipeline. `chunks` holds the per-device column
 /// counts from [`HybridModel::partition_block`] (zeros allowed); on this
 /// host the chunks execute sequentially, standing in for the per-device
-/// offload regions, but the data movement is exactly what real offload
-/// would ship — contiguous `[dim][s]` column windows, no gathers.
+/// offload regions, and each chunk is gathered into the contiguous
+/// `[dim][width]` block a device would be shipped.
 pub fn apply_block_partitioned(
     op: &mut PmeOperator,
     x: &[f64],
@@ -269,7 +263,9 @@ pub fn apply_block_partitioned(
         if width == 0 {
             continue;
         }
-        op.recip_apply_add_cols(x, y, s, col0, width);
+        crate::compose::recip_on_gathered_cols(x, y, s, col0, width, |xc, yc| {
+            op.recip_apply_add_multi(xc, yc, width);
+        });
         col0 += width;
     }
 }

@@ -6,6 +6,14 @@
 //! * `--quick` — scaled-down workloads (default on this 1-core host);
 //! * `--full`  — paper-scale workloads (hours of wall clock);
 //! * `--seed N` — RNG seed.
+//!
+//! Paper-only executors live here too, out of the production crates:
+//! [`hybrid`] (the *modeled* Section IV-E CPU + Xeon Phi scheduler) and
+//! [`compose`] (overlapped, on-the-fly and per-column PME applies built from
+//! a `PmeOperator`'s read-only parts).
+
+pub mod compose;
+pub mod hybrid;
 
 use hibd_core::diffusion::DiffusionEstimator;
 use hibd_core::mf_bd::MatrixFreeBd;

@@ -93,20 +93,8 @@ impl Driver {
 /// Log the resolved operator shape of a freshly built driver and return
 /// the PME shape for the profile's performance model (None for open runs).
 fn log_shape(bd: &MatrixFreeBd, lambda: usize, log: &mut impl FnMut(&str)) -> Option<PmeShape> {
-    let mut shape = None;
-    if let Some(p) = bd.pme_params() {
-        log(&format!(
-            "matrix-free: K = {}, p = {}, r_max = {:.2}, alpha = {:.4}",
-            p.mesh_dim, p.spline_order, p.r_max, p.alpha
-        ));
-        shape = Some(PmeShape {
-            n: bd.system().len(),
-            mesh_dim: p.mesh_dim,
-            spline_order: p.spline_order,
-            lambda,
-        });
-    }
-    if let Some(t) = bd.tree_params() {
+    let resolved = bd.shape();
+    if let Some(t) = resolved.tree {
         let eval = match t.eval {
             TreeEval::Tree => "treecode",
             TreeEval::Fmm => "fmm",
@@ -116,7 +104,18 @@ fn log_shape(bd: &MatrixFreeBd, lambda: usize, log: &mut impl FnMut(&str)) -> Op
             t.theta, t.cheb_order, t.leaf_capacity
         ));
     }
-    shape
+    resolved.pme.map(|p| {
+        log(&format!(
+            "matrix-free: K = {}, p = {}, r_max = {:.2}, alpha = {:.4}",
+            p.mesh_dim, p.spline_order, p.r_max, p.alpha
+        ));
+        PmeShape {
+            n: bd.system().len(),
+            mesh_dim: p.mesh_dim,
+            spline_order: p.spline_order,
+            lambda,
+        }
+    })
 }
 
 /// Per-replica output path: plain at `R = 1`, otherwise `.r{N}` spliced

@@ -33,7 +33,7 @@
 //! ```
 
 use crate::forces::{ConstantForce, Force, LennardJones, RepulsiveHarmonic};
-use crate::mf_bd::{DisplacementMode, MatrixFreeConfig};
+use crate::mf_bd::MatrixFreeConfig;
 use crate::system::{Boundary, ParticleSystem};
 use hibd_mathx::Vec3;
 use hibd_treecode::{TreeEval, TreeParams};
@@ -52,20 +52,9 @@ pub enum Algorithm {
     Dense,
 }
 
-/// Brownian displacement solver for the matrix-free algorithm.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Displacement {
-    /// Block Lanczos over the whole `lambda_rpy` window (Algorithm 2).
-    #[default]
-    BlockKrylov,
-    /// One Lanczos solve per displacement vector (ablation baseline).
-    SingleKrylov,
-    /// Fixman's Chebyshev polynomial method.
-    Chebyshev,
-    /// Positively-split Ewald sampling (wave-space exact square root plus
-    /// sparse near-field Lanczos).
-    SplitEwald,
-}
+/// Brownian displacement solver for the matrix-free algorithm (the
+/// driver's own enum under its config-file name).
+pub use crate::mf_bd::DisplacementMode as Displacement;
 
 /// Far-field strategy of the open-boundary hierarchical operator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -239,7 +228,6 @@ impl SimSpec {
                 "displacement" => {
                     spec.displacement = match value.to_ascii_lowercase().as_str() {
                         "block-krylov" | "block" => Displacement::BlockKrylov,
-                        "single-krylov" | "single" => Displacement::SingleKrylov,
                         "chebyshev" => Displacement::Chebyshev,
                         "split-ewald" | "pse" => Displacement::SplitEwald,
                         other => {
@@ -247,7 +235,7 @@ impl SimSpec {
                                 *line,
                                 format!(
                                     "unknown displacement `{other}` (block-krylov | \
-                                     single-krylov | chebyshev | split-ewald)"
+                                     chebyshev | split-ewald)"
                                 ),
                             ))
                         }
@@ -387,12 +375,7 @@ impl SimSpec {
             lambda_rpy: self.lambda_rpy,
             e_k: self.e_k,
             target_ep: self.e_p,
-            displacement_mode: match self.displacement {
-                Displacement::BlockKrylov => DisplacementMode::BlockKrylov,
-                Displacement::SingleKrylov => DisplacementMode::SingleKrylov,
-                Displacement::Chebyshev => DisplacementMode::Chebyshev,
-                Displacement::SplitEwald => DisplacementMode::SplitEwald,
-            },
+            displacement_mode: self.displacement,
             tree: self.theta.map(|theta| TreeParams { theta, eval, ..TreeParams::default() }),
             tree_eval: eval,
             ..Default::default()
@@ -473,7 +456,6 @@ impl SimSpec {
         writeln!(out, "algorithm = {alg}").unwrap();
         let disp = match self.displacement {
             Displacement::BlockKrylov => "block-krylov",
-            Displacement::SingleKrylov => "single-krylov",
             Displacement::Chebyshev => "chebyshev",
             Displacement::SplitEwald => "split-ewald",
         };
@@ -600,18 +582,19 @@ mod tests {
         for (text, want) in [
             ("displacement = block-krylov\n", Displacement::BlockKrylov),
             ("displacement = block\n", Displacement::BlockKrylov),
-            ("displacement = single-krylov\n", Displacement::SingleKrylov),
-            ("displacement = single\n", Displacement::SingleKrylov),
             ("displacement = chebyshev\n", Displacement::Chebyshev),
             ("displacement = split-ewald\n", Displacement::SplitEwald),
             ("displacement = PSE\n", Displacement::SplitEwald),
         ] {
             assert_eq!(SimSpec::parse(text).unwrap().displacement, want, "{text}");
         }
-        assert!(SimSpec::parse("displacement = qr\n")
-            .unwrap_err()
-            .message
-            .contains("unknown displacement"));
+        // The ablation-only single-vector mode is gone: a typed error that
+        // lists the three remaining values, never a panic.
+        for gone in ["single-krylov", "single", "qr"] {
+            let e = SimSpec::parse(&format!("displacement = {gone}\n")).unwrap_err();
+            assert!(e.message.contains("unknown displacement"), "{gone}: {}", e.message);
+            assert!(e.message.contains("(block-krylov | chebyshev | split-ewald)"), "{gone}");
+        }
         // Dense Cholesky has no displacement solver to select.
         assert!(SimSpec::parse("algorithm = dense\ndisplacement = pse\n")
             .unwrap_err()

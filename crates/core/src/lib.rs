@@ -18,11 +18,10 @@
 //! * [`config`] — the `key = value` simulation spec shared by every front
 //!   end (`hibd run` configs double as `hibd serve` spool job files);
 //! * [`checkpoint`] — versioned binary snapshot/restart of the full
-//!   simulation state;
-//! * [`hybrid`] — the CPU + accelerator execution scheme of Section IV-E:
-//!   model-driven static partitioning, `alpha` load balancing, and an
-//!   overlapped real/reciprocal executor. On this host the accelerators are
-//!   *modeled* devices parameterized by Table I (see DESIGN.md).
+//!   simulation state.
+//!
+//! The *modeled* Section IV-E hybrid executor is paper scaffolding and lives
+//! with the figure harnesses (`hibd_bench::hybrid`), not here.
 
 pub mod analysis;
 pub mod checkpoint;
@@ -30,7 +29,6 @@ pub mod config;
 pub mod diffusion;
 pub mod ewald_bd;
 pub mod forces;
-pub mod hybrid;
 pub mod io;
 pub mod mf_bd;
 pub mod system;
@@ -42,6 +40,7 @@ pub use diffusion::DiffusionEstimator;
 pub use ewald_bd::{EwaldBd, EwaldBdConfig};
 pub use forces::{ConstantForce, Force, HarmonicBond, LennardJones, RepulsiveHarmonic};
 pub use mf_bd::{
-    resolve_shape, DisplacementMode, MatrixFreeBd, MatrixFreeConfig, MobilityPlans, ResolvedShape,
+    resolve_shape, DisplacementMode, MatrixFreeBd, MatrixFreeConfig, MobilityOp, MobilityPlans,
+    ResolvedShape,
 };
 pub use system::ParticleSystem;

@@ -9,19 +9,17 @@
 //! The operator backend follows the system's [`Boundary`]: periodic boxes
 //! use the [`PmeOperator`] (Ewald split + particle-mesh reciprocal sum),
 //! open systems use the hierarchical free-space [`TreeOperator`] from
-//! `hibd-treecode`. Every `M v`-only displacement mode (block/single
-//! Lanczos, Chebyshev) works with either backend; `SplitEwald` is
-//! wave-space sampling and therefore periodic-only.
+//! `hibd-treecode`. The `M v`-only displacement modes (block Lanczos,
+//! Chebyshev) work with either backend; `SplitEwald` is wave-space sampling
+//! and therefore periodic-only.
 
 use crate::ewald_bd::BdError;
 use crate::forces::{total_force, Force};
 use crate::system::{Boundary, ParticleSystem};
-use hibd_krylov::{
-    block_lanczos_sqrt, chebyshev_sqrt, lanczos_sqrt, ChebyshevConfig, KrylovConfig,
-};
+use hibd_krylov::{block_lanczos_sqrt, chebyshev_sqrt, ChebyshevConfig, KrylovConfig};
 use hibd_linalg::LinearOperator;
 use hibd_mathx::fill_standard_normal;
-use hibd_pme::{tune, PmeOperator, PmeParams, PmePhaseTimes, PmePlans};
+use hibd_pme::{tune, PmeOperator, PmeParams, PmePlans};
 use hibd_pse::{PseError, PseSampler, PseSplit};
 use hibd_telemetry::{self as telemetry, Phase};
 use hibd_treecode::{TreeEval, TreeOperator, TreeParams, TreePlans};
@@ -36,9 +34,6 @@ pub enum DisplacementMode {
     /// fewer iterations per vector, multi-RHS real-space SpMM).
     #[default]
     BlockKrylov,
-    /// One single-vector Lanczos solve per displacement (the pre-block
-    /// baseline of the paper's ref. \[8\]; kept for the ablation study).
-    SingleKrylov,
     /// Fixman's Chebyshev polynomial method (the paper's ref. \[25\]):
     /// spectral bounds are estimated once per operator refresh, then one
     /// polynomial evaluation per displacement vector.
@@ -67,7 +62,7 @@ pub struct MatrixFreeConfig {
     pub pme: Option<PmeParams>,
     /// Krylov iteration cap.
     pub max_krylov: usize,
-    /// Displacement solver variant (block vs single-vector Lanczos).
+    /// Displacement solver variant.
     pub displacement_mode: DisplacementMode,
     /// PSE split knobs, used only by [`DisplacementMode::SplitEwald`].
     pub pse: PseSplit,
@@ -195,14 +190,36 @@ pub fn resolve_shape(
     }
 }
 
-/// The boundary-selected mobility backend (periodic PME vs free-space
-/// treecode), dispatched once per apply.
-enum MobilityOp {
+/// The boundary-selected mobility backend of the current window (periodic
+/// PME vs free-space treecode) — the per-configuration twin of
+/// [`MobilityPlans`], dispatched once per apply.
+pub enum MobilityOp {
     // Boxed: both operators carry hundreds of bytes of inline scratch
     // headers, and the enum is rebuilt once per refresh — the indirection
     // costs nothing on the apply path.
     Pme(Box<PmeOperator>),
     Tree(Box<TreeOperator>),
+}
+
+impl MobilityOp {
+    /// Standalone resident bytes of the operator, shared plans included.
+    #[must_use]
+    pub fn memory_bytes(&self) -> usize {
+        match self {
+            MobilityOp::Pme(op) => op.memory_bytes(),
+            MobilityOp::Tree(op) => op.memory_bytes(),
+        }
+    }
+
+    /// Resident bytes of the per-job part only (an ensemble counts each
+    /// distinct [`MobilityPlans`] once on top).
+    #[must_use]
+    pub fn state_memory_bytes(&self) -> usize {
+        match self {
+            MobilityOp::Pme(op) => op.state_memory_bytes(),
+            MobilityOp::Tree(op) => op.state_memory_bytes(),
+        }
+    }
 }
 
 impl LinearOperator for MobilityOp {
@@ -416,19 +433,12 @@ impl MatrixFreeBd {
         &self.cfg
     }
 
-    /// PME parameters in effect (`None` for open-boundary systems).
-    pub fn pme_params(&self) -> Option<&PmeParams> {
+    /// The backend parameters in effect (exactly one side is `Some`).
+    #[must_use]
+    pub fn shape(&self) -> ResolvedShape {
         match &self.plans {
-            MobilityPlans::Pme(p) => Some(p.params()),
-            MobilityPlans::Tree(_) => None,
-        }
-    }
-
-    /// Treecode parameters in effect (`None` for periodic systems).
-    pub fn tree_params(&self) -> Option<&TreeParams> {
-        match &self.plans {
-            MobilityPlans::Tree(p) => Some(p.params()),
-            MobilityPlans::Pme(_) => None,
+            MobilityPlans::Pme(p) => ResolvedShape { pme: Some(*p.params()), tree: None },
+            MobilityPlans::Tree(p) => ResolvedShape { pme: None, tree: Some(*p.params()) },
         }
     }
 
@@ -437,40 +447,16 @@ impl MatrixFreeBd {
         &self.plans
     }
 
-    /// The PME operator, when the current window runs on one (periodic
-    /// systems after the first step).
-    pub fn pme_operator(&self) -> Option<&PmeOperator> {
-        match &self.op {
-            Some(MobilityOp::Pme(op)) => Some(op),
-            _ => None,
-        }
+    /// The current window's operator (`None` before the first
+    /// [`ensure_window`](Self::ensure_window)).
+    pub fn operator(&self) -> Option<&MobilityOp> {
+        self.op.as_ref()
     }
 
-    /// The treecode operator, when the current window runs on one
-    /// (open-boundary systems after the first step).
-    pub fn tree_operator(&self) -> Option<&TreeOperator> {
-        match &self.op {
-            Some(MobilityOp::Tree(op)) => Some(op),
-            _ => None,
-        }
-    }
-
-    /// Mutable PME operator of the current window (`None` before the first
-    /// [`ensure_window`](Self::ensure_window) or on the tree backend). The
-    /// ensemble engine drives the spread/FFT/interpolate stages directly.
-    pub fn pme_operator_mut(&mut self) -> Option<&mut PmeOperator> {
-        match &mut self.op {
-            Some(MobilityOp::Pme(op)) => Some(op),
-            _ => None,
-        }
-    }
-
-    /// Mutable treecode operator of the current window.
-    pub fn tree_operator_mut(&mut self) -> Option<&mut TreeOperator> {
-        match &mut self.op {
-            Some(MobilityOp::Tree(op)) => Some(op),
-            _ => None,
-        }
+    /// Mutable operator of the current window; the ensemble engine drives
+    /// the PME spread/FFT/interpolate stages through it directly.
+    pub fn operator_mut(&mut self) -> Option<&mut MobilityOp> {
+        self.op.as_mut()
     }
 
     pub fn timings(&self) -> &MfTimings {
@@ -479,37 +465,18 @@ impl MatrixFreeBd {
 
     /// Resident bytes of the current operator (0 before the first step).
     pub fn operator_memory_bytes(&self) -> usize {
-        match &self.op {
-            Some(MobilityOp::Pme(op)) => op.memory_bytes(),
-            Some(MobilityOp::Tree(op)) => op.memory_bytes(),
-            None => 0,
-        }
-    }
-
-    /// Resident bytes of the PSE sampler (0 unless `SplitEwald` has run).
-    pub fn pse_memory_bytes(&self) -> usize {
-        self.pse.as_ref().map(hibd_pse::PseSampler::memory_bytes).unwrap_or(0)
-    }
-
-    /// The PSE sampler, if `SplitEwald` has built one (counter access for
-    /// harnesses).
-    pub fn pse_sampler(&self) -> Option<&PseSampler> {
-        self.pse.as_ref()
-    }
-
-    /// Per-phase PME timings accumulated so far (resets the counters;
-    /// zero on the treecode backend).
-    pub fn take_pme_times(&mut self) -> PmePhaseTimes {
-        match &mut self.op {
-            Some(MobilityOp::Pme(op)) => op.take_times(),
-            _ => PmePhaseTimes::default(),
-        }
+        self.op.as_ref().map_or(0, MobilityOp::memory_bytes)
     }
 
     fn refresh_operator(&mut self) -> Result<(), BdError> {
         let lambda = self.cfg.lambda_rpy;
         let n3 = 3 * self.system.len();
 
+        // Drop before rebuild: the previous window's operator owns a
+        // `3 lambda`-mesh batch scratch, and keeping it alive through the
+        // build and the Krylov solve below would double the resident peak.
+        // A failed refresh leaves `op = None`; `ensure_window` retries.
+        self.op = None;
         let mut op = match &self.plans {
             MobilityPlans::Pme(plans) => {
                 let sw = telemetry::start(Phase::PmeSetup);
@@ -540,23 +507,6 @@ impl MatrixFreeBd {
                 let (d, stats) = block_lanczos_sqrt(&mut op, &z, lambda, &kcfg)
                     .map_err(|e| BdError::Krylov(e.to_string()))?;
                 (d, stats.iterations)
-            }
-            DisplacementMode::SingleKrylov => {
-                let mut d = vec![0.0; n3 * lambda];
-                let mut iters = 0;
-                let mut zc = vec![0.0; n3];
-                for col in 0..lambda {
-                    for i in 0..n3 {
-                        zc[i] = z[i * lambda + col];
-                    }
-                    let (g, stats) = lanczos_sqrt(&mut op, &zc, &kcfg)
-                        .map_err(|e| BdError::Krylov(e.to_string()))?;
-                    iters += stats.iterations;
-                    for i in 0..n3 {
-                        d[i * lambda + col] = g[i];
-                    }
-                }
-                (d, iters)
             }
             DisplacementMode::SplitEwald => {
                 match &mut self.pse {
@@ -753,37 +703,6 @@ mod tests {
     }
 
     #[test]
-    fn single_vector_mode_runs_and_costs_more_iterations() {
-        let sys = small_system(15, 0.1, 8);
-        let mut block = MatrixFreeBd::new(
-            sys.clone(),
-            MatrixFreeConfig { lambda_rpy: 8, ..Default::default() },
-            3,
-        )
-        .unwrap();
-        block.run(1).unwrap();
-        let mut single = MatrixFreeBd::new(
-            sys,
-            MatrixFreeConfig {
-                lambda_rpy: 8,
-                displacement_mode: DisplacementMode::SingleKrylov,
-                ..Default::default()
-            },
-            3,
-        )
-        .unwrap();
-        single.run(1).unwrap();
-        // Block: iterations counted once per block application; single:
-        // summed over the 8 separate solves.
-        assert!(
-            single.timings().krylov_iterations > block.timings().krylov_iterations,
-            "single {} vs block {}",
-            single.timings().krylov_iterations,
-            block.timings().krylov_iterations
-        );
-    }
-
-    #[test]
     fn chebyshev_mode_produces_comparable_displacement_scale() {
         // Same seed => same Gaussian block; the RMS displacement from the
         // Chebyshev path must match the block-Krylov path closely (both
@@ -878,7 +797,7 @@ mod tests {
     }
 
     #[test]
-    fn open_boundary_steps_on_the_tree_operator() {
+    fn open_boundary_steps_on_the_treecode() {
         let sys = small_cluster(25, 0.1, 13);
         let cfg = MatrixFreeConfig { lambda_rpy: 4, ..Default::default() };
         let mut bd = MatrixFreeBd::new(sys, cfg, 42).unwrap();
@@ -886,10 +805,11 @@ mod tests {
         bd.run(5).unwrap();
         assert_eq!(bd.timings().steps, 5);
         assert!(bd.timings().krylov_iterations > 0);
-        assert!(bd.pme_params().is_none());
-        let tp = *bd.tree_params().expect("open driver resolved tree params");
+        let shape = bd.shape();
+        assert!(shape.pme.is_none());
+        let tp = shape.tree.expect("open driver resolved tree params");
         assert!((tp.a - 1.0).abs() < 1e-15 && (tp.eta - 1.0).abs() < 1e-15);
-        let op = bd.tree_operator().expect("tree operator built");
+        let Some(MobilityOp::Tree(op)) = bd.operator() else { panic!("tree operator built") };
         assert!(op.interactions_per_apply() > 0);
         assert!(bd.operator_memory_bytes() > 0);
         for p in bd.system().positions() {
@@ -901,11 +821,7 @@ mod tests {
 
     #[test]
     fn open_boundary_supports_every_matvec_displacement_mode() {
-        for mode in [
-            DisplacementMode::BlockKrylov,
-            DisplacementMode::SingleKrylov,
-            DisplacementMode::Chebyshev,
-        ] {
+        for mode in [DisplacementMode::BlockKrylov, DisplacementMode::Chebyshev] {
             let sys = small_cluster(12, 0.1, 19);
             let cfg =
                 MatrixFreeConfig { lambda_rpy: 3, displacement_mode: mode, ..Default::default() };

@@ -27,10 +27,10 @@
 
 use crate::cache::PlanCache;
 use hibd_core::ewald_bd::BdError;
-use hibd_core::mf_bd::{MatrixFreeConfig, MobilityPlans};
+use hibd_core::mf_bd::{MatrixFreeConfig, MobilityOp, MobilityPlans};
 use hibd_core::{MatrixFreeBd, ParticleSystem};
 use hibd_linalg::LinearOperator;
-use hibd_pme::PmePhaseTimes;
+use hibd_pme::{PmeOperator, PmePhaseTimes};
 use hibd_telemetry::{self as telemetry, Counter, LabeledSnapshot, Phase, Snapshot};
 use std::sync::Arc;
 
@@ -50,6 +50,14 @@ fn record_pme_times(snap: &mut Snapshot, t: &PmePhaseTimes) {
     record_phase(snap, Phase::InverseFft, t.inverse_fft);
     record_phase(snap, Phase::Interpolation, t.interpolation);
     record_phase(snap, Phase::RealSpace, t.real_space);
+}
+
+/// The PME operator of a periodic replica whose window is current.
+fn pme_op(bd: &mut MatrixFreeBd) -> &mut PmeOperator {
+    match bd.operator_mut() {
+        Some(MobilityOp::Pme(op)) => op,
+        _ => panic!("periodic replica runs on PME"),
+    }
 }
 
 /// Why a job failed during an isolated step.
@@ -396,12 +404,8 @@ impl EnsembleRunner {
             let k3 = k * k * k;
             let s_len = k * k * (k / 2 + 1);
             let (need_mesh, need_spec) = (3 * g * k3, 3 * g * s_len);
-            let (mut bmesh, mut bspec) = self.slots[host]
-                .as_mut()
-                .expect("live")
-                .pme_operator_mut()
-                .expect("periodic replica runs on PME")
-                .take_batch_scratch(g);
+            let (mut bmesh, mut bspec) =
+                pme_op(self.slots[host].as_mut().expect("live")).take_batch_scratch(g);
 
             for (gi, &r) in live.iter().enumerate() {
                 let chunk = &mut bmesh[gi * 3 * k3..(gi + 1) * 3 * k3];
@@ -409,7 +413,7 @@ impl EnsembleRunner {
                 let f = &forces[r];
                 let drift = &mut self.drift[r];
                 let res = run_guarded(isolate, || {
-                    let op = bd.pme_operator_mut().expect("periodic replica runs on PME");
+                    let op = pme_op(bd);
                     op.real_apply(f, drift);
                     op.spread_forces(f, chunk);
                     Ok(())
@@ -444,9 +448,7 @@ impl EnsembleRunner {
                 let bd = self.slots[r].as_mut().expect("live");
                 let drift = &mut self.drift[r];
                 let res = run_guarded(isolate, || {
-                    bd.pme_operator_mut()
-                        .expect("periodic replica runs on PME")
-                        .interpolate_add(chunk, drift);
+                    pme_op(bd).interpolate_add(chunk, drift);
                     Ok(())
                 });
                 if let Err(fault) = res {
@@ -454,12 +456,7 @@ impl EnsembleRunner {
                 }
             }
 
-            self.slots[host]
-                .as_mut()
-                .expect("live")
-                .pme_operator_mut()
-                .expect("periodic replica runs on PME")
-                .restore_batch_scratch(bmesh, bspec);
+            pme_op(self.slots[host].as_mut().expect("live")).restore_batch_scratch(bmesh, bspec);
         }
 
         // Open-boundary replicas: the treecode apply is already an `O(n
@@ -473,8 +470,7 @@ impl EnsembleRunner {
             let f = &forces[r];
             let drift = &mut self.drift[r];
             let res = run_guarded(isolate, || {
-                let op = bd.tree_operator_mut().expect("open replica runs on the tree");
-                op.apply(f, drift);
+                bd.operator_mut().expect("window is current").apply(f, drift);
                 Ok(())
             });
             record_phase(&mut self.per_job[r], Phase::Stepping, sw.stop());
@@ -501,13 +497,10 @@ impl EnsembleRunner {
                     let bd = self.slots[r].as_ref().expect("live");
                     let delta = bd.timings().stepping - before;
                     record_phase(&mut self.per_job[r], Phase::Stepping, delta);
-                    let times = self.slots[r]
-                        .as_mut()
-                        .expect("live")
-                        .pme_operator_mut()
-                        .map(hibd_pme::PmeOperator::take_times);
-                    if let Some(times) = times {
-                        record_pme_times(&mut self.per_job[r], &times);
+                    if let Some(MobilityOp::Pme(op)) =
+                        self.slots[r].as_mut().expect("live").operator_mut()
+                    {
+                        record_pme_times(&mut self.per_job[r], &op.take_times());
                     }
                 }
                 Err(fault) => note_fault(isolate, r, fault, &mut dead, &mut failures)?,
@@ -565,12 +558,7 @@ impl EnsembleRunner {
             self.drift.iter().map(|d| d.capacity() * std::mem::size_of::<f64>()).sum::<usize>();
         let mut seen: Vec<*const u8> = Vec::new();
         for bd in self.slots.iter().flatten() {
-            if let Some(op) = bd.pme_operator() {
-                total += op.state_memory_bytes();
-            }
-            if let Some(op) = bd.tree_operator() {
-                total += op.state_memory_bytes();
-            }
+            total += bd.operator().map_or(0, MobilityOp::state_memory_bytes);
             let (ptr, bytes) = match bd.plans() {
                 MobilityPlans::Pme(p) => (Arc::as_ptr(p).cast::<u8>(), p.memory_bytes()),
                 MobilityPlans::Tree(p) => (Arc::as_ptr(p).cast::<u8>(), p.memory_bytes()),

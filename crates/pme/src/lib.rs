@@ -21,9 +21,12 @@
 //! 5. **Inverse 3D FFT** (three c2r transforms);
 //! 6. **Interpolation** — `u_theta = P U_theta`.
 //!
-//! [`operator::PmeOperator`] packages the pipeline behind the
-//! [`LinearOperator`](hibd_linalg::LinearOperator) trait so the Krylov
-//! displacement solver can consume it; [`tuner`] selects `(K, p, r_max,
+//! [`operator::PmeOperator`] packages the pipeline — one body, entered with
+//! one vector (`recip_apply_add`) or a block (`recip_apply_add_multi`) —
+//! behind the [`LinearOperator`](hibd_linalg::LinearOperator) trait so the
+//! Krylov displacement solver can consume it; [`onthefly`] holds the two
+//! Figure 4 baseline kernels (`hibd-bench` composes them into a pipeline);
+//! [`tuner`] selects `(K, p, r_max,
 //! alpha)` for a target PME accuracy `e_p` (reproducing Table III), and
 //! [`perf`] implements the paper's performance model (Section IV-D) with the
 //! Table I machine descriptions.

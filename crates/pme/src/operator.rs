@@ -10,10 +10,17 @@
 //!   by shape key).
 //! * `PmeOperator` adds the **position-dependent** per-configuration
 //!   artifacts (interpolation matrix `P`, spreading schedule, real-space
-//!   BCSR matrix) plus the mutable per-job scratch (`PmeState`: meshes,
-//!   spectra, batch buffers, phase times). `apply` then evaluates `u = M f`
+//!   BCSR matrix) plus the mutable per-job scratch (`PmeState`: batch
+//!   meshes and spectra, phase times). `apply` then evaluates `u = M f`
 //!   with no further setup — the property that makes the operator cheap to
 //!   use inside the Krylov iteration.
+//!
+//! The reciprocal sum has **one** body, `recip_pipeline`, behind the two
+//! entries `recip_apply_add` (one vector) and `recip_apply_add_multi` (a
+//! block). Everything else that wants the pipeline — the ensemble engine's
+//! cross-replica batched drift, the paper-figure harnesses in `hibd-bench`
+//! (overlapped, on-the-fly, column-partitioned applies) — composes it from
+//! the stage methods and read-only accessors below with its own meshes.
 //!
 //! Wall-clock time of each reciprocal phase is accumulated into
 //! [`PmePhaseTimes`], which the Figure 5 harness reads. Each phase is timed
@@ -150,27 +157,28 @@ impl PmePlans {
     }
 }
 
-/// Mutable per-job state: meshes, spectra, per-column and batch scratch,
-/// and the accumulated phase times. Owned by exactly one `PmeOperator`;
-/// never shared.
+/// Mutable per-job state: interpolation scratch, the batch meshes/spectra
+/// every reciprocal apply runs through, and the accumulated phase times.
+/// Owned by exactly one `PmeOperator`; never shared.
 struct PmeState {
-    /// `[F_x | F_y | F_z]` real meshes, each `K^3`.
-    mesh: Vec<f64>,
-    /// `[C_x | C_y | C_z]` half spectra, each `K^2 (K/2+1)`.
-    spec: Vec<Complex64>,
-    /// Single-RHS interpolation / reciprocal-output scratch (`3n`).
+    /// Single-RHS interpolation scratch (`3n`).
     interp_scratch: Vec<f64>,
-    /// Real-branch output scratch for `apply_overlapped` (`3n`).
-    real_scratch: Vec<f64>,
-    /// Column gather/scatter scratch for the per-column baseline (`6n`).
-    col_scratch: Vec<f64>,
-    /// Batched meshes for `recip_apply_add_cols`: `3*width` meshes of `K^3`
-    /// in `[theta][col]` layout. Grown on demand, never shrunk, so repeated
-    /// block applies at the same width are allocation-free.
+    /// `3*width` real meshes of `K^3` in `[theta][col]` layout (width 1 is
+    /// the plain `[F_x | F_y | F_z]` triple). Grown on demand, never shrunk,
+    /// so repeated applies at the same width are allocation-free.
     batch_mesh: Vec<f64>,
     /// Batched half spectra, `3*width` of `K^2 (K/2+1)` each.
     batch_spec: Vec<Complex64>,
     times: PmePhaseTimes,
+}
+
+/// What the one reciprocal pipeline body spreads from and interpolates
+/// into — the only stage that differs between the two public entries.
+enum Rhs<'a> {
+    /// One `3n` vector through the single-RHS row kernels.
+    Vector { f: &'a [f64], u: &'a mut [f64] },
+    /// A row-major `[3n][s]` block through the multi-RHS row kernels.
+    Block { x: &'a [f64], y: &'a mut [f64], s: usize },
 }
 
 /// The matrix-free periodic RPY mobility operator.
@@ -220,8 +228,6 @@ impl PmeOperator {
         let pm = build_interp_matrix(positions, plans.params.box_l, k, p);
         let plan = SpreadPlan::new(&pm.scaled, k, p);
         let real = assemble_real_space(positions, &plans.ewald, plans.params.r_max);
-        let k3 = k * k * k;
-        let s_len = k * k * (k / 2 + 1);
         let op = PmeOperator {
             plans,
             n: positions.len(),
@@ -229,11 +235,7 @@ impl PmeOperator {
             plan,
             real,
             state: PmeState {
-                mesh: vec![0.0; 3 * k3],
-                spec: vec![Complex64::ZERO; 3 * s_len],
                 interp_scratch: vec![0.0; 3 * positions.len()],
-                real_scratch: vec![0.0; 3 * positions.len()],
-                col_scratch: vec![0.0; 6 * positions.len()],
                 batch_mesh: Vec::new(),
                 batch_spec: Vec::new(),
                 times: PmePhaseTimes::default(),
@@ -297,64 +299,82 @@ impl PmeOperator {
     /// Resident bytes of the per-job part only (everything except the
     /// shared [`PmePlans`]).
     pub fn state_memory_bytes(&self) -> usize {
-        (self.state.mesh.len() + self.state.batch_mesh.len()) * 8
-            + (self.state.spec.len() + self.state.batch_spec.len()) * 16
-            + (self.state.interp_scratch.len()
-                + self.state.real_scratch.len()
-                + self.state.col_scratch.len())
-                * 8
+        (self.state.batch_mesh.len() + self.state.interp_scratch.len()) * 8
+            + self.state.batch_spec.len() * 16
             + self.pm.mat.memory_bytes()
             + self.real.memory_bytes()
     }
 
-    /// `u += M_recip f` — the six-step reciprocal pipeline.
+    /// The six-step reciprocal pipeline (Section IV-A), the only body of it
+    /// in this crate: spread, one batched r2c over the `3*width` meshes,
+    /// influence multiply, one batched c2r, interpolate-accumulate. A vector
+    /// goes through the same stage methods the engine composes
+    /// ([`spread_forces`](Self::spread_forces) /
+    /// [`interpolate_add`](Self::interpolate_add)), and at width 1 the batch
+    /// transforms are bitwise the per-mesh ones (`fft/tests/batch_bitwise.rs`).
+    #[hibd::hot]
+    fn recip_pipeline(&mut self, rhs: Rhs<'_>) {
+        let width = match &rhs {
+            Rhs::Vector { .. } => 1,
+            Rhs::Block { x, y, s } => {
+                assert_eq!(x.len(), 3 * self.n * s);
+                assert_eq!(y.len(), 3 * self.n * s);
+                assert!(*s > 0, "empty block");
+                *s
+            }
+        };
+        let k = self.plans.params.mesh_dim;
+        let (mut mesh_buf, mut spec_buf) = self.take_batch_scratch(width);
+        let mesh = &mut mesh_buf[..3 * width * k * k * k];
+        let spec = &mut spec_buf[..3 * width * k * k * (k / 2 + 1)];
+
+        match &rhs {
+            Rhs::Vector { f, .. } => self.spread_forces(f, mesh),
+            Rhs::Block { x, s, .. } => {
+                let sw = telemetry::start(Phase::Spreading);
+                self.plan.spread_multi(&self.pm, x, *s, 0, *s, mesh);
+                self.state.times.spreading += sw.stop();
+            }
+        }
+        let sw = telemetry::start(Phase::ForwardFft);
+        self.plans.fft.forward_batch(mesh, spec, 3 * width);
+        self.state.times.forward_fft += sw.stop();
+        let sw = telemetry::start(Phase::Influence);
+        self.plans.inf.apply_multi(spec, width);
+        self.state.times.influence += sw.stop();
+        let sw = telemetry::start(Phase::InverseFft);
+        self.plans.fft.inverse_batch(spec, mesh, 3 * width);
+        self.state.times.inverse_fft += sw.stop();
+        match rhs {
+            Rhs::Vector { u, .. } => self.interpolate_add(mesh, u),
+            Rhs::Block { y, s, .. } => {
+                let sw = telemetry::start(Phase::Interpolation);
+                interpolate_multi(&self.pm, mesh, s, 0, s, y);
+                self.state.times.interpolation += sw.stop();
+            }
+        }
+        self.restore_batch_scratch(mesh_buf, spec_buf);
+    }
+
+    /// `u += M_recip f` for one `3n` vector.
     #[hibd::hot]
     pub fn recip_apply_add(&mut self, f: &[f64], u: &mut [f64]) {
-        assert_eq!(f.len(), 3 * self.n);
-        assert_eq!(u.len(), 3 * self.n);
-        let k = self.plans.params.mesh_dim;
-        let k3 = k * k * k;
-        let s_len = k * k * (k / 2 + 1);
-        let st = &mut self.state;
+        self.recip_pipeline(Rhs::Vector { f, u });
+    }
 
-        let sw = telemetry::start(Phase::Spreading);
-        self.plan.spread(&self.pm, f, &mut st.mesh);
-        st.times.spreading += sw.stop();
-        let sw = telemetry::start(Phase::ForwardFft);
-        for theta in 0..3 {
-            self.plans.fft.forward(
-                &st.mesh[theta * k3..(theta + 1) * k3],
-                &mut st.spec[theta * s_len..(theta + 1) * s_len],
-            );
-        }
-        st.times.forward_fft += sw.stop();
-        let sw = telemetry::start(Phase::Influence);
-        self.plans.inf.apply(&mut st.spec);
-        st.times.influence += sw.stop();
-        let sw = telemetry::start(Phase::InverseFft);
-        for theta in 0..3 {
-            self.plans.fft.inverse(
-                &mut st.spec[theta * s_len..(theta + 1) * s_len],
-                &mut st.mesh[theta * k3..(theta + 1) * k3],
-            );
-        }
-        st.times.inverse_fft += sw.stop();
-        let sw = telemetry::start(Phase::Interpolation);
-        // Interpolate into operator-owned scratch, then accumulate
-        // (interpolate overwrites; no per-apply allocation).
-        interpolate(&self.pm, &st.mesh, &mut st.interp_scratch);
-        for (o, v) in u.iter_mut().zip(&st.interp_scratch) {
-            *o += v;
-        }
-        st.times.interpolation += sw.stop();
+    /// `Y += M_recip X` for a row-major `[3n][s]` block: one spreading pass
+    /// and one batched trip through the FFT plans serve all `s` columns.
+    #[hibd::hot]
+    pub fn recip_apply_add_multi(&mut self, x: &[f64], y: &mut [f64], s: usize) {
+        self.recip_pipeline(Rhs::Block { x, y, s });
     }
 
     /// Spread `f` through this operator's `P` into a caller-provided
-    /// `[F_x | F_y | F_z]` mesh triple (`3 K^3`). Exactly the spreading
-    /// stage of [`PmeOperator::recip_apply_add`], exposed so the ensemble
-    /// engine can run many replicas' meshes through one batched FFT — the
-    /// bitwise contract with the standalone path follows from calling the
-    /// identical kernel.
+    /// `[F_x | F_y | F_z]` mesh triple (`3 K^3`). *Is* the spreading stage
+    /// of [`PmeOperator::recip_apply_add`], exposed so the ensemble engine
+    /// can run many replicas' meshes through one batched FFT — the bitwise
+    /// contract with the standalone path follows from calling the identical
+    /// kernel.
     #[hibd::hot]
     pub fn spread_forces(&mut self, f: &[f64], mesh: &mut [f64]) {
         assert_eq!(f.len(), 3 * self.n);
@@ -401,48 +421,6 @@ impl PmeOperator {
         self.state.batch_spec = spec;
     }
 
-    /// `u += M_recip f` recomputing the B-spline weights on the fly instead
-    /// of reading the precomputed `P` — the Figure 4 baseline. Timing is
-    /// accumulated into the same phase counters.
-    #[hibd::hot]
-    pub fn recip_apply_add_on_the_fly(&mut self, f: &[f64], u: &mut [f64]) {
-        assert_eq!(f.len(), 3 * self.n);
-        assert_eq!(u.len(), 3 * self.n);
-        let k = self.plans.params.mesh_dim;
-        let k3 = k * k * k;
-        let s_len = k * k * (k / 2 + 1);
-        let st = &mut self.state;
-
-        let sw = telemetry::start(Phase::Spreading);
-        crate::onthefly::spread_on_the_fly(&self.plan, &self.pm, f, &mut st.mesh);
-        st.times.spreading += sw.stop();
-        let sw = telemetry::start(Phase::ForwardFft);
-        for theta in 0..3 {
-            self.plans.fft.forward(
-                &st.mesh[theta * k3..(theta + 1) * k3],
-                &mut st.spec[theta * s_len..(theta + 1) * s_len],
-            );
-        }
-        st.times.forward_fft += sw.stop();
-        let sw = telemetry::start(Phase::Influence);
-        self.plans.inf.apply(&mut st.spec);
-        st.times.influence += sw.stop();
-        let sw = telemetry::start(Phase::InverseFft);
-        for theta in 0..3 {
-            self.plans.fft.inverse(
-                &mut st.spec[theta * s_len..(theta + 1) * s_len],
-                &mut st.mesh[theta * k3..(theta + 1) * k3],
-            );
-        }
-        st.times.inverse_fft += sw.stop();
-        let sw = telemetry::start(Phase::Interpolation);
-        crate::onthefly::interpolate_on_the_fly(&self.pm, &st.mesh, &mut st.interp_scratch);
-        for (o, v) in u.iter_mut().zip(&st.interp_scratch) {
-            *o += v;
-        }
-        st.times.interpolation += sw.stop();
-    }
-
     /// `u = (M_real + M_self) f` — the short-range part.
     #[hibd::hot]
     pub fn real_apply(&mut self, f: &[f64], u: &mut [f64]) {
@@ -466,108 +444,6 @@ impl PmeOperator {
         self.state.times.real_space += sw.stop();
     }
 
-    /// `u = PME(f)` with the real-space and reciprocal-space parts computed
-    /// **concurrently** (the paper's hybrid scheme, Section IV-E: "the
-    /// real-space terms and the reciprocal-space terms can be computed
-    /// concurrently"). Returns `(t_real, t_recip)` wall-clock seconds of the
-    /// two branches, which the hybrid load balancer consumes.
-    pub fn apply_overlapped(&mut self, f: &[f64], u: &mut [f64]) -> (f64, f64) {
-        assert_eq!(f.len(), 3 * self.n);
-        assert_eq!(u.len(), 3 * self.n);
-        // Split borrows: the real branch only reads `real`/`self_coef`;
-        // the reciprocal branch mutates the meshes and spectra.
-        let real = &self.real;
-        let self_coef = self.plans.self_coef;
-        let plan = &self.plan;
-        let pm = &self.pm;
-        let fft = &self.plans.fft;
-        let inf = &self.plans.inf;
-        let mesh = &mut self.state.mesh;
-        let spec = &mut self.state.spec;
-        let u_real = &mut self.state.real_scratch;
-        let u_recip = &mut self.state.interp_scratch;
-        let k = self.plans.params.mesh_dim;
-        let k3 = k * k * k;
-        let s_len = k * k * (k / 2 + 1);
-
-        let mut t_real = 0.0;
-        // Per-phase wall clock of the reciprocal branch, so the Fig. 5
-        // breakdown stays correct when the overlapped path is used.
-        let mut phases = [0.0f64; 5];
-        std::thread::scope(|scope| {
-            let handle = scope.spawn(|| {
-                let sw = telemetry::start(Phase::RealSpace);
-                real.mul_vec(f, u_real);
-                for (o, v) in u_real.iter_mut().zip(f) {
-                    *o += self_coef * v;
-                }
-                sw.stop()
-            });
-            let sw = telemetry::start(Phase::Spreading);
-            plan.spread(pm, f, mesh);
-            let t_spread = sw.stop();
-            let sw = telemetry::start(Phase::ForwardFft);
-            for theta in 0..3 {
-                fft.forward(
-                    &mesh[theta * k3..(theta + 1) * k3],
-                    &mut spec[theta * s_len..(theta + 1) * s_len],
-                );
-            }
-            let t_fwd = sw.stop();
-            let sw = telemetry::start(Phase::Influence);
-            inf.apply(spec);
-            let t_inf = sw.stop();
-            let sw = telemetry::start(Phase::InverseFft);
-            for theta in 0..3 {
-                fft.inverse(
-                    &mut spec[theta * s_len..(theta + 1) * s_len],
-                    &mut mesh[theta * k3..(theta + 1) * k3],
-                );
-            }
-            let t_inv = sw.stop();
-            let sw = telemetry::start(Phase::Interpolation);
-            interpolate(pm, mesh, u_recip);
-            let t_interp = sw.stop();
-            phases = [t_spread, t_fwd, t_inf, t_inv, t_interp];
-            t_real = handle.join().expect("real-space branch panicked");
-        });
-        let t_recip: f64 = phases.iter().sum();
-        let st = &mut self.state;
-        for ((o, a), b) in u.iter_mut().zip(st.real_scratch.iter()).zip(&st.interp_scratch) {
-            *o = a + b;
-        }
-        st.times.real_space += t_real;
-        st.times.spreading += phases[0];
-        st.times.forward_fft += phases[1];
-        st.times.influence += phases[2];
-        st.times.inverse_fft += phases[3];
-        st.times.interpolation += phases[4];
-        st.times.applications += 1;
-        (t_real, t_recip)
-    }
-
-    /// Reciprocal part for one column of a row-major multivector via the
-    /// **single-RHS** pipeline: gathers column `col` into operator-owned
-    /// scratch, runs `recip_apply_add`, scatters the result back. This is
-    /// the pre-batching behavior, kept as the per-column baseline for the
-    /// `pme_apply_multi` bench and the batched-agreement tests.
-    #[hibd::hot]
-    pub fn recip_apply_add_column(&mut self, x: &[f64], y: &mut [f64], s: usize, col: usize) {
-        let n3 = 3 * self.n;
-        let mut buf = std::mem::take(&mut self.state.col_scratch);
-        buf.resize(2 * n3, 0.0);
-        let (fc, uc) = buf.split_at_mut(n3);
-        for (i, fv) in fc.iter_mut().enumerate() {
-            *fv = x[i * s + col];
-        }
-        uc.fill(0.0);
-        self.recip_apply_add(fc, uc);
-        for (i, uv) in uc.iter().enumerate() {
-            y[i * s + col] += uv;
-        }
-        self.state.col_scratch = buf;
-    }
-
     /// Grow the batch scratch to hold `3*width` meshes and spectra. `resize`
     /// keeps existing capacity, so steady-state block applies never allocate.
     fn ensure_batch_scratch(&mut self, width: usize) {
@@ -583,74 +459,6 @@ impl PmeOperator {
         if telemetry::enabled() {
             telemetry::gauge_max(Counter::PmeScratchBytes, self.memory_bytes() as u64);
         }
-    }
-
-    /// `Y[:, col0..col0+width] += M_recip X[:, col0..col0+width]` for
-    /// row-major `[3n][s]` multivectors — the batched reciprocal pipeline.
-    ///
-    /// One spreading pass serves every column (`spread_multi`), all
-    /// `3*width` meshes go through the FFT plans as a single batch
-    /// (`forward_batch`/`inverse_batch`, shared twiddles), the influence
-    /// function streams its scalar table once per column, and
-    /// `interpolate_multi` accumulates straight into `y` — no gather,
-    /// scatter, or per-apply allocation anywhere. The column-chunk form
-    /// exists so the hybrid executor can split a block across devices.
-    #[hibd::hot]
-    pub fn recip_apply_add_cols(
-        &mut self,
-        x: &[f64],
-        y: &mut [f64],
-        s: usize,
-        col0: usize,
-        width: usize,
-    ) {
-        assert_eq!(x.len(), 3 * self.n * s);
-        assert_eq!(y.len(), 3 * self.n * s);
-        assert!(col0 + width <= s && width > 0, "column chunk out of range");
-        let k = self.plans.params.mesh_dim;
-        let k3 = k * k * k;
-        let s_len = k * k * (k / 2 + 1);
-        self.ensure_batch_scratch(width);
-        let st = &mut self.state;
-        let mesh = &mut st.batch_mesh[..3 * width * k3];
-        let spec = &mut st.batch_spec[..3 * width * s_len];
-
-        let sw = telemetry::start(Phase::Spreading);
-        self.plan.spread_multi(&self.pm, x, s, col0, width, mesh);
-        st.times.spreading += sw.stop();
-        let sw = telemetry::start(Phase::ForwardFft);
-        self.plans.fft.forward_batch(mesh, spec, 3 * width);
-        st.times.forward_fft += sw.stop();
-        let sw = telemetry::start(Phase::Influence);
-        self.plans.inf.apply_multi(spec, width);
-        st.times.influence += sw.stop();
-        let sw = telemetry::start(Phase::InverseFft);
-        self.plans.fft.inverse_batch(spec, mesh, 3 * width);
-        st.times.inverse_fft += sw.stop();
-        let sw = telemetry::start(Phase::Interpolation);
-        interpolate_multi(&self.pm, mesh, s, col0, width, y);
-        st.times.interpolation += sw.stop();
-    }
-
-    /// `Y += M_recip X` over all `s` columns through the batched pipeline.
-    #[hibd::hot]
-    pub fn recip_apply_add_multi(&mut self, x: &[f64], y: &mut [f64], s: usize) {
-        self.recip_apply_add_cols(x, y, s, 0, s);
-    }
-
-    /// Per-column block application (the pre-batching `apply_multi`):
-    /// multi-RHS SpMM for the real part, then the single-RHS reciprocal
-    /// pipeline once per column. Kept public as the baseline the
-    /// `pme_apply_multi` bench and agreement tests compare against.
-    #[hibd::hot]
-    pub fn apply_multi_columnwise(&mut self, x: &[f64], y: &mut [f64], s: usize) {
-        assert_eq!(x.len(), 3 * self.n * s);
-        assert_eq!(y.len(), 3 * self.n * s);
-        self.real_apply_multi(x, y, s);
-        for col in 0..s {
-            self.recip_apply_add_column(x, y, s, col);
-        }
-        self.state.times.applications += s;
     }
 }
 
@@ -802,57 +610,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_apply_multi_matches_columnwise_baseline() {
-        // The batched pipeline must reproduce the per-column baseline to
-        // roundoff for several block widths.
-        let n = 9;
-        let params = test_params();
-        let pos = lcg_positions(n, params.box_l, 61);
-        let mut op = PmeOperator::new(&pos, params).unwrap();
-        for s in [1usize, 2, 4, 7] {
-            let x = lcg_vector(3 * n * s, 63 + s as u64);
-            let mut y_batched = vec![0.0; 3 * n * s];
-            op.apply_multi(&x, &mut y_batched, s);
-            let mut y_colwise = vec![0.0; 3 * n * s];
-            op.apply_multi_columnwise(&x, &mut y_colwise, s);
-            for i in 0..3 * n * s {
-                assert!(
-                    (y_batched[i] - y_colwise[i]).abs() < 1e-12,
-                    "s={s} i={i}: {} vs {}",
-                    y_batched[i],
-                    y_colwise[i]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn column_chunks_compose_to_full_block() {
-        // recip_apply_add_cols over disjoint chunks must equal one full-width
-        // call — the property the hybrid partitioned executor relies on.
-        let n = 8;
-        let s = 5;
-        let params = test_params();
-        let pos = lcg_positions(n, params.box_l, 71);
-        let mut op = PmeOperator::new(&pos, params).unwrap();
-        let x = lcg_vector(3 * n * s, 73);
-        let mut y_full = vec![0.0; 3 * n * s];
-        op.recip_apply_add_multi(&x, &mut y_full, s);
-        let mut y_chunked = vec![0.0; 3 * n * s];
-        op.recip_apply_add_cols(&x, &mut y_chunked, s, 0, 2);
-        op.recip_apply_add_cols(&x, &mut y_chunked, s, 2, 2);
-        op.recip_apply_add_cols(&x, &mut y_chunked, s, 4, 1);
-        for i in 0..3 * n * s {
-            assert!(
-                (y_full[i] - y_chunked[i]).abs() < 1e-13,
-                "i={i}: {} vs {}",
-                y_full[i],
-                y_chunked[i]
-            );
-        }
-    }
-
-    #[test]
     fn repeated_block_applies_do_not_grow_memory() {
         // Batch scratch is grown once on first use and reused afterwards.
         let n = 8;
@@ -875,45 +632,6 @@ mod tests {
         let batch_bytes = 3 * s * k3 * 8 + 3 * s * s_len * 16;
         let fresh = PmeOperator::new(&pos, params).unwrap().memory_bytes();
         assert_eq!(after_first, fresh + batch_bytes);
-    }
-
-    #[test]
-    fn overlapped_apply_accumulates_reciprocal_phase_times() {
-        let n = 8;
-        let params = test_params();
-        let pos = lcg_positions(n, params.box_l, 91);
-        let mut op = PmeOperator::new(&pos, params).unwrap();
-        let f = lcg_vector(3 * n, 93);
-        let mut u = vec![0.0; 3 * n];
-        op.take_times();
-        let (_t_real, t_recip) = op.apply_overlapped(&f, &mut u);
-        let t = op.take_times();
-        assert_eq!(t.applications, 1);
-        assert!(t.forward_fft > 0.0, "forward FFT time must be accumulated");
-        assert!(t.inverse_fft > 0.0, "inverse FFT time must be accumulated");
-        assert!(
-            (t.recip_total() - t_recip).abs() < 1e-9,
-            "phase sum {} vs branch total {}",
-            t.recip_total(),
-            t_recip
-        );
-    }
-
-    #[test]
-    fn overlapped_apply_matches_sequential() {
-        let n = 10;
-        let params = test_params();
-        let pos = lcg_positions(n, params.box_l, 51);
-        let mut op = PmeOperator::new(&pos, params).unwrap();
-        let f = lcg_vector(3 * n, 53);
-        let mut u_seq = vec![0.0; 3 * n];
-        op.apply(&f, &mut u_seq);
-        let mut u_ovl = vec![0.0; 3 * n];
-        let (t_real, t_recip) = op.apply_overlapped(&f, &mut u_ovl);
-        assert!(t_real >= 0.0 && t_recip > 0.0);
-        for i in 0..3 * n {
-            assert!((u_seq[i] - u_ovl[i]).abs() < 1e-13, "i={i}");
-        }
     }
 
     #[test]

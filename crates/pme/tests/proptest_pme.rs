@@ -165,13 +165,14 @@ proptest! {
         let mut op = PmeOperator::new(&pos, params).unwrap();
         let mut y_batched = vec![0.0; 3 * n * s];
         op.recip_apply_add_multi(&x, &mut y_batched, s);
-        let mut y_colwise = vec![0.0; 3 * n * s];
         for col in 0..s {
-            op.recip_apply_add_column(&x, &mut y_colwise, s, col);
-        }
-        for i in 0..3 * n * s {
-            prop_assert!((y_batched[i] - y_colwise[i]).abs() < 1e-12,
-                "k={} s={} i={}: {} vs {}", k, s, i, y_batched[i], y_colwise[i]);
+            let xc: Vec<f64> = (0..3 * n).map(|i| x[i * s + col]).collect();
+            let mut yc = vec![0.0; 3 * n];
+            op.recip_apply_add(&xc, &mut yc);
+            for i in 0..3 * n {
+                prop_assert!((y_batched[i * s + col] - yc[i]).abs() < 1e-12,
+                    "k={} s={} col={} i={}: {} vs {}", k, s, col, i, y_batched[i * s + col], yc[i]);
+            }
         }
     }
 }

@@ -4,8 +4,8 @@
 //!
 //! - Every recording thread claims one of [`MAX_THREADS`] static slots on
 //!   first use (a compare-exchange sweep) and releases it when the thread
-//!   exits, so slots are recycled across short-lived threads (`thread::scope`
-//!   inside `apply_overlapped`, test harness threads, ...). If more than
+//!   exits, so slots are recycled across short-lived threads (scoped harness
+//!   threads, test harness threads, ...). If more than
 //!   `MAX_THREADS` threads record concurrently, the surplus threads share the
 //!   last slot — all fields are atomics, so sharing is merely contended, not
 //!   unsound.

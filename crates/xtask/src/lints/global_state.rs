@@ -150,7 +150,7 @@ mod tests {
         // Bench binaries and production drivers toggle freely (one thread,
         // whole-process intent).
         let src = "fn main() { let _g = hibd_simd::ScalarGuard::new(); }\n";
-        assert!(audit("crates/bench/src/bin/bench_pr6.rs", src).is_empty());
+        assert!(audit("crates/bench/src/bin/fig5.rs", src).is_empty());
     }
 
     #[test]

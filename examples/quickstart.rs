@@ -26,7 +26,7 @@ fn main() {
     let dt = config.dt;
     let mut sim = MatrixFreeBd::new(system, config, 7).expect("setup");
     sim.add_force(RepulsiveHarmonic::default());
-    let pme = sim.pme_params().expect("periodic run has PME params");
+    let pme = sim.shape().pme.expect("periodic run has PME params");
     println!(
         "PME: K = {}, p = {}, r_max = {:.2}, alpha = {:.3}",
         pme.mesh_dim, pme.spline_order, pme.r_max, pme.alpha

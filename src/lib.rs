@@ -40,7 +40,7 @@
 //! | [`krylov`] | (block) Lanczos computation of `M^{1/2} z` |
 //! | [`pse`] | positively-split Ewald Brownian displacement sampler |
 //! | [`treecode`] | hierarchical free-space RPY operator (open boundaries) |
-//! | [`core`] | BD drivers, forces, diffusion analysis, hybrid execution |
+//! | [`core`] | BD drivers, forces, diffusion analysis, config + checkpoint |
 //! | [`engine`] | resident plan cache + lockstep multi-replica ensembles |
 
 pub use hibd_cells as cells;

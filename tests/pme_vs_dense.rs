@@ -48,7 +48,7 @@ fn pme_accuracy_improves_with_tighter_target() {
 }
 
 #[test]
-fn pme_operator_agrees_with_dense_for_overlapping_particles() {
+fn pme_agrees_with_dense_for_overlapping_particles() {
     // Overlap correction must survive the full operator path.
     let phi = 0.2;
     let n = 40;
@@ -69,7 +69,7 @@ fn pme_operator_agrees_with_dense_for_overlapping_particles() {
 }
 
 #[test]
-fn pme_operator_is_positive_definite_in_practice() {
+fn pme_is_positive_definite_in_practice() {
     // Rayleigh quotients of random vectors must be positive (the property
     // Lanczos depends on).
     let n = 80;
