@@ -13,6 +13,7 @@ use hibd_core::mf_bd::{DisplacementMode, MatrixFreeBd, MatrixFreeConfig};
 use hibd_krylov::{lanczos_sqrt, KrylovConfig};
 use hibd_mathx::fill_standard_normal;
 use hibd_pme::PmeOperator;
+use hibd_telemetry::{Counter, Phase};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -22,8 +23,8 @@ fn run(n: usize, lambda: usize, mode: DisplacementMode, seed: u64) -> (usize, f6
         MatrixFreeConfig { lambda_rpy: lambda, displacement_mode: mode, ..Default::default() };
     let mut bd = MatrixFreeBd::new(sys, cfg, seed).expect("driver");
     bd.run(1).expect("one refresh"); // one operator refresh + one step
-    let t = bd.timings();
-    (t.krylov_iterations, t.displacements)
+    let t = bd.snapshot();
+    (t.counter(Counter::LanczosIterations) as usize, t.phase(Phase::Displacements).total_secs())
 }
 
 /// `lambda` independent `lanczos_sqrt` solves: summed iterations and time.

@@ -11,6 +11,7 @@ use hibd_bench::{flush_stdout, fmt_secs, suspension, Opts};
 use hibd_core::forces::RepulsiveHarmonic;
 use hibd_core::mf_bd::{MatrixFreeBd, MatrixFreeConfig};
 use hibd_mathx::Vec3;
+use hibd_telemetry::Phase;
 
 fn main() {
     let opts = Opts::parse();
@@ -30,7 +31,7 @@ fn main() {
         let steps = lambda * windows;
         let before: Vec<Vec3> = bd.system().unwrapped().to_vec();
         bd.run(steps).expect("run");
-        let t = bd.timings();
+        let t = bd.snapshot();
         // RMS displacement accumulated per reuse window, in radii.
         let msd: f64 = bd
             .system()
@@ -43,9 +44,9 @@ fn main() {
         let drift_per_window = (msd / windows as f64).sqrt();
         println!(
             "{lambda:>7} | {steps:>10} {:>12} {:>12} {:>12} | {drift_per_window:>13.4}a",
-            fmt_secs(t.setup),
-            fmt_secs(t.displacements),
-            fmt_secs(t.per_step()),
+            fmt_secs(t.phase(Phase::PmeSetup).total_secs()),
+            fmt_secs(t.phase(Phase::Displacements).total_secs()),
+            fmt_secs(t.step_seconds(steps as u64)),
         );
         flush_stdout();
     }

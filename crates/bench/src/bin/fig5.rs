@@ -11,6 +11,7 @@
 use hibd_bench::{calibrate_host, flush_stdout, fmt_secs, suspension, time_mean, Opts};
 use hibd_pme::perf::PerfModel;
 use hibd_pme::{PmeOperator, PmeParams};
+use hibd_telemetry::Phase;
 
 fn breakdown(n: usize, k: usize, p: usize, phi: f64, seed: u64, reps: usize, host: &PerfModel) {
     let box_l = hibd_pme::tuner::box_from_volume_fraction(n, phi, 1.0);
@@ -27,20 +28,19 @@ fn breakdown(n: usize, k: usize, p: usize, phi: f64, seed: u64, reps: usize, hos
     let mut op = PmeOperator::new(sys.positions(), params).expect("operator");
     let f: Vec<f64> = (0..3 * n).map(|i| ((i * 13 + 7) % 97) as f64 / 48.0 - 1.0).collect();
     let mut u = vec![0.0; 3 * n];
-    op.take_times();
     let total = time_mean(reps, || {
         u.fill(0.0);
         op.recip_apply_add(&f, &mut u);
     });
-    let t = op.take_times();
-    let cnt = (reps + 1) as f64; // warmup included in the accumulators
+    // One span per phase per apply (warmup included), so the mean is per apply.
+    let mean = |ph: Phase| fmt_secs(op.snapshot().phase(ph).mean_ns() * 1e-9);
     println!(
         "{n:>8} {k:>5} | {:>9} {:>9} {:>9} {:>9} {:>9} | {:>9} | {:>9}",
-        fmt_secs(t.spreading / cnt),
-        fmt_secs(t.forward_fft / cnt),
-        fmt_secs(t.influence / cnt),
-        fmt_secs(t.inverse_fft / cnt),
-        fmt_secs(t.interpolation / cnt),
+        mean(Phase::Spreading),
+        mean(Phase::ForwardFft),
+        mean(Phase::Influence),
+        mean(Phase::InverseFft),
+        mean(Phase::Interpolation),
         fmt_secs(total),
         fmt_secs(host.t_recip()),
     );

@@ -37,7 +37,7 @@ fn main() {
         ewald.add_force(RepulsiveHarmonic::default());
         ewald.run(lambda).expect("dense BD");
         let dense_mem = ewald.mobility_memory_bytes();
-        let dense_per_step = ewald.timings().per_step();
+        let dense_per_step = ewald.snapshot().step_seconds(lambda as u64);
 
         // Matrix-free: same workload.
         let mut mf = MatrixFreeBd::new(
@@ -49,7 +49,7 @@ fn main() {
         mf.add_force(RepulsiveHarmonic::default());
         mf.run(lambda).expect("matrix-free BD");
         let mf_mem = mf.operator_memory_bytes();
-        let mf_per_step = mf.timings().per_step();
+        let mf_per_step = mf.snapshot().step_seconds(mf.completed_steps());
 
         println!(
             "{n:>7} | {:>10} {:>10} | {:>11} {:>11} | {:>7.1}x",

@@ -6,9 +6,7 @@
 //! paper's range up to 500,000 particles (several hours on one core);
 //! quick mode stops at 50,000 with the same scaling visible.
 
-use hibd_bench::{
-    flush_stdout, fmt_bytes, fmt_secs, step_seconds, suspension, telemetry_window, Opts,
-};
+use hibd_bench::{flush_stdout, fmt_bytes, fmt_secs, suspension, telemetry_window, Opts};
 use hibd_core::forces::RepulsiveHarmonic;
 use hibd_core::mf_bd::{MatrixFreeBd, MatrixFreeConfig};
 use hibd_telemetry::{Counter, Phase};
@@ -48,7 +46,7 @@ fn main() {
             fmt_secs(snap.phase(Phase::PmeSetup).total_secs()),
             fmt_secs(snap.phase(Phase::Displacements).total_secs()),
             fmt_secs(snap.phase(Phase::Stepping).total_secs()),
-            fmt_secs(step_seconds(&snap, lambda)),
+            fmt_secs(snap.step_seconds(lambda as u64)),
             fmt_bytes(snap.counter(Counter::PmeScratchBytes) as usize),
             snap.counter(Counter::LanczosIterations),
             snap.counter(Counter::ForwardFfts) + snap.counter(Counter::InverseFfts)

@@ -7,7 +7,7 @@
 //! model phases plus the reciprocal-space total — a genuine out-of-sample
 //! test of the paper's cost model on this host.
 
-use hibd_bench::{columns_applied, flush_stdout, suspension, telemetry_window, Opts};
+use hibd_bench::{flush_stdout, suspension, telemetry_window, Opts};
 use hibd_core::forces::RepulsiveHarmonic;
 use hibd_core::mf_bd::{MatrixFreeBd, MatrixFreeConfig};
 use hibd_linalg::LinearOperator;
@@ -68,7 +68,7 @@ fn main() {
     bd.add_force(RepulsiveHarmonic::default());
     let ((), snap) = telemetry_window(|| bd.run(bd_steps).expect("run"));
     let p = bd.shape().pme.expect("periodic run has PME params");
-    let cols = columns_applied(&snap);
+    let cols = snap.columns_applied();
     println!(
         "# measured run: n = {bd_n}, K = {}, p = {}, {bd_steps} steps, {cols} columns",
         p.mesh_dim, p.spline_order

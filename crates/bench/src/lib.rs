@@ -19,7 +19,7 @@ use hibd_core::diffusion::DiffusionEstimator;
 use hibd_core::mf_bd::MatrixFreeBd;
 use hibd_core::system::ParticleSystem;
 use hibd_pme::perf::Machine;
-use hibd_telemetry::{self as telemetry, Phase, Snapshot};
+use hibd_telemetry::{self as telemetry, Counter, Snapshot};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -97,23 +97,6 @@ pub fn telemetry_window<R>(f: impl FnOnce() -> R) -> (R, Snapshot) {
     (r, snap)
 }
 
-/// Amortized seconds per BD step from a window covering `steps` steps:
-/// operator setup + displacement sampling + force/propagation phases.
-#[must_use]
-pub fn step_seconds(snap: &Snapshot, steps: usize) -> f64 {
-    let total = snap.phase(Phase::PmeSetup).total_secs()
-        + snap.phase(Phase::Displacements).total_secs()
-        + snap.phase(Phase::Stepping).total_secs();
-    total / steps.max(1) as f64
-}
-
-/// Total mobility columns pushed through the reciprocal PME pipeline during
-/// a window (each column costs exactly three forward mesh transforms).
-#[must_use]
-pub fn columns_applied(snap: &Snapshot) -> f64 {
-    snap.counter(telemetry::Counter::ForwardFfts) as f64 / 3.0
-}
-
 /// Result of a telemetry-windowed diffusion run ([`run_bd_diffusion`]).
 pub struct BdRun {
     /// Short-time self-diffusion coefficient.
@@ -145,8 +128,8 @@ pub fn run_bd_diffusion(bd: &mut MatrixFreeBd, steps: usize) -> BdRun {
     BdRun {
         d,
         d_err,
-        seconds_per_step: step_seconds(&snap, steps),
-        krylov_iterations: bd.timings().krylov_iterations,
+        seconds_per_step: snap.step_seconds(steps as u64),
+        krylov_iterations: bd.snapshot().counter(Counter::LanczosIterations) as usize,
         snap,
     }
 }

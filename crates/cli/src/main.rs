@@ -167,61 +167,12 @@ fn main() -> ExitCode {
                 }
             }
         }
-        Some("ensemble") => {
+        Some(cmd @ ("run" | "resume" | "ensemble")) => {
             let Some(path) = args.get(1) else { return usage() };
-            let spec = match load_spec(path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            hibd_serve::shutdown::install();
-            if profile_path.is_some() {
-                hibd_telemetry::reset();
-                hibd_telemetry::enable();
-            }
-            match run_ensemble(&spec, |m| println!("[hibd] {m}")) {
-                Ok(er) => {
-                    println!(
-                        "[hibd] {}: {} replicas x {} steps in {:.2} s \
-                         ({:.2} ms/replica-step, {} Krylov iterations)",
-                        if er.report.interrupted { "interrupted" } else { "done" },
-                        er.replicas,
-                        er.report.steps,
-                        er.report.seconds,
-                        er.report.seconds_per_step * 1e3,
-                        er.report.krylov_iterations
-                    );
-                    if let Some(path) = &profile_path {
-                        let snap = hibd_telemetry::snapshot();
-                        hibd_telemetry::disable();
-                        if let Err(e) =
-                            profile::write_ensemble_profile(Path::new(path.as_str()), &er, &snap)
-                        {
-                            eprintln!("error: cannot write profile {path}: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                        println!("[hibd] profile written to {path}");
-                    }
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("run") | Some("resume") => {
-            let cmd = args[0].as_str();
-            let Some(path) = args.get(1) else { return usage() };
-            let resume = if cmd == "resume" {
-                match args.get(2) {
-                    Some(p) => Some(Path::new(p.as_str()).to_path_buf()),
-                    None => return usage(),
-                }
-            } else {
-                None
+            let resume = match (cmd, args.get(2)) {
+                ("resume", Some(p)) => Some(Path::new(p.as_str())),
+                ("resume", None) => return usage(),
+                _ => None,
             };
             let spec = match load_spec(path) {
                 Ok(s) => s,
@@ -235,10 +186,19 @@ fn main() -> ExitCode {
                 hibd_telemetry::reset();
                 hibd_telemetry::enable();
             }
-            match run_simulation(&spec, resume.as_deref(), |m| println!("[hibd] {m}")) {
+            let log = |m: &str| println!("[hibd] {m}");
+            let result = match cmd {
+                "ensemble" => run_ensemble(&spec, log),
+                _ => run_simulation(&spec, resume, log),
+            };
+            match result {
                 Ok(report) => {
+                    let (many, unit) = match report.replicas {
+                        1 => (String::new(), "step"),
+                        r => (format!("{r} replicas x "), "replica-step"),
+                    };
                     println!(
-                        "[hibd] {}: {} steps in {:.2} s ({:.2} ms/step, {} Krylov iterations)",
+                        "[hibd] {}: {many}{} steps in {:.2} s ({:.2} ms/{unit}, {} Krylov iterations)",
                         if report.interrupted { "interrupted" } else { "done" },
                         report.steps,
                         report.seconds,

@@ -17,8 +17,9 @@
 //! }
 //! ```
 //!
-//! The `jobs` section appears only for `hibd ensemble` runs: one entry per
-//! replica (`r0`, `r1`, ...) plus a `shared` entry for work not
+//! The `jobs` section holds each replica's own phase account (`r0`, `r1`,
+//! ... — the driver's `snapshot()`, so open-boundary jobs list the tree
+//! phases) plus, for matrix-free runs, a `shared` entry for work not
 //! attributable to a single replica (the batched FFT passes and the
 //! plan-cache hit/miss counters).
 //!
@@ -29,44 +30,19 @@
 //! (spreading / influence / interpolation) are genuinely falsifiable while
 //! the single-constant FFT and real-space rows fit exactly by construction.
 
-use crate::runner::{EnsembleReport, RunReport};
-use hibd_telemetry::{
-    self as telemetry, CalibrationSample, Counter, LabeledSnapshot, PerfModel, Snapshot,
-};
+use crate::runner::RunReport;
+use hibd_telemetry::json::{expect_num, expect_obj, expect_schema};
+use hibd_telemetry::{self as telemetry, CalibrationSample, PerfModel, Snapshot};
 use std::path::Path;
 
 /// The schema tag emitted in (and required of) every profile document.
 pub const SCHEMA: &str = "hibd-profile-v1";
 
-/// Total mobility columns pushed through the reciprocal pipeline, derived
-/// from the forward-FFT counter: every column costs exactly three forward
-/// mesh transforms (one per vector component), for single and batched
-/// applies alike.
-#[must_use]
-pub fn columns_applied(snap: &Snapshot) -> f64 {
-    snap.counter(Counter::ForwardFfts) as f64 / 3.0
-}
-
-/// Render the profile document for a finished run.
+/// Render the profile document for a finished run: the [`SCHEMA`]
+/// document over the merged (process-global) snapshot, with the report's
+/// per-job labeled snapshots in the `"jobs"` section.
 #[must_use]
 pub fn render_profile(report: &RunReport, snap: &Snapshot) -> String {
-    render_with_jobs(report, snap, None)
-}
-
-/// Render the profile document for a finished ensemble run: the standard
-/// [`SCHEMA`] document over the merged (process-global) snapshot, plus a
-/// `"jobs"` section holding the per-replica labeled snapshots (`r0..`,
-/// `shared`) so phase time can be attributed per replica.
-#[must_use]
-pub fn render_ensemble_profile(er: &EnsembleReport, snap: &Snapshot) -> String {
-    render_with_jobs(&er.report, snap, Some(&er.jobs))
-}
-
-fn render_with_jobs(
-    report: &RunReport,
-    snap: &Snapshot,
-    jobs: Option<&[LabeledSnapshot]>,
-) -> String {
     let mut out = String::with_capacity(4096);
     out.push_str("{\"schema\":\"");
     out.push_str(SCHEMA);
@@ -91,9 +67,9 @@ fn render_with_jobs(
     out.push_str(",\"counters\":");
     out.push_str(&snap.counters_to_json());
 
-    if let Some(jobs) = jobs {
+    if !report.jobs.is_empty() {
         out.push_str(",\"jobs\":{");
-        for (i, j) in jobs.iter().enumerate() {
+        for (i, j) in report.jobs.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -110,7 +86,7 @@ fn render_with_jobs(
     out.push_str(",\"report\":");
     match &report.pme {
         Some(s) => {
-            let cols = columns_applied(snap);
+            let cols = snap.columns_applied();
             let sample =
                 CalibrationSample::from_snapshot(s.n, s.mesh_dim, s.spline_order, cols, 1, snap);
             let model = PerfModel::calibrate(&[sample]);
@@ -128,46 +104,25 @@ pub fn write_profile(path: &Path, report: &RunReport, snap: &Snapshot) -> std::i
     std::fs::write(path, render_profile(report, snap))
 }
 
-/// Render and write an ensemble profile (with the `"jobs"` section).
-pub fn write_ensemble_profile(
-    path: &Path,
-    er: &EnsembleReport,
-    snap: &Snapshot,
-) -> std::io::Result<()> {
-    std::fs::write(path, render_ensemble_profile(er, snap))
-}
-
 /// Validate a profile document: it must parse as JSON, carry the
 /// [`SCHEMA`] tag, and contain the `run`/`phases`/`counters` sections.
 /// Returns a description of the first problem found.
 pub fn validate_profile(text: &str) -> Result<(), String> {
     let v = telemetry::json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
-    match v.get("schema").and_then(telemetry::json::Value::as_str) {
-        Some(s) if s == SCHEMA => {}
-        Some(s) => return Err(format!("schema {s:?}, expected {SCHEMA:?}")),
-        None => return Err("missing \"schema\" tag".into()),
-    }
-    for key in ["run", "phases", "counters"] {
-        if v.get(key).is_none() {
-            return Err(format!("missing {key:?} section"));
-        }
-    }
-    let run = v.get("run").expect("checked above");
+    expect_schema(&v, SCHEMA)?;
+    let run = expect_obj(&v, "run", "document")?;
+    expect_obj(&v, "phases", "document")?;
+    expect_obj(&v, "counters", "document")?;
     for key in ["steps", "seconds", "seconds_per_step", "krylov_iterations"] {
-        if run.get(key).and_then(telemetry::json::Value::as_f64).is_none() {
-            return Err(format!("run.{key} missing or not a number"));
-        }
+        expect_num(run, key, "run")?;
     }
-    if let Some(jobs) = v.get("jobs") {
-        let telemetry::json::Value::Obj(map) = jobs else {
-            return Err("jobs is not an object".into());
+    if v.get("jobs").is_some() {
+        let telemetry::json::Value::Obj(map) = expect_obj(&v, "jobs", "document")? else {
+            unreachable!("expect_obj returned a non-object")
         };
         for (label, job) in map {
-            for key in ["phases", "counters"] {
-                if job.get(key).is_none() {
-                    return Err(format!("jobs.{label} missing {key:?}"));
-                }
-            }
+            expect_obj(job, "phases", &format!("jobs.{label}"))?;
+            expect_obj(job, "counters", &format!("jobs.{label}"))?;
         }
     }
     if let Some(rep) = v.get("report") {
@@ -184,16 +139,18 @@ pub fn validate_profile(text: &str) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::runner::PmeShape;
-    use hibd_telemetry::Phase;
+    use hibd_telemetry::{Counter, LabeledSnapshot, Phase};
 
     fn fake_report(pme: Option<PmeShape>) -> RunReport {
         RunReport {
+            replicas: 1,
             steps: 3,
             seconds: 0.6,
             seconds_per_step: 0.2,
             krylov_iterations: 9,
             pme,
             interrupted: false,
+            jobs: Vec::new(),
         }
     }
 
@@ -224,7 +181,6 @@ mod tests {
             .and_then(telemetry::json::Value::as_array)
             .unwrap();
         assert_eq!(rows.len(), 7);
-        assert!((columns_applied(&snap) - 12.0).abs() < 1e-12);
     }
 
     #[test]
@@ -232,16 +188,16 @@ mod tests {
         let mut job = Snapshot::empty();
         job.phases[Phase::Stepping as usize].record(2_000_000);
         job.counters[Counter::LanczosIterations as usize] = 5;
-        let er = EnsembleReport {
+        let er = RunReport {
             replicas: 2,
-            report: fake_report(None),
             jobs: vec![
                 LabeledSnapshot { label: "r0".into(), snapshot: job.clone() },
                 LabeledSnapshot { label: "r1".into(), snapshot: job },
                 LabeledSnapshot { label: "shared".into(), snapshot: Snapshot::empty() },
             ],
+            ..fake_report(None)
         };
-        let text = render_ensemble_profile(&er, &Snapshot::empty());
+        let text = render_profile(&er, &Snapshot::empty());
         validate_profile(&text).unwrap();
         let v = telemetry::json::parse(&text).unwrap();
         let jobs = v.get("jobs").unwrap();

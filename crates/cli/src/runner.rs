@@ -1,25 +1,27 @@
 //! Assemble and run a simulation from a [`SimSpec`].
 //!
-//! Both entry points drive the same engine: [`run_simulation`] is the
-//! `R = 1` case of the [`EnsembleRunner`] (the dense baseline keeps its
-//! own legacy branch), and [`run_ensemble`] steps `replicas` independent
-//! copies in lockstep with shared operator plans. Replica `r` of an
-//! ensemble is defined as **the standalone run with seed `seed + r`** —
-//! same initial-configuration RNG, same BD stream — so its trajectory
-//! file is byte-identical to a `replicas = 1` run of that seed.
+//! One stepping loop drives `R = spec.replicas` replicas through the
+//! [`EnsembleRunner`] (the dense baseline keeps its own single-replica
+//! leg); [`run_simulation`] (`hibd run` / `resume`, `R = 1`) and
+//! [`run_ensemble`] (`hibd ensemble`) are its two guarded entries. Replica
+//! `r` of an ensemble is defined as **the standalone run with seed
+//! `seed + r`** — same initial-configuration RNG, same BD stream — so its
+//! trajectory file is byte-identical to a `replicas = 1` run of that seed.
 
 use crate::checkpoint::Checkpoint;
 use crate::config::{Algorithm, SimSpec};
-use hibd_core::ewald_bd::{BdError, EwaldBd, EwaldBdConfig};
+use hibd_core::ewald_bd::{EwaldBd, EwaldBdConfig};
 use hibd_core::io::{Coordinates, XyzWriter};
 use hibd_core::mf_bd::MatrixFreeBd;
 use hibd_core::system::{Boundary, ParticleSystem};
 use hibd_engine::EnsembleRunner;
-use hibd_telemetry::LabeledSnapshot;
+use hibd_telemetry::{Counter, LabeledSnapshot};
 use hibd_treecode::TreeEval;
-use std::fs::File;
+use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::Path;
+
+type RunResult = Result<RunReport, Box<dyn std::error::Error>>;
 
 /// The PME shape a matrix-free run executed with (for the performance
 /// model in `--profile` output). `None` for the dense baseline.
@@ -35,59 +37,63 @@ pub struct PmeShape {
     pub lambda: usize,
 }
 
-/// Summary of a completed run.
-#[derive(Clone, Copy, Debug)]
+/// Summary of a completed run of `replicas` lockstep replicas.
+#[derive(Clone, Debug)]
 pub struct RunReport {
-    /// Steps actually executed (short of the budget when interrupted).
+    pub replicas: usize,
+    /// Lockstep steps actually executed (short of the budget when
+    /// interrupted).
     pub steps: usize,
     pub seconds: f64,
+    /// Wall seconds per replica-step.
     pub seconds_per_step: f64,
+    /// `Counter::LanczosIterations` summed over `jobs`.
     pub krylov_iterations: usize,
     pub pme: Option<PmeShape>,
     /// A SIGINT/SIGTERM arrived: the run finished its in-flight step,
     /// wrote a final checkpoint, and stopped early.
     pub interrupted: bool,
-}
-
-/// Summary of a completed ensemble run: the aggregate report (lockstep
-/// steps, wall time, Krylov totals) plus per-job labeled snapshots for the
-/// `--profile` jobs section.
-#[derive(Clone, Debug)]
-pub struct EnsembleReport {
-    pub replicas: usize,
-    pub report: RunReport,
+    /// Per-job phase accounts (`r0`, `r1`, ..., plus the engine's `shared`
+    /// batched-FFT entry for matrix-free runs) for the `--profile` jobs
+    /// section.
     pub jobs: Vec<LabeledSnapshot>,
 }
 
 /// Either BD driver behind one stepping interface. Matrix-free runs go
-/// through a one-replica [`EnsembleRunner`] so `hibd run` and
-/// `hibd ensemble` share every line of operator construction.
+/// through the [`EnsembleRunner`] so `hibd run` and `hibd ensemble` share
+/// every line of operator construction.
 enum Driver {
     MatrixFree(Box<EnsembleRunner>),
     Dense(Box<EwaldBd>),
 }
 
 impl Driver {
-    fn step(&mut self) -> Result<(), BdError> {
+    fn step(&mut self) -> Result<(), Box<dyn std::error::Error>> {
         match self {
-            Driver::MatrixFree(d) => d.step(),
-            Driver::Dense(d) => d.step(),
+            Driver::MatrixFree(d) => Ok(d.step()?),
+            Driver::Dense(d) => Ok(d.step()?),
         }
     }
 
-    fn system(&self) -> &ParticleSystem {
+    fn system(&self, r: usize) -> &ParticleSystem {
         match self {
-            Driver::MatrixFree(d) => d.replica(0).system(),
+            Driver::MatrixFree(d) => d.replica(r).system(),
             Driver::Dense(d) => d.system(),
         }
     }
 
-    fn krylov_iterations(&self) -> usize {
+    fn jobs(&self) -> Vec<LabeledSnapshot> {
         match self {
-            Driver::MatrixFree(d) => d.replica(0).timings().krylov_iterations,
-            Driver::Dense(_) => 0,
+            Driver::MatrixFree(d) => d.job_snapshots(),
+            Driver::Dense(d) => {
+                vec![LabeledSnapshot { label: "r0".into(), snapshot: d.snapshot().clone() }]
+            }
         }
     }
+}
+
+fn krylov_iterations(jobs: &[LabeledSnapshot]) -> usize {
+    jobs.iter().map(|j| j.snapshot.counter(Counter::LanczosIterations) as usize).sum()
 }
 
 /// Log the resolved operator shape of a freshly built driver and return
@@ -130,14 +136,14 @@ fn replica_path(base: &str, r: usize, replicas: usize) -> String {
     }
 }
 
-/// Run a simulation; `resume_from` optionally restores a checkpoint
-/// (overriding the generated initial configuration), `log` receives
-/// progress lines.
+/// `hibd run` / `hibd resume`: one trajectory; `resume_from` optionally
+/// restores a checkpoint (overriding the generated initial configuration)
+/// and continues its trajectory file. `log` receives progress lines.
 pub fn run_simulation(
     spec: &SimSpec,
     resume_from: Option<&Path>,
-    mut log: impl FnMut(&str),
-) -> Result<RunReport, Box<dyn std::error::Error>> {
+    log: impl FnMut(&str),
+) -> RunResult {
     if spec.replicas > 1 {
         return Err(format!(
             "this config sets replicas = {}; single-trajectory `hibd run` needs replicas = 1 \
@@ -146,8 +152,36 @@ pub fn run_simulation(
         )
         .into());
     }
-    // Initial configuration: fresh suspension or checkpoint.
-    let (system, start_step) = match resume_from {
+    run_replicas(spec, resume_from, log)
+}
+
+/// `hibd ensemble`: `spec.replicas` independent replicas in lockstep on one
+/// shared plan cache. Replica `r` is the standalone run with seed
+/// `spec.seed + r` (trajectory/checkpoint files get a `.r{N}` suffix when
+/// `replicas > 1`). Resume is single-trajectory only: restart replica `r`
+/// with `hibd resume` on its own checkpoint and `seed = seed + r`.
+pub fn run_ensemble(spec: &SimSpec, log: impl FnMut(&str)) -> RunResult {
+    if spec.algorithm != Algorithm::MatrixFree {
+        return Err("ensemble stepping shares matrix-free operator plans; \
+             set algorithm = matrix-free"
+            .into());
+    }
+    run_replicas(spec, None, log)
+}
+
+/// The stepping loop behind both entries: build the driver, then step /
+/// frame / report / checkpoint until the budget or a SIGINT. A resumed run
+/// (`replicas = 1`) counts its outputs on the *global* step, so frames and
+/// checkpoints land where the uninterrupted run puts them.
+fn run_replicas(
+    spec: &SimSpec,
+    resume_from: Option<&Path>,
+    mut log: impl FnMut(&str),
+) -> RunResult {
+    let replicas = spec.replicas;
+    let many = if replicas > 1 { format!(", {replicas} replicas") } else { String::new() };
+    // Initial configurations: fresh suspensions or the checkpoint.
+    let (mut jobs, start_step): (Vec<(ParticleSystem, u64)>, usize) = match resume_from {
         Some(path) => {
             let ck = Checkpoint::load(path)?;
             log(&format!(
@@ -156,20 +190,24 @@ pub fn run_simulation(
                 ck.step,
                 ck.wrapped.len()
             ));
-            (ck.restore(), ck.step as usize)
+            (vec![(ck.restore(), spec.seed)], ck.step as usize)
         }
-        None => (spec.build_system(spec.seed), 0),
+        None => {
+            let seeds = (0..replicas as u64).map(|r| spec.seed + r);
+            (seeds.map(|seed| (spec.build_system(seed), seed)).collect(), 0)
+        }
     };
-    match system.boundary() {
+    let first = &jobs[0].0;
+    match first.boundary() {
         Boundary::Periodic => log(&format!(
-            "system: n = {}, L = {:.3}, phi = {:.3}",
-            system.len(),
-            system.box_l,
-            system.volume_fraction()
+            "system: n = {}, L = {:.3}, phi = {:.3}{many}",
+            first.len(),
+            first.box_l,
+            first.volume_fraction()
         )),
-        Boundary::Open => log(&format!("system: n = {}, open boundary", system.len())),
+        Boundary::Open => log(&format!("system: n = {}, open boundary{many}", first.len())),
     }
-    if system.boundary() == Boundary::Open && spec.algorithm == Algorithm::Dense {
+    if first.boundary() == Boundary::Open && spec.algorithm == Algorithm::Dense {
         return Err("the dense Ewald baseline is periodic-only; this configuration is open".into());
     }
 
@@ -177,15 +215,24 @@ pub fn run_simulation(
     let mut pme_shape = None;
     let mut driver = match spec.algorithm {
         Algorithm::MatrixFree => {
-            let cfg = spec.matrix_free_config();
-            let mut runner = EnsembleRunner::new(cfg, vec![(system, spec.seed)])?;
-            let bd = runner.replica_mut(0);
-            // The per-window RNG stream is derived from the completed-step
-            // counter, so a checkpoint resumed at a window boundary replays
-            // the uninterrupted run bit for bit.
-            bd.set_completed_steps(start_step as u64);
-            pme_shape = log_shape(bd, spec.lambda_rpy, &mut log);
-            add_forces(spec, |f| bd.add_force_boxed(f));
+            let mut runner = EnsembleRunner::new(spec.matrix_free_config(), jobs)?;
+            pme_shape = log_shape(runner.replica(0), spec.lambda_rpy, &mut log);
+            log(&format!(
+                "plan cache: {} resident shape(s), {} hit(s), {} miss(es)",
+                runner.cache().len(),
+                runner.cache().hits(),
+                runner.cache().misses()
+            ));
+            for r in 0..replicas {
+                let bd = runner.replica_mut(r);
+                // The per-window RNG stream is derived from the completed-step
+                // counter, so a checkpoint resumed at a window boundary replays
+                // the uninterrupted run bit for bit.
+                bd.set_completed_steps(start_step as u64);
+                for f in spec.forces() {
+                    bd.add_force_boxed(f);
+                }
+            }
             Driver::MatrixFree(Box::new(runner))
         }
         Algorithm::Dense => {
@@ -195,22 +242,41 @@ pub fn run_simulation(
                 lambda_rpy: spec.lambda_rpy,
                 ..Default::default()
             };
-            let mut bd = EwaldBd::new(system, cfg, spec.seed);
+            let (system, seed) = jobs.swap_remove(0);
+            let mut bd = EwaldBd::new(system, cfg, seed);
             log("dense Ewald baseline (Algorithm 1)");
-            add_forces(spec, |f| bd.add_force_boxed(f));
+            for f in spec.forces() {
+                bd.add_force_boxed(f);
+            }
             Driver::Dense(Box::new(bd))
         }
     };
 
-    // Trajectory sink.
-    let mut traj = match &spec.trajectory {
-        Some(path) => {
-            let file = BufWriter::new(File::create(path)?);
-            Some(XyzWriter::new(file, Coordinates::Wrapped))
+    // Per-replica trajectory sinks. A resumed run appends to the file it is
+    // resuming and continues its `frame=` counter.
+    let mut trajs = Vec::with_capacity(replicas);
+    if let Some(base) = &spec.trajectory {
+        for r in 0..replicas {
+            let path = replica_path(base, r, replicas);
+            let file = match resume_from {
+                Some(_) => OpenOptions::new().append(true).create(true).open(path)?,
+                None => File::create(path)?,
+            };
+            trajs.push(
+                XyzWriter::new(BufWriter::new(file), Coordinates::Wrapped)
+                    .with_frame_offset(start_step / spec.trajectory_interval),
+            );
         }
-        None => None,
+    }
+    let save_checkpoints = |driver: &Driver, base: &str, global: usize| -> std::io::Result<()> {
+        for r in 0..replicas {
+            Checkpoint::capture(driver.system(r), global as u64)
+                .save(Path::new(&replica_path(base, r, replicas)))?;
+        }
+        Ok(())
     };
 
+    let unit = if replicas > 1 { "replica-step" } else { "step" };
     let t0 = std::time::Instant::now();
     let mut completed = 0;
     let mut interrupted = false;
@@ -218,177 +284,55 @@ pub fn run_simulation(
         driver.step()?;
         completed = local;
         let global = start_step + local;
-        if let Some(w) = traj.as_mut() {
-            if local % spec.trajectory_interval == 0 {
-                w.write_frame(driver.system(), &format!("step={global}"))?;
+        for (r, w) in trajs.iter_mut().enumerate() {
+            if global % spec.trajectory_interval == 0 {
+                w.write_frame(driver.system(r), &format!("step={global}"))?;
             }
         }
-        if spec.report_interval > 0 && local % spec.report_interval == 0 {
-            let per = t0.elapsed().as_secs_f64() / local as f64;
+        if spec.report_interval > 0 && global % spec.report_interval == 0 {
+            let per = t0.elapsed().as_secs_f64() / (local * replicas) as f64;
             log(&format!(
-                "step {global}: {:.2} ms/step, {} Krylov iterations total",
+                "step {global}: {:.2} ms/{unit}, {} Krylov iterations total",
                 per * 1e3,
-                driver.krylov_iterations()
+                krylov_iterations(&driver.jobs())
             ));
         }
-        if let Some(path) = &spec.checkpoint {
-            if local % spec.checkpoint_interval == 0 || local == spec.steps {
-                Checkpoint::capture(driver.system(), global as u64).save(Path::new(path))?;
+        if let Some(base) = &spec.checkpoint {
+            if global % spec.checkpoint_interval == 0 || local == spec.steps {
+                save_checkpoints(&driver, base, global)?;
             }
         }
         // Graceful Ctrl-C: the in-flight step finished and its outputs are
-        // written; commit a final checkpoint and stop instead of dying
-        // mid-step with only the last periodic commit on disk.
+        // written; commit a final checkpoint per replica and stop instead of
+        // dying mid-step with only the last periodic commit on disk.
         if hibd_serve::shutdown::requested() && local < spec.steps {
             interrupted = true;
             match &spec.checkpoint {
-                Some(path) => {
-                    Checkpoint::capture(driver.system(), global as u64).save(Path::new(path))?;
-                    log(&format!("interrupted: checkpoint written at step {global}"));
+                Some(base) => {
+                    save_checkpoints(&driver, base, global)?;
+                    log(&format!("interrupted: {replicas} checkpoint(s) written at step {global}"));
                 }
                 None => log(&format!("interrupted at step {global} (no checkpoint configured)")),
             }
             break;
         }
     }
-    if let Some(w) = traj {
-        let mut inner = w.into_inner()?;
-        inner.flush()?;
+    for w in trajs {
+        w.into_inner()?.flush()?;
     }
 
     let seconds = t0.elapsed().as_secs_f64();
+    let jobs = driver.jobs();
     Ok(RunReport {
+        replicas,
         steps: completed,
         seconds,
-        seconds_per_step: seconds / completed.max(1) as f64,
-        krylov_iterations: driver.krylov_iterations(),
+        seconds_per_step: seconds / (completed * replicas).max(1) as f64,
+        krylov_iterations: krylov_iterations(&jobs),
         pme: pme_shape,
         interrupted,
+        jobs,
     })
-}
-
-/// Run `spec.replicas` independent replicas in lockstep on one shared
-/// plan cache. Replica `r` is the standalone run with seed `spec.seed + r`
-/// (trajectory/checkpoint files get a `.r{N}` suffix when `replicas > 1`).
-/// Resume is single-trajectory only: restart replica `r` with
-/// `hibd resume` on its own checkpoint and `seed = seed + r`.
-pub fn run_ensemble(
-    spec: &SimSpec,
-    mut log: impl FnMut(&str),
-) -> Result<EnsembleReport, Box<dyn std::error::Error>> {
-    if spec.algorithm != Algorithm::MatrixFree {
-        return Err("ensemble stepping shares matrix-free operator plans; \
-             set algorithm = matrix-free"
-            .into());
-    }
-    let replicas = spec.replicas;
-    let jobs: Vec<(ParticleSystem, u64)> =
-        (0..replicas as u64).map(|r| (spec.build_system(spec.seed + r), spec.seed + r)).collect();
-    match jobs[0].0.boundary() {
-        Boundary::Periodic => log(&format!(
-            "system: n = {}, L = {:.3}, phi = {:.3}, {replicas} replicas",
-            jobs[0].0.len(),
-            jobs[0].0.box_l,
-            jobs[0].0.volume_fraction()
-        )),
-        Boundary::Open => {
-            log(&format!("system: n = {}, open boundary, {replicas} replicas", jobs[0].0.len()));
-        }
-    }
-
-    let cfg = spec.matrix_free_config();
-    let mut runner = EnsembleRunner::new(cfg, jobs)?;
-    let pme_shape = log_shape(runner.replica(0), spec.lambda_rpy, &mut log);
-    log(&format!(
-        "plan cache: {} resident shape(s), {} hit(s), {} miss(es)",
-        runner.cache().len(),
-        runner.cache().hits(),
-        runner.cache().misses()
-    ));
-    for r in 0..replicas {
-        add_forces(spec, |f| runner.replica_mut(r).add_force_boxed(f));
-    }
-
-    // Per-replica trajectory sinks and checkpoint paths.
-    let mut trajs = Vec::with_capacity(replicas);
-    for r in 0..replicas {
-        trajs.push(match &spec.trajectory {
-            Some(base) => {
-                let path = replica_path(base, r, replicas);
-                let file = BufWriter::new(File::create(path)?);
-                Some(XyzWriter::new(file, Coordinates::Wrapped))
-            }
-            None => None,
-        });
-    }
-
-    let t0 = std::time::Instant::now();
-    let mut completed = 0;
-    let mut interrupted = false;
-    for step in 1..=spec.steps {
-        runner.step()?;
-        completed = step;
-        for (r, traj) in trajs.iter_mut().enumerate() {
-            if let Some(w) = traj.as_mut() {
-                if step % spec.trajectory_interval == 0 {
-                    w.write_frame(runner.replica(r).system(), &format!("step={step}"))?;
-                }
-            }
-            if let Some(base) = &spec.checkpoint {
-                if step % spec.checkpoint_interval == 0 || step == spec.steps {
-                    let path = replica_path(base, r, replicas);
-                    Checkpoint::capture(runner.replica(r).system(), step as u64)
-                        .save(Path::new(&path))?;
-                }
-            }
-        }
-        if spec.report_interval > 0 && step % spec.report_interval == 0 {
-            let per = t0.elapsed().as_secs_f64() / (step * replicas) as f64;
-            log(&format!("step {step}: {:.2} ms/replica-step", per * 1e3));
-        }
-        // Graceful Ctrl-C: checkpoint every replica at the completed
-        // lockstep step, then stop.
-        if hibd_serve::shutdown::requested() && step < spec.steps {
-            interrupted = true;
-            if let Some(base) = &spec.checkpoint {
-                for r in 0..replicas {
-                    let path = replica_path(base, r, replicas);
-                    Checkpoint::capture(runner.replica(r).system(), step as u64)
-                        .save(Path::new(&path))?;
-                }
-                log(&format!("interrupted: {replicas} checkpoint(s) written at step {step}"));
-            } else {
-                log(&format!("interrupted at step {step} (no checkpoint configured)"));
-            }
-            break;
-        }
-    }
-    for w in trajs.into_iter().flatten() {
-        let mut inner = w.into_inner()?;
-        inner.flush()?;
-    }
-
-    let seconds = t0.elapsed().as_secs_f64();
-    let krylov_iterations =
-        (0..replicas).map(|r| runner.replica(r).timings().krylov_iterations).sum();
-    Ok(EnsembleReport {
-        replicas,
-        report: RunReport {
-            steps: completed,
-            seconds,
-            seconds_per_step: seconds / (completed * replicas).max(1) as f64,
-            krylov_iterations,
-            pme: pme_shape,
-            interrupted,
-        },
-        jobs: runner.job_snapshots(),
-    })
-}
-
-fn add_forces(spec: &SimSpec, mut add: impl FnMut(Box<dyn hibd_core::forces::Force>)) {
-    for f in spec.forces() {
-        add(f);
-    }
 }
 
 #[cfg(test)]
@@ -444,9 +388,9 @@ mod tests {
         let mut lines = Vec::new();
         let er = run_ensemble(&spec, |m| lines.push(m.to_string())).unwrap();
         assert_eq!(er.replicas, 3);
-        assert_eq!(er.report.steps, 3);
-        assert!(er.report.krylov_iterations > 0);
-        assert!(er.report.pme.is_some());
+        assert_eq!(er.steps, 3);
+        assert!(er.krylov_iterations > 0);
+        assert!(er.pme.is_some());
         let labels: Vec<&str> = er.jobs.iter().map(|j| j.label.as_str()).collect();
         assert_eq!(labels, ["r0", "r1", "r2", "shared"]);
         assert!(lines.iter().any(|l| l.contains("3 replicas")));
@@ -465,6 +409,8 @@ mod tests {
         let report = run_simulation(&spec, None, quiet()).unwrap();
         assert_eq!(report.steps, 2);
         assert_eq!(report.krylov_iterations, 0);
+        let [job] = report.jobs.as_slice() else { panic!("one dense job, no shared entry") };
+        assert_eq!(job.snapshot.phase(hibd_telemetry::Phase::Cholesky).count, 1);
     }
 
     #[test]
@@ -488,6 +434,7 @@ mod tests {
         assert_eq!(report.steps, 4);
         assert!(report.krylov_iterations > 0);
         assert!(report.pme.is_none(), "open runs have no PME shape");
+        assert!(report.jobs[0].snapshot.phase(hibd_telemetry::Phase::NearField).count > 0);
         assert!(lines.iter().any(|l| l.contains("open boundary")));
         assert!(lines.iter().any(|l| l.contains("treecode: theta = 0.60")));
 

@@ -55,3 +55,39 @@ fn resumed_run_matches_uninterrupted_checkpoint() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `hibd resume` continues the trajectory it resumes: `run` 4 steps and
+/// `run` 2 + `resume` 2 write byte-identical trajectory files (frames and
+/// the `frame=` counter land on the global step) and checkpoints.
+#[test]
+fn resumed_run_appends_to_the_trajectory_it_resumes() {
+    let dir = std::env::temp_dir().join("hibd_resume_append_test");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec_for = |tag: &str, steps: usize| SimSpec {
+        particles: 12,
+        lambda_rpy: 2,
+        seed: 77,
+        steps,
+        trajectory: Some(dir.join(format!("{tag}.xyz")).to_string_lossy().into_owned()),
+        trajectory_interval: 1,
+        checkpoint: Some(dir.join(format!("{tag}.hibd")).to_string_lossy().into_owned()),
+        checkpoint_interval: 2,
+        report_interval: 0,
+        ..Default::default()
+    };
+    run_simulation(&spec_for("full", 4), None, quiet()).unwrap();
+    let split = spec_for("split", 2);
+    run_simulation(&split, None, quiet()).unwrap();
+    run_simulation(&split, Some(&dir.join("split.hibd")), quiet()).unwrap();
+
+    let full_traj = std::fs::read_to_string(dir.join("full.xyz")).unwrap();
+    assert_eq!(full_traj.matches("frame=").count(), 4);
+    assert!(full_traj.contains("frame=3 step=4"));
+    assert_eq!(full_traj, std::fs::read_to_string(dir.join("split.xyz")).unwrap());
+    assert_eq!(
+        std::fs::read(dir.join("full.hibd")).unwrap(),
+        std::fs::read(dir.join("split.hibd")).unwrap()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

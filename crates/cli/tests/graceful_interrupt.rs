@@ -65,7 +65,7 @@ fn interrupted_run_checkpoints_and_resumes_bitwise() {
     .unwrap();
     assert!(report.interrupted);
     assert_eq!(report.steps, 4, "the in-flight step finishes, then the run stops");
-    assert!(lines.iter().any(|l| l.contains("interrupted: checkpoint written at step 4")));
+    assert!(lines.iter().any(|l| l.contains("interrupted: 1 checkpoint(s) written at step 4")));
     assert_eq!(Checkpoint::load(&ckpt).unwrap().step, 4);
 
     // Resume the remaining steps: the final checkpoint is bitwise the
@@ -95,8 +95,8 @@ fn interrupted_ensemble_checkpoints_every_replica() {
     })
     .unwrap();
     shutdown::reset();
-    assert!(er.report.interrupted);
-    assert_eq!(er.report.steps, 2);
+    assert!(er.interrupted);
+    assert_eq!(er.steps, 2);
     assert!(lines.iter().any(|l| l.contains("interrupted: 2 checkpoint(s) written at step 2")));
     for r in 0..2 {
         let ck = Checkpoint::load(&dir.join(format!("e.r{r}.hibd"))).unwrap();

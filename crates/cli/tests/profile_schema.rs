@@ -3,7 +3,7 @@
 //! validate it the same way `xtask validate-profile` does.
 
 use hibd_cli::config::SimSpec;
-use hibd_cli::profile::{columns_applied, render_profile, validate_profile, SCHEMA};
+use hibd_cli::profile::{render_profile, validate_profile, SCHEMA};
 use hibd_cli::runner::run_simulation;
 use hibd_telemetry as telemetry;
 use hibd_telemetry::json::Value;
@@ -52,7 +52,7 @@ fn profile_of_a_quick_matrix_free_run_validates() {
 
     // Workload counters recorded: FFTs in multiples of 3 transforms/column,
     // Lanczos made progress, and the PME scratch gauge is non-zero.
-    assert!(columns_applied(&snap) >= 1.0);
+    assert!(snap.columns_applied() >= 1.0);
     assert_eq!(snap.counter(telemetry::Counter::ForwardFfts) % 3, 0);
     assert!(snap.counter(telemetry::Counter::LanczosIterations) >= 1);
     assert!(snap.counter(telemetry::Counter::PmeScratchBytes) > 0);

@@ -36,7 +36,7 @@ use crate::forces::{ConstantForce, Force, LennardJones, RepulsiveHarmonic};
 use crate::mf_bd::MatrixFreeConfig;
 use crate::system::{Boundary, ParticleSystem};
 use hibd_mathx::Vec3;
-use hibd_treecode::{TreeEval, TreeParams};
+use hibd_treecode::TreeParams;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
@@ -56,14 +56,9 @@ pub enum Algorithm {
 /// driver's own enum under its config-file name).
 pub use crate::mf_bd::DisplacementMode as Displacement;
 
-/// Far-field strategy of the open-boundary hierarchical operator.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FarFieldEval {
-    /// Node-to-particle treecode (`O(n log n)` far field).
-    Tree,
-    /// Kernel-independent FMM with the M2L/L2L/L2P downward pass (`O(n)`).
-    Fmm,
-}
+/// Far-field strategy of the open-boundary hierarchical operator (the
+/// treecode's own enum under its config-file name).
+pub use hibd_treecode::TreeEval as FarFieldEval;
 
 /// A fully parsed simulation specification.
 #[derive(Clone, Debug)]
@@ -159,31 +154,38 @@ fn err(line: usize, message: impl Into<String>) -> ConfigError {
     ConfigError { line, message: message.into() }
 }
 
+/// Scan `key = value` lines (`#` comments, case-insensitive keys) into a
+/// map of `key -> (line number, value)`; a line without `=`, an empty
+/// value and a duplicate key are errors. The one scanner behind
+/// [`SimSpec::parse`] and the `hibd serve` daemon spec.
+pub fn scan_key_values(text: &str) -> Result<BTreeMap<String, (usize, String)>, ConfigError> {
+    let mut kv = BTreeMap::new();
+    for (idx, raw) in text.lines().enumerate() {
+        let line_no = idx + 1;
+        let line = raw.split('#').next().unwrap_or("").trim();
+        if line.is_empty() {
+            continue;
+        }
+        let (key, value) = line
+            .split_once('=')
+            .ok_or_else(|| err(line_no, format!("expected `key = value`, got `{line}`")))?;
+        let key = key.trim().to_ascii_lowercase();
+        let value = value.trim().to_string();
+        if value.is_empty() {
+            return Err(err(line_no, format!("empty value for `{key}`")));
+        }
+        if kv.insert(key.clone(), (line_no, value)).is_some() {
+            return Err(err(line_no, format!("duplicate key `{key}`")));
+        }
+    }
+    Ok(kv)
+}
+
 impl SimSpec {
     /// Parse the configuration text.
     pub fn parse(text: &str) -> Result<SimSpec, ConfigError> {
-        let mut kv: BTreeMap<String, (usize, String)> = BTreeMap::new();
-        for (idx, raw) in text.lines().enumerate() {
-            let line_no = idx + 1;
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| err(line_no, format!("expected `key = value`, got `{line}`")))?;
-            let key = key.trim().to_ascii_lowercase();
-            let value = value.trim().to_string();
-            if value.is_empty() {
-                return Err(err(line_no, format!("empty value for `{key}`")));
-            }
-            if kv.insert(key.clone(), (line_no, value)).is_some() {
-                return Err(err(line_no, format!("duplicate key `{key}`")));
-            }
-        }
-
         let mut spec = SimSpec::default();
-        for (key, (line, value)) in &kv {
+        for (key, (line, value)) in &scan_key_values(text)? {
             match key.as_str() {
                 "particles" => spec.particles = parse_num(*line, key, value)?,
                 "volume_fraction" => spec.volume_fraction = parse_num(*line, key, value)?,
@@ -365,10 +367,7 @@ impl SimSpec {
     /// run`, `hibd ensemble`, and `hibd serve`).
     #[must_use]
     pub fn matrix_free_config(&self) -> MatrixFreeConfig {
-        let eval = match self.eval {
-            Some(FarFieldEval::Fmm) => TreeEval::Fmm,
-            Some(FarFieldEval::Tree) | None => TreeEval::Tree,
-        };
+        let eval = self.eval.unwrap_or_default();
         MatrixFreeConfig {
             dt: self.dt,
             kbt: self.kbt,
@@ -487,11 +486,17 @@ impl SimSpec {
     }
 }
 
-fn parse_num<T: std::str::FromStr>(line: usize, key: &str, value: &str) -> Result<T, ConfigError> {
+/// Parse a numeric config value, naming the key and line on failure.
+pub fn parse_num<T: std::str::FromStr>(
+    line: usize,
+    key: &str,
+    value: &str,
+) -> Result<T, ConfigError> {
     value.parse().map_err(|_| err(line, format!("cannot parse `{value}` for `{key}`")))
 }
 
-fn parse_bool(line: usize, key: &str, value: &str) -> Result<bool, ConfigError> {
+/// Parse an `on/off`, `true/false`, `yes/no`, `1/0` config value.
+pub fn parse_bool(line: usize, key: &str, value: &str) -> Result<bool, ConfigError> {
     match value.to_ascii_lowercase().as_str() {
         "on" | "true" | "yes" | "1" => Ok(true),
         "off" | "false" | "no" | "0" => Ok(false),

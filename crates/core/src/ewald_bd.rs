@@ -15,7 +15,7 @@ use crate::system::ParticleSystem;
 use hibd_linalg::{CholeskyFactor, DMat};
 use hibd_mathx::fill_standard_normal;
 use hibd_rpy::{dense_ewald_mobility, RpyEwald};
-use hibd_telemetry::{self as telemetry, Phase};
+use hibd_telemetry::{self as telemetry, Phase, Snapshot};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -66,36 +66,6 @@ impl Default for EwaldBdConfig {
     }
 }
 
-/// Wall-clock accounting per phase.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EwaldBdTimings {
-    /// Dense matrix assembly (line 4).
-    pub assembly: f64,
-    /// Cholesky factorization (line 5).
-    pub cholesky: f64,
-    /// Displacement generation (lines 6-7).
-    pub displacements: f64,
-    /// Force evaluation + propagation (lines 9-10).
-    pub stepping: f64,
-    /// Steps taken.
-    pub steps: usize,
-}
-
-impl EwaldBdTimings {
-    pub fn total(&self) -> f64 {
-        self.assembly + self.cholesky + self.displacements + self.stepping
-    }
-
-    /// Mean seconds per BD step.
-    pub fn per_step(&self) -> f64 {
-        if self.steps == 0 {
-            0.0
-        } else {
-            self.total() / self.steps as f64
-        }
-    }
-}
-
 struct Cache {
     m: DMat,
     /// `3n x lambda` row-major block of pre-drawn displacements.
@@ -110,7 +80,9 @@ pub struct EwaldBd {
     forces: Vec<Box<dyn Force>>,
     rng: StdRng,
     cache: Option<Cache>,
-    timings: EwaldBdTimings,
+    /// `Assembly` (line 4), `Cholesky` (line 5), `Displacements` (lines
+    /// 6-7) and one `Stepping` span (lines 9-10) per step taken.
+    snap: Snapshot,
 }
 
 impl EwaldBd {
@@ -122,7 +94,7 @@ impl EwaldBd {
             forces: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
             cache: None,
-            timings: EwaldBdTimings::default(),
+            snap: Snapshot::empty(),
         }
     }
 
@@ -144,8 +116,9 @@ impl EwaldBd {
         &self.cfg
     }
 
-    pub fn timings(&self) -> &EwaldBdTimings {
-        &self.timings
+    /// The run's phase account; `Stepping.count` is the steps taken.
+    pub fn snapshot(&self) -> &Snapshot {
+        &self.snap
     }
 
     /// The splitting parameter in effect.
@@ -175,11 +148,11 @@ impl EwaldBd {
             self.cfg.ewald_tol,
         );
         let m = dense_ewald_mobility(self.system.positions(), &ewald);
-        self.timings.assembly += sw.stop();
+        sw.stop(&mut self.snap);
         let sw = telemetry::start(Phase::Cholesky);
         let chol =
             CholeskyFactor::new(&m).map_err(|e| BdError::NotPositiveDefinite { pivot: e.pivot })?;
-        self.timings.cholesky += sw.stop();
+        sw.stop(&mut self.snap);
         let sw = telemetry::start(Phase::Displacements);
         let mut z = vec![0.0; n3 * lambda];
         fill_standard_normal(&mut self.rng, &mut z);
@@ -189,7 +162,7 @@ impl EwaldBd {
         for d in &mut disp {
             *d *= scale;
         }
-        self.timings.displacements += sw.stop();
+        sw.stop(&mut self.snap);
         self.cache = Some(Cache { m, disp, used: 0 });
         Ok(())
     }
@@ -214,8 +187,7 @@ impl EwaldBd {
         }
         cache.used += 1;
         self.system.apply_displacements(&d);
-        self.timings.stepping += sw.stop();
-        self.timings.steps += 1;
+        sw.stop(&mut self.snap);
         Ok(())
     }
 
@@ -244,7 +216,7 @@ mod tests {
         let mut bd = EwaldBd::new(sys, EwaldBdConfig::default(), 42);
         bd.add_force(RepulsiveHarmonic::default());
         bd.run(5).unwrap();
-        assert_eq!(bd.timings().steps, 5);
+        assert_eq!(bd.snapshot().phase(Phase::Stepping).count, 5);
         let l = bd.system().box_l;
         for p in bd.system().positions() {
             for c in 0..3 {
@@ -267,13 +239,12 @@ mod tests {
         let cfg = EwaldBdConfig { lambda_rpy: 4, ..Default::default() };
         let mut bd = EwaldBd::new(sys, cfg, 7);
         bd.run(4).unwrap();
-        let t_after_4 = bd.timings().assembly;
+        assert_eq!(bd.snapshot().phase(Phase::Assembly).count, 1);
         bd.run(1).unwrap(); // triggers the second assembly
-        assert!(bd.timings().assembly > t_after_4);
-        bd.run(2).unwrap(); // within the second window: no new assembly
-        let t_after_7 = bd.timings().assembly;
-        bd.run(1).unwrap();
-        assert!((bd.timings().assembly - t_after_7).abs() < 1e-12);
+        assert_eq!(bd.snapshot().phase(Phase::Assembly).count, 2);
+        bd.run(3).unwrap(); // within the second window: no new assembly
+        assert_eq!(bd.snapshot().phase(Phase::Assembly).count, 2);
+        assert_eq!(bd.snapshot().phase(Phase::Cholesky).count, 2);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use hibd_linalg::LinearOperator;
 use hibd_mathx::fill_standard_normal;
 use hibd_pme::{tune, PmeOperator, PmeParams, PmePlans};
 use hibd_pse::{PseError, PseSampler, PseSplit};
-use hibd_telemetry::{self as telemetry, Phase};
+use hibd_telemetry::{self as telemetry, Counter, Phase, Snapshot};
 use hibd_treecode::{TreeEval, TreeOperator, TreeParams, TreePlans};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -220,6 +220,15 @@ impl MobilityOp {
             MobilityOp::Tree(op) => op.state_memory_bytes(),
         }
     }
+
+    /// Phase spans accumulated by this operator's build and applies.
+    #[must_use]
+    pub fn snapshot(&self) -> &Snapshot {
+        match self {
+            MobilityOp::Pme(op) => op.snapshot(),
+            MobilityOp::Tree(op) => op.snapshot(),
+        }
+    }
 }
 
 impl LinearOperator for MobilityOp {
@@ -241,35 +250,6 @@ impl LinearOperator for MobilityOp {
         match self {
             MobilityOp::Pme(op) => op.apply_multi(x, y, s),
             MobilityOp::Tree(op) => op.apply_multi(x, y, s),
-        }
-    }
-}
-
-/// Wall-clock accounting per phase.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MfTimings {
-    /// PME operator construction (line 4).
-    pub setup: f64,
-    /// Block Krylov displacement solve (lines 5-6).
-    pub displacements: f64,
-    /// Force evaluation + PME drift + propagation (lines 8-9).
-    pub stepping: f64,
-    /// Total Krylov iterations across displacement solves.
-    pub krylov_iterations: usize,
-    /// Steps taken.
-    pub steps: usize,
-}
-
-impl MfTimings {
-    pub fn total(&self) -> f64 {
-        self.setup + self.displacements + self.stepping
-    }
-
-    pub fn per_step(&self) -> f64 {
-        if self.steps == 0 {
-            0.0
-        } else {
-            self.total() / self.steps as f64
         }
     }
 }
@@ -299,7 +279,10 @@ pub struct MatrixFreeBd {
     /// displacement (each `3n`), so `step` allocates nothing.
     drift_scratch: Vec<f64>,
     step_scratch: Vec<f64>,
-    timings: MfTimings,
+    /// The driver's own account — `PmeSetup`/`TreeBuild` (line 4),
+    /// `Displacements` (lines 5-6), `Stepping` (lines 8-9) and the
+    /// `LanczosIterations` counter — plus every retired operator's spans.
+    snap: Snapshot,
 }
 
 /// SplitMix64 finalizer over `(seed, window)` — a cheap, well-mixed stream
@@ -331,24 +314,23 @@ impl MatrixFreeBd {
     ) -> Result<MatrixFreeBd, BdError> {
         assert!(cfg.lambda_rpy >= 1);
         let shape = resolve_shape(&system, &cfg)?;
-        let (plans, setup) = match (shape.pme, shape.tree) {
+        let mut snap = Snapshot::empty();
+        let plans = match (shape.pme, shape.tree) {
             (Some(params), None) => {
                 let sw = telemetry::start(Phase::PmeSetup);
                 let plans = PmePlans::new(params).map_err(|e| BdError::Setup(e.to_string()))?;
-                let t = sw.stop();
-                (MobilityPlans::Pme(Arc::new(plans)), t)
+                sw.stop(&mut snap);
+                MobilityPlans::Pme(Arc::new(plans))
             }
             (None, Some(tp)) => {
                 let sw = telemetry::start(Phase::TreeBuild);
                 let plans = TreePlans::new(tp);
-                let t = sw.stop();
-                (MobilityPlans::Tree(Arc::new(plans)), t)
+                sw.stop(&mut snap);
+                MobilityPlans::Tree(Arc::new(plans))
             }
             _ => unreachable!("resolve_shape yields exactly one backend"),
         };
-        let mut bd = Self::assemble(system, cfg, seed, plans);
-        bd.timings.setup += setup;
-        Ok(bd)
+        Ok(Self::assemble(system, cfg, seed, plans, snap))
     }
 
     /// Build the driver around already-constructed (typically cache-shared)
@@ -373,7 +355,7 @@ impl MatrixFreeBd {
                 "shared plans do not match the shape this system and config resolve to".into(),
             ));
         }
-        Ok(Self::assemble(system, cfg, seed, plans))
+        Ok(Self::assemble(system, cfg, seed, plans, Snapshot::empty()))
     }
 
     fn assemble(
@@ -381,6 +363,7 @@ impl MatrixFreeBd {
         cfg: MatrixFreeConfig,
         seed: u64,
         plans: MobilityPlans,
+        snap: Snapshot,
     ) -> MatrixFreeBd {
         MatrixFreeBd {
             system,
@@ -395,7 +378,7 @@ impl MatrixFreeBd {
             used: usize::MAX,
             drift_scratch: Vec::new(),
             step_scratch: Vec::new(),
-            timings: MfTimings::default(),
+            snap,
         }
     }
 
@@ -407,7 +390,7 @@ impl MatrixFreeBd {
     pub fn set_completed_steps(&mut self, steps: u64) {
         self.steps_done = steps;
         self.used = usize::MAX;
-        self.op = None;
+        self.retire_operator();
     }
 
     /// Completed BD steps.
@@ -459,13 +442,33 @@ impl MatrixFreeBd {
         self.op.as_mut()
     }
 
-    pub fn timings(&self) -> &MfTimings {
-        &self.timings
+    /// The job's whole phase account: the driver's own spans and Lanczos
+    /// counter, every retired window's operator, and the live operator.
+    #[must_use]
+    pub fn snapshot(&self) -> Snapshot {
+        let mut snap = self.snap.clone();
+        if let Some(op) = &self.op {
+            snap.merge(op.snapshot());
+        }
+        snap
+    }
+
+    /// The driver's own sink, for spans an external stepper (the ensemble
+    /// engine) spends on this job outside the driver's methods.
+    pub fn snapshot_mut(&mut self) -> &mut Snapshot {
+        &mut self.snap
     }
 
     /// Resident bytes of the current operator (0 before the first step).
     pub fn operator_memory_bytes(&self) -> usize {
         self.op.as_ref().map_or(0, MobilityOp::memory_bytes)
+    }
+
+    /// Drop the current window's operator, keeping its phase account.
+    fn retire_operator(&mut self) {
+        if let Some(op) = self.op.take() {
+            self.snap.merge(op.snapshot());
+        }
     }
 
     fn refresh_operator(&mut self) -> Result<(), BdError> {
@@ -476,21 +479,19 @@ impl MatrixFreeBd {
         // `3 lambda`-mesh batch scratch, and keeping it alive through the
         // build and the Krylov solve below would double the resident peak.
         // A failed refresh leaves `op = None`; `ensure_window` retries.
-        self.op = None;
+        self.retire_operator();
         let mut op = match &self.plans {
             MobilityPlans::Pme(plans) => {
                 let sw = telemetry::start(Phase::PmeSetup);
                 let op = PmeOperator::with_plans(self.system.positions(), Arc::clone(plans));
-                self.timings.setup += sw.stop();
+                sw.stop(&mut self.snap);
                 MobilityOp::Pme(Box::new(op))
             }
-            MobilityPlans::Tree(plans) => {
-                // `TreeOperator::with_plans` times itself under
-                // `Phase::TreeBuild`.
-                let op = TreeOperator::with_plans(self.system.positions(), Arc::clone(plans));
-                self.timings.setup += op.timings().build;
-                MobilityOp::Tree(Box::new(op))
-            }
+            // `TreeOperator::with_plans` times itself under `TreeBuild`.
+            MobilityPlans::Tree(plans) => MobilityOp::Tree(Box::new(TreeOperator::with_plans(
+                self.system.positions(),
+                Arc::clone(plans),
+            ))),
         };
 
         let sw = telemetry::start(Phase::Displacements);
@@ -561,8 +562,8 @@ impl MatrixFreeBd {
         for v in &mut d {
             *v *= scale;
         }
-        self.timings.displacements += sw.stop();
-        self.timings.krylov_iterations += iterations;
+        sw.stop(&mut self.snap);
+        self.snap.counters[Counter::LanczosIterations as usize] += iterations as u64;
         self.op = Some(op);
         self.disp = d;
         self.used = 0;
@@ -606,8 +607,7 @@ impl MatrixFreeBd {
         self.used += 1;
         self.steps_done += 1;
         self.system.apply_displacements(&self.step_scratch);
-        self.timings.stepping += sw.stop();
-        self.timings.steps += 1;
+        sw.stop(&mut self.snap);
     }
 
     /// Advance one BD step.
@@ -620,7 +620,7 @@ impl MatrixFreeBd {
         let op = self.op.as_mut().expect("operator refreshed by ensure_window");
         self.drift_scratch.resize(n3, 0.0);
         op.apply(&f, &mut self.drift_scratch);
-        self.timings.stepping += sw.stop();
+        sw.stop(&mut self.snap);
 
         // Same buffer round-trips through `advance_with_drift` (which needs
         // `&mut self`), so the steady state stays allocation-free.
@@ -655,8 +655,8 @@ mod tests {
         let mut bd = MatrixFreeBd::new(sys, MatrixFreeConfig::default(), 42).unwrap();
         bd.add_force(RepulsiveHarmonic::default());
         bd.run(3).unwrap();
-        assert_eq!(bd.timings().steps, 3);
-        assert!(bd.timings().krylov_iterations > 0);
+        assert_eq!(bd.completed_steps(), 3);
+        assert!(bd.snapshot().counter(Counter::LanczosIterations) > 0);
         assert!(bd.operator_memory_bytes() > 0);
         let l = bd.system().box_l;
         for p in bd.system().positions() {
@@ -667,17 +667,27 @@ mod tests {
     }
 
     #[test]
-    fn operator_reused_within_lambda_window() {
+    fn operator_reused_within_lambda_window_and_its_account_outlives_it() {
         let sys = small_system(20, 0.1, 2);
         let cfg = MatrixFreeConfig { lambda_rpy: 4, ..Default::default() };
         let mut bd = MatrixFreeBd::new(sys, cfg, 5).unwrap();
         bd.run(4).unwrap();
-        let setups_after_4 = bd.timings().setup;
+        let first = bd.snapshot();
+        assert_eq!(first.phase(Phase::PmeSetup).count, 2, "plans + the first window");
+        assert_eq!(first.phase(Phase::Stepping).count, 2 * 4, "drift + propagation per step");
         bd.run(3).unwrap(); // one more setup at step 5, reused for 6-7
-        let setups_after_7 = bd.timings().setup;
-        assert!(setups_after_7 > setups_after_4);
+        let second = bd.snapshot();
+        assert_eq!(second.phase(Phase::PmeSetup).count, 3);
+        // The first window's operator is gone, its spans are not: the job's
+        // account is the retired operator's plus the live one's.
+        let live = bd.operator().expect("second window").snapshot().phase(Phase::Spreading).count;
+        assert!(live > 0);
+        assert_eq!(
+            second.phase(Phase::Spreading).count,
+            first.phase(Phase::Spreading).count + live
+        );
         bd.run(1).unwrap(); // step 8: still inside second window
-        assert!((bd.timings().setup - setups_after_7).abs() < 1e-12);
+        assert_eq!(bd.snapshot().phase(Phase::PmeSetup).count, 3);
     }
 
     #[test]
@@ -803,8 +813,11 @@ mod tests {
         let mut bd = MatrixFreeBd::new(sys, cfg, 42).unwrap();
         bd.add_force(RepulsiveHarmonic::default());
         bd.run(5).unwrap();
-        assert_eq!(bd.timings().steps, 5);
-        assert!(bd.timings().krylov_iterations > 0);
+        assert_eq!(bd.completed_steps(), 5);
+        let snap = bd.snapshot();
+        assert!(snap.counter(Counter::LanczosIterations) > 0);
+        assert_eq!(snap.phase(Phase::TreeBuild).count, 3, "plans + two windows");
+        assert!(snap.phase(Phase::NearField).count > snap.phase(Phase::TreeBuild).count);
         let shape = bd.shape();
         assert!(shape.pme.is_none());
         let tp = shape.tree.expect("open driver resolved tree params");
@@ -827,7 +840,7 @@ mod tests {
                 MatrixFreeConfig { lambda_rpy: 3, displacement_mode: mode, ..Default::default() };
             let mut bd = MatrixFreeBd::new(sys, cfg, 7).unwrap();
             bd.run(3).unwrap();
-            assert_eq!(bd.timings().steps, 3, "mode {mode:?}");
+            assert_eq!(bd.completed_steps(), 3, "mode {mode:?}");
         }
     }
 

@@ -30,27 +30,9 @@ use hibd_core::ewald_bd::BdError;
 use hibd_core::mf_bd::{MatrixFreeConfig, MobilityOp, MobilityPlans};
 use hibd_core::{MatrixFreeBd, ParticleSystem};
 use hibd_linalg::LinearOperator;
-use hibd_pme::{PmeOperator, PmePhaseTimes};
+use hibd_pme::PmeOperator;
 use hibd_telemetry::{self as telemetry, Counter, LabeledSnapshot, Phase, Snapshot};
 use std::sync::Arc;
-
-/// Record `secs` as one span in a local (per-job) snapshot. Zero-length
-/// deltas are skipped so idle phases keep a zero count.
-fn record_phase(snap: &mut Snapshot, phase: Phase, secs: f64) {
-    if secs > 0.0 {
-        snap.phases[phase as usize].record((secs * 1e9) as u64);
-    }
-}
-
-/// Fold one step's worth of PME operator phase times into a job snapshot.
-fn record_pme_times(snap: &mut Snapshot, t: &PmePhaseTimes) {
-    record_phase(snap, Phase::Spreading, t.spreading);
-    record_phase(snap, Phase::ForwardFft, t.forward_fft);
-    record_phase(snap, Phase::Influence, t.influence);
-    record_phase(snap, Phase::InverseFft, t.inverse_fft);
-    record_phase(snap, Phase::Interpolation, t.interpolation);
-    record_phase(snap, Phase::RealSpace, t.real_space);
-}
 
 /// The PME operator of a periodic replica whose window is current.
 fn pme_op(bd: &mut MatrixFreeBd) -> &mut PmeOperator {
@@ -60,7 +42,7 @@ fn pme_op(bd: &mut MatrixFreeBd) -> &mut PmeOperator {
     }
 }
 
-/// Why a job failed during an isolated step.
+/// Why a job failed during a step.
 #[derive(Debug)]
 pub enum JobFault {
     /// The driver returned a structured error.
@@ -90,6 +72,14 @@ pub struct JobFailure {
     pub fault: JobFault,
 }
 
+impl std::fmt::Display for JobFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "job in slot {}: {}", self.slot, self.fault)
+    }
+}
+
+impl std::error::Error for JobFailure {}
+
 /// Best-effort extraction of a panic payload message.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -101,38 +91,21 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Run one per-job segment. With `isolate` set, panics are caught and
-/// converted into faults (the segment only touches that job's own driver
-/// state, which the caller then retires — hence the `AssertUnwindSafe`);
-/// without it, errors and panics propagate exactly as before.
-fn run_guarded<T>(isolate: bool, f: impl FnOnce() -> Result<T, BdError>) -> Result<T, JobFault> {
-    if isolate {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-            Ok(Ok(v)) => Ok(v),
-            Ok(Err(e)) => Err(JobFault::Error(e)),
-            Err(p) => Err(JobFault::Panic(panic_message(p.as_ref()))),
-        }
-    } else {
-        f().map_err(JobFault::Error)
+/// Run one per-job segment, converting an error or a panic into a fault.
+/// The segment only touches that job's own driver state, which the caller
+/// then retires — hence the `AssertUnwindSafe`.
+fn run_guarded<T>(f: impl FnOnce() -> Result<T, BdError>) -> Result<T, JobFault> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
+        Ok(Ok(v)) => Ok(v),
+        Ok(Err(e)) => Err(JobFault::Error(e)),
+        Err(p) => Err(JobFault::Panic(panic_message(p.as_ref()))),
     }
 }
 
-/// Record a per-job fault, or propagate it when isolation is off.
-fn note_fault(
-    isolate: bool,
-    slot: usize,
-    fault: JobFault,
-    dead: &mut [bool],
-    failures: &mut Vec<JobFailure>,
-) -> Result<(), BdError> {
-    if !isolate {
-        if let JobFault::Error(e) = fault {
-            return Err(e);
-        }
-    }
+/// Mark `slot` dead for the rest of the step and report why.
+fn note_fault(slot: usize, fault: JobFault, dead: &mut [bool], failures: &mut Vec<JobFailure>) {
     dead[slot] = true;
     failures.push(JobFailure { slot, fault });
-    Ok(())
 }
 
 /// Steps live replicas in lockstep, sharing setup plans and batching the
@@ -149,9 +122,8 @@ pub struct EnsembleRunner {
     solo: Vec<usize>,
     /// Per-slot drift `M f` buffers.
     drift: Vec<Vec<f64>>,
-    /// Per-slot phase statistics ("r0", "r1", ...).
-    per_job: Vec<Snapshot>,
-    /// Work not attributable to one job: the batched FFT passes.
+    /// Work not attributable to one job: the batched FFT passes. Everything
+    /// else is in the owning driver's own snapshot.
     shared: Snapshot,
 }
 
@@ -179,7 +151,6 @@ impl EnsembleRunner {
             groups: Vec::new(),
             solo: Vec::new(),
             drift: Vec::new(),
-            per_job: Vec::new(),
             shared: Snapshot::empty(),
         }
     }
@@ -204,24 +175,20 @@ impl EnsembleRunner {
             None => {
                 self.slots.push(Some(bd));
                 self.drift.push(Vec::new());
-                self.per_job.push(Snapshot::empty());
                 self.slots.len() - 1
             }
         };
         self.drift[slot].clear();
-        self.per_job[slot] = Snapshot::empty();
         self.regroup();
         Ok(slot)
     }
 
     /// Remove the job in `slot` (finished, failed, or cancelled) and hand
-    /// its driver back; the rest of its group keeps stepping. Read the
-    /// slot's [`job_snapshot`](EnsembleRunner::job_snapshot) *before*
-    /// retiring — retirement resets it for the next occupant.
+    /// its driver back — phase account included; the rest of its group
+    /// keeps stepping.
     pub fn retire(&mut self, slot: usize) -> Option<MatrixFreeBd> {
         let bd = self.slots.get_mut(slot)?.take()?;
         self.drift[slot] = Vec::new();
-        self.per_job[slot] = Snapshot::empty();
         self.regroup();
         Some(bd)
     }
@@ -276,7 +243,7 @@ impl EnsembleRunner {
         self.slots.get_mut(slot).and_then(Option::as_mut)
     }
 
-    /// Replica `r` (read access: positions, timings, parameters).
+    /// Replica `r` (read access: positions, phase account, parameters).
     ///
     /// # Panics
     /// Panics when slot `r` is empty; use [`slot`](EnsembleRunner::slot)
@@ -312,10 +279,12 @@ impl EnsembleRunner {
         self.solo.len()
     }
 
-    /// Advance every replica by one BD step. The first job error aborts
-    /// the step (and a job panic propagates) — the pre-service contract.
-    pub fn step(&mut self) -> Result<(), BdError> {
-        self.step_impl(false).map(|_| ())
+    /// Advance every replica by one BD step; the first job failure of the
+    /// step is the error. [`step_isolated`](Self::step_isolated) is the body:
+    /// a failing job never unwinds through the engine, and the replicas
+    /// that did not fail have completed the step.
+    pub fn step(&mut self) -> Result<(), JobFailure> {
+        self.step_isolated().into_iter().next().map_or(Ok(()), Err)
     }
 
     /// Advance every replica by one BD step with per-job fault isolation:
@@ -324,40 +293,19 @@ impl EnsembleRunner {
     /// Failed slots must be [`retire`](EnsembleRunner::retire)d before the
     /// next step — their driver state is suspect.
     pub fn step_isolated(&mut self) -> Vec<JobFailure> {
-        self.step_impl(true).expect("isolated step never propagates job faults")
-    }
-
-    fn step_impl(&mut self, isolate: bool) -> Result<Vec<JobFailure>, BdError> {
         let n_slots = self.slots.len();
         let mut failures = Vec::new();
         let mut dead = vec![false; n_slots];
 
-        // Window refresh per replica (operator rebuild + Brownian block),
-        // attributing the standalone-path timings to the owning job.
+        // Window refresh per replica (operator rebuild + Brownian block):
+        // the standalone code path, timed into the driver's own snapshot.
         for r in 0..n_slots {
             let Some(bd) = self.slots[r].as_mut() else {
                 dead[r] = true;
                 continue;
             };
-            let before = *bd.timings();
-            let setup_phase = match bd.plans() {
-                MobilityPlans::Pme(_) => Phase::PmeSetup,
-                MobilityPlans::Tree(_) => Phase::TreeBuild,
-            };
-            match run_guarded(isolate, || bd.ensure_window()) {
-                Ok(()) => {
-                    let after = *self.slots[r].as_ref().expect("live").timings();
-                    let snap = &mut self.per_job[r];
-                    record_phase(snap, setup_phase, after.setup - before.setup);
-                    record_phase(
-                        snap,
-                        Phase::Displacements,
-                        after.displacements - before.displacements,
-                    );
-                    snap.counters[Counter::LanczosIterations as usize] +=
-                        (after.krylov_iterations - before.krylov_iterations) as u64;
-                }
-                Err(fault) => note_fault(isolate, r, fault, &mut dead, &mut failures)?,
+            if let Err(fault) = run_guarded(|| bd.ensure_window()) {
+                note_fault(r, fault, &mut dead, &mut failures);
             }
         }
 
@@ -368,19 +316,17 @@ impl EnsembleRunner {
                 continue;
             }
             let bd = self.slots[r].as_mut().expect("live");
-            match run_guarded(isolate, || Ok(bd.total_forces())) {
+            match run_guarded(|| Ok(bd.total_forces())) {
                 Ok(f) => forces[r] = f,
-                Err(fault) => note_fault(isolate, r, fault, &mut dead, &mut failures)?,
+                Err(fault) => note_fault(r, fault, &mut dead, &mut failures),
             }
         }
         for (r, is_dead) in dead.iter().enumerate() {
-            if *is_dead {
-                self.drift[r].clear();
-                continue;
-            }
-            let n = self.slots[r].as_ref().expect("live").system().len();
             self.drift[r].clear();
-            self.drift[r].resize(3 * n, 0.0);
+            if !*is_dead {
+                let n = self.slots[r].as_ref().expect("live").system().len();
+                self.drift[r].resize(3 * n, 0.0);
+            }
         }
 
         // Drift `M f` for each same-shape periodic group: per-replica
@@ -412,20 +358,20 @@ impl EnsembleRunner {
                 let bd = self.slots[r].as_mut().expect("live");
                 let f = &forces[r];
                 let drift = &mut self.drift[r];
-                let res = run_guarded(isolate, || {
+                let res = run_guarded(|| {
                     let op = pme_op(bd);
                     op.real_apply(f, drift);
                     op.spread_forces(f, chunk);
                     Ok(())
                 });
                 if let Err(fault) = res {
-                    note_fault(isolate, r, fault, &mut dead, &mut failures)?;
+                    note_fault(r, fault, &mut dead, &mut failures);
                 }
             }
 
             let sw = telemetry::start(Phase::ForwardFft);
             plans.fft().forward_batch(&bmesh[..need_mesh], &mut bspec[..need_spec], 3 * g);
-            record_phase(&mut self.shared, Phase::ForwardFft, sw.stop());
+            sw.stop(&mut self.shared);
 
             for (gi, &r) in live.iter().enumerate() {
                 if dead[r] {
@@ -433,12 +379,12 @@ impl EnsembleRunner {
                 }
                 let sw = telemetry::start(Phase::Influence);
                 plans.influence().apply(&mut bspec[gi * 3 * s_len..(gi + 1) * 3 * s_len]);
-                record_phase(&mut self.per_job[r], Phase::Influence, sw.stop());
+                sw.stop(self.slots[r].as_mut().expect("live").snapshot_mut());
             }
 
             let sw = telemetry::start(Phase::InverseFft);
             plans.fft().inverse_batch(&mut bspec[..need_spec], &mut bmesh[..need_mesh], 3 * g);
-            record_phase(&mut self.shared, Phase::InverseFft, sw.stop());
+            sw.stop(&mut self.shared);
 
             for (gi, &r) in live.iter().enumerate() {
                 if dead[r] {
@@ -447,12 +393,12 @@ impl EnsembleRunner {
                 let chunk = &bmesh[gi * 3 * k3..(gi + 1) * 3 * k3];
                 let bd = self.slots[r].as_mut().expect("live");
                 let drift = &mut self.drift[r];
-                let res = run_guarded(isolate, || {
+                let res = run_guarded(|| {
                     pme_op(bd).interpolate_add(chunk, drift);
                     Ok(())
                 });
                 if let Err(fault) = res {
-                    note_fault(isolate, r, fault, &mut dead, &mut failures)?;
+                    note_fault(r, fault, &mut dead, &mut failures);
                 }
             }
 
@@ -465,62 +411,51 @@ impl EnsembleRunner {
             if dead[r] {
                 continue;
             }
-            let sw = telemetry::start(Phase::Stepping);
             let bd = self.slots[r].as_mut().expect("live");
             let f = &forces[r];
             let drift = &mut self.drift[r];
-            let res = run_guarded(isolate, || {
+            let res = run_guarded(|| {
+                let sw = telemetry::start(Phase::Stepping);
                 bd.operator_mut().expect("window is current").apply(f, drift);
+                sw.stop(bd.snapshot_mut());
                 Ok(())
             });
-            record_phase(&mut self.per_job[r], Phase::Stepping, sw.stop());
             if let Err(fault) = res {
-                note_fault(isolate, r, fault, &mut dead, &mut failures)?;
+                note_fault(r, fault, &mut dead, &mut failures);
             }
         }
 
-        // Propagate every replica and attribute the remaining phase time.
+        // Propagate every replica.
         for r in 0..n_slots {
             if dead[r] {
                 continue;
             }
             let bd = self.slots[r].as_mut().expect("live");
-            let before = bd.timings().stepping;
-            let drift = std::mem::take(&mut self.drift[r]);
-            let res = run_guarded(isolate, || {
-                bd.advance_with_drift(&drift);
+            let drift = &self.drift[r];
+            let res = run_guarded(|| {
+                bd.advance_with_drift(drift);
                 Ok(())
             });
-            self.drift[r] = drift;
-            match res {
-                Ok(()) => {
-                    let bd = self.slots[r].as_ref().expect("live");
-                    let delta = bd.timings().stepping - before;
-                    record_phase(&mut self.per_job[r], Phase::Stepping, delta);
-                    if let Some(MobilityOp::Pme(op)) =
-                        self.slots[r].as_mut().expect("live").operator_mut()
-                    {
-                        record_pme_times(&mut self.per_job[r], &op.take_times());
-                    }
-                }
-                Err(fault) => note_fault(isolate, r, fault, &mut dead, &mut failures)?,
+            if let Err(fault) = res {
+                note_fault(r, fault, &mut dead, &mut failures);
             }
         }
-        Ok(failures)
+        failures
     }
 
     /// Advance every replica by `m` steps.
-    pub fn run(&mut self, m: usize) -> Result<(), BdError> {
+    pub fn run(&mut self, m: usize) -> Result<(), JobFailure> {
         for _ in 0..m {
             self.step()?;
         }
         Ok(())
     }
 
-    /// One live slot's accumulated phase statistics.
+    /// The phase account of the job in `slot` — its driver's
+    /// [`snapshot`](MatrixFreeBd::snapshot) (empty for an empty slot).
     #[must_use]
     pub fn job_snapshot(&self, slot: usize) -> Snapshot {
-        self.per_job[slot].clone()
+        self.slot(slot).map_or_else(Snapshot::empty, MatrixFreeBd::snapshot)
     }
 
     /// Per-job phase statistics labeled `r{slot}` for every live slot plus
@@ -533,10 +468,8 @@ impl EnsembleRunner {
             .slots
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.is_some())
-            .map(|(r, _)| LabeledSnapshot {
-                label: format!("r{r}"),
-                snapshot: self.per_job[r].clone(),
+            .filter_map(|(r, bd)| {
+                Some(LabeledSnapshot { label: format!("r{r}"), snapshot: bd.as_ref()?.snapshot() })
             })
             .collect();
         let mut shared = self.shared.clone();

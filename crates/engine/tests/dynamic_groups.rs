@@ -104,13 +104,8 @@ impl Force for PanicAt {
     }
 }
 
-#[test]
-fn panicking_job_fails_alone_and_bitwise() {
-    const STEPS: usize = 5;
-    const POISON_STEP: usize = 3;
-    let cfg = MatrixFreeConfig { lambda_rpy: 2, ..Default::default() };
-    let base = periodic_system(14, 0.1, 23);
-
+/// Three same-shape jobs, the middle one poisoned at `POISON_STEP`.
+fn poisoned_runner(base: &ParticleSystem, cfg: MatrixFreeConfig) -> (EnsembleRunner, [usize; 3]) {
     let mut runner = EnsembleRunner::with_cache(PlanCache::new());
     let good0 = runner.admit(base.clone(), cfg, 300).unwrap();
     let bad = runner.admit(base.clone(), cfg, 999).unwrap();
@@ -118,30 +113,54 @@ fn panicking_job_fails_alone_and_bitwise() {
     runner.replica_mut(good0).add_force(RepulsiveHarmonic::default());
     runner.replica_mut(bad).add_force(PanicAt { calls: 0, trigger: POISON_STEP });
     runner.replica_mut(good1).add_force(RepulsiveHarmonic::default());
+    (runner, [good0, bad, good1])
+}
 
-    // Silence the default panic hook for the expected poison-pill panic.
+const STEPS: usize = 5;
+const POISON_STEP: usize = 3;
+
+/// `step()` and `step_isolated()` are one body: the poisoned job is a typed
+/// failure naming its slot under both (no unwind through the engine), and
+/// the survivors' trajectories never see it.
+#[test]
+fn panicking_job_fails_alone_and_bitwise() {
+    let cfg = MatrixFreeConfig { lambda_rpy: 2, ..Default::default() };
+    let base = periodic_system(14, 0.1, 23);
+    let (mut isolated, [good0, bad, good1]) = poisoned_runner(&base, cfg);
+    let (mut plain, _) = poisoned_runner(&base, cfg);
+
+    // Silence the default panic hook for the expected poison-pill panics.
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let mut failed = Vec::new();
+    let mut errors = Vec::new();
     for _ in 0..STEPS {
-        for failure in runner.step_isolated() {
+        for failure in isolated.step_isolated() {
             failed.push(failure.slot);
             assert!(
                 matches!(failure.fault, JobFault::Panic(ref m) if m.contains("poison pill")),
                 "unexpected fault: {}",
                 failure.fault
             );
-            runner.retire(failure.slot);
+            isolated.retire(failure.slot);
+        }
+        if let Err(failure) = plain.step() {
+            assert!(matches!(failure.fault, JobFault::Panic(_)), "{failure}");
+            errors.push(failure.to_string());
+            plain.retire(failure.slot);
         }
     }
     std::panic::set_hook(hook);
 
     assert_eq!(failed, vec![bad], "exactly the poisoned job fails");
-    assert_eq!(runner.len(), 2, "survivors keep running");
+    assert_eq!(errors, [format!("job in slot {bad}: panic: poison pill")]);
+    assert_eq!(isolated.len(), 2, "survivors keep running");
 
     // The survivors' trajectories never saw the poisoned neighbor.
     let want0 = standalone_trajectory(base.clone(), cfg, 300, STEPS);
     let want1 = standalone_trajectory(base, cfg, 301, STEPS);
-    assert_eq!(positions_bits(runner.replica(good0)), want0, "good0 diverged");
-    assert_eq!(positions_bits(runner.replica(good1)), want1, "good1 diverged");
+    for (runner, tag) in [(&isolated, "step_isolated"), (&plain, "step")] {
+        assert_eq!(positions_bits(runner.replica(good0)), want0, "good0 diverged under {tag}");
+        assert_eq!(positions_bits(runner.replica(good1)), want1, "good1 diverged under {tag}");
+    }
 }

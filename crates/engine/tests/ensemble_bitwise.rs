@@ -83,6 +83,14 @@ fn open_replicas_match_standalone_runs_bitwise() {
     }
     runner.run(STEPS).unwrap();
 
+    // The job snapshot is the driver's own account, so the tree phases
+    // reach per-job status/profile output without the engine's help.
+    let snap = runner.job_snapshot(0);
+    assert_eq!(snap.phase(Phase::TreeBuild).count, 2, "one operator per window (plans are shared)");
+    assert!(snap.phase(Phase::NearField).count >= STEPS as u64);
+    assert_eq!(snap.phase(Phase::Upward).count, snap.phase(Phase::NearField).count);
+    assert_eq!(snap.phase(Phase::Spreading).count, 0, "no PME on an open job");
+
     for r in 0..R {
         let want = standalone_trajectory(base.clone(), cfg, 400 + r as u64, STEPS);
         let got: Vec<[u64; 3]> = runner
@@ -139,6 +147,12 @@ fn job_snapshots_attribute_per_replica_work() {
         assert_eq!(s.snapshot.phase(Phase::Stepping).count, STEPS as u64, "{}", s.label);
         assert!(s.snapshot.phase(Phase::Displacements).count > 0, "{}", s.label);
         assert!(s.snapshot.phase(Phase::Influence).count > 0, "{}", s.label);
+        // The operator's own phases: per-step drift stages plus the Krylov
+        // applies of both windows (the first window's operator is retired).
+        for ph in [Phase::Spreading, Phase::RealSpace, Phase::Interpolation] {
+            assert!(s.snapshot.phase(ph).count > STEPS as u64, "{} {}", s.label, ph.name());
+        }
+        assert_eq!(s.snapshot.phase(Phase::TreeBuild).count, 0, "{}", s.label);
         assert!(s.snapshot.counter(Counter::LanczosIterations) > 0, "{}", s.label);
     }
     let shared = &snaps[R].snapshot;

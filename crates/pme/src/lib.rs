@@ -45,5 +45,5 @@ pub mod spread;
 pub mod tuner;
 pub mod verify;
 
-pub use operator::{PmeOperator, PmeParams, PmePhaseTimes, PmePlans};
+pub use operator::{PmeOperator, PmeParams, PmePlans};
 pub use tuner::{measure_ep, tune, tune_with_rmax, TunedConfig};

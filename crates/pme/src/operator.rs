@@ -11,7 +11,7 @@
 //! * `PmeOperator` adds the **position-dependent** per-configuration
 //!   artifacts (interpolation matrix `P`, spreading schedule, real-space
 //!   BCSR matrix) plus the mutable per-job scratch (`PmeState`: batch
-//!   meshes and spectra, phase times). `apply` then evaluates `u = M f`
+//!   meshes and spectra, the phase account). `apply` then evaluates `u = M f`
 //!   with no further setup — the property that makes the operator cheap to
 //!   use inside the Krylov iteration.
 //!
@@ -22,11 +22,11 @@
 //! (overlapped, on-the-fly, column-partitioned applies) — composes it from
 //! the stage methods and read-only accessors below with its own meshes.
 //!
-//! Wall-clock time of each reciprocal phase is accumulated into
-//! [`PmePhaseTimes`], which the Figure 5 harness reads. Each phase is timed
-//! with a [`hibd_telemetry`] stopwatch, so the same spans feed the global
-//! recorder (phase histograms, the calibrated Section IV-D model) whenever
-//! telemetry is enabled — the per-instance struct is a thin local view.
+//! Each phase is timed with a [`hibd_telemetry`] stopwatch stopped into the
+//! operator's own [`Snapshot`] ([`PmeOperator::snapshot`], which the Figure 5
+//! harness and the driver's per-job account read); the same spans feed the
+//! global recorder (the calibrated Section IV-D model) whenever telemetry is
+//! enabled.
 
 use crate::influence::Influence;
 use crate::pmat::{build_interp_matrix, InterpMatrix};
@@ -38,7 +38,7 @@ use hibd_linalg::LinearOperator;
 use hibd_mathx::Vec3;
 use hibd_rpy::RpyEwald;
 use hibd_sparse::Bcsr3;
-use hibd_telemetry::{self as telemetry, Counter, Phase};
+use hibd_telemetry::{self as telemetry, Counter, Phase, Snapshot};
 use std::sync::Arc;
 
 /// PME discretization parameters (one row of the paper's Table III).
@@ -71,30 +71,6 @@ impl Default for PmeParams {
             spline_order: 4,
             r_max: 4.0,
         }
-    }
-}
-
-/// Accumulated wall-clock seconds per pipeline phase.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PmePhaseTimes {
-    pub spreading: f64,
-    pub forward_fft: f64,
-    pub influence: f64,
-    pub inverse_fft: f64,
-    pub interpolation: f64,
-    pub real_space: f64,
-    /// Number of `apply` calls accumulated.
-    pub applications: usize,
-}
-
-impl PmePhaseTimes {
-    /// Total reciprocal-space time.
-    pub fn recip_total(&self) -> f64 {
-        self.spreading + self.forward_fft + self.influence + self.inverse_fft + self.interpolation
-    }
-
-    pub fn total(&self) -> f64 {
-        self.recip_total() + self.real_space
     }
 }
 
@@ -158,7 +134,7 @@ impl PmePlans {
 }
 
 /// Mutable per-job state: interpolation scratch, the batch meshes/spectra
-/// every reciprocal apply runs through, and the accumulated phase times.
+/// every reciprocal apply runs through, and the accumulated phase spans.
 /// Owned by exactly one `PmeOperator`; never shared.
 struct PmeState {
     /// Single-RHS interpolation scratch (`3n`).
@@ -169,7 +145,7 @@ struct PmeState {
     batch_mesh: Vec<f64>,
     /// Batched half spectra, `3*width` of `K^2 (K/2+1)` each.
     batch_spec: Vec<Complex64>,
-    times: PmePhaseTimes,
+    snap: Snapshot,
 }
 
 /// What the one reciprocal pipeline body spreads from and interpolates
@@ -238,7 +214,7 @@ impl PmeOperator {
                 interp_scratch: vec![0.0; 3 * positions.len()],
                 batch_mesh: Vec::new(),
                 batch_spec: Vec::new(),
-                times: PmePhaseTimes::default(),
+                snap: Snapshot::empty(),
             },
         };
         if telemetry::enabled() {
@@ -281,9 +257,9 @@ impl PmeOperator {
         &self.real
     }
 
-    /// Reset and return accumulated phase timings.
-    pub fn take_times(&mut self) -> PmePhaseTimes {
-        std::mem::take(&mut self.state.times)
+    /// Phase spans accumulated by this operator's applies.
+    pub fn snapshot(&self) -> &Snapshot {
+        &self.state.snap
     }
 
     /// Estimated resident bytes of the operator (paper Eq. 11 plus the
@@ -333,24 +309,24 @@ impl PmeOperator {
             Rhs::Block { x, s, .. } => {
                 let sw = telemetry::start(Phase::Spreading);
                 self.plan.spread_multi(&self.pm, x, *s, 0, *s, mesh);
-                self.state.times.spreading += sw.stop();
+                sw.stop(&mut self.state.snap);
             }
         }
         let sw = telemetry::start(Phase::ForwardFft);
         self.plans.fft.forward_batch(mesh, spec, 3 * width);
-        self.state.times.forward_fft += sw.stop();
+        sw.stop(&mut self.state.snap);
         let sw = telemetry::start(Phase::Influence);
         self.plans.inf.apply_multi(spec, width);
-        self.state.times.influence += sw.stop();
+        sw.stop(&mut self.state.snap);
         let sw = telemetry::start(Phase::InverseFft);
         self.plans.fft.inverse_batch(spec, mesh, 3 * width);
-        self.state.times.inverse_fft += sw.stop();
+        sw.stop(&mut self.state.snap);
         match rhs {
             Rhs::Vector { u, .. } => self.interpolate_add(mesh, u),
             Rhs::Block { y, s, .. } => {
                 let sw = telemetry::start(Phase::Interpolation);
                 interpolate_multi(&self.pm, mesh, s, 0, s, y);
-                self.state.times.interpolation += sw.stop();
+                sw.stop(&mut self.state.snap);
             }
         }
         self.restore_batch_scratch(mesh_buf, spec_buf);
@@ -382,7 +358,7 @@ impl PmeOperator {
         assert_eq!(mesh.len(), 3 * k * k * k);
         let sw = telemetry::start(Phase::Spreading);
         self.plan.spread(&self.pm, f, mesh);
-        self.state.times.spreading += sw.stop();
+        sw.stop(&mut self.state.snap);
     }
 
     /// `u += P^T mesh` from a caller-provided mesh triple — the
@@ -398,7 +374,7 @@ impl PmeOperator {
         for (o, v) in u.iter_mut().zip(&self.state.interp_scratch) {
             *o += v;
         }
-        self.state.times.interpolation += sw.stop();
+        sw.stop(&mut self.state.snap);
     }
 
     /// Hand out this operator's batch mesh/spectrum scratch, grown to
@@ -429,7 +405,7 @@ impl PmeOperator {
         for (o, v) in u.iter_mut().zip(f) {
             *o += self.plans.self_coef * v;
         }
-        self.state.times.real_space += sw.stop();
+        sw.stop(&mut self.state.snap);
     }
 
     /// Multi-RHS real part: `U = (M_real + M_self) F` for row-major
@@ -441,7 +417,7 @@ impl PmeOperator {
         for (o, v) in u.iter_mut().zip(f) {
             *o += self.plans.self_coef * v;
         }
-        self.state.times.real_space += sw.stop();
+        sw.stop(&mut self.state.snap);
     }
 
     /// Grow the batch scratch to hold `3*width` meshes and spectra. `resize`
@@ -472,7 +448,6 @@ impl LinearOperator for PmeOperator {
     fn apply(&mut self, f: &[f64], u: &mut [f64]) {
         self.real_apply(f, u);
         self.recip_apply_add(f, u);
-        self.state.times.applications += 1;
     }
 
     /// Block application: multi-RHS SpMM for the real part, batched
@@ -486,7 +461,6 @@ impl LinearOperator for PmeOperator {
         assert_eq!(y.len(), 3 * self.n * s);
         self.real_apply_multi(x, y, s);
         self.recip_apply_add_multi(x, y, s);
-        self.state.times.applications += s;
     }
 }
 
@@ -635,23 +609,22 @@ mod tests {
     }
 
     #[test]
-    fn phase_times_accumulate() {
+    fn phase_spans_accumulate() {
         let n = 8;
         let params = test_params();
         let pos = lcg_positions(n, params.box_l, 31);
         let mut op = PmeOperator::new(&pos, params).unwrap();
+        assert_eq!(op.snapshot(), &Snapshot::empty());
         let f = lcg_vector(3 * n, 33);
         let mut u = vec![0.0; 3 * n];
         op.apply(&f, &mut u);
         op.apply(&f, &mut u);
-        let t = op.take_times();
-        assert_eq!(t.applications, 2);
-        assert!(t.forward_fft > 0.0);
-        assert!(t.recip_total() > 0.0);
-        assert!(t.total() >= t.recip_total());
-        // take_times resets.
-        let t2 = op.take_times();
-        assert_eq!(t2.applications, 0);
+        // One span per phase per apply, nothing outside the PME phases.
+        for ph in telemetry::MODEL_PHASES {
+            assert_eq!(op.snapshot().phase(ph).count, 2, "{}", ph.name());
+        }
+        assert!(op.snapshot().phase(Phase::ForwardFft).total_ns > 0);
+        assert_eq!(op.snapshot().phase(Phase::PmeSetup).count, 0);
     }
 
     #[test]

@@ -116,15 +116,8 @@ impl JobMeta {
     /// Parse a `meta.json` document.
     pub fn from_json(src: &str) -> Result<JobMeta, String> {
         let v = json::parse(src)?;
-        if v.get("schema").and_then(Value::as_str) != Some("hibd-job-v1") {
-            return Err("not an hibd-job-v1 document".into());
-        }
-        let field_u64 = |key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(Value::as_f64)
-                .map(|x| x as u64)
-                .ok_or_else(|| format!("missing numeric `{key}`"))
-        };
+        json::expect_schema(&v, "hibd-job-v1")?;
+        let field_u64 = |key: &str| json::expect_num(&v, key, "meta.json").map(|x| x as u64);
         let state_name =
             v.get("state").and_then(Value::as_str).ok_or_else(|| "missing `state`".to_string())?;
         Ok(JobMeta {

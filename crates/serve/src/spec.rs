@@ -6,8 +6,7 @@
 //! configs ([`hibd_core::config::SimSpec`]); this spec only describes the
 //! daemon around them.
 
-use hibd_core::config::ConfigError;
-use std::collections::BTreeMap;
+use hibd_core::config::{parse_bool, parse_num, scan_key_values, ConfigError};
 use std::path::{Path, PathBuf};
 
 /// Daemon configuration for `hibd serve`.
@@ -56,47 +55,11 @@ impl Default for ServeSpec {
     }
 }
 
-fn err(line: usize, message: impl Into<String>) -> ConfigError {
-    ConfigError { line, message: message.into() }
-}
-
-fn parse_num<T: std::str::FromStr>(line: usize, key: &str, value: &str) -> Result<T, ConfigError> {
-    value.parse().map_err(|_| err(line, format!("bad value `{value}` for `{key}`")))
-}
-
-fn parse_bool(line: usize, key: &str, value: &str) -> Result<bool, ConfigError> {
-    match value.to_ascii_lowercase().as_str() {
-        "true" | "yes" | "on" | "1" => Ok(true),
-        "false" | "no" | "off" | "0" => Ok(false),
-        other => Err(err(line, format!("bad boolean `{other}` for `{key}`"))),
-    }
-}
-
 impl ServeSpec {
     /// Parse the daemon configuration text.
     pub fn parse(text: &str) -> Result<ServeSpec, ConfigError> {
-        let mut kv: BTreeMap<String, (usize, String)> = BTreeMap::new();
-        for (idx, raw) in text.lines().enumerate() {
-            let line_no = idx + 1;
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| err(line_no, format!("expected `key = value`, got `{line}`")))?;
-            let key = key.trim().to_ascii_lowercase();
-            let value = value.trim().to_string();
-            if value.is_empty() {
-                return Err(err(line_no, format!("empty value for `{key}`")));
-            }
-            if kv.insert(key.clone(), (line_no, value)).is_some() {
-                return Err(err(line_no, format!("duplicate key `{key}`")));
-            }
-        }
-
         let mut spec = ServeSpec::default();
-        for (key, (line, value)) in &kv {
+        for (key, (line, value)) in &scan_key_values(text)? {
             match key.as_str() {
                 "spool" => spec.spool = value.clone(),
                 "output" => spec.output = value.clone(),
@@ -108,10 +71,15 @@ impl ServeSpec {
                 "throttle_ms" => spec.throttle_ms = parse_num(*line, key, value)?,
                 "plan_cache" => spec.plan_cache = parse_num(*line, key, value)?,
                 "exit_when_idle" => spec.exit_when_idle = parse_bool(*line, key, value)?,
-                other => return Err(err(*line, format!("unknown key `{other}`"))),
+                other => {
+                    return Err(ConfigError {
+                        line: *line,
+                        message: format!("unknown key `{other}`"),
+                    })
+                }
             }
         }
-        spec.validate().map_err(|m| err(0, m))?;
+        spec.validate().map_err(|message| ConfigError { line: 0, message })?;
         Ok(spec)
     }
 

@@ -7,7 +7,7 @@
 //! `xtask validate-status`), mirroring the `hibd-profile-v1` tooling.
 
 use crate::job::JobState;
-use hibd_telemetry::json::{self, Value};
+use hibd_telemetry::json::{self, expect_num, expect_obj, expect_schema, Value};
 use hibd_telemetry::Snapshot;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -24,7 +24,7 @@ pub struct JobView {
     pub worker: Option<usize>,
     /// Failure/cancellation detail.
     pub error: Option<String>,
-    /// Per-job telemetry (phases + counters attributed by the runner).
+    /// The job's phase account (its driver's `snapshot()`).
     pub snapshot: Snapshot,
 }
 
@@ -171,31 +171,13 @@ pub fn render_status(state: &ServiceState, queue_capacity: usize, uptime_seconds
     out
 }
 
-fn expect_num(v: &Value, ctx: &str) -> Result<f64, String> {
-    v.as_f64().ok_or_else(|| format!("{ctx} is not a number"))
-}
-
-fn expect_obj<'a>(v: &'a Value, key: &str, ctx: &str) -> Result<&'a Value, String> {
-    let inner = v.get(key).ok_or_else(|| format!("{ctx} is missing `{key}`"))?;
-    match inner {
-        Value::Obj(_) => Ok(inner),
-        _ => Err(format!("{ctx}.{key} is not an object")),
-    }
-}
-
 /// Validate an `hibd-serve-v1` status document (parse + schema checks).
 pub fn validate_status(src: &str) -> Result<(), String> {
     let v = json::parse(src)?;
-    if v.get("schema").and_then(Value::as_str) != Some("hibd-serve-v1") {
-        return Err("schema is not hibd-serve-v1".into());
-    }
+    expect_schema(&v, "hibd-serve-v1")?;
     let daemon = expect_obj(&v, "daemon", "document")?;
-    let workers =
-        expect_num(daemon.get("workers").ok_or("daemon is missing `workers`")?, "daemon.workers")?;
-    expect_num(
-        daemon.get("queue_capacity").ok_or("daemon is missing `queue_capacity`")?,
-        "daemon.queue_capacity",
-    )?;
+    let workers = expect_num(daemon, "workers", "daemon")?;
+    expect_num(daemon, "queue_capacity", "daemon")?;
     match daemon.get("draining") {
         Some(Value::Bool(_)) => {}
         _ => return Err("daemon.draining is not a boolean".into()),
@@ -203,12 +185,12 @@ pub fn validate_status(src: &str) -> Result<(), String> {
 
     let queue = expect_obj(&v, "queue", "document")?;
     for key in ["queued", "running", "done", "failed", "cancelled"] {
-        expect_num(queue.get(key).ok_or_else(|| format!("queue is missing `{key}`"))?, key)?;
+        expect_num(queue, key, "queue")?;
     }
 
     let cache = expect_obj(&v, "plan_cache", "document")?;
     for key in ["shapes", "hits", "misses", "evictions"] {
-        expect_num(cache.get(key).ok_or_else(|| format!("plan_cache is missing `{key}`"))?, key)?;
+        expect_num(cache, key, "plan_cache")?;
     }
 
     let worker_list = v
@@ -223,7 +205,7 @@ pub fn validate_status(src: &str) -> Result<(), String> {
     }
     for (i, w) in worker_list.iter().enumerate() {
         let ctx = format!("workers[{i}]");
-        expect_num(w.get("jobs").ok_or_else(|| format!("{ctx} is missing `jobs`"))?, &ctx)?;
+        expect_num(w, "jobs", &ctx)?;
         w.get("groups").and_then(Value::as_array).ok_or(format!("{ctx}.groups is not an array"))?;
         expect_obj(w, "cache", &ctx)?;
     }
@@ -239,9 +221,8 @@ pub fn validate_status(src: &str) -> Result<(), String> {
         if JobState::from_name(state).is_none() {
             return Err(format!("{ctx} has unknown state `{state}`"));
         }
-        let step = expect_num(job.get("step").ok_or_else(|| format!("{ctx} missing step"))?, &ctx)?;
-        let steps =
-            expect_num(job.get("steps").ok_or_else(|| format!("{ctx} missing steps"))?, &ctx)?;
+        let step = expect_num(job, "step", &ctx)?;
+        let steps = expect_num(job, "steps", &ctx)?;
         if step > steps {
             return Err(format!("{ctx}: step {step} exceeds budget {steps}"));
         }

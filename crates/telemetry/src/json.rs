@@ -61,6 +61,31 @@ impl Value {
     }
 }
 
+/// The numeric field `key` of `v`, or an error naming `ctx`.
+pub fn expect_num(v: &Value, key: &str, ctx: &str) -> Result<f64, String> {
+    let inner = v.get(key).ok_or_else(|| format!("{ctx} is missing `{key}`"))?;
+    inner.as_f64().ok_or_else(|| format!("{ctx}.{key} is not a number"))
+}
+
+/// The object-valued field `key` of `v`, or an error naming `ctx`.
+pub fn expect_obj<'a>(v: &'a Value, key: &str, ctx: &str) -> Result<&'a Value, String> {
+    let inner = v.get(key).ok_or_else(|| format!("{ctx} is missing `{key}`"))?;
+    match inner {
+        Value::Obj(_) => Ok(inner),
+        _ => Err(format!("{ctx}.{key} is not an object")),
+    }
+}
+
+/// Check the document's `"schema"` tag — the first test every versioned
+/// document (`hibd-profile-v1`, `hibd-serve-v1`, `hibd-job-v1`) must pass.
+pub fn expect_schema(v: &Value, schema: &str) -> Result<(), String> {
+    match v.get("schema").and_then(Value::as_str) {
+        Some(s) if s == schema => Ok(()),
+        Some(s) => Err(format!("schema {s:?}, expected {schema:?}")),
+        None => Err(format!("missing \"schema\" tag, expected {schema:?}")),
+    }
+}
+
 /// Escape a string for embedding in emitted JSON.
 #[must_use]
 pub fn escape(s: &str) -> String {
@@ -263,6 +288,19 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "{\"a\":1} x", "\"abc", "nul", "1.2.3"] {
             assert!(parse(bad).is_err(), "accepted malformed input {bad:?}");
         }
+    }
+
+    #[test]
+    fn typed_accessors_name_what_is_wrong() {
+        let v = parse(r#"{"schema": "s-v1", "o": {"n": 2}, "a": []}"#).unwrap();
+        expect_schema(&v, "s-v1").unwrap();
+        assert!(expect_schema(&v, "s-v2").unwrap_err().contains("s-v1"));
+        assert!(expect_schema(&Value::Null, "s-v1").unwrap_err().contains("missing"));
+        let o = expect_obj(&v, "o", "doc").unwrap();
+        assert_eq!(expect_num(o, "n", "doc.o"), Ok(2.0));
+        assert!(expect_obj(&v, "a", "doc").unwrap_err().contains("doc.a is not an object"));
+        assert!(expect_obj(&v, "zz", "doc").unwrap_err().contains("missing `zz`"));
+        assert!(expect_num(&v, "o", "doc").unwrap_err().contains("doc.o is not a number"));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! The crate has three layers:
 //!
-//! 1. **Recorder** ([`span`], [`start`], [`timed`], [`incr`], [`gauge_max`]):
+//! 1. **Recorder** ([`span`], [`start`], [`incr`], [`gauge_max`]):
 //!    a lock-free, allocation-free-at-steady-state span recorder. Each OS
 //!    thread claims a static slot holding relaxed atomic per-phase stats and
 //!    a small ring buffer of raw `(phase, t_start, t_stop)` spans. When
@@ -18,12 +18,13 @@
 //!    constants *calibrated from recorded spans* instead of quoted machine
 //!    specs, and a measured-vs-predicted [`Report`] (text + JSON).
 //!
-//! Timing sites elsewhere in the workspace use [`start`]/[`Stopwatch::stop`]
-//! (or the [`timed`] closure wrapper): the stopwatch always returns elapsed
-//! seconds — feeding the existing per-instance `timings()` views — and
-//! additionally records the span into the global recorder when enabled.
-//! This is the sanctioned way to time `#[hibd::hot]` code; the `xtask` audit
-//! rejects raw `Instant::now()` inside hot functions.
+//! One clock, one sink type: timing sites elsewhere in the workspace use
+//! [`start`]/[`Stopwatch::stop`], which records the span into the caller's
+//! own [`Snapshot`] (an operator's, a driver's, the engine's `shared`) always
+//! and into the global recorder when enabled. A job's phase account is the
+//! merge of those snapshots (`MatrixFreeBd::snapshot()`); nothing else
+//! accumulates seconds. This is the sanctioned way to time `#[hibd::hot]`
+//! code; the `xtask` audit rejects raw `Instant::now()` inside hot functions.
 
 pub mod json;
 mod model;
@@ -37,8 +38,7 @@ pub use stats::{bucket_of, merge_labeled, LabeledSnapshot, PhaseStats, Snapshot,
 /// Phases of the simulation pipeline, a static registry.
 ///
 /// The first six are the Section IV-D model phases (the PME apply); the rest
-/// cover the Brownian-dynamics drivers so `MfTimings` / `EwaldBdTimings`
-/// dedup onto the same recorder.
+/// cover the Brownian-dynamics drivers and the treecode/FMM backend.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Phase {
@@ -206,7 +206,8 @@ impl Counter {
 
 /// A scope guard recording a span on drop (only when recording is enabled).
 ///
-/// Use [`Stopwatch`] instead when the caller also needs the elapsed seconds.
+/// Use [`Stopwatch`] instead when the span belongs in a per-instance
+/// [`Snapshot`] too.
 #[must_use = "dropping the span immediately records a zero-length interval"]
 pub struct Span {
     phase: Phase,
@@ -235,9 +236,9 @@ impl Drop for Span {
 }
 
 /// A started phase timer that *always* measures (the clock is read whether or
-/// not recording is enabled) so call sites can keep feeding their local
-/// `timings()` views, and that additionally records the span globally when
-/// recording is enabled.
+/// not recording is enabled): stopping it records the span into the caller's
+/// [`Snapshot`], and additionally into the global recorder when recording is
+/// enabled.
 #[must_use = "a stopwatch does nothing until stopped"]
 pub struct Stopwatch {
     phase: Phase,
@@ -251,22 +252,14 @@ pub fn start(phase: Phase) -> Stopwatch {
 }
 
 impl Stopwatch {
-    /// Stop, record the span (when enabled), and return elapsed seconds.
+    /// Stop and record the span into `sink` (always; inline arrays, no
+    /// allocation) and into the global recorder (when enabled).
     #[inline]
-    pub fn stop(self) -> f64 {
+    pub fn stop(self, sink: &mut Snapshot) {
         let stop_ns = recorder::now_ns();
         recorder::record_span(self.phase, self.start_ns, stop_ns);
-        (stop_ns.saturating_sub(self.start_ns)) as f64 * 1e-9
+        sink.phases[self.phase as usize].record(stop_ns.saturating_sub(self.start_ns));
     }
-}
-
-/// Run `f` under a [`Stopwatch`]; returns its result and the elapsed seconds.
-#[inline]
-pub fn timed<R>(phase: Phase, f: impl FnOnce() -> R) -> (R, f64) {
-    let sw = start(phase);
-    let r = f();
-    let dt = sw.stop();
-    (r, dt)
 }
 
 #[cfg(test)]
@@ -298,15 +291,17 @@ mod tests {
         let _g = LOCK.lock().unwrap();
         reset();
         enable();
+        let mut local = Snapshot::empty();
         let sw = start(Phase::Spreading);
         std::hint::black_box(1 + 1);
-        let dt = sw.stop();
-        assert!(dt >= 0.0);
+        sw.stop(&mut local);
         incr(Counter::ForwardFfts, 3);
         gauge_max(Counter::PmeScratchBytes, 1024);
         gauge_max(Counter::PmeScratchBytes, 512);
         let snap = snapshot();
         disable();
+        // One clock: the local sink and the recorder hold the same span.
+        assert_eq!(snap.phase(Phase::Spreading), local.phase(Phase::Spreading));
         assert_eq!(snap.phase(Phase::Spreading).count, 1);
         assert_eq!(snap.counter(Counter::ForwardFfts), 3);
         assert_eq!(snap.counter(Counter::PmeScratchBytes), 1024);
@@ -318,8 +313,9 @@ mod tests {
         let _g = LOCK.lock().unwrap();
         reset();
         disable();
-        let (_, dt) = timed(Phase::Influence, || std::hint::black_box(42));
-        assert!(dt >= 0.0);
+        let mut local = Snapshot::empty();
+        start(Phase::Influence).stop(&mut local);
+        assert_eq!(local.phase(Phase::Influence).count, 1, "the local sink always records");
         {
             let _s = span(Phase::Influence);
         }

@@ -118,6 +118,33 @@ impl Snapshot {
         self.counters[counter as usize]
     }
 
+    /// Amortized seconds per BD step over `steps` steps: the sum of the
+    /// driver-level phases — operator setup (`PmeSetup`, `TreeBuild`), the
+    /// dense baseline's `Assembly` and `Cholesky`, `Displacements` and
+    /// `Stepping`. Every other phase nests inside one of these, so this is
+    /// the whole account without double counting.
+    #[must_use]
+    pub fn step_seconds(&self, steps: u64) -> f64 {
+        const DRIVER: [Phase; 6] = [
+            Phase::PmeSetup,
+            Phase::TreeBuild,
+            Phase::Assembly,
+            Phase::Cholesky,
+            Phase::Displacements,
+            Phase::Stepping,
+        ];
+        let total_ns: u64 = DRIVER.iter().map(|&p| self.phase(p).total_ns).sum();
+        total_ns as f64 * 1e-9 / steps.max(1) as f64
+    }
+
+    /// Mobility columns pushed through the reciprocal PME pipeline: every
+    /// column costs exactly three forward mesh transforms (one per vector
+    /// component), for single and batched applies alike.
+    #[must_use]
+    pub fn columns_applied(&self) -> f64 {
+        self.counter(Counter::ForwardFfts) as f64 / 3.0
+    }
+
     /// Fold another snapshot into this one (gauges merge by max).
     pub fn merge(&mut self, other: &Snapshot) {
         for (a, b) in self.phases.iter_mut().zip(&other.phases) {
@@ -235,6 +262,20 @@ mod tests {
         assert_eq!(bucket_of(3), 2);
         assert_eq!(bucket_of(4), 3);
         assert_eq!(bucket_of(u64::MAX), NUM_BUCKETS - 1);
+    }
+
+    #[test]
+    fn step_seconds_sums_the_driver_level_phases_only() {
+        let mut snap = Snapshot::empty();
+        for ph in [Phase::PmeSetup, Phase::TreeBuild, Phase::Displacements, Phase::Stepping] {
+            snap.phases[ph as usize].record(1_000_000_000);
+        }
+        // Nested inside `Displacements` / `Stepping`: must not count twice.
+        snap.phases[Phase::ForwardFft as usize].record(5_000_000_000);
+        assert!((snap.step_seconds(4) - 1.0).abs() < 1e-12);
+        assert!((snap.step_seconds(0) - 4.0).abs() < 1e-12, "zero steps amortize over one");
+        snap.counters[Counter::ForwardFfts as usize] = 36;
+        assert!((snap.columns_applied() - 12.0).abs() < 1e-12);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! freedom is machine-checked), and the disabled path must cost ~nothing.
 
 use hibd_alloctrack::{exclusive, measure};
-use hibd_telemetry::{Counter, Phase};
+use hibd_telemetry::{Counter, Phase, Snapshot};
 
 hibd_alloctrack::install!();
 
@@ -16,17 +16,19 @@ fn recording_is_heap_quiet_at_steady_state() {
     hibd_telemetry::enable();
 
     // Warm-up: claim this thread's slot and initialize the epoch clock.
+    // The local sink is inline arrays: stopping into it allocates nothing.
+    let mut sink = Snapshot::empty();
     for _ in 0..64 {
         let sw = hibd_telemetry::start(Phase::Spreading);
         std::hint::black_box(());
-        let _ = sw.stop();
+        sw.stop(&mut sink);
     }
 
     let (m, ()) = measure(|| {
         for i in 0..10_000u64 {
             let sw = hibd_telemetry::start(Phase::ALL[(i % 11) as usize]);
             std::hint::black_box(i);
-            let _ = sw.stop();
+            sw.stop(&mut sink);
             {
                 let _span = hibd_telemetry::span(Phase::Influence);
             }
@@ -50,8 +52,7 @@ fn disabled_recording_is_heap_quiet_and_near_free() {
     hibd_telemetry::reset();
 
     // Initialize the epoch clock outside the measured window.
-    let warm = hibd_telemetry::start(Phase::Stepping);
-    let _ = warm.stop();
+    hibd_telemetry::start(Phase::Stepping).stop(&mut Snapshot::empty());
 
     // The allocation counters are process-global, so another thread (e.g.
     // the libtest coordinator printing a result) can dirty a window. A

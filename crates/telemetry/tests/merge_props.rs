@@ -161,21 +161,32 @@ fn threaded_recording_is_order_independent() {
     let _guard = hibd_alloctrack::exclusive();
     hibd_telemetry::reset();
     hibd_telemetry::enable();
+    // Each thread also stops into its own local sink; merged, the sinks
+    // must hold exactly what the recorder holds (one clock, two views).
+    let mut local = Snapshot::empty();
     std::thread::scope(|scope| {
-        for t in 0..THREADS {
-            scope.spawn(move || {
-                for i in 0..SPANS_PER_THREAD {
-                    let phase = Phase::ALL[(t + i) % NUM_PHASES];
-                    let sw = hibd_telemetry::start(phase);
-                    std::hint::black_box(i * t);
-                    let _ = sw.stop();
-                    hibd_telemetry::incr(Counter::LanczosIterations, 1);
-                }
-            });
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                scope.spawn(move || {
+                    let mut sink = Snapshot::empty();
+                    for i in 0..SPANS_PER_THREAD {
+                        let phase = Phase::ALL[(t + i) % NUM_PHASES];
+                        let sw = hibd_telemetry::start(phase);
+                        std::hint::black_box(i * t);
+                        sw.stop(&mut sink);
+                        hibd_telemetry::incr(Counter::LanczosIterations, 1);
+                    }
+                    sink
+                })
+            })
+            .collect();
+        for h in handles {
+            local.merge(&h.join().expect("recording thread"));
         }
     });
     let snap = hibd_telemetry::snapshot();
     hibd_telemetry::disable();
+    assert_eq!(snap.phases, local.phases, "local sinks and the recorder disagree");
 
     let mut expected = [0u64; NUM_PHASES];
     for t in 0..THREADS {

@@ -35,6 +35,6 @@ pub mod operator;
 pub mod tree;
 pub mod tuner;
 
-pub use operator::{TreeEval, TreeOperator, TreeParams, TreePlans, TreeTimings, MAX_CHEB_ORDER};
+pub use operator::{TreeEval, TreeOperator, TreeParams, TreePlans, MAX_CHEB_ORDER};
 pub use tree::Octree;
 pub use tuner::{measured_rel_error, tune, SCHEDULE};

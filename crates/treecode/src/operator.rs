@@ -40,7 +40,7 @@ use crate::tree::{Node, Octree, NO_CHILD};
 use hibd_linalg::LinearOperator;
 use hibd_mathx::Vec3;
 use hibd_rpy::{rpy_pairs_accumulate, rpy_self_mobility, PAIR_TILE};
-use hibd_telemetry::{Counter, Phase};
+use hibd_telemetry::{Counter, Phase, Snapshot};
 use std::sync::Arc;
 
 use hibd_hot as hibd;
@@ -99,19 +99,6 @@ pub enum TreeEval {
     /// Kernel-independent FMM: M2L translations between proxy grids, L2L
     /// child shifts, one L2P interpolation per particle — `O(n)` far field.
     Fmm,
-}
-
-/// Cumulative phase timings of one operator instance, in seconds. The
-/// `far_field` slot is used by the treecode path; `m2l`/`downward` by the
-/// FMM path — the other mode's slots stay zero.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TreeTimings {
-    pub build: f64,
-    pub upward: f64,
-    pub far_field: f64,
-    pub m2l: f64,
-    pub downward: f64,
-    pub near_field: f64,
 }
 
 /// Position-independent treecode setup artifacts, shareable across
@@ -213,7 +200,10 @@ pub struct TreeOperator {
     /// Column scratch for `apply_multi`.
     xcol: Vec<f64>,
     ycol: Vec<f64>,
-    timings: TreeTimings,
+    /// Phase spans of this instance: `TreeBuild` once, then per apply
+    /// `Upward`, `NearField` and `FarField` (treecode) or `M2l`/`Downward`
+    /// (FMM) — the other mode's phases stay empty.
+    snap: Snapshot,
 }
 
 /// Per-operator FMM far-field state (see [`TreeOperator::fmm`]).
@@ -355,12 +345,12 @@ impl TreeOperator {
             yr: Vec::new(),
             xcol: Vec::new(),
             ycol: Vec::new(),
-            timings: TreeTimings::default(),
+            snap: Snapshot::empty(),
         };
         op.weights.resize(op.tree.nodes.len() * q3 * 3, 0.0);
         op.xr.resize(3 * n, 0.0);
         op.yr.resize(3 * n, 0.0);
-        op.timings.build = sw.stop();
+        sw.stop(&mut op.snap);
         op
     }
 
@@ -401,9 +391,9 @@ impl TreeOperator {
         self.interactions
     }
 
-    /// Cumulative phase timings.
-    pub fn timings(&self) -> TreeTimings {
-        self.timings
+    /// Phase spans accumulated by this operator's build and applies.
+    pub fn snapshot(&self) -> &Snapshot {
+        &self.snap
     }
 
     /// Total bytes of operator-owned storage (tree, tables, lists, scratch),
@@ -446,7 +436,7 @@ impl TreeOperator {
         let sw = hibd_telemetry::start(Phase::Upward);
         gather(&self.tree.order, x, &mut self.xr);
         self.upward();
-        self.timings.upward += sw.stop();
+        sw.stop(&mut self.snap);
 
         // Move the output scratch out so the leaf passes can borrow `self`
         // shared while writing disjoint slices of it (no allocation: `take`
@@ -466,23 +456,23 @@ impl TreeOperator {
             let sw = hibd_telemetry::start(Phase::M2l);
             st.locals.iter_mut().for_each(|v| *v = 0.0);
             par_m2l(self, &st.data, 0, self.tree.nodes.len(), &mut st.locals);
-            self.timings.m2l += sw.stop();
+            sw.stop(&mut self.snap);
 
             let sw = hibd_telemetry::start(Phase::Downward);
             self.l2l(&mut st.locals);
             self.fmm = Some(st);
             par_leaf_pass(self, LeafPass::L2p, 0, nleaves, &mut yr);
-            self.timings.downward += sw.stop();
+            sw.stop(&mut self.snap);
             hibd_telemetry::incr(Counter::M2lTranslations, m2l_pairs);
         } else {
             let sw = hibd_telemetry::start(Phase::FarField);
             par_leaf_pass(self, LeafPass::Far, 0, nleaves, &mut yr);
-            self.timings.far_field += sw.stop();
+            sw.stop(&mut self.snap);
         }
 
         let sw = hibd_telemetry::start(Phase::NearField);
         par_leaf_pass(self, LeafPass::Near, 0, nleaves, &mut yr);
-        self.timings.near_field += sw.stop();
+        sw.stop(&mut self.snap);
 
         scatter(&self.tree.order, &yr, y);
         self.yr = yr;
@@ -1038,7 +1028,10 @@ mod tests {
         assert!(err <= 1e-3, "rel err {err}");
         assert!(op.interactions_per_apply() > 0);
         assert!(op.memory_bytes() > 0);
-        assert!(op.timings().build > 0.0);
+        assert_eq!(op.snapshot().phase(Phase::TreeBuild).count, 1);
+        for ph in [Phase::Upward, Phase::FarField, Phase::NearField] {
+            assert_eq!(op.snapshot().phase(ph).count, 1, "{}", ph.name());
+        }
     }
 
     #[test]
@@ -1190,8 +1183,9 @@ mod tests {
         assert!(pairs > 0, "traversal must accept far pairs at this size");
         assert!(entries <= pairs, "dedup cannot grow the table set");
         assert!(op.memory_bytes() > op.state_memory_bytes());
-        assert!(op.timings().m2l >= 0.0 && op.timings().downward >= 0.0);
-        assert_eq!(op.timings().far_field, 0.0, "FMM mode never runs far_leaf");
+        let snap = op.snapshot();
+        assert_eq!((snap.phase(Phase::M2l).count, snap.phase(Phase::Downward).count), (1, 1));
+        assert_eq!(snap.phase(Phase::FarField).count, 0, "FMM mode never runs far_leaf");
     }
 
     #[test]

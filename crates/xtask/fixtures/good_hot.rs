@@ -27,13 +27,14 @@ fn with_scratch(scratch: &mut Vec<f64>, n: usize) {
 }
 
 #[hibd::hot]
-fn telemetry_timed_kernel(x: &mut [f64]) -> f64 {
+fn telemetry_timed_kernel(x: &mut [f64], sink: &mut hibd_telemetry::Snapshot) {
     // The sanctioned hot-path timing mechanism: a telemetry stopwatch
-    // (allocation-free, a single relaxed load when recording is off).
+    // stopped into the caller's snapshot (inline arrays: allocation-free,
+    // plus a single relaxed load when global recording is off).
     let sw = hibd_telemetry::start(hibd_telemetry::Phase::RealSpace);
     for v in x.iter_mut() {
         *v *= 2.0;
     }
     hibd_telemetry::incr(hibd_telemetry::Counter::NeighborRebuilds, 1);
-    sw.stop()
+    sw.stop(sink);
 }

@@ -40,6 +40,7 @@ pub mod lints;
 pub use lints::source::clean_source;
 pub use lints::{Lint, Violation, LINTS};
 
+use hibd_telemetry::json::escape;
 use lints::source::SourceFile;
 use std::path::{Path, PathBuf};
 
@@ -92,22 +93,6 @@ pub fn audit_workspace(root: &Path) -> std::io::Result<(usize, Vec<Violation>)> 
     Ok((files.len(), violations))
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders the audit result as a `hibd-audit-v1` JSON document — the
 /// machine-readable finding feed CI uploads and turns into annotations.
 #[must_use]
@@ -126,10 +111,10 @@ pub fn render_json(nfiles: usize, violations: &[Violation]) -> String {
         }
         out.push_str(&format!(
             "\n    {{\"file\": \"{}\", \"line\": {}, \"lint\": \"{}\", \"msg\": \"{}\"}}",
-            json_escape(&v.file),
+            escape(&v.file),
             v.line,
-            json_escape(v.lint),
-            json_escape(&v.msg)
+            escape(v.lint),
+            escape(&v.msg)
         ));
     }
     if violations.is_empty() {
@@ -196,7 +181,7 @@ mod tests {
 
     #[test]
     fn telemetry_stopwatch_in_hot_fn_passes() {
-        let src = "use hibd_hot as hibd;\n#[hibd::hot]\nfn f(x: &mut [f64]) -> f64 {\n    let sw = hibd_telemetry::start(hibd_telemetry::Phase::Spreading);\n    x[0] += 1.0;\n    sw.stop()\n}\n";
+        let src = "use hibd_hot as hibd;\n#[hibd::hot]\nfn f(x: &mut [f64], sink: &mut hibd_telemetry::Snapshot) {\n    let sw = hibd_telemetry::start(hibd_telemetry::Phase::Spreading);\n    x[0] += 1.0;\n    sw.stop(sink);\n}\n";
         let v = audit_source("inline.rs", src);
         assert!(v.is_empty(), "unexpected violations: {v:?}");
     }

@@ -11,6 +11,7 @@
 
 use hibd::core::ewald_bd::{EwaldBd, EwaldBdConfig};
 use hibd::prelude::*;
+use hibd::telemetry::{Counter, Phase, Snapshot};
 
 fn msd_per_step(unwrapped: &[Vec3], initial: &[Vec3], steps: usize) -> f64 {
     unwrapped.iter().zip(initial).map(|(u, p)| (*u - *p).norm2()).sum::<f64>()
@@ -29,31 +30,33 @@ fn main() {
     let mut dense = EwaldBd::new(system.clone(), EwaldBdConfig::default(), 99);
     dense.add_force(RepulsiveHarmonic::default());
     dense.run(steps).expect("dense run");
-    let t1 = *dense.timings();
+    let t1 = dense.snapshot();
 
     // Algorithm 2: matrix-free BD.
     let mut mf = MatrixFreeBd::new(system, MatrixFreeConfig::default(), 99).expect("setup");
     mf.add_force(RepulsiveHarmonic::default());
     mf.run(steps).expect("matrix-free run");
-    let t2 = *mf.timings();
+    let t2 = mf.snapshot();
+    let secs = |snap: &Snapshot, phase: Phase| snap.phase(phase).total_secs();
 
     println!("n = {n}, phi = {phi}, {steps} steps\n");
     println!("Algorithm 1 (dense Ewald + Cholesky):");
-    println!("  assembly      {:>9.3} s", t1.assembly);
-    println!("  cholesky      {:>9.3} s", t1.cholesky);
-    println!("  displacements {:>9.3} s", t1.displacements);
-    println!("  stepping      {:>9.3} s", t1.stepping);
-    println!("  per step      {:>9.3} ms", t1.per_step() * 1e3);
+    println!("  assembly      {:>9.3} s", secs(t1, Phase::Assembly));
+    println!("  cholesky      {:>9.3} s", secs(t1, Phase::Cholesky));
+    println!("  displacements {:>9.3} s", secs(t1, Phase::Displacements));
+    println!("  stepping      {:>9.3} s", secs(t1, Phase::Stepping));
+    println!("  per step      {:>9.3} ms", t1.step_seconds(steps as u64) * 1e3);
     println!("  matrix memory {:>9.1} MiB", (6 * n * n * 9 * 8) as f64 / 1048576.0);
     println!();
     println!("Algorithm 2 (PME + block Krylov):");
-    println!("  PME setup     {:>9.3} s", t2.setup);
+    println!("  PME setup     {:>9.3} s", secs(&t2, Phase::PmeSetup));
     println!(
         "  displacements {:>9.3} s ({} Krylov iterations)",
-        t2.displacements, t2.krylov_iterations
+        secs(&t2, Phase::Displacements),
+        t2.counter(Counter::LanczosIterations)
     );
-    println!("  stepping      {:>9.3} s", t2.stepping);
-    println!("  per step      {:>9.3} ms", t2.per_step() * 1e3);
+    println!("  stepping      {:>9.3} s", secs(&t2, Phase::Stepping));
+    println!("  per step      {:>9.3} ms", t2.step_seconds(steps as u64) * 1e3);
     println!("  operator mem  {:>9.1} MiB", mf.operator_memory_bytes() as f64 / 1048576.0);
     println!();
     let m1 = msd_per_step(dense.system().unwrapped(), &initial, steps);

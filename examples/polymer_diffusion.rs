@@ -71,7 +71,7 @@ fn main() {
         }
         msd /= cnt as f64;
         let d_com = msd / (6.0 * lag as f64 * dt);
-        let rate = sim.timings().steps as f64 / sim.timings().total();
+        let rate = 1.0 / sim.snapshot().step_seconds(sim.completed_steps());
         println!("{nbeads:>7} {:>12.4} {:>12.4} {:>12.1}", d_com / mu0, 1.0 / nbeads as f64, rate);
     }
     println!();

@@ -7,6 +7,7 @@
 
 use hibd::core::diffusion::DiffusionEstimator;
 use hibd::prelude::*;
+use hibd::telemetry::Counter;
 
 fn main() {
     // 300 spheres (radius a = 1) at volume fraction 0.2 in a periodic box.
@@ -40,7 +41,8 @@ fn main() {
         sim.step().expect("step");
         est.record(sim.system().unwrapped());
         if step % 100 == 0 {
-            println!("step {step}: {} Krylov iterations so far", sim.timings().krylov_iterations);
+            let iterations = sim.snapshot().counter(Counter::LanczosIterations);
+            println!("step {step}: {iterations} Krylov iterations so far");
         }
     }
 
@@ -49,5 +51,6 @@ fn main() {
     println!();
     println!("D / D0 = {:.3} +- {:.3}  (D0 = kBT mu0)", d / mu0, err / mu0);
     println!("crowding at phi = 0.2 should give D/D0 well below 1 (paper Fig. 3)");
-    println!("time per BD step: {:.1} ms", sim.timings().per_step() * 1e3);
+    let per_step = sim.snapshot().step_seconds(sim.completed_steps());
+    println!("time per BD step: {:.1} ms", per_step * 1e3);
 }

@@ -24,6 +24,8 @@
 //! sim.add_force(RepulsiveHarmonic::default());
 //! sim.run(10).unwrap();
 //! assert_eq!(sim.system().len(), 100);
+//! // Phase time lives in one `Snapshot` per job (driver + operator spans).
+//! assert!(sim.snapshot().step_seconds(sim.completed_steps()) > 0.0);
 //! ```
 //!
 //! ## Crate map
