@@ -6,14 +6,20 @@
 //!
 //! Axis `n2` uses the packed real transform; axes `n1` and `n0` are complex
 //! transforms over strided lines, processed by gathering each line into a
-//! contiguous buffer. Lines are batched with Rayon: the `n2`/`n1` passes
-//! parallelize over `i0`-planes (disjoint chunks), the `n0` pass over
-//! `(i1)`-slabs of a gathered transpose.
+//! contiguous buffer. There is one body per pass, generic over the `Lane`
+//! type of a line (`lanes.rs`): a batch runs as groups of four meshes whose
+//! lines move through the 1D kernels together as `C4` bundles, then the
+//! `batch % 4` tail as one-lane (`Complex64`) groups; a single mesh is the
+//! `batch = 1` call. Work is split the same way at every lane width: groups
+//! run in parallel, and inside a group the `i0`-planes of the `n2`/`n1`
+//! passes and the lines of each gathered `i1`-slab of the `n0` pass are
+//! nested parallel work, so a lone group (one mesh) still fills the pool.
 
 use crate::complex::Complex64;
-use crate::lanes::{self, C4, LANES};
+use crate::lanes::{Lane, C4};
 use crate::plan::{Direction, FftError, FftPlan};
 use crate::real::RealFftPlan;
+use hibd_telemetry::Counter;
 use rayon::prelude::*;
 
 /// Reusable 3D r2c/c2r transform for fixed dims.
@@ -23,6 +29,18 @@ pub struct Fft3 {
     rplan: RealFftPlan,
     plan1: FftPlan,
     plan0: FftPlan,
+}
+
+/// Transposes the chunks of one lane group — `per_mesh` consecutive chunks
+/// for each of its meshes — from `[lane][pos]` to `[pos][lane]` order, so
+/// that `par_chunks_mut(lanes)` of the result hands each worker the disjoint
+/// slices of one position, one per lane.
+fn by_lane<S>(chunks: impl Iterator<Item = S>, per_mesh: usize) -> Vec<S> {
+    let mut chunks: Vec<Option<S>> = chunks.map(Some).collect();
+    let lanes = chunks.len() / per_mesh;
+    (0..chunks.len())
+        .map(|u| chunks[u % lanes * per_mesh + u / lanes].take().expect("a permutation"))
+        .collect()
 }
 
 impl Fft3 {
@@ -63,56 +81,13 @@ impl Fft3 {
     /// for `k2 in 0..=n2/2`; the missing `k2` follow from the Hermitian
     /// symmetry of a real signal.
     pub fn forward(&self, real: &[f64], spectrum: &mut [Complex64]) {
-        let [n0, n1, n2] = self.dims;
-        let nc = self.nc();
-        assert_eq!(real.len(), n0 * n1 * n2, "real length mismatch");
-        assert_eq!(spectrum.len(), n0 * n1 * nc, "spectrum length mismatch");
-        hibd_telemetry::incr(hibd_telemetry::Counter::ForwardFfts, 1);
-
-        // Pass 1: r2c along n2, plane-parallel over i0 (and rows within).
-        spectrum.par_chunks_mut(n1 * nc).zip(real.par_chunks(n1 * n2)).for_each(
-            |(spec_plane, real_plane)| {
-                let mut scratch = vec![Complex64::ZERO; self.rplan.scratch_len()];
-                for i1 in 0..n1 {
-                    self.rplan.forward(
-                        &real_plane[i1 * n2..(i1 + 1) * n2],
-                        &mut spec_plane[i1 * nc..(i1 + 1) * nc],
-                        &mut scratch,
-                    );
-                }
-            },
-        );
-
-        // Pass 2: complex FFT along n1 (stride nc within each i0-plane).
-        self.pass_axis1(spectrum, false);
-        // Pass 3: complex FFT along n0 (stride n1*nc).
-        self.pass_axis0(spectrum, false);
+        self.forward_batch(real, spectrum, 1);
     }
 
     /// Inverse c2r transform (unnormalized, `e^{+2 pi i}`):
     /// `inverse(forward(x)) = n0*n1*n2 * x`. Destroys `spectrum`.
     pub fn inverse(&self, spectrum: &mut [Complex64], real: &mut [f64]) {
-        let [n0, n1, n2] = self.dims;
-        let nc = self.nc();
-        assert_eq!(real.len(), n0 * n1 * n2, "real length mismatch");
-        assert_eq!(spectrum.len(), n0 * n1 * nc, "spectrum length mismatch");
-        hibd_telemetry::incr(hibd_telemetry::Counter::InverseFfts, 1);
-
-        self.pass_axis0(spectrum, true);
-        self.pass_axis1(spectrum, true);
-
-        real.par_chunks_mut(n1 * n2).zip(spectrum.par_chunks(n1 * nc)).for_each(
-            |(real_plane, spec_plane)| {
-                let mut scratch = vec![Complex64::ZERO; self.rplan.scratch_len()];
-                for i1 in 0..n1 {
-                    self.rplan.inverse(
-                        &spec_plane[i1 * nc..(i1 + 1) * nc],
-                        &mut real_plane[i1 * n2..(i1 + 1) * n2],
-                        &mut scratch,
-                    );
-                }
-            },
-        );
+        self.inverse_batch(spectrum, real, 1);
     }
 
     /// Forward r2c transforms of `batch` concatenated meshes through this
@@ -122,50 +97,14 @@ impl Fft3 {
     /// transform together in lane-bundled form (see `lanes.rs`) — the
     /// "3D FFTs for blocks of vectors" the paper notes no library provides
     /// (Sec. III-B). The `batch % 4` remainder (or the whole batch when a
-    /// dimension needs the Bluestein fallback) runs the per-mesh pipeline.
+    /// dimension needs the Bluestein fallback) runs as one-lane groups.
     pub fn forward_batch(&self, reals: &[f64], spectra: &mut [Complex64], batch: usize) {
-        let [n0, n1, n2] = self.dims;
-        let nc = self.nc();
-        assert_eq!(reals.len(), batch * n0 * n1 * n2, "batched real length mismatch");
-        assert_eq!(spectra.len(), batch * n0 * n1 * nc, "batched spectrum length mismatch");
-        hibd_telemetry::incr(hibd_telemetry::Counter::ForwardFfts, batch as u64);
-
-        let (rl, sl) = (n0 * n1 * n2, n0 * n1 * nc);
-        let quads = if self.lanes_supported() { batch / LANES } else { 0 };
-        if quads > 0 {
-            spectra[..quads * LANES * sl]
-                .par_chunks_mut(LANES * sl)
-                .zip(reals[..quads * LANES * rl].par_chunks(LANES * rl))
-                .for_each_init(
-                    || self.quad_scratch(),
-                    |(line, slab, fft), (spec4, real4)| {
-                        self.forward_quad(real4, spec4, line, slab, fft);
-                    },
-                );
-        }
-        let reals = &reals[quads * LANES * rl..];
-        let spectra = &mut spectra[quads * LANES * sl..];
-        if reals.is_empty() {
-            return;
-        }
-
-        // Remainder: r2c along n2 over all tail planes at once, then the
-        // strided axis passes (their plane chunking spans the tail meshes
-        // transparently).
-        spectra.par_chunks_mut(n1 * nc).zip(reals.par_chunks(n1 * n2)).for_each_init(
-            || vec![Complex64::ZERO; self.rplan.scratch_len()],
-            |scratch, (spec_plane, real_plane)| {
-                for i1 in 0..n1 {
-                    self.rplan.forward(
-                        &real_plane[i1 * n2..(i1 + 1) * n2],
-                        &mut spec_plane[i1 * nc..(i1 + 1) * nc],
-                        scratch,
-                    );
-                }
-            },
-        );
-        self.pass_axis1(spectra, false);
-        self.pass_axis0_batch(spectra, false);
+        let bundled = self.check_batch(reals.len(), spectra.len(), batch);
+        hibd_telemetry::incr(Counter::ForwardFfts, batch as u64);
+        let (reals4, reals1) = reals.split_at(bundled * self.real_len());
+        let (spectra4, spectra1) = spectra.split_at_mut(bundled * self.spectrum_len());
+        self.forward_groups::<C4>(reals4, spectra4);
+        self.forward_groups::<Complex64>(reals1, spectra1);
     }
 
     /// Inverse c2r transforms of `batch` concatenated half spectra (same
@@ -174,325 +113,158 @@ impl Fft3 {
     /// Bitwise identical to per-mesh [`Fft3::inverse`] calls, with groups of
     /// four meshes lane-bundled exactly like [`Fft3::forward_batch`].
     pub fn inverse_batch(&self, spectra: &mut [Complex64], reals: &mut [f64], batch: usize) {
-        let [n0, n1, n2] = self.dims;
-        let nc = self.nc();
-        assert_eq!(reals.len(), batch * n0 * n1 * n2, "batched real length mismatch");
-        assert_eq!(spectra.len(), batch * n0 * n1 * nc, "batched spectrum length mismatch");
-        hibd_telemetry::incr(hibd_telemetry::Counter::InverseFfts, batch as u64);
+        let bundled = self.check_batch(reals.len(), spectra.len(), batch);
+        hibd_telemetry::incr(Counter::InverseFfts, batch as u64);
+        let (reals4, reals1) = reals.split_at_mut(bundled * self.real_len());
+        let (spectra4, spectra1) = spectra.split_at_mut(bundled * self.spectrum_len());
+        self.inverse_groups::<C4>(spectra4, reals4);
+        self.inverse_groups::<Complex64>(spectra1, reals1);
+    }
 
-        let (rl, sl) = (n0 * n1 * n2, n0 * n1 * nc);
-        let quads = if self.lanes_supported() { batch / LANES } else { 0 };
-        if quads > 0 {
-            reals[..quads * LANES * rl]
-                .par_chunks_mut(LANES * rl)
-                .zip(spectra[..quads * LANES * sl].par_chunks_mut(LANES * sl))
-                .for_each_init(
-                    || self.quad_scratch(),
-                    |(line, slab, fft), (real4, spec4)| {
-                        self.inverse_quad(spec4, real4, line, slab, fft);
-                    },
-                );
+    /// Checks the batched buffer lengths; returns how many leading meshes
+    /// run as `C4` groups. Every 1D plan must be mixed-radix for that: the
+    /// Bluestein fallback is one-lane only.
+    fn check_batch(&self, reals: usize, spectra: usize, batch: usize) -> usize {
+        assert_eq!(reals, batch * self.real_len(), "batched real length mismatch");
+        assert_eq!(spectra, batch * self.spectrum_len(), "batched spectrum length mismatch");
+        let lanes_supported =
+            self.rplan.is_mixed_radix() && !self.plan1.is_bluestein() && !self.plan0.is_bluestein();
+        if lanes_supported {
+            batch - batch % C4::LANES
+        } else {
+            0
         }
-        let reals = &mut reals[quads * LANES * rl..];
-        let spectra = &mut spectra[quads * LANES * sl..];
-        if reals.is_empty() {
-            return;
-        }
+    }
 
-        self.pass_axis0_batch(spectra, true);
-        self.pass_axis1(spectra, true);
-
-        reals.par_chunks_mut(n1 * n2).zip(spectra.par_chunks(n1 * nc)).for_each_init(
-            || vec![Complex64::ZERO; self.rplan.scratch_len()],
-            |scratch, (real_plane, spec_plane)| {
-                for i1 in 0..n1 {
-                    self.rplan.inverse(
-                        &spec_plane[i1 * nc..(i1 + 1) * nc],
-                        &mut real_plane[i1 * n2..(i1 + 1) * n2],
-                        scratch,
-                    );
-                }
+    /// Forward transforms of consecutive groups of `L::LANES` meshes.
+    fn forward_groups<L: Lane>(&self, reals: &[f64], spectra: &mut [Complex64]) {
+        let (rl, sl) = (L::LANES * self.real_len(), L::LANES * self.spectrum_len());
+        spectra.par_chunks_mut(sl).zip(reals.par_chunks(rl)).for_each_init(
+            || vec![L::ZERO; self.dims[0] * self.nc()],
+            |slab, (spectra, reals)| {
+                self.pass_r2c::<L>(reals, spectra);
+                self.pass_axis1::<L>(spectra, Direction::Forward);
+                self.pass_axis0(spectra, slab, Direction::Forward);
             },
         );
     }
 
-    /// Whether the lane-batched quad path is available: every 1D plan must
-    /// be mixed-radix (the Bluestein fallback has no lane mirror).
-    fn lanes_supported(&self) -> bool {
-        !self.rplan.half_plan().is_bluestein()
-            && !self.plan1.is_bluestein()
-            && !self.plan0.is_bluestein()
+    /// Inverse transforms of consecutive groups of `L::LANES` meshes (reverse
+    /// pass order). Destroys `spectra`.
+    fn inverse_groups<L: Lane>(&self, spectra: &mut [Complex64], reals: &mut [f64]) {
+        let (rl, sl) = (L::LANES * self.real_len(), L::LANES * self.spectrum_len());
+        reals.par_chunks_mut(rl).zip(spectra.par_chunks_mut(sl)).for_each_init(
+            || vec![L::ZERO; self.dims[0] * self.nc()],
+            |slab, (reals, spectra)| {
+                self.pass_axis0(spectra, slab, Direction::Inverse);
+                self.pass_axis1::<L>(spectra, Direction::Inverse);
+                self.pass_c2r::<L>(spectra, reals);
+            },
+        );
     }
 
-    /// Per-worker buffers for one lane group: a line bundle (reused by the
-    /// r2c/c2r pass and the axis-1 pass), the axis-0 transpose slab, and the
-    /// 1D-plan scratch sized for the largest of the three plans.
-    #[allow(clippy::type_complexity)]
-    fn quad_scratch(&self) -> (Vec<C4>, Vec<C4>, Vec<C4>) {
-        let [n0, n1, _] = self.dims;
-        let nc = self.nc();
-        let fft =
-            self.rplan.scratch_len().max(self.plan1.scratch_len()).max(self.plan0.scratch_len());
-        (vec![C4::ZERO; n1.max(nc)], vec![C4::ZERO; n0 * nc], vec![C4::ZERO; fft])
-    }
-
-    /// Forward transform of one lane group: `reals` / `spectra` hold four
-    /// concatenated meshes. Every pass mirrors the per-mesh pass structure
-    /// with the four meshes bundled per line.
-    fn forward_quad(
-        &self,
-        reals: &[f64],
-        spectra: &mut [Complex64],
-        line: &mut [C4],
-        slab: &mut [C4],
-        fft: &mut [C4],
-    ) {
+    /// r2c transform of one group along axis 2 (contiguous rows); `i0`-planes
+    /// are disjoint units of work.
+    fn pass_r2c<L: Lane>(&self, reals: &[f64], group: &mut [Complex64]) {
         let [n0, n1, n2] = self.dims;
         let nc = self.nc();
-        let (rl, sl) = (n0 * n1 * n2, n0 * n1 * nc);
-        let (r0, rest) = reals.split_at(rl);
-        let (r1, rest) = rest.split_at(rl);
-        let (r2, r3) = rest.split_at(rl);
-
-        // Pass 1: r2c along n2, four mesh rows per call.
-        for row in 0..n0 * n1 {
-            let (a, b) = (row * n2, (row + 1) * n2);
-            lanes::real4_forward(
-                &self.rplan,
-                [&r0[a..b], &r1[a..b], &r2[a..b], &r3[a..b]],
-                &mut line[..nc],
-                fft,
+        let reals = by_lane(reals.chunks(n1 * n2), n0);
+        by_lane(group.chunks_mut(n1 * nc), n0)
+            .par_chunks_mut(L::LANES)
+            .zip(reals.par_chunks(L::LANES))
+            .for_each_init(
+                || (vec![L::ZERO; nc], vec![L::ZERO; self.rplan.scratch_len()]),
+                |(line, scratch), (planes, reals)| {
+                    for i1 in 0..n1 {
+                        self.rplan.forward_lanes(reals, i1 * n2, line, scratch);
+                        for (l, plane) in planes.iter_mut().enumerate() {
+                            let row = plane[i1 * nc..(i1 + 1) * nc].iter_mut();
+                            row.zip(line.iter()).for_each(|(c, v)| *c = v.lane(l));
+                        }
+                    }
+                },
             );
-            for k2 in 0..nc {
-                for l in 0..LANES {
-                    spectra[l * sl + row * nc + k2] =
-                        Complex64::new(line[k2].re[l], line[k2].im[l]);
-                }
-            }
-        }
-
-        self.quad_axis1(spectra, line, fft, Direction::Forward);
-        self.quad_axis0(spectra, slab, fft, Direction::Forward);
     }
 
-    /// Inverse transform of one lane group (reverse pass order). Destroys
-    /// `spectra`.
-    fn inverse_quad(
-        &self,
-        spectra: &mut [Complex64],
-        reals: &mut [f64],
-        line: &mut [C4],
-        slab: &mut [C4],
-        fft: &mut [C4],
-    ) {
+    /// c2r transform of one group along axis 2, the reverse of
+    /// [`pass_r2c`](Self::pass_r2c).
+    fn pass_c2r<L: Lane>(&self, group: &[Complex64], reals: &mut [f64]) {
         let [n0, n1, n2] = self.dims;
         let nc = self.nc();
-        let (rl, sl) = (n0 * n1 * n2, n0 * n1 * nc);
-
-        self.quad_axis0(spectra, slab, fft, Direction::Inverse);
-        self.quad_axis1(spectra, line, fft, Direction::Inverse);
-
-        let (r0, rest) = reals.split_at_mut(rl);
-        let (r1, rest) = rest.split_at_mut(rl);
-        let (r2, r3) = rest.split_at_mut(rl);
-        for row in 0..n0 * n1 {
-            for k2 in 0..nc {
-                for l in 0..LANES {
-                    let v = spectra[l * sl + row * nc + k2];
-                    line[k2].re[l] = v.re;
-                    line[k2].im[l] = v.im;
-                }
-            }
-            let (a, b) = (row * n2, (row + 1) * n2);
-            lanes::real4_inverse(
-                &self.rplan,
-                &line[..nc],
-                [&mut r0[a..b], &mut r1[a..b], &mut r2[a..b], &mut r3[a..b]],
-                fft,
+        let group = by_lane(group.chunks(n1 * nc), n0);
+        by_lane(reals.chunks_mut(n1 * n2), n0)
+            .par_chunks_mut(L::LANES)
+            .zip(group.par_chunks(L::LANES))
+            .for_each_init(
+                || (vec![L::ZERO; nc], vec![L::ZERO; self.rplan.scratch_len()]),
+                |(line, scratch), (reals, planes)| {
+                    for i1 in 0..n1 {
+                        for (l, plane) in planes.iter().enumerate() {
+                            let row = &plane[i1 * nc..(i1 + 1) * nc];
+                            line.iter_mut().zip(row).for_each(|(v, c)| v.set_lane(l, *c));
+                        }
+                        self.rplan.inverse_lanes(line, reals, i1 * n2, scratch);
+                    }
+                },
             );
-        }
     }
 
-    /// Axis-1 pass of one lane group: gather each stride-`nc` line of the
-    /// four meshes into a `C4` line, transform, scatter back.
-    fn quad_axis1(
-        &self,
-        spectra: &mut [Complex64],
-        line: &mut [C4],
-        fft: &mut [C4],
-        dir: Direction,
-    ) {
+    /// Complex transform of one group along axis 1. Lines have stride `nc`
+    /// inside each `i0`-plane; planes are disjoint units of work.
+    fn pass_axis1<L: Lane>(&self, group: &mut [Complex64], dir: Direction) {
         let [n0, n1, _] = self.dims;
         let nc = self.nc();
         if n1 == 1 {
             return;
         }
-        let sl = n0 * n1 * nc;
-        for i0 in 0..n0 {
-            for k2 in 0..nc {
-                for i1 in 0..n1 {
-                    let idx = (i0 * n1 + i1) * nc + k2;
-                    for l in 0..LANES {
-                        let v = spectra[l * sl + idx];
-                        line[i1].re[l] = v.re;
-                        line[i1].im[l] = v.im;
-                    }
-                }
-                lanes::process4(&self.plan1, &mut line[..n1], fft, dir);
-                for i1 in 0..n1 {
-                    let idx = (i0 * n1 + i1) * nc + k2;
-                    for l in 0..LANES {
-                        spectra[l * sl + idx] = Complex64::new(line[i1].re[l], line[i1].im[l]);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Axis-0 pass of one lane group: same `i1`-slab transpose walk as the
-    /// per-mesh pass, with `C4` slab entries.
-    fn quad_axis0(
-        &self,
-        spectra: &mut [Complex64],
-        slab: &mut [C4],
-        fft: &mut [C4],
-        dir: Direction,
-    ) {
-        let [n0, n1, _] = self.dims;
-        let nc = self.nc();
-        if n0 == 1 {
-            return;
-        }
-        let sl = n0 * n1 * nc;
-        let plane_stride = n1 * nc;
-        for i1 in 0..n1 {
-            for i0 in 0..n0 {
-                let base = i0 * plane_stride + i1 * nc;
+        by_lane(group.chunks_mut(n1 * nc), n0).par_chunks_mut(L::LANES).for_each_init(
+            || (vec![L::ZERO; n1], vec![L::ZERO; self.plan1.scratch_len()]),
+            |(line, scratch), planes| {
                 for k2 in 0..nc {
-                    for l in 0..LANES {
-                        let v = spectra[l * sl + base + k2];
-                        slab[k2 * n0 + i0].re[l] = v.re;
-                        slab[k2 * n0 + i0].im[l] = v.im;
+                    for (l, plane) in planes.iter().enumerate() {
+                        let column = plane[k2..].iter().step_by(nc);
+                        line.iter_mut().zip(column).for_each(|(v, c)| v.set_lane(l, *c));
                     }
-                }
-            }
-            for line in slab.chunks_mut(n0) {
-                lanes::process4(&self.plan0, line, fft, dir);
-            }
-            for i0 in 0..n0 {
-                let base = i0 * plane_stride + i1 * nc;
-                for k2 in 0..nc {
-                    for l in 0..LANES {
-                        spectra[l * sl + base + k2] =
-                            Complex64::new(slab[k2 * n0 + i0].re[l], slab[k2 * n0 + i0].im[l]);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Complex transform along axis 1. Lines have stride `nc` inside each
-    /// `i0`-plane; planes are disjoint, so we parallelize across them.
-    fn pass_axis1(&self, spectrum: &mut [Complex64], inverse: bool) {
-        let [_, n1, _] = self.dims;
-        let nc = self.nc();
-        if n1 == 1 {
-            return;
-        }
-        spectrum.par_chunks_mut(n1 * nc).for_each(|plane| {
-            let mut line = vec![Complex64::ZERO; n1];
-            let mut scratch = vec![Complex64::ZERO; self.plan1.scratch_len()];
-            for k2 in 0..nc {
-                for i1 in 0..n1 {
-                    line[i1] = plane[i1 * nc + k2];
-                }
-                if inverse {
-                    self.plan1.inverse(&mut line, &mut scratch);
-                } else {
-                    self.plan1.forward(&mut line, &mut scratch);
-                }
-                for i1 in 0..n1 {
-                    plane[i1 * nc + k2] = line[i1];
-                }
-            }
-        });
-    }
-
-    /// Complex transform along axis 0. Lines have stride `n1*nc`; we walk
-    /// `i1`-slabs sequentially (their elements interleave in memory) and
-    /// parallelize the `nc` lines inside each gathered slab.
-    fn pass_axis0(&self, spectrum: &mut [Complex64], inverse: bool) {
-        let [n0, n1, _] = self.dims;
-        let nc = self.nc();
-        if n0 == 1 {
-            return;
-        }
-        let plane_stride = n1 * nc;
-        let mut slab = vec![Complex64::ZERO; n0 * nc]; // [k2][i0]
-        for i1 in 0..n1 {
-            // Gather: slab[k2*n0 + i0] = spectrum[(i0*n1 + i1)*nc + k2]
-            for i0 in 0..n0 {
-                let base = i0 * plane_stride + i1 * nc;
-                for k2 in 0..nc {
-                    slab[k2 * n0 + i0] = spectrum[base + k2];
-                }
-            }
-            slab.par_chunks_mut(n0).for_each(|line| {
-                let mut scratch = vec![Complex64::ZERO; self.plan0.scratch_len()];
-                if inverse {
-                    self.plan0.inverse(line, &mut scratch);
-                } else {
-                    self.plan0.forward(line, &mut scratch);
-                }
-            });
-            for i0 in 0..n0 {
-                let base = i0 * plane_stride + i1 * nc;
-                for k2 in 0..nc {
-                    spectrum[base + k2] = slab[k2 * n0 + i0];
-                }
-            }
-        }
-    }
-
-    /// Axis-0 pass over `batch` concatenated spectra. Each spectrum is an
-    /// independent `n0*n1*nc` block, so the batch itself is the parallel
-    /// dimension and each worker reuses one gathered slab + one scratch
-    /// buffer across all its `i1`-slabs — the twiddle/plan state in
-    /// `plan0` is shared read-only by every mesh in the batch.
-    fn pass_axis0_batch(&self, spectra: &mut [Complex64], inverse: bool) {
-        let [n0, n1, _] = self.dims;
-        let nc = self.nc();
-        if n0 == 1 {
-            return;
-        }
-        let plane_stride = n1 * nc;
-        spectra.par_chunks_mut(n0 * plane_stride).for_each_init(
-            || (vec![Complex64::ZERO; n0 * nc], vec![Complex64::ZERO; self.plan0.scratch_len()]),
-            |(slab, scratch), spectrum| {
-                for i1 in 0..n1 {
-                    // Gather: slab[k2*n0 + i0] = spectrum[(i0*n1 + i1)*nc + k2]
-                    for i0 in 0..n0 {
-                        let base = i0 * plane_stride + i1 * nc;
-                        for k2 in 0..nc {
-                            slab[k2 * n0 + i0] = spectrum[base + k2];
-                        }
-                    }
-                    for line in slab.chunks_mut(n0) {
-                        if inverse {
-                            self.plan0.inverse(line, scratch);
-                        } else {
-                            self.plan0.forward(line, scratch);
-                        }
-                    }
-                    for i0 in 0..n0 {
-                        let base = i0 * plane_stride + i1 * nc;
-                        for k2 in 0..nc {
-                            spectrum[base + k2] = slab[k2 * n0 + i0];
-                        }
+                    self.plan1.process(line, scratch, dir);
+                    for (l, plane) in planes.iter_mut().enumerate() {
+                        let column = plane[k2..].iter_mut().step_by(nc);
+                        column.zip(line.iter()).for_each(|(c, v)| *c = v.lane(l));
                     }
                 }
             },
         );
+    }
+
+    /// Complex transform of one group along axis 0. Lines have stride
+    /// `n1*nc`, so the elements of different `i1`-slabs interleave in
+    /// memory: the slabs are walked in order, each gathered into
+    /// `slab[k2*n0 + i0]`, and the `nc` lines of a gathered slab are the
+    /// disjoint units of work.
+    fn pass_axis0<L: Lane>(&self, group: &mut [Complex64], slab: &mut [L], dir: Direction) {
+        let [n0, n1, _] = self.dims;
+        let nc = self.nc();
+        if n0 == 1 {
+            return;
+        }
+        for i1 in 0..n1 {
+            let row = |i0: usize| (i0 * n1 + i1) * nc..(i0 * n1 + i1 + 1) * nc;
+            for i0 in 0..n0 {
+                for (l, mesh) in group.chunks(n0 * n1 * nc).enumerate() {
+                    let column = slab[i0..].iter_mut().step_by(n0);
+                    column.zip(&mesh[row(i0)]).for_each(|(v, c)| v.set_lane(l, *c));
+                }
+            }
+            slab.par_chunks_mut(n0).for_each_init(
+                || vec![L::ZERO; self.plan0.scratch_len()],
+                |scratch, line| self.plan0.process(line, scratch, dir),
+            );
+            for i0 in 0..n0 {
+                for (l, mesh) in group.chunks_mut(n0 * n1 * nc).enumerate() {
+                    let column = slab[i0..].iter().step_by(n0);
+                    mesh[row(i0)].iter_mut().zip(column).for_each(|(c, v)| *c = v.lane(l));
+                }
+            }
+        }
     }
 }
 
@@ -605,8 +377,8 @@ mod tests {
 
     /// Forward + inverse batch must be *bitwise* equal to per-mesh
     /// transforms: the ensemble engine's replicas are compared bitwise
-    /// against standalone runs, and the lane-batched quad path must not
-    /// perturb a single ulp.
+    /// against standalone runs, and the `C4` lane groups must not perturb a
+    /// single ulp.
     fn assert_batch_bitwise(dims: [usize; 3], batch: usize) {
         let [n0, n1, n2] = dims;
         let fft = Fft3::new(dims).unwrap();
@@ -663,7 +435,7 @@ mod tests {
     #[test]
     fn batch_with_bluestein_axis_skips_lane_path() {
         // 17 is rough: the affected 1D plan falls back to Bluestein, the
-        // quad path is gated off, and the batch must still match per-mesh.
+        // `C4` groups are gated off, and the batch must still match per-mesh.
         for (dims, batch) in [([17usize, 4, 6], 4usize), ([4, 17, 6], 5), ([4, 6, 34], 4)] {
             assert_batch_bitwise(dims, batch);
         }

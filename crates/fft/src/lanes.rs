@@ -1,220 +1,216 @@
-//! Lane-batched FFT kernels: four meshes per transform.
+//! The [`Lane`] trait: what a 1D transform needs from its element type.
 //!
-//! [`crate::Fft3::forward_batch`] groups its meshes in fours and runs each 1D
-//! line transform on a [`C4`] "lane bundle" — the same line of four meshes
-//! moving through the mixed-radix recursion together (the batched "3D FFTs
-//! for blocks of vectors" of the paper's Section III-B). The twiddle factor
-//! at each step is one scalar shared by all four lanes, so the lane kernels
-//! replace the per-mesh deinterleave/permute traffic with broadcast
-//! multiplies and turn the `O(r^2)` generic-radix leaves into 4-wide vector
-//! arithmetic — work the per-mesh path has no independent data to fill a
-//! register with.
+//! Every line kernel in this crate — the leaf butterflies, the combine
+//! stage, the DIT recursion, the r2c/c2r packing and the three [`crate::Fft3`]
+//! axis passes — is written once, generic over `Lane`, and instantiated for
+//! exactly two element types:
 //!
-//! Bitwise contract: every lane of a lane-batched transform must be *bitwise
-//! identical* to the per-mesh transform of that mesh (ensemble replicas are
-//! compared bitwise against standalone runs). Each helper here therefore
-//! mirrors the expression tree of its per-mesh counterpart exactly, branch
-//! for branch: the scalar trees from `plan.rs`/`real.rs` everywhere, except
-//! the radix-2/3/4/5 combine body over `k < m & !3`, which mirrors
-//! `combine_avx2`'s FMA tree when (and only when) `hibd_simd::avx2()` holds
-//! — the identical dispatch condition the per-mesh path uses. The generic
-//! leaf may use AVX2 `mul`/`add` vectors freely because those are lanewise
-//! IEEE ops with the same rounding as the scalar loop; `mul`/`add`
-//! commutativity makes the remaining operand swaps value-preserving.
-//! Equivalence is pinned by the bitwise batch tests in `fft3.rs`.
+//! * [`Complex64`]: one line of one mesh;
+//! * [`C4`]: the same line of four meshes moving through the transform
+//!   together — the batched "3D FFTs for blocks of vectors" of the paper's
+//!   Section III-B. The twiddle at each step is one scalar shared by all four
+//!   lanes, so a `C4` kernel replaces the per-mesh deinterleave/permute
+//!   traffic with broadcast multiplies and turns the `O(r^2)` generic-radix
+//!   leaves into 4-wide vector arithmetic.
+//!
+//! Bitwise contract: every lane of a `C4` transform is *bitwise identical* to
+//! the `Complex64` transform of that mesh (ensemble replicas are compared
+//! bitwise against standalone runs). It holds because both are the same
+//! source: the `C4` operators below are the `Complex64` expression trees
+//! (`complex.rs`) applied per lane — plain `mul`/`add`/`sub`, never
+//! `mul_add`, which would change the rounding (Rust does not contract float
+//! expressions on its own). The only lane-specific kernels are the AVX2 fast
+//! paths: the two `combine_avx2` kernels in `simd.rs`, which share one FMA
+//! register body, and [`generic_avx2`] here, which uses lanewise
+//! `mul`/`add`/`sub` only and so rounds exactly like [`generic_scalar`].
+//! Pinned by `to_bits` tests in `fft3.rs` and `tests/batch_bitwise.rs`.
 
 use crate::complex::Complex64;
-use crate::plan::{Direction, FftPlan, MAX_RADIX};
-use crate::real::RealFftPlan;
-use hibd_hot as hibd;
+use crate::simd::CombineAvx2;
+use std::ops::{Add, Mul, Sub};
 
-/// Meshes per lane group.
-pub(crate) const LANES: usize = 4;
+/// Element type of a line transform: `LANES` complex values that move
+/// through every kernel together. Storage outside a kernel is always plain
+/// `Complex64` / `f64` meshes, gathered and scattered one lane at a time.
+pub(crate) trait Lane:
+    Copy
+    + Send
+    + Sync
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Complex64, Output = Self>
+    + CombineAvx2
+{
+    const ZERO: Self;
+    /// Meshes per element.
+    const LANES: usize;
 
-// Butterfly constants; must match the scalar kernels in `plan.rs` and the
-// AVX2 kernels in `simd.rs`.
-const HALF_SQRT3: f64 = 0.866_025_403_784_438_6;
-const C1: f64 = 0.309_016_994_374_947_45;
-const S1: f64 = 0.951_056_516_295_153_5;
-const C2: f64 = -0.809_016_994_374_947_5;
-const S2: f64 = 0.587_785_252_292_473_1;
+    fn scale(self, s: f64) -> Self;
+    fn conj(self) -> Self;
+    /// `i * z`.
+    fn mul_i(self) -> Self;
+    /// `-i * z`.
+    fn mul_neg_i(self) -> Self;
+
+    /// The value in lane `l < LANES`.
+    fn lane(self, l: usize) -> Complex64;
+    fn set_lane(&mut self, l: usize, v: Complex64);
+
+    /// The slice as plain complex numbers, for the one-lane type only: the
+    /// Bluestein fallback has no lane form.
+    fn as_complex(data: &mut [Self]) -> Option<&mut [Complex64]>;
+
+    /// Leaf DFT for radices above 5: `out[s] = Σ_q t[q] gen[qs mod r]`.
+    fn generic_leaf(t: &[Self], out: &mut [Self], gen: &[Complex64]) {
+        generic_scalar(t, out, gen);
+    }
+}
+
+impl Lane for Complex64 {
+    const ZERO: Self = Complex64::ZERO;
+    const LANES: usize = 1;
+
+    #[inline(always)]
+    fn scale(self, s: f64) -> Self {
+        Complex64::scale(self, s)
+    }
+    #[inline(always)]
+    fn conj(self) -> Self {
+        Complex64::conj(self)
+    }
+    #[inline(always)]
+    fn mul_i(self) -> Self {
+        Complex64::mul_i(self)
+    }
+    #[inline(always)]
+    fn mul_neg_i(self) -> Self {
+        Complex64::mul_neg_i(self)
+    }
+    #[inline(always)]
+    fn lane(self, _: usize) -> Complex64 {
+        self
+    }
+    #[inline(always)]
+    fn set_lane(&mut self, _: usize, v: Complex64) {
+        *self = v;
+    }
+    fn as_complex(data: &mut [Self]) -> Option<&mut [Complex64]> {
+        Some(data)
+    }
+}
 
 /// Four complex values in structure-of-arrays form; lane `l` holds mesh `l`
-/// of a lane group. Each `[f64; 4]` field is exactly one AVX register wide.
+/// of a lane group. Each `[f64; 4]` field is exactly one AVX register wide,
+/// and the alignment keeps an element on one cache line (the allocator's 16
+/// bytes would split half of all register loads across two).
 #[derive(Clone, Copy, Debug, Default)]
+#[repr(C, align(64))]
 pub(crate) struct C4 {
-    pub re: [f64; LANES],
-    pub im: [f64; LANES],
+    pub re: [f64; 4],
+    pub im: [f64; 4],
 }
 
-impl C4 {
-    pub(crate) const ZERO: C4 = C4 { re: [0.0; LANES], im: [0.0; LANES] };
-}
-
-// Lanewise mirrors of the `Complex64` operation trees (`complex.rs`). Plain
-// `mul`/`add`/`sub` only — `mul_add` would change the rounding and break the
-// bitwise contract (Rust never contracts float expressions on its own).
-
+/// `C4` from a per-lane `(re, im)` rule.
 #[inline(always)]
-fn add4(a: C4, b: C4) -> C4 {
+fn lanewise(f: impl Fn(usize) -> (f64, f64)) -> C4 {
     let mut o = C4::ZERO;
-    for l in 0..LANES {
-        o.re[l] = a.re[l] + b.re[l];
-        o.im[l] = a.im[l] + b.im[l];
+    for l in 0..C4::LANES {
+        (o.re[l], o.im[l]) = f(l);
     }
     o
 }
 
-#[inline(always)]
-fn sub4(a: C4, b: C4) -> C4 {
-    let mut o = C4::ZERO;
-    for l in 0..LANES {
-        o.re[l] = a.re[l] - b.re[l];
-        o.im[l] = a.im[l] - b.im[l];
+impl Add for C4 {
+    type Output = C4;
+    #[inline(always)]
+    fn add(self, b: C4) -> C4 {
+        lanewise(|l| (self.re[l] + b.re[l], self.im[l] + b.im[l]))
     }
-    o
 }
 
-#[inline(always)]
-fn scale4(a: C4, s: f64) -> C4 {
-    let mut o = C4::ZERO;
-    for l in 0..LANES {
-        o.re[l] = a.re[l] * s;
-        o.im[l] = a.im[l] * s;
+impl Sub for C4 {
+    type Output = C4;
+    #[inline(always)]
+    fn sub(self, b: C4) -> C4 {
+        lanewise(|l| (self.re[l] - b.re[l], self.im[l] - b.im[l]))
     }
-    o
 }
 
-#[inline(always)]
-fn conj4(a: C4) -> C4 {
-    let mut o = C4::ZERO;
-    for l in 0..LANES {
-        o.re[l] = a.re[l];
-        o.im[l] = -a.im[l];
+/// Every lane times one shared twiddle, with the `Complex64::mul` tree.
+impl Mul<Complex64> for C4 {
+    type Output = C4;
+    #[inline(always)]
+    fn mul(self, w: Complex64) -> C4 {
+        lanewise(|l| (self.re[l] * w.re - self.im[l] * w.im, self.re[l] * w.im + self.im[l] * w.re))
     }
-    o
 }
 
-/// `i * z` lanewise: `(-im, re)`.
-#[inline(always)]
-fn mul_i4(a: C4) -> C4 {
-    let mut o = C4::ZERO;
-    for l in 0..LANES {
-        o.re[l] = -a.im[l];
-        o.im[l] = a.re[l];
-    }
-    o
-}
+impl Lane for C4 {
+    const ZERO: Self = C4 { re: [0.0; 4], im: [0.0; 4] };
+    const LANES: usize = 4;
 
-/// `-i * z` lanewise: `(im, -re)`.
-#[inline(always)]
-fn mul_neg_i4(a: C4) -> C4 {
-    let mut o = C4::ZERO;
-    for l in 0..LANES {
-        o.re[l] = a.im[l];
-        o.im[l] = -a.re[l];
+    #[inline(always)]
+    fn scale(self, s: f64) -> Self {
+        lanewise(|l| (self.re[l] * s, self.im[l] * s))
     }
-    o
-}
-
-/// Lanewise `z * w` with the `Complex64::mul` tree. Also used where the
-/// per-mesh code computes `w * z`: IEEE `mul` and `add` are commutative
-/// bitwise, so both operand orders yield the same bits.
-#[inline(always)]
-fn mulw(z: C4, w: Complex64) -> C4 {
-    let mut o = C4::ZERO;
-    for l in 0..LANES {
-        o.re[l] = z.re[l] * w.re - z.im[l] * w.im;
-        o.im[l] = z.re[l] * w.im + z.im[l] * w.re;
+    #[inline(always)]
+    fn conj(self) -> Self {
+        lanewise(|l| (self.re[l], -self.im[l]))
     }
-    o
-}
-
-/// Lane mirror of `plan::butterfly_into`: `out[s] = Σ_q t[q] e^{∓2 pi i qs/r}`
-/// per lane, expression tree matched arm for arm.
-pub(crate) fn butterfly4_into(t: &[C4], out: &mut [C4], dir: Direction, gen: &[Complex64]) {
-    let inv = dir == Direction::Inverse;
-    match t.len() {
-        1 => out[0] = t[0],
-        2 => {
-            out[0] = add4(t[0], t[1]);
-            out[1] = sub4(t[0], t[1]);
+    #[inline(always)]
+    fn mul_i(self) -> Self {
+        lanewise(|l| (-self.im[l], self.re[l]))
+    }
+    #[inline(always)]
+    fn mul_neg_i(self) -> Self {
+        lanewise(|l| (self.im[l], -self.re[l]))
+    }
+    #[inline(always)]
+    fn lane(self, l: usize) -> Complex64 {
+        Complex64::new(self.re[l], self.im[l])
+    }
+    #[inline(always)]
+    fn set_lane(&mut self, l: usize, v: Complex64) {
+        (self.re[l], self.im[l]) = (v.re, v.im);
+    }
+    fn as_complex(_: &mut [Self]) -> Option<&mut [Complex64]> {
+        None
+    }
+    fn generic_leaf(t: &[Self], out: &mut [Self], gen: &[Complex64]) {
+        #[cfg(target_arch = "x86_64")]
+        if hibd_simd::avx2() {
+            // SAFETY: `hibd_simd::avx2()` returns true only after runtime
+            // detection of the avx2 (and fma) target features.
+            unsafe { generic_avx2(t, out, gen) };
+            return;
         }
-        3 => {
-            let s = add4(t[1], t[2]);
-            let d = sub4(t[1], t[2]);
-            let m1 = sub4(t[0], scale4(s, 0.5));
-            let m2 =
-                if inv { scale4(mul_i4(d), HALF_SQRT3) } else { scale4(mul_neg_i4(d), HALF_SQRT3) };
-            out[0] = add4(t[0], s);
-            out[1] = add4(m1, m2);
-            out[2] = sub4(m1, m2);
-        }
-        4 => {
-            let a = add4(t[0], t[2]);
-            let b = sub4(t[0], t[2]);
-            let c = add4(t[1], t[3]);
-            let d = sub4(t[1], t[3]);
-            let id = if inv { mul_i4(d) } else { mul_neg_i4(d) };
-            out[0] = add4(a, c);
-            out[1] = add4(b, id);
-            out[2] = sub4(a, c);
-            out[3] = sub4(b, id);
-        }
-        5 => {
-            let a = add4(t[1], t[4]);
-            let b = sub4(t[1], t[4]);
-            let c = add4(t[2], t[3]);
-            let d = sub4(t[2], t[3]);
-            let sgn = if inv { 1.0 } else { -1.0 };
-            let re1 = add4(add4(t[0], scale4(a, C1)), scale4(c, C2));
-            let im1 = scale4(mul_i4(add4(scale4(b, S1), scale4(d, S2))), sgn);
-            let re2 = add4(add4(t[0], scale4(a, C2)), scale4(c, C1));
-            let im2 = scale4(mul_i4(sub4(scale4(b, S2), scale4(d, S1))), sgn);
-            out[0] = add4(add4(t[0], a), c);
-            out[1] = add4(re1, im1);
-            out[2] = add4(re2, im2);
-            out[3] = sub4(re2, im2);
-            out[4] = sub4(re1, im1);
-        }
-        r => {
-            debug_assert_eq!(gen.len(), r, "generic butterfly needs its twiddle table");
-            #[cfg(target_arch = "x86_64")]
-            if hibd_simd::avx2() {
-                // SAFETY: `hibd_simd::avx2()` returns true only after runtime
-                // detection of the avx2 (and fma) target features.
-                unsafe { generic4_avx2(t, out, gen) };
-                return;
-            }
-            generic4_scalar(t, out, gen);
-        }
+        generic_scalar(t, out, gen);
     }
 }
 
-/// Generic-radix lane leaf, scalar loop: the exact accumulation tree of the
-/// per-mesh generic butterfly, run per lane.
-fn generic4_scalar(t: &[C4], out: &mut [C4], gen: &[Complex64]) {
+/// Direct `O(r^2)` DFT for small primes above 5 (`r <= MAX_RADIX`),
+/// table-driven: `gen[j] = cis(∓2 pi j / r)`.
+fn generic_scalar<L: Lane>(t: &[L], out: &mut [L], gen: &[Complex64]) {
     let r = t.len();
     for (s, o) in out.iter_mut().enumerate() {
-        let mut acc = C4::ZERO;
+        let mut acc = L::ZERO;
         for (q, &v) in t.iter().enumerate() {
-            acc = add4(acc, mulw(v, gen[(q * s) % r]));
+            acc = acc + v * gen[(q * s) % r];
         }
         *o = acc;
     }
 }
 
-/// Generic-radix lane leaf with AVX2 vectors. Uses only lanewise
-/// `mul`/`add`/`sub` (no FMA), so every lane is bitwise identical to
-/// [`generic4_scalar`] — this path is a pure speedup, legal under either
-/// `HIBD_SIMD` leg.
+/// [`generic_scalar`] for four lanes in AVX2 registers. Lanewise
+/// `mul`/`add`/`sub` only (no FMA), so every lane is bitwise the scalar loop
+/// — a pure speedup, legal under either `HIBD_SIMD` leg.
 ///
 /// # Safety
 /// The caller must ensure the CPU supports the `avx2` target feature
 /// (runtime-detected via `hibd_simd::avx2()`).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn generic4_avx2(t: &[C4], out: &mut [C4], gen: &[Complex64]) {
+unsafe fn generic_avx2(t: &[C4], out: &mut [C4], gen: &[Complex64]) {
     use core::arch::x86_64::*;
     let r = t.len();
     for (s, o) in out.iter_mut().enumerate() {
@@ -224,7 +220,7 @@ unsafe fn generic4_avx2(t: &[C4], out: &mut [C4], gen: &[Complex64]) {
             let g = gen[(q * s) % r];
             let gr = _mm256_set1_pd(g.re);
             let gi = _mm256_set1_pd(g.im);
-            // SAFETY: `[f64; LANES]` is 4 contiguous f64s; in-bounds load.
+            // SAFETY: `[f64; 4]` is 4 contiguous f64s; in-bounds load.
             let vr = unsafe { _mm256_loadu_pd(v.re.as_ptr()) };
             // SAFETY: as above.
             let vi = unsafe { _mm256_loadu_pd(v.im.as_ptr()) };
@@ -240,368 +236,85 @@ unsafe fn generic4_avx2(t: &[C4], out: &mut [C4], gen: &[Complex64]) {
     }
 }
 
-/// Lane mirror of `simd::combine`: same dispatch condition, same `m & !3`
-/// split between the FMA region and the scalar tail.
-#[hibd::hot]
-pub(crate) fn combine4(
-    dst: &mut [C4],
-    tw: &[Complex64],
-    gen: &[Complex64],
-    r: usize,
-    m: usize,
-    dir: Direction,
-) {
-    debug_assert_eq!(dst.len(), r * m);
-    debug_assert_eq!(tw.len(), r * m);
-    #[cfg(target_arch = "x86_64")]
-    if matches!(r, 2..=5) && m >= 4 && hibd_simd::avx2() {
-        // SAFETY: `hibd_simd::avx2()` returns true only after runtime
-        // detection of the avx2 and fma target features on this CPU.
-        unsafe { combine4_avx2(dst, tw, gen, r, m, dir) };
-        return;
-    }
-    combine4_scalar(dst, tw, gen, r, m, dir, 0, m);
-}
+#[cfg(test)]
+mod tests {
+    //! The `C4` instantiation on tiny sizes, lane by lane against the
+    //! `Complex64` one. Small enough for the Miri CI leg, which is pointed at
+    //! this module (under Miri runtime feature detection reports no AVX2, so
+    //! it interprets the scalar leg; natively these run the dispatched one).
 
-/// Lane mirror of `simd::combine_scalar` over `k in k0..k1`: twiddle
-/// multiply (scalar `Complex64::mul` tree per lane), shared butterfly,
-/// write-back.
-#[hibd::hot]
-#[allow(clippy::too_many_arguments)]
-fn combine4_scalar(
-    dst: &mut [C4],
-    tw: &[Complex64],
-    gen: &[Complex64],
-    r: usize,
-    m: usize,
-    dir: Direction,
-    k0: usize,
-    k1: usize,
-) {
-    let mut t = [C4::ZERO; MAX_RADIX];
-    let mut out = [C4::ZERO; MAX_RADIX];
-    for k in k0..k1 {
-        for q in 0..r {
-            let mut w = tw[q * m + k];
-            if dir == Direction::Inverse {
-                w = w.conj();
-            }
-            t[q] = mulw(dst[q * m + k], w);
-        }
-        butterfly4_into(&t[..r], &mut out[..r], dir, gen);
-        for s in 0..r {
-            dst[s * m + k] = out[s];
+    use super::*;
+    use crate::plan::{Direction, FftPlan};
+    use crate::real::RealFftPlan;
+
+    fn lcg(seed: u64) -> impl FnMut() -> f64 {
+        let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
         }
     }
-}
 
-/// Load a [`C4`] into `(re, im)` AVX registers (no deinterleave needed —
-/// the struct is already split).
-#[cfg(target_arch = "x86_64")]
-macro_rules! ldc4 {
-    ($v:expr) => {{
-        // SAFETY: `[f64; LANES]` is 4 contiguous f64s; in-bounds load.
-        let re = unsafe { _mm256_loadu_pd($v.re.as_ptr()) };
-        // SAFETY: as above.
-        let im = unsafe { _mm256_loadu_pd($v.im.as_ptr()) };
-        (re, im)
-    }};
-}
+    fn bits(v: &[Complex64]) -> Vec<(u64, u64)> {
+        v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+    }
 
-/// Store `(re, im)` AVX registers back into a [`C4`].
-#[cfg(target_arch = "x86_64")]
-macro_rules! stc4 {
-    ($v:expr, $re:expr, $im:expr) => {{
-        // SAFETY: in-bounds stores into the 4-lane arrays.
-        unsafe { _mm256_storeu_pd($v.re.as_mut_ptr(), $re) };
-        // SAFETY: as above.
-        unsafe { _mm256_storeu_pd($v.im.as_mut_ptr(), $im) };
-    }};
-}
-
-/// Broadcast one scalar twiddle to `(re, im)` registers, conjugating via the
-/// sign mask `$conj` exactly as the per-mesh `ldtw!` does.
-#[cfg(target_arch = "x86_64")]
-macro_rules! bw {
-    ($w:expr, $conj:expr) => {
-        (_mm256_set1_pd($w.re), _mm256_xor_pd(_mm256_set1_pd($w.im), $conj))
-    };
-}
-
-/// Lanewise complex multiply `(zr + i zi) * (wr + i wi)` via FMA — the same
-/// `cmul!` tree as `simd.rs`.
-#[cfg(target_arch = "x86_64")]
-macro_rules! cmul {
-    ($zr:expr, $zi:expr, $wr:expr, $wi:expr) => {
-        (
-            _mm256_fmsub_pd($zr, $wr, _mm256_mul_pd($zi, $wi)),
-            _mm256_fmadd_pd($zr, $wi, _mm256_mul_pd($zi, $wr)),
-        )
-    };
-}
-
-/// Butterfly input `t_q`: the lane bundle at `$idx` times its broadcast
-/// twiddle.
-#[cfg(target_arch = "x86_64")]
-macro_rules! ldt {
-    ($dst:expr, $tw:expr, $idx:expr, $conj:expr) => {{
-        let (zr, zi) = ldc4!($dst[$idx]);
-        let (wr, wi) = bw!($tw[$idx], $conj);
-        cmul!(zr, zi, wr, wi)
-    }};
-}
-
-/// AVX2+FMA lane combine for radix 2/3/4/5: one vector op covers the four
-/// meshes of the group at a single `k`; per-element values mirror
-/// `simd::combine_avx2` exactly (same FMA trees, same `±sgn` placement, same
-/// radix-5 `t0 + (a + c)` association). The `m % 4` tail runs through the
-/// scalar lane loop, matching the per-mesh split.
-///
-/// # Safety
-/// The caller must ensure the CPU supports the `avx2` and `fma` target
-/// features (runtime-detected via `hibd_simd::avx2()`).
-#[cfg(target_arch = "x86_64")]
-#[hibd::hot]
-#[target_feature(enable = "avx2", enable = "fma")]
-pub(crate) unsafe fn combine4_avx2(
-    dst: &mut [C4],
-    tw: &[Complex64],
-    gen: &[Complex64],
-    r: usize,
-    m: usize,
-    dir: Direction,
-) {
-    use core::arch::x86_64::*;
-
-    debug_assert!(dst.len() == r * m && tw.len() == r * m);
-    debug_assert!(m >= 4 && (2..=5).contains(&r));
-    let inv = dir == Direction::Inverse;
-    let sgn = if inv { 1.0 } else { -1.0 };
-    let conj = if inv { _mm256_set1_pd(-0.0) } else { _mm256_setzero_pd() };
-    let m4 = m & !3;
-
-    match r {
-        2 => {
-            for k in 0..m4 {
-                let (ar, ai) = ldc4!(dst[k]);
-                let (br, bi) = ldt!(dst, tw, m + k, conj);
-                stc4!(dst[k], _mm256_add_pd(ar, br), _mm256_add_pd(ai, bi));
-                stc4!(dst[m + k], _mm256_sub_pd(ar, br), _mm256_sub_pd(ai, bi));
+    #[test]
+    fn c4_lines_are_bitwise_four_complex_lines() {
+        // Every hand-written radix as leaf and as an `m >= 4` combine (the
+        // AVX2 kernels' gate), an `m % 4` tail, and generic radices 7 and 11.
+        for n in [2usize, 3, 4, 5, 6, 7, 8, 12, 15, 16, 20, 22, 25] {
+            let plan = FftPlan::new(n).unwrap();
+            let mut next = lcg(n as u64);
+            let mut lines: Vec<Vec<Complex64>> =
+                (0..4).map(|_| (0..n).map(|_| Complex64::new(next(), next())).collect()).collect();
+            for dir in [Direction::Forward, Direction::Inverse] {
+                let mut bundle = vec![C4::ZERO; n];
+                for (l, line) in lines.iter().enumerate() {
+                    bundle.iter_mut().zip(line).for_each(|(v, c)| v.set_lane(l, *c));
+                }
+                plan.process(&mut bundle, &mut vec![C4::ZERO; n], dir);
+                for (l, line) in lines.iter_mut().enumerate() {
+                    plan.process(line, &mut vec![Complex64::ZERO; n], dir);
+                    let lane: Vec<Complex64> = bundle.iter().map(|v| v.lane(l)).collect();
+                    assert_eq!(bits(&lane), bits(line), "n={n} {dir:?} lane {l}");
+                }
             }
         }
-        3 => {
-            let half = _mm256_set1_pd(0.5);
-            let hp = _mm256_set1_pd(sgn * HALF_SQRT3);
-            let hm = _mm256_set1_pd(-sgn * HALF_SQRT3);
-            for k in 0..m4 {
-                let (t0r, t0i) = ldc4!(dst[k]);
-                let (t1r, t1i) = ldt!(dst, tw, m + k, conj);
-                let (t2r, t2i) = ldt!(dst, tw, 2 * m + k, conj);
-                let sr = _mm256_add_pd(t1r, t2r);
-                let si = _mm256_add_pd(t1i, t2i);
-                let dr = _mm256_sub_pd(t1r, t2r);
-                let di = _mm256_sub_pd(t1i, t2i);
-                // m1 = t0 - s/2; m2 = ∓i * sqrt(3)/2 * d.
-                let m1r = _mm256_fnmadd_pd(half, sr, t0r);
-                let m1i = _mm256_fnmadd_pd(half, si, t0i);
-                let m2r = _mm256_mul_pd(hm, di);
-                let m2i = _mm256_mul_pd(hp, dr);
-                stc4!(dst[k], _mm256_add_pd(t0r, sr), _mm256_add_pd(t0i, si));
-                stc4!(dst[m + k], _mm256_add_pd(m1r, m2r), _mm256_add_pd(m1i, m2i));
-                stc4!(dst[2 * m + k], _mm256_sub_pd(m1r, m2r), _mm256_sub_pd(m1i, m2i));
+    }
+
+    #[test]
+    fn c4_real_lines_are_bitwise_four_real_lines() {
+        for n in [2usize, 4, 8, 12, 22, 32] {
+            let plan = RealFftPlan::new(n).unwrap();
+            let m = n / 2;
+            let mut next = lcg(100 + n as u64);
+            // Two rows per mesh; the transform reads and writes the second.
+            let reals: Vec<Vec<f64>> =
+                (0..4).map(|_| (0..2 * n).map(|_| next()).collect()).collect();
+            let real_views: Vec<&[f64]> = reals.iter().map(|r| &r[..]).collect();
+            let mut backs = vec![vec![0.0f64; 2 * n]; 4];
+            let mut bundle = vec![C4::ZERO; m + 1];
+            {
+                let mut back_views: Vec<&mut [f64]> =
+                    backs.iter_mut().map(|b| &mut b[..]).collect();
+                let mut scratch = vec![C4::ZERO; plan.scratch_len()];
+                plan.forward_lanes(&real_views, n, &mut bundle, &mut scratch);
+                plan.inverse_lanes(&bundle, &mut back_views, n, &mut scratch);
             }
-        }
-        4 => {
-            let psg = _mm256_set1_pd(sgn);
-            let nsg = _mm256_set1_pd(-sgn);
-            for k in 0..m4 {
-                let (t0r, t0i) = ldc4!(dst[k]);
-                let (t1r, t1i) = ldt!(dst, tw, m + k, conj);
-                let (t2r, t2i) = ldt!(dst, tw, 2 * m + k, conj);
-                let (t3r, t3i) = ldt!(dst, tw, 3 * m + k, conj);
-                let ar = _mm256_add_pd(t0r, t2r);
-                let ai = _mm256_add_pd(t0i, t2i);
-                let br = _mm256_sub_pd(t0r, t2r);
-                let bi = _mm256_sub_pd(t0i, t2i);
-                let cr = _mm256_add_pd(t1r, t3r);
-                let ci = _mm256_add_pd(t1i, t3i);
-                let er = _mm256_sub_pd(t1r, t3r);
-                let ei = _mm256_sub_pd(t1i, t3i);
-                // id = ∓i * (t1 - t3).
-                let idr = _mm256_mul_pd(nsg, ei);
-                let idi = _mm256_mul_pd(psg, er);
-                stc4!(dst[k], _mm256_add_pd(ar, cr), _mm256_add_pd(ai, ci));
-                stc4!(dst[m + k], _mm256_add_pd(br, idr), _mm256_add_pd(bi, idi));
-                stc4!(dst[2 * m + k], _mm256_sub_pd(ar, cr), _mm256_sub_pd(ai, ci));
-                stc4!(dst[3 * m + k], _mm256_sub_pd(br, idr), _mm256_sub_pd(bi, idi));
+            let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
+            for l in 0..4 {
+                let mut spec = vec![Complex64::ZERO; m + 1];
+                plan.forward(&reals[l][n..], &mut spec, &mut scratch);
+                let lane: Vec<Complex64> = bundle.iter().map(|v| v.lane(l)).collect();
+                assert_eq!(bits(&lane), bits(&spec), "n={n} lane {l} (r2c)");
+                let mut back = vec![0.0f64; n];
+                plan.inverse(&spec, &mut back, &mut scratch);
+                let got: Vec<u64> = backs[l][n..].iter().map(|v| v.to_bits()).collect();
+                let want: Vec<u64> = back.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "n={n} lane {l} (c2r)");
+                assert!(backs[l][..n].iter().all(|&v| v == 0.0), "row 0 untouched");
             }
-        }
-        5 => {
-            let vc1 = _mm256_set1_pd(C1);
-            let vs1 = _mm256_set1_pd(S1);
-            let vc2 = _mm256_set1_pd(C2);
-            let vs2 = _mm256_set1_pd(S2);
-            let psg = _mm256_set1_pd(sgn);
-            let nsg = _mm256_set1_pd(-sgn);
-            for k in 0..m4 {
-                let (t0r, t0i) = ldc4!(dst[k]);
-                let (t1r, t1i) = ldt!(dst, tw, m + k, conj);
-                let (t2r, t2i) = ldt!(dst, tw, 2 * m + k, conj);
-                let (t3r, t3i) = ldt!(dst, tw, 3 * m + k, conj);
-                let (t4r, t4i) = ldt!(dst, tw, 4 * m + k, conj);
-                let ar = _mm256_add_pd(t1r, t4r);
-                let ai = _mm256_add_pd(t1i, t4i);
-                let br = _mm256_sub_pd(t1r, t4r);
-                let bi = _mm256_sub_pd(t1i, t4i);
-                let cr = _mm256_add_pd(t2r, t3r);
-                let ci = _mm256_add_pd(t2i, t3i);
-                let dr = _mm256_sub_pd(t2r, t3r);
-                let di = _mm256_sub_pd(t2i, t3i);
-                // re1 = t0 + C1 a + C2 c ; re2 = t0 + C2 a + C1 c.
-                let re1r = _mm256_fmadd_pd(vc2, cr, _mm256_fmadd_pd(vc1, ar, t0r));
-                let re1i = _mm256_fmadd_pd(vc2, ci, _mm256_fmadd_pd(vc1, ai, t0i));
-                let re2r = _mm256_fmadd_pd(vc1, cr, _mm256_fmadd_pd(vc2, ar, t0r));
-                let re2i = _mm256_fmadd_pd(vc1, ci, _mm256_fmadd_pd(vc2, ai, t0i));
-                // im1 = ±i (S1 b + S2 d) ; im2 = ±i (S2 b - S1 d).
-                let z1r = _mm256_fmadd_pd(vs2, dr, _mm256_mul_pd(vs1, br));
-                let z1i = _mm256_fmadd_pd(vs2, di, _mm256_mul_pd(vs1, bi));
-                let z2r = _mm256_fnmadd_pd(vs1, dr, _mm256_mul_pd(vs2, br));
-                let z2i = _mm256_fnmadd_pd(vs1, di, _mm256_mul_pd(vs2, bi));
-                let im1r = _mm256_mul_pd(nsg, z1i);
-                let im1i = _mm256_mul_pd(psg, z1r);
-                let im2r = _mm256_mul_pd(nsg, z2i);
-                let im2i = _mm256_mul_pd(psg, z2r);
-                let or0 = _mm256_add_pd(t0r, _mm256_add_pd(ar, cr));
-                let oi0 = _mm256_add_pd(t0i, _mm256_add_pd(ai, ci));
-                stc4!(dst[k], or0, oi0);
-                stc4!(dst[m + k], _mm256_add_pd(re1r, im1r), _mm256_add_pd(re1i, im1i));
-                stc4!(dst[2 * m + k], _mm256_add_pd(re2r, im2r), _mm256_add_pd(re2i, im2i));
-                stc4!(dst[3 * m + k], _mm256_sub_pd(re2r, im2r), _mm256_sub_pd(re2i, im2i));
-                stc4!(dst[4 * m + k], _mm256_sub_pd(re1r, im1r), _mm256_sub_pd(re1i, im1i));
-            }
-        }
-        _ => unreachable!("combine4_avx2 dispatch covers radix 2..=5 only"),
-    }
-
-    combine4_scalar(dst, tw, gen, r, m, dir, m4, m);
-}
-
-/// Lane mirror of `FftPlan::recurse`: same DIT structure over the same
-/// per-level factors, sizes and twiddle tables.
-pub(crate) fn recurse4(
-    plan: &FftPlan,
-    level: usize,
-    src: &[C4],
-    stride: usize,
-    dst: &mut [C4],
-    dir: Direction,
-) {
-    let nl = plan.level_sizes()[level];
-    let r = plan.level_factors()[level];
-    let m = nl / r;
-
-    if m == 1 {
-        let mut t = [C4::ZERO; MAX_RADIX];
-        for (q, tq) in t[..r].iter_mut().enumerate() {
-            *tq = src[q * stride];
-        }
-        butterfly4_into(&t[..r], &mut dst[..r], dir, plan.gen_table(level, dir));
-        return;
-    }
-
-    for q in 0..r {
-        recurse4(
-            plan,
-            level + 1,
-            &src[q * stride..],
-            stride * r,
-            &mut dst[q * m..(q + 1) * m],
-            dir,
-        );
-    }
-
-    combine4(&mut dst[..nl], plan.level_twiddles(level), plan.gen_table(level, dir), r, m, dir);
-}
-
-/// Lane mirror of `FftPlan::process`: in-place transform of four lanes at
-/// once. Mixed-radix plans only — the Bluestein fallback has no lane mirror,
-/// and callers must gate on `FftPlan::is_bluestein` first.
-pub(crate) fn process4(plan: &FftPlan, data: &mut [C4], scratch: &mut [C4], dir: Direction) {
-    assert_eq!(data.len(), plan.len(), "data length mismatch");
-    assert!(scratch.len() >= plan.scratch_len(), "scratch too small");
-    if plan.len() == 1 {
-        return;
-    }
-    debug_assert!(!plan.is_bluestein(), "lane transforms require mixed-radix plans");
-    scratch[..plan.len()].copy_from_slice(data);
-    recurse4(plan, 0, &scratch[..plan.len()], 1, data, dir);
-}
-
-/// Lane mirror of `RealFftPlan::forward`: r2c of four real lines at once
-/// (same even/odd packing, same unpack trees per lane).
-pub(crate) fn real4_forward(
-    plan: &RealFftPlan,
-    inputs: [&[f64]; LANES],
-    spectrum: &mut [C4],
-    scratch: &mut [C4],
-) {
-    let n = plan.len();
-    let m = n / 2;
-    for x in &inputs {
-        assert_eq!(x.len(), n, "input length mismatch");
-    }
-    assert_eq!(spectrum.len(), m + 1, "spectrum length mismatch");
-    assert!(scratch.len() >= plan.scratch_len(), "scratch too small");
-    let (z, fft_scratch) = scratch.split_at_mut(m);
-
-    for (j, zj) in z.iter_mut().enumerate() {
-        for l in 0..LANES {
-            zj.re[l] = inputs[l][2 * j];
-            zj.im[l] = inputs[l][2 * j + 1];
-        }
-    }
-    process4(plan.half_plan(), z, fft_scratch, Direction::Forward);
-
-    let tw = plan.unpack_twiddles();
-    for k in 0..=m {
-        let zk = z[k % m];
-        let zmk = conj4(z[(m - k) % m]);
-        let e = scale4(add4(zk, zmk), 0.5);
-        let o = mul_neg_i4(scale4(sub4(zk, zmk), 0.5));
-        spectrum[k] = add4(e, mulw(o, tw[k]));
-    }
-}
-
-/// Lane mirror of `RealFftPlan::inverse`: c2r of four half spectra at once
-/// (unnormalized, same packing trees per lane).
-pub(crate) fn real4_inverse(
-    plan: &RealFftPlan,
-    spectrum: &[C4],
-    outputs: [&mut [f64]; LANES],
-    scratch: &mut [C4],
-) {
-    let n = plan.len();
-    let m = n / 2;
-    assert_eq!(spectrum.len(), m + 1, "spectrum length mismatch");
-    for x in &outputs {
-        assert_eq!(x.len(), n, "output length mismatch");
-    }
-    assert!(scratch.len() >= plan.scratch_len(), "scratch too small");
-    let (h, fft_scratch) = scratch.split_at_mut(m);
-
-    let tw = plan.unpack_twiddles();
-    for k in 0..m {
-        let xk = spectrum[k];
-        let xmk = conj4(spectrum[m - k]);
-        let sum = add4(xk, xmk);
-        let diff = sub4(xk, xmk);
-        h[k] = add4(sum, mul_i4(mulw(diff, tw[k].conj())));
-    }
-    process4(plan.half_plan(), h, fft_scratch, Direction::Inverse);
-    for j in 0..m {
-        for l in 0..LANES {
-            outputs[l][2 * j] = h[j].re[l];
-            outputs[l][2 * j + 1] = h[j].im[l];
         }
     }
 }

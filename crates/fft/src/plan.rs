@@ -14,6 +14,7 @@
 //! scratch), which is how [`crate::Fft3`] runs many lines in parallel.
 
 use crate::complex::Complex64;
+use crate::lanes::Lane;
 use std::f64::consts::TAU;
 
 /// Largest supported prime factor of the transform length.
@@ -59,27 +60,41 @@ pub(crate) enum Direction {
 #[derive(Debug)]
 pub struct FftPlan {
     n: usize,
-    /// Radix used at each recursion level, outermost first.
-    factors: Vec<usize>,
-    /// Sub-transform length at each level: `sizes[l] = prod(factors[l..])`.
-    sizes: Vec<usize>,
-    /// Forward twiddles per level: `tw[l][q*m + k] = e^{-2 pi i qk / sizes[l]}`
-    /// for `q in 0..factors[l]`, `k in 0..m`, `m = sizes[l] / factors[l]`.
-    twiddles: Vec<Vec<Complex64>>,
-    /// Split (structure-of-arrays) copies of `twiddles`: `tw_re[l][q*m + k]`
-    /// and `tw_im[l][q*m + k]`. The AVX2 combine kernels load twiddle lanes
-    /// with unit stride from these instead of deinterleaving the AoS table.
-    tw_re: Vec<Vec<f64>>,
-    tw_im: Vec<Vec<f64>>,
-    /// Generic-butterfly twiddles per level, `[forward, inverse]`: entry `j`
-    /// is `e^{∓2 pi i j / r}` for the level's radix `r`. Populated only for
-    /// radices above 5 (the hand-written butterflies embed their constants);
-    /// the tables keep the `O(r^2)` leaf DFT free of per-apply trigonometry
-    /// while staying bitwise identical to it — each entry is `cis` of
-    /// exactly the angle the inline expression used to compute.
-    gen_tw: Vec<[Vec<Complex64>; 2]>,
+    /// Recursion levels, outermost first (empty for Bluestein plans).
+    levels: Vec<Level>,
     /// Bluestein fallback state for rough lengths.
     bluestein: Option<Box<Bluestein>>,
+}
+
+/// One level of the mixed-radix recursion: `r` interleaved sub-transforms of
+/// length `m`, combined by radix-`r` butterflies.
+#[derive(Debug)]
+pub(crate) struct Level {
+    pub r: usize,
+    pub m: usize,
+    /// Forward twiddles `tw[q*m + k] = e^{-2 pi i qk / (r m)}` for
+    /// `q in 0..r`, `k in 0..m`.
+    pub tw: Vec<Complex64>,
+    /// Split (structure-of-arrays) copies of `tw`: the `Complex64` AVX2
+    /// combine kernel loads twiddle lanes with unit stride from these
+    /// instead of deinterleaving the AoS table.
+    pub tw_re: Vec<f64>,
+    pub tw_im: Vec<f64>,
+    /// Generic-butterfly twiddles, `[forward, inverse]`: entry `j` is
+    /// `e^{∓2 pi i j / r}`. Populated only for radices above 5 (the
+    /// hand-written butterflies embed their constants); the tables keep the
+    /// `O(r^2)` leaf DFT free of per-apply trigonometry while staying
+    /// bitwise identical to it — each entry is `cis` of exactly the angle
+    /// the inline expression used to compute.
+    gen: [Vec<Complex64>; 2],
+}
+
+impl Level {
+    /// Generic-butterfly table for one direction (empty for the hand-written
+    /// radices 1..=5).
+    pub(crate) fn gen(&self, dir: Direction) -> &[Complex64] {
+        &self.gen[(dir == Direction::Inverse) as usize]
+    }
 }
 
 /// Bluestein chirp-z state: an `n`-point DFT as a circular convolution of
@@ -121,8 +136,16 @@ impl Bluestein {
         Bluestein { m, inner, chirp, bhat: b }
     }
 
-    /// Forward n-point DFT of `data` (in place) via chirp convolution.
-    fn forward(&self, data: &mut [Complex64], scratch: &mut [Complex64]) {
+    /// n-point DFT of `data` (in place) via chirp convolution.
+    fn process(&self, data: &mut [Complex64], scratch: &mut [Complex64], dir: Direction) {
+        // IDFT(x) = conj(DFT(conj(x))) turns the forward chirp transform
+        // into the (unnormalized) inverse.
+        let conj_if_inverse = |data: &mut [Complex64]| {
+            if dir == Direction::Inverse {
+                data.iter_mut().for_each(|v| *v = v.conj());
+            }
+        };
+        conj_if_inverse(data);
         let n = data.len();
         let m = self.m;
         let (a, rest) = scratch.split_at_mut(m);
@@ -143,6 +166,7 @@ impl Bluestein {
         for k in 0..n {
             data[k] = a[k].scale(inv_m) * self.chirp[k];
         }
+        conj_if_inverse(data);
     }
 }
 
@@ -200,16 +224,9 @@ impl FftPlan {
     /// Bluestein otherwise.
     pub fn new(n: usize) -> Result<FftPlan, FftError> {
         match FftPlan::new_mixed_radix(n) {
-            Err(FftError::RoughLength { .. }) => Ok(FftPlan {
-                n,
-                factors: Vec::new(),
-                sizes: Vec::new(),
-                twiddles: Vec::new(),
-                tw_re: Vec::new(),
-                tw_im: Vec::new(),
-                gen_tw: Vec::new(),
-                bluestein: Some(Box::new(Bluestein::new(n))),
-            }),
+            Err(FftError::RoughLength { .. }) => {
+                Ok(FftPlan { n, levels: Vec::new(), bluestein: Some(Box::new(Bluestein::new(n))) })
+            }
             other => other,
         }
     }
@@ -221,35 +238,33 @@ impl FftPlan {
         if n == 0 {
             return Err(FftError::ZeroLength);
         }
-        let factors = factorize(n)?;
-        let mut sizes = Vec::with_capacity(factors.len());
-        let mut twiddles = Vec::with_capacity(factors.len());
-        let mut tw_re = Vec::with_capacity(factors.len());
-        let mut tw_im = Vec::with_capacity(factors.len());
-        let mut gen_tw = Vec::with_capacity(factors.len());
         let mut cur = n;
-        for &r in &factors {
-            sizes.push(cur);
-            let m = cur / r;
-            let mut tw = Vec::with_capacity(r * m);
-            for q in 0..r {
-                for k in 0..m {
-                    tw.push(Complex64::cis(-TAU * ((q * k) % cur) as f64 / cur as f64));
+        let levels = factorize(n)?
+            .into_iter()
+            .map(|r| {
+                let m = cur / r;
+                let mut tw = Vec::with_capacity(r * m);
+                for q in 0..r {
+                    for k in 0..m {
+                        tw.push(Complex64::cis(-TAU * ((q * k) % cur) as f64 / cur as f64));
+                    }
                 }
-            }
-            tw_re.push(tw.iter().map(|w| w.re).collect());
-            tw_im.push(tw.iter().map(|w| w.im).collect());
-            twiddles.push(tw);
-            if r > 5 {
-                let fwd = (0..r).map(|j| Complex64::cis(-TAU * j as f64 / r as f64)).collect();
-                let inv = (0..r).map(|j| Complex64::cis(TAU * j as f64 / r as f64)).collect();
-                gen_tw.push([fwd, inv]);
-            } else {
-                gen_tw.push([Vec::new(), Vec::new()]);
-            }
-            cur = m;
-        }
-        Ok(FftPlan { n, factors, sizes, twiddles, tw_re, tw_im, gen_tw, bluestein: None })
+                let table = |sign: f64| -> Vec<Complex64> {
+                    let entries = if r > 5 { r } else { 0 };
+                    (0..entries).map(|j| Complex64::cis(sign * TAU * j as f64 / r as f64)).collect()
+                };
+                cur = m;
+                Level {
+                    r,
+                    m,
+                    tw_re: tw.iter().map(|w| w.re).collect(),
+                    tw_im: tw.iter().map(|w| w.im).collect(),
+                    tw,
+                    gen: [table(-1.0), table(1.0)],
+                }
+            })
+            .collect();
+        Ok(FftPlan { n, levels, bluestein: None })
     }
 
     /// Whether this plan uses the Bluestein fallback.
@@ -289,54 +304,45 @@ impl FftPlan {
         self.process(data, scratch, Direction::Inverse);
     }
 
-    fn process(&self, data: &mut [Complex64], scratch: &mut [Complex64], dir: Direction) {
+    /// In-place transform of `L::LANES` lines at once (Bluestein plans: one
+    /// line only — `Fft3` gates its lane groups on `is_bluestein`).
+    pub(crate) fn process<L: Lane>(&self, data: &mut [L], scratch: &mut [L], dir: Direction) {
         assert_eq!(data.len(), self.n, "data length mismatch");
         assert!(scratch.len() >= self.scratch_len(), "scratch too small");
         if self.n == 1 {
             return;
         }
         if let Some(b) = &self.bluestein {
-            // IDFT(x) = conj(DFT(conj(x))) turns the forward chirp transform
-            // into the (unnormalized) inverse.
-            if dir == Direction::Inverse {
-                for v in data.iter_mut() {
-                    *v = v.conj();
-                }
-            }
-            b.forward(data, scratch);
-            if dir == Direction::Inverse {
-                for v in data.iter_mut() {
-                    *v = v.conj();
-                }
-            }
+            let single = L::as_complex(data).zip(L::as_complex(scratch));
+            let (data, scratch) = single.expect("lane transforms require mixed-radix plans");
+            b.process(data, scratch, dir);
             return;
         }
         scratch[..self.n].copy_from_slice(data);
         self.recurse(0, &scratch[..self.n], 1, data, dir);
     }
 
-    /// Out-of-place DIT recursion: transform the `sizes[level]`-point
-    /// sequence `src[0], src[stride], src[2*stride], ...` into contiguous
-    /// `dst[0..sizes[level]]`.
-    fn recurse(
+    /// Out-of-place DIT recursion: transform the `r*m`-point sequence
+    /// `src[0], src[stride], src[2*stride], ...` of level `level` into
+    /// contiguous `dst[0..r*m]`.
+    fn recurse<L: Lane>(
         &self,
         level: usize,
-        src: &[Complex64],
+        src: &[L],
         stride: usize,
-        dst: &mut [Complex64],
+        dst: &mut [L],
         dir: Direction,
     ) {
-        let nl = self.sizes[level];
-        let r = self.factors[level];
-        let m = nl / r;
+        let lv = &self.levels[level];
+        let (r, m) = (lv.r, lv.m);
 
         if m == 1 {
             // Leaf: gather the r strided inputs and do a single butterfly.
-            let mut t = [Complex64::ZERO; MAX_RADIX];
+            let mut t = [L::ZERO; MAX_RADIX];
             for (q, tq) in t[..r].iter_mut().enumerate() {
                 *tq = src[q * stride];
             }
-            butterfly(&mut t[..r], &mut dst[..r], dir, self.gen_table(level, dir));
+            butterfly_into(&t[..r], &mut dst[..r], dir, lv.gen(dir));
             return;
         }
 
@@ -352,39 +358,9 @@ impl FftPlan {
         }
 
         // Combine: X[k + m*s] = Σ_q w^{qk} ω_r^{qs} Y_q[k]. Dispatches to the
-        // AVX2 SoA kernels for radix 2/3/4/5; the scalar fallback reproduces
-        // the classic loop bitwise.
-        crate::simd::combine(
-            &mut dst[..nl],
-            &self.twiddles[level],
-            &self.tw_re[level],
-            &self.tw_im[level],
-            self.gen_table(level, dir),
-            r,
-            m,
-            dir,
-        );
-    }
-
-    /// Radix used at each recursion level (empty for Bluestein plans).
-    pub(crate) fn level_factors(&self) -> &[usize] {
-        &self.factors
-    }
-
-    /// Sub-transform length at each recursion level.
-    pub(crate) fn level_sizes(&self) -> &[usize] {
-        &self.sizes
-    }
-
-    /// AoS twiddle table for one recursion level.
-    pub(crate) fn level_twiddles(&self, level: usize) -> &[Complex64] {
-        &self.twiddles[level]
-    }
-
-    /// Generic-butterfly table for one level and direction (empty for the
-    /// hand-written radices 1..=5, which embed their constants).
-    pub(crate) fn gen_table(&self, level: usize, dir: Direction) -> &[Complex64] {
-        &self.gen_tw[level][(dir == Direction::Inverse) as usize]
+        // AVX2 kernels for radix 2/3/4/5; the scalar fallback reproduces the
+        // classic loop bitwise.
+        crate::simd::combine(&mut dst[..r * m], lv, dir);
     }
 
     /// Inner convolution length of the Bluestein fallback, if this plan uses
@@ -395,22 +371,18 @@ impl FftPlan {
     }
 }
 
-/// In-place small DFT used at recursion leaves.
-fn butterfly(t: &mut [Complex64], out: &mut [Complex64], dir: Direction, gen: &[Complex64]) {
-    let mut tmp = [Complex64::ZERO; MAX_RADIX];
-    tmp[..t.len()].copy_from_slice(t);
-    butterfly_into(&tmp[..t.len()], out, dir, gen);
-}
+// Butterfly constants, shared with the AVX2 register bodies in `simd.rs`:
+// sqrt(3)/2, and cos/sin of 2 pi/5 and 4 pi/5.
+pub(crate) const HALF_SQRT3: f64 = 0.866_025_403_784_438_6;
+pub(crate) const C1: f64 = 0.309_016_994_374_947_45;
+pub(crate) const S1: f64 = 0.951_056_516_295_153_5;
+pub(crate) const C2: f64 = -0.809_016_994_374_947_5;
+pub(crate) const S2: f64 = 0.587_785_252_292_473_1;
 
 /// `out[s] = Σ_q t[q] e^{∓2 pi i qs/r}` for `r = t.len()` (hand-written for
 /// r = 1..5; radices above 5 read the plan's precomputed `gen` table, whose
 /// entries are bitwise the `cis` values the direct loop used to evaluate).
-pub(crate) fn butterfly_into(
-    t: &[Complex64],
-    out: &mut [Complex64],
-    dir: Direction,
-    gen: &[Complex64],
-) {
+pub(crate) fn butterfly_into<L: Lane>(t: &[L], out: &mut [L], dir: Direction, gen: &[Complex64]) {
     let inv = dir == Direction::Inverse;
     match t.len() {
         1 => out[0] = t[0],
@@ -420,7 +392,6 @@ pub(crate) fn butterfly_into(
         }
         3 => {
             // w = e^{∓2 pi i/3} = -1/2 ∓ i sqrt(3)/2
-            const HALF_SQRT3: f64 = 0.866_025_403_784_438_6;
             let s = t[1] + t[2];
             let d = t[1] - t[2];
             let m1 = t[0] - s.scale(0.5);
@@ -442,11 +413,6 @@ pub(crate) fn butterfly_into(
             out[3] = b - id;
         }
         5 => {
-            // cos/sin of 2 pi/5 and 4 pi/5.
-            const C1: f64 = 0.309_016_994_374_947_45;
-            const S1: f64 = 0.951_056_516_295_153_5;
-            const C2: f64 = -0.809_016_994_374_947_5;
-            const S2: f64 = 0.587_785_252_292_473_1;
             let a = t[1] + t[4];
             let b = t[1] - t[4];
             let c = t[2] + t[3];
@@ -463,16 +429,8 @@ pub(crate) fn butterfly_into(
             out[4] = re1 - im1;
         }
         r => {
-            // Direct O(r^2) DFT for other small primes (r <= MAX_RADIX),
-            // table-driven: `gen[j] = cis(sign * j / r)`.
             debug_assert_eq!(gen.len(), r, "generic butterfly needs its twiddle table");
-            for (s, o) in out.iter_mut().enumerate() {
-                let mut acc = Complex64::ZERO;
-                for (q, &v) in t.iter().enumerate() {
-                    acc += v * gen[(q * s) % r];
-                }
-                *o = acc;
-            }
+            L::generic_leaf(t, out, gen);
         }
     }
 }

@@ -9,7 +9,8 @@
 //! `e^{+2 pi i}`, both unnormalized (`inverse(forward(x)) = n x`).
 
 use crate::complex::Complex64;
-use crate::plan::{FftError, FftPlan};
+use crate::lanes::Lane;
+use crate::plan::{Direction, FftError, FftPlan};
 use std::f64::consts::TAU;
 
 /// Plan for real transforms of fixed even length `n`.
@@ -22,19 +23,6 @@ pub struct RealFftPlan {
     half: FftPlan,
     /// `e^{-2 pi i k / n}` for `k in 0..=n/2`.
     tw: Vec<Complex64>,
-}
-
-impl RealFftPlan {
-    /// The inner half-length complex plan (lane-batched r2c mirrors the
-    /// even/odd packing around it).
-    pub(crate) fn half_plan(&self) -> &FftPlan {
-        &self.half
-    }
-
-    /// Unpack twiddles `e^{-2 pi i k / n}`, `k in 0..=n/2`.
-    pub(crate) fn unpack_twiddles(&self) -> &[Complex64] {
-        &self.tw
-    }
 }
 
 impl RealFftPlan {
@@ -71,21 +59,40 @@ impl RealFftPlan {
         self.n / 2 + self.half.scratch_len()
     }
 
+    /// Whether the half-length complex plan is mixed-radix, i.e. whether
+    /// `forward_lanes`/`inverse_lanes` can run more than one lane.
+    pub(crate) fn is_mixed_radix(&self) -> bool {
+        !self.half.is_bluestein()
+    }
+
     /// Forward r2c transform: `spectrum[k] = Σ_j input[j] e^{-2 pi i jk/n}`
     /// for `k in 0..=n/2`.
     pub fn forward(&self, input: &[f64], spectrum: &mut [Complex64], scratch: &mut [Complex64]) {
-        let n = self.n;
-        let m = n / 2;
-        assert_eq!(input.len(), n, "input length mismatch");
+        assert_eq!(input.len(), self.n, "input length mismatch");
+        self.forward_lanes(&[input], 0, spectrum, scratch);
+    }
+
+    /// [`forward`](Self::forward) of `L::LANES` lines at once: lane `l`
+    /// transforms `input[l][at..at + n]`.
+    pub(crate) fn forward_lanes<L: Lane>(
+        &self,
+        input: &[&[f64]],
+        at: usize,
+        spectrum: &mut [L],
+        scratch: &mut [L],
+    ) {
+        let m = self.n / 2;
         assert_eq!(spectrum.len(), m + 1, "spectrum length mismatch");
         assert!(scratch.len() >= self.scratch_len(), "scratch too small");
         let (z, fft_scratch) = scratch.split_at_mut(m);
 
         // Pack x[2j] + i x[2j+1] and transform at half length.
-        for (j, zj) in z.iter_mut().enumerate() {
-            *zj = Complex64::new(input[2 * j], input[2 * j + 1]);
+        for (l, x) in input.iter().enumerate() {
+            for (zj, x) in z.iter_mut().zip(x[at..at + self.n].chunks_exact(2)) {
+                zj.set_lane(l, Complex64::new(x[0], x[1]));
+            }
         }
-        self.half.forward(z, fft_scratch);
+        self.half.process(z, fft_scratch, Direction::Forward);
 
         // Unpack: E[k] = (Z[k] + conj(Z[m-k]))/2 is the spectrum of the even
         // samples, O[k] = (Z[k] - conj(Z[m-k]))/(2i) of the odd samples, and
@@ -95,7 +102,7 @@ impl RealFftPlan {
             let zmk = z[(m - k) % m].conj();
             let e = (zk + zmk).scale(0.5);
             let o = (zk - zmk).scale(0.5).mul_neg_i();
-            spectrum[k] = e + self.tw[k] * o;
+            spectrum[k] = e + o * self.tw[k];
         }
     }
 
@@ -106,26 +113,39 @@ impl RealFftPlan {
     /// The imaginary parts of `spectrum[0]` and `spectrum[n/2]` must be zero
     /// for the result to be exactly real; they are ignored.
     pub fn inverse(&self, spectrum: &[Complex64], output: &mut [f64], scratch: &mut [Complex64]) {
-        let n = self.n;
-        let m = n / 2;
+        assert_eq!(output.len(), self.n, "output length mismatch");
+        self.inverse_lanes(spectrum, &mut [output], 0, scratch);
+    }
+
+    /// [`inverse`](Self::inverse) of `L::LANES` lines at once: lane `l`
+    /// lands in `output[l][at..at + n]`.
+    pub(crate) fn inverse_lanes<L: Lane>(
+        &self,
+        spectrum: &[L],
+        output: &mut [&mut [f64]],
+        at: usize,
+        scratch: &mut [L],
+    ) {
+        let m = self.n / 2;
         assert_eq!(spectrum.len(), m + 1, "spectrum length mismatch");
-        assert_eq!(output.len(), n, "output length mismatch");
         assert!(scratch.len() >= self.scratch_len(), "scratch too small");
         let (h, fft_scratch) = scratch.split_at_mut(m);
 
         // H[k] = (X[k] + conj(X[m-k])) + i e^{+2 pi i k/n} (X[k] - conj(X[m-k]))
         // packs the even/odd inverse transforms into one half-length inverse.
-        for k in 0..m {
+        for (k, hk) in h.iter_mut().enumerate() {
             let xk = spectrum[k];
             let xmk = spectrum[m - k].conj();
             let sum = xk + xmk;
             let diff = xk - xmk;
-            h[k] = sum + (self.tw[k].conj() * diff).mul_i();
+            *hk = sum + (diff * self.tw[k].conj()).mul_i();
         }
-        self.half.inverse(h, fft_scratch);
-        for j in 0..m {
-            output[2 * j] = h[j].re;
-            output[2 * j + 1] = h[j].im;
+        self.half.process(h, fft_scratch, Direction::Inverse);
+        for (l, y) in output.iter_mut().enumerate() {
+            for (y, hj) in y[at..at + self.n].chunks_exact_mut(2).zip(h.iter()) {
+                let v = hj.lane(l);
+                (y[0], y[1]) = (v.re, v.im);
+            }
         }
     }
 }

@@ -7,8 +7,20 @@
 //! seeded twins. Both paths visit each line with the same plan and the same
 //! per-line arithmetic; only the outer partitioning differs, and this test
 //! pins that equivalence down to the last bit.
+//!
+//! `golden_bits_are_stable` additionally pins the *absolute* bits: an FNV-1a
+//! over the `to_bits` of a batch-7 round trip (one lane group + a 3-mesh
+//! tail), recorded before the lane kernels became one generic body, on both
+//! dispatch legs — so a kernel rewrite that moves batch and single together
+//! still fails here.
 
 use hibd_fft::{Complex64, Fft3};
+use std::sync::{Mutex, PoisonError};
+
+/// The `hibd_simd` override is process-global: the golden test toggles it,
+/// and a toggle landing between another test's batch and single transforms
+/// would compare two dispatch legs. Every test in this file serializes here.
+static SIMD_LOCK: Mutex<()> = Mutex::new(());
 
 fn lcg(seed: u64) -> impl FnMut() -> f64 {
     let mut state = seed.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
@@ -62,10 +74,84 @@ fn check_dims(dims: [usize; 3], batch: usize) {
 
 #[test]
 fn batch_transforms_are_bitwise_identical_to_single_mesh() {
+    let _l = SIMD_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    // Tail only (batch 1 is `forward(x) == forward_batch(x, 1)`), whole lane
+    // groups only, and both.
     for dims in [[8usize, 8, 8], [12, 12, 12], [6, 10, 8], [16, 16, 16]] {
-        for batch in [1usize, 2, 3, 6, 12] {
+        for batch in [1usize, 2, 3, 4, 5, 6, 7, 9, 12] {
             check_dims(dims, batch);
         }
+    }
+}
+
+/// FNV-1a (64-bit) over the little-endian bytes of a word stream.
+fn fnv1a(words: impl Iterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in words.flat_map(u64::to_le_bytes) {
+        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// `[forward_batch spectra, inverse_batch reals]` hashes of a batch-7 round
+/// trip on a fixed LCG input.
+fn golden_hashes(dims: [usize; 3]) -> [u64; 2] {
+    const BATCH: usize = 7;
+    let fft = Fft3::new(dims).unwrap();
+    let mut next = lcg(0x601d + (dims[0] * 10_000 + dims[1] * 100 + dims[2]) as u64);
+    let reals: Vec<f64> = (0..BATCH * fft.real_len()).map(|_| next()).collect();
+    let mut spec = vec![Complex64::ZERO; BATCH * fft.spectrum_len()];
+    fft.forward_batch(&reals, &mut spec, BATCH);
+    let fwd = fnv1a(spec.iter().flat_map(|c| [c.re.to_bits(), c.im.to_bits()]));
+    let mut out = vec![0.0f64; reals.len()];
+    fft.inverse_batch(&mut spec, &mut out, BATCH);
+    [fwd, fnv1a(out.iter().map(|v| v.to_bits()))]
+}
+
+/// `(dims, scalar leg, AVX2+FMA leg)`, recorded at the commit before the
+/// lane kernels were folded into the generic body (x86-64 Linux; the
+/// twiddles come from libm's `sin_cos`). `[22, 6, 8]` has a radix-11 generic
+/// leaf on axis 0.
+const GOLDEN: [([usize; 3], [u64; 2], [u64; 2]); 4] = [
+    (
+        [22, 6, 8],
+        [0x2b42_bc34_2d62_d69e, 0x4dc4_79f0_b5f3_f130],
+        [0xb2b5_9847_649c_7b68, 0x5277_fa07_ee47_e400],
+    ),
+    // m = 3 at every combine level: below the AVX2 kernels' `m >= 4` gate.
+    (
+        [12, 12, 12],
+        [0x12e5_d1b2_da82_f297, 0xd57e_dc45_dbb4_37bd],
+        [0x12e5_d1b2_da82_f297, 0xd57e_dc45_dbb4_37bd],
+    ),
+    (
+        [6, 10, 8],
+        [0xad1f_3625_3ba2_6f00, 0xce84_fdaf_4cb3_04e3],
+        [0x151d_4782_d94f_b73d, 0x0cbe_e708_353f_4b00],
+    ),
+    // Radix 5 (25 = 5.5), 3 (15 = 3.5) and 4 (half length 16 = 4.4) combines
+    // with m >= 4: with [22, ..]'s radix 2, every AVX2 register body.
+    (
+        [25, 15, 32],
+        [0x459b_1bf5_c3e0_62fb, 0x66ba_d493_5cce_b932],
+        [0x7dd1_e9fc_147a_9f40, 0x109c_0af6_f4a0_3904],
+    ),
+];
+
+#[test]
+fn golden_bits_are_stable() {
+    let _l = SIMD_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    for (dims, scalar, avx2) in GOLDEN {
+        {
+            let _g = hibd_simd::ScalarGuard::new();
+            let got = golden_hashes(dims);
+            assert_eq!(got, scalar, "scalar leg, dims {dims:?}: {got:#018x?}");
+        }
+        // Dispatched leg: the AVX2 constants where the host (and
+        // `HIBD_SIMD`) select them, the scalar ones everywhere else.
+        let want = if hibd_simd::avx2() { avx2 } else { scalar };
+        let got = golden_hashes(dims);
+        assert_eq!(got, want, "dispatched leg, dims {dims:?}: {got:#018x?}");
     }
 }
 
@@ -73,6 +159,7 @@ fn batch_transforms_are_bitwise_identical_to_single_mesh() {
 fn batch_width_does_not_change_per_mesh_bits() {
     // Widths 3 and 3R must agree mesh-for-mesh on the shared prefix: the
     // engine batches `3R` meshes where a standalone operator batches 3.
+    let _l = SIMD_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let fft = Fft3::new([12, 12, 12]).unwrap();
     let (nreal, nspec) = (fft.real_len(), fft.spectrum_len());
     let mut next = lcg(77);
