@@ -10,10 +10,12 @@
 //! type of a line (`lanes.rs`): a batch runs as groups of four meshes whose
 //! lines move through the 1D kernels together as `C4` bundles, then the
 //! `batch % 4` tail as one-lane (`Complex64`) groups; a single mesh is the
-//! `batch = 1` call. Work is split the same way at every lane width: groups
-//! run in parallel, and inside a group the `i0`-planes of the `n2`/`n1`
-//! passes and the lines of each gathered `i1`-slab of the `n0` pass are
-//! nested parallel work, so a lone group (one mesh) still fills the pool.
+//! `batch = 1` call. Work is split by one rule at every lane width: groups
+//! run in parallel, each serially on its own scratch — unless the thread
+//! count does not divide the group count, when the `i0`-planes of the
+//! `n2`/`n1` passes and the lines of each gathered `i1`-slab of the `n0`
+//! pass become nested parallel work for the threads that whole groups would
+//! leave idle (a lone mesh, three tail meshes on two threads).
 
 use crate::complex::Complex64;
 use crate::lanes::{Lane, C4};
@@ -31,10 +33,24 @@ pub struct Fft3 {
     plan0: FftPlan,
 }
 
+/// One worker's line buffers: a line bundle (the r2c/c2r row, then the
+/// axis-1 line) and 1D-plan scratch sized for the largest of the three plans.
+struct Scratch<L> {
+    line: Vec<L>,
+    fft: Vec<L>,
+}
+
+/// Whether `groups` whole lane groups cannot keep every thread busy to the
+/// end — the one rule that turns the work inside a group into nested
+/// parallel work (12 quads on 2 threads: no; 1 mesh, or 3 on 2 threads: yes).
+fn leaves_threads_idle(groups: usize) -> bool {
+    !groups.is_multiple_of(rayon::current_num_threads())
+}
+
 /// Transposes the chunks of one lane group — `per_mesh` consecutive chunks
 /// for each of its meshes — from `[lane][pos]` to `[pos][lane]` order, so
-/// that `par_chunks_mut(lanes)` of the result hands each worker the disjoint
-/// slices of one position, one per lane.
+/// that every `lanes`-sized chunk of the result holds the disjoint slices of
+/// one position, one per lane.
 fn by_lane<S>(chunks: impl Iterator<Item = S>, per_mesh: usize) -> Vec<S> {
     let mut chunks: Vec<Option<S>> = chunks.map(Some).collect();
     let lanes = chunks.len() / per_mesh;
@@ -136,132 +152,174 @@ impl Fft3 {
         }
     }
 
-    /// Forward transforms of consecutive groups of `L::LANES` meshes.
+    fn scratch<L: Lane>(&self) -> Scratch<L> {
+        let fft =
+            self.rplan.scratch_len().max(self.plan1.scratch_len()).max(self.plan0.scratch_len());
+        Scratch { line: vec![L::ZERO; self.dims[1].max(self.nc())], fft: vec![L::ZERO; fft] }
+    }
+
+    /// Runs `f` on every `per`-sized chunk of `units`: in order on the
+    /// group's `own` scratch, or when `nested` as parallel work on one
+    /// scratch per worker.
+    fn for_chunks<L: Lane, T: Send>(
+        &self,
+        nested: bool,
+        own: &mut Scratch<L>,
+        units: &mut [T],
+        per: usize,
+        f: impl Fn(&mut Scratch<L>, &mut [T]) + Sync,
+    ) {
+        if nested {
+            units.par_chunks_mut(per).for_each_init(|| self.scratch(), |s, unit| f(s, unit));
+        } else {
+            units.chunks_mut(per).for_each(|unit| f(own, unit));
+        }
+    }
+
+    /// Forward transforms of consecutive groups of `L::LANES` meshes. Groups
+    /// are the parallel work; the units inside a group (see `for_chunks`) are
+    /// nested parallel work only when whole groups would leave threads idle.
     fn forward_groups<L: Lane>(&self, reals: &[f64], spectra: &mut [Complex64]) {
+        let [n0, n1, n2] = self.dims;
+        let nc = self.nc();
         let (rl, sl) = (L::LANES * self.real_len(), L::LANES * self.spectrum_len());
+        let nested = leaves_threads_idle(reals.len() / rl);
         spectra.par_chunks_mut(sl).zip(reals.par_chunks(rl)).for_each_init(
-            || vec![L::ZERO; self.dims[0] * self.nc()],
-            |slab, (spectra, reals)| {
-                self.pass_r2c::<L>(reals, spectra);
-                self.pass_axis1::<L>(spectra, Direction::Forward);
-                self.pass_axis0(spectra, slab, Direction::Forward);
+            || (self.scratch::<L>(), vec![L::ZERO; n0 * nc]),
+            |(own, slab), (group, reals)| {
+                let planes = group.chunks_mut(n1 * nc).zip(reals.chunks(n1 * n2));
+                let planes = &mut by_lane(planes, n0)[..];
+                self.for_chunks(nested, own, planes, L::LANES, |s, p| self.plane_r2c(p, s));
+                self.for_chunks(nested, own, planes, L::LANES, |s, p| {
+                    self.plane_axis1(p, s, Direction::Forward);
+                });
+                self.pass_axis0(group, slab, own, nested, Direction::Forward);
             },
         );
     }
 
     /// Inverse transforms of consecutive groups of `L::LANES` meshes (reverse
-    /// pass order). Destroys `spectra`.
+    /// pass order, split like [`forward_groups`](Self::forward_groups)).
+    /// Destroys `spectra`.
     fn inverse_groups<L: Lane>(&self, spectra: &mut [Complex64], reals: &mut [f64]) {
+        let [n0, n1, n2] = self.dims;
+        let nc = self.nc();
         let (rl, sl) = (L::LANES * self.real_len(), L::LANES * self.spectrum_len());
+        let nested = leaves_threads_idle(reals.len() / rl);
         reals.par_chunks_mut(rl).zip(spectra.par_chunks_mut(sl)).for_each_init(
-            || vec![L::ZERO; self.dims[0] * self.nc()],
-            |slab, (reals, spectra)| {
-                self.pass_axis0(spectra, slab, Direction::Inverse);
-                self.pass_axis1::<L>(spectra, Direction::Inverse);
-                self.pass_c2r::<L>(spectra, reals);
+            || (self.scratch::<L>(), vec![L::ZERO; n0 * nc]),
+            |(own, slab), (reals, group)| {
+                self.pass_axis0(group, slab, own, nested, Direction::Inverse);
+                let planes = group.chunks_mut(n1 * nc).zip(reals.chunks_mut(n1 * n2));
+                let planes = &mut by_lane(planes, n0)[..];
+                self.for_chunks(nested, own, planes, L::LANES, |s, p| {
+                    self.plane_axis1(p, s, Direction::Inverse);
+                });
+                self.for_chunks(nested, own, planes, L::LANES, |s, p| self.plane_c2r(p, s));
             },
         );
     }
 
-    /// r2c transform of one group along axis 2 (contiguous rows); `i0`-planes
-    /// are disjoint units of work.
-    fn pass_r2c<L: Lane>(&self, reals: &[f64], group: &mut [Complex64]) {
-        let [n0, n1, n2] = self.dims;
+    /// r2c transform along axis 2 (contiguous rows) of one `i0`-plane of a
+    /// group: `planes[l]` is the plane's spectrum and real chunk in mesh `l`.
+    fn plane_r2c<L: Lane>(&self, planes: &mut [(&mut [Complex64], &[f64])], s: &mut Scratch<L>) {
+        let [_, n1, n2] = self.dims;
         let nc = self.nc();
-        let reals = by_lane(reals.chunks(n1 * n2), n0);
-        by_lane(group.chunks_mut(n1 * nc), n0)
-            .par_chunks_mut(L::LANES)
-            .zip(reals.par_chunks(L::LANES))
-            .for_each_init(
-                || (vec![L::ZERO; nc], vec![L::ZERO; self.rplan.scratch_len()]),
-                |(line, scratch), (planes, reals)| {
-                    for i1 in 0..n1 {
-                        self.rplan.forward_lanes(reals, i1 * n2, line, scratch);
-                        for (l, plane) in planes.iter_mut().enumerate() {
-                            let row = plane[i1 * nc..(i1 + 1) * nc].iter_mut();
-                            row.zip(line.iter()).for_each(|(c, v)| *c = v.lane(l));
-                        }
-                    }
-                },
-            );
+        let line = &mut s.line[..nc];
+        for i1 in 0..n1 {
+            let rows = planes.iter().map(|(_, real)| &real[i1 * n2..(i1 + 1) * n2]);
+            self.rplan.forward_lanes(rows, line, &mut s.fft);
+            for (l, (plane, _)) in planes.iter_mut().enumerate() {
+                let row = plane[i1 * nc..(i1 + 1) * nc].iter_mut();
+                row.zip(line.iter()).for_each(|(c, v)| *c = v.lane(l));
+            }
+        }
     }
 
-    /// c2r transform of one group along axis 2, the reverse of
-    /// [`pass_r2c`](Self::pass_r2c).
-    fn pass_c2r<L: Lane>(&self, group: &[Complex64], reals: &mut [f64]) {
-        let [n0, n1, n2] = self.dims;
+    /// c2r transform along axis 2 of one `i0`-plane, the reverse of
+    /// [`plane_r2c`](Self::plane_r2c).
+    fn plane_c2r<L: Lane>(
+        &self,
+        planes: &mut [(&mut [Complex64], &mut [f64])],
+        s: &mut Scratch<L>,
+    ) {
+        let [_, n1, n2] = self.dims;
         let nc = self.nc();
-        let group = by_lane(group.chunks(n1 * nc), n0);
-        by_lane(reals.chunks_mut(n1 * n2), n0)
-            .par_chunks_mut(L::LANES)
-            .zip(group.par_chunks(L::LANES))
-            .for_each_init(
-                || (vec![L::ZERO; nc], vec![L::ZERO; self.rplan.scratch_len()]),
-                |(line, scratch), (reals, planes)| {
-                    for i1 in 0..n1 {
-                        for (l, plane) in planes.iter().enumerate() {
-                            let row = &plane[i1 * nc..(i1 + 1) * nc];
-                            line.iter_mut().zip(row).for_each(|(v, c)| v.set_lane(l, *c));
-                        }
-                        self.rplan.inverse_lanes(line, reals, i1 * n2, scratch);
-                    }
-                },
-            );
+        let line = &mut s.line[..nc];
+        for i1 in 0..n1 {
+            for (l, (plane, _)) in planes.iter().enumerate() {
+                let row = &plane[i1 * nc..(i1 + 1) * nc];
+                line.iter_mut().zip(row).for_each(|(v, c)| v.set_lane(l, *c));
+            }
+            let rows = planes.iter_mut().map(|(_, real)| &mut real[i1 * n2..(i1 + 1) * n2]);
+            self.rplan.inverse_lanes(line, rows, &mut s.fft);
+        }
     }
 
-    /// Complex transform of one group along axis 1. Lines have stride `nc`
-    /// inside each `i0`-plane; planes are disjoint units of work.
-    fn pass_axis1<L: Lane>(&self, group: &mut [Complex64], dir: Direction) {
-        let [n0, n1, _] = self.dims;
+    /// Complex transform along axis 1 of one `i0`-plane of a group; lines
+    /// have stride `nc` inside the plane.
+    fn plane_axis1<L: Lane, R>(
+        &self,
+        planes: &mut [(&mut [Complex64], R)],
+        s: &mut Scratch<L>,
+        dir: Direction,
+    ) {
+        let n1 = self.dims[1];
         let nc = self.nc();
         if n1 == 1 {
             return;
         }
-        by_lane(group.chunks_mut(n1 * nc), n0).par_chunks_mut(L::LANES).for_each_init(
-            || (vec![L::ZERO; n1], vec![L::ZERO; self.plan1.scratch_len()]),
-            |(line, scratch), planes| {
-                for k2 in 0..nc {
-                    for (l, plane) in planes.iter().enumerate() {
-                        let column = plane[k2..].iter().step_by(nc);
-                        line.iter_mut().zip(column).for_each(|(v, c)| v.set_lane(l, *c));
-                    }
-                    self.plan1.process(line, scratch, dir);
-                    for (l, plane) in planes.iter_mut().enumerate() {
-                        let column = plane[k2..].iter_mut().step_by(nc);
-                        column.zip(line.iter()).for_each(|(c, v)| *c = v.lane(l));
-                    }
-                }
-            },
-        );
+        let line = &mut s.line[..n1];
+        for k2 in 0..nc {
+            for (l, (plane, _)) in planes.iter().enumerate() {
+                let column = plane[k2..].iter().step_by(nc);
+                line.iter_mut().zip(column).for_each(|(v, c)| v.set_lane(l, *c));
+            }
+            self.plan1.process(line, &mut s.fft, dir);
+            for (l, (plane, _)) in planes.iter_mut().enumerate() {
+                let column = plane[k2..].iter_mut().step_by(nc);
+                column.zip(line.iter()).for_each(|(c, v)| *c = v.lane(l));
+            }
+        }
     }
 
     /// Complex transform of one group along axis 0. Lines have stride
     /// `n1*nc`, so the elements of different `i1`-slabs interleave in
     /// memory: the slabs are walked in order, each gathered into
-    /// `slab[k2*n0 + i0]`, and the `nc` lines of a gathered slab are the
-    /// disjoint units of work.
-    fn pass_axis0<L: Lane>(&self, group: &mut [Complex64], slab: &mut [L], dir: Direction) {
+    /// `slab[k2*n0 + i0]`, whose `nc` lines are then the units of work.
+    fn pass_axis0<L: Lane>(
+        &self,
+        group: &mut [Complex64],
+        slab: &mut [L],
+        own: &mut Scratch<L>,
+        nested: bool,
+        dir: Direction,
+    ) {
         let [n0, n1, _] = self.dims;
         let nc = self.nc();
         if n0 == 1 {
             return;
         }
+        let mesh = n0 * n1 * nc;
         for i1 in 0..n1 {
-            let row = |i0: usize| (i0 * n1 + i1) * nc..(i0 * n1 + i1 + 1) * nc;
+            // One whole slab element (every lane) per step, rows in order.
             for i0 in 0..n0 {
-                for (l, mesh) in group.chunks(n0 * n1 * nc).enumerate() {
-                    let column = slab[i0..].iter_mut().step_by(n0);
-                    column.zip(&mesh[row(i0)]).for_each(|(v, c)| v.set_lane(l, *c));
+                let row = (i0 * n1 + i1) * nc;
+                for (k2, v) in slab[i0..].iter_mut().step_by(n0).enumerate() {
+                    for l in 0..L::LANES {
+                        v.set_lane(l, group[l * mesh + row + k2]);
+                    }
                 }
             }
-            slab.par_chunks_mut(n0).for_each_init(
-                || vec![L::ZERO; self.plan0.scratch_len()],
-                |scratch, line| self.plan0.process(line, scratch, dir),
-            );
+            self.for_chunks(nested, own, slab, n0, |s, line| {
+                self.plan0.process(line, &mut s.fft, dir);
+            });
             for i0 in 0..n0 {
-                for (l, mesh) in group.chunks_mut(n0 * n1 * nc).enumerate() {
-                    let column = slab[i0..].iter().step_by(n0);
-                    mesh[row(i0)].iter_mut().zip(column).for_each(|(c, v)| *c = v.lane(l));
+                let row = (i0 * n1 + i1) * nc;
+                for (k2, v) in slab[i0..].iter().step_by(n0).enumerate() {
+                    for l in 0..L::LANES {
+                        group[l * mesh + row + k2] = v.lane(l);
+                    }
                 }
             }
         }

@@ -69,26 +69,27 @@ impl RealFftPlan {
     /// for `k in 0..=n/2`.
     pub fn forward(&self, input: &[f64], spectrum: &mut [Complex64], scratch: &mut [Complex64]) {
         assert_eq!(input.len(), self.n, "input length mismatch");
-        self.forward_lanes(&[input], 0, spectrum, scratch);
+        self.forward_lanes([input].into_iter(), spectrum, scratch);
     }
 
     /// [`forward`](Self::forward) of `L::LANES` lines at once: lane `l`
-    /// transforms `input[l][at..at + n]`.
-    pub(crate) fn forward_lanes<L: Lane>(
+    /// transforms the `l`-th length-`n` signal of `input`.
+    pub(crate) fn forward_lanes<'a, L: Lane>(
         &self,
-        input: &[&[f64]],
-        at: usize,
+        input: impl ExactSizeIterator<Item = &'a [f64]>,
         spectrum: &mut [L],
         scratch: &mut [L],
     ) {
+        debug_assert_eq!(input.len(), L::LANES, "one input line per lane");
         let m = self.n / 2;
         assert_eq!(spectrum.len(), m + 1, "spectrum length mismatch");
         assert!(scratch.len() >= self.scratch_len(), "scratch too small");
         let (z, fft_scratch) = scratch.split_at_mut(m);
 
         // Pack x[2j] + i x[2j+1] and transform at half length.
-        for (l, x) in input.iter().enumerate() {
-            for (zj, x) in z.iter_mut().zip(x[at..at + self.n].chunks_exact(2)) {
+        for (l, x) in input.enumerate() {
+            assert_eq!(x.len(), self.n, "input length mismatch");
+            for (zj, x) in z.iter_mut().zip(x.chunks_exact(2)) {
                 zj.set_lane(l, Complex64::new(x[0], x[1]));
             }
         }
@@ -114,18 +115,18 @@ impl RealFftPlan {
     /// for the result to be exactly real; they are ignored.
     pub fn inverse(&self, spectrum: &[Complex64], output: &mut [f64], scratch: &mut [Complex64]) {
         assert_eq!(output.len(), self.n, "output length mismatch");
-        self.inverse_lanes(spectrum, &mut [output], 0, scratch);
+        self.inverse_lanes(spectrum, [output].into_iter(), scratch);
     }
 
     /// [`inverse`](Self::inverse) of `L::LANES` lines at once: lane `l`
-    /// lands in `output[l][at..at + n]`.
-    pub(crate) fn inverse_lanes<L: Lane>(
+    /// lands in the `l`-th length-`n` line of `output`.
+    pub(crate) fn inverse_lanes<'a, L: Lane>(
         &self,
         spectrum: &[L],
-        output: &mut [&mut [f64]],
-        at: usize,
+        output: impl ExactSizeIterator<Item = &'a mut [f64]>,
         scratch: &mut [L],
     ) {
+        debug_assert_eq!(output.len(), L::LANES, "one output line per lane");
         let m = self.n / 2;
         assert_eq!(spectrum.len(), m + 1, "spectrum length mismatch");
         assert!(scratch.len() >= self.scratch_len(), "scratch too small");
@@ -141,8 +142,9 @@ impl RealFftPlan {
             *hk = sum + (diff * self.tw[k].conj()).mul_i();
         }
         self.half.process(h, fft_scratch, Direction::Inverse);
-        for (l, y) in output.iter_mut().enumerate() {
-            for (y, hj) in y[at..at + self.n].chunks_exact_mut(2).zip(h.iter()) {
+        for (l, y) in output.enumerate() {
+            assert_eq!(y.len(), self.n, "output length mismatch");
+            for (y, hj) in y.chunks_exact_mut(2).zip(h.iter()) {
                 let v = hj.lane(l);
                 (y[0], y[1]) = (v.re, v.im);
             }

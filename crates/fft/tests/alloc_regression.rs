@@ -25,20 +25,6 @@ fn signal(n: usize, seed: u64) -> Vec<Complex64> {
         .collect()
 }
 
-/// Heap effect of `apply`, asserted to be zero allocator calls — the
-/// contract. The counters are process-global and libtest's main thread
-/// (spawning the next test's thread, formatting a result) is not behind
-/// `exclusive()`, so its calls land in some windows; the apply is
-/// deterministic, so an allocation of its own lands in all of them: take the
-/// quietest of three. With zero calls of our own a non-zero net can only be
-/// another thread's `free`, which reads negative — only a positive net is a
-/// leak.
-fn assert_never_allocates(n: usize, mut apply: impl FnMut()) {
-    let m = (0..3).map(|_| measure(&mut apply).0).min_by_key(|m| m.alloc_calls).unwrap();
-    assert_eq!(m.alloc_calls, 0, "n={n}: plan apply made {} allocations", m.alloc_calls);
-    assert!(m.net_bytes <= 0, "n={n}: plan apply leaked {} bytes", m.net_bytes);
-}
-
 #[test]
 fn complex_plan_apply_never_allocates() {
     let _guard = exclusive();
@@ -50,12 +36,17 @@ fn complex_plan_apply_never_allocates() {
         let plan = FftPlan::new(n).unwrap();
         let mut data = signal(n, n as u64);
         let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
-        assert_never_allocates(n, || {
+        let (m, ()) = measure(|| {
             for _ in 0..3 {
                 plan.forward(&mut data, &mut scratch);
                 plan.inverse(&mut data, &mut scratch);
             }
         });
+        assert_eq!(m.alloc_calls, 0, "n={n}: plan apply made {} allocations", m.alloc_calls);
+        // Zero calls is the contract. With none of our own, a non-zero net is
+        // another libtest thread's `free` landing in the window (the counters
+        // are process-global), which reads negative; only growth is a leak.
+        assert!(m.net_bytes <= 0, "n={n}: plan apply leaked {} bytes", m.net_bytes);
     }
 }
 
@@ -71,11 +62,14 @@ fn real_plan_apply_never_allocates() {
         let mut half = vec![Complex64::ZERO; plan.spectrum_len()];
         let mut out = vec![0.0f64; n];
         let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
-        assert_never_allocates(n, || {
+        let (m, ()) = measure(|| {
             for _ in 0..3 {
                 plan.forward(&real, &mut half, &mut scratch);
                 plan.inverse(&half, &mut out, &mut scratch);
             }
         });
+        assert_eq!(m.alloc_calls, 0, "n={n}: real plan apply made {} allocations", m.alloc_calls);
+        // As above: only growth is a leak.
+        assert!(m.net_bytes <= 0, "n={n}: real plan apply leaked {} bytes", m.net_bytes);
     }
 }

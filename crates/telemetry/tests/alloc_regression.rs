@@ -24,29 +24,21 @@ fn recording_is_heap_quiet_at_steady_state() {
         sw.stop(&mut sink);
     }
 
-    // The allocation counters are process-global: libtest's coordinator
-    // (spawning the other test's thread) can dirty a window. A real
-    // regression allocates in *every* attempt, so the quietest of three is
-    // a sound reading (same rule as the disabled-path test below).
-    let attempt = |sink: &mut Snapshot| {
-        measure(|| {
-            for i in 0..10_000u64 {
-                let sw = hibd_telemetry::start(Phase::ALL[(i % 11) as usize]);
-                std::hint::black_box(i);
-                sw.stop(sink);
-                {
-                    let _span = hibd_telemetry::span(Phase::Influence);
-                }
-                hibd_telemetry::incr(Counter::ForwardFfts, 3);
-                hibd_telemetry::gauge_max(Counter::PmeScratchBytes, i);
+    let (m, ()) = measure(|| {
+        for i in 0..10_000u64 {
+            let sw = hibd_telemetry::start(Phase::ALL[(i % 11) as usize]);
+            std::hint::black_box(i);
+            sw.stop(&mut sink);
+            {
+                let _span = hibd_telemetry::span(Phase::Influence);
             }
-            // Snapshot aggregation is array-valued and heap-free too.
-            let snap = hibd_telemetry::snapshot();
-            std::hint::black_box(&snap);
-        })
-        .0
-    };
-    let m = (0..3).map(|_| attempt(&mut sink)).min_by_key(|m| m.alloc_calls).unwrap();
+            hibd_telemetry::incr(Counter::ForwardFfts, 3);
+            hibd_telemetry::gauge_max(Counter::PmeScratchBytes, i);
+        }
+        // Snapshot aggregation is array-valued and heap-free too.
+        let snap = hibd_telemetry::snapshot();
+        std::hint::black_box(&snap);
+    });
     hibd_telemetry::disable();
 
     assert_eq!(m.alloc_calls, 0, "recorder allocated at steady state: {m:?}");
