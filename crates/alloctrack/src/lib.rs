@@ -40,9 +40,12 @@ static NET_BYTES: AtomicIsize = AtomicIsize::new(0);
 static PEAK_BYTES: AtomicIsize = AtomicIsize::new(0);
 /// Total number of allocation calls (allocs + grow side of reallocs).
 static ALLOC_CALLS: AtomicUsize = AtomicUsize::new(0);
+/// Largest single allocation request since the last [`measure`] began.
+static LARGEST_ALLOC: AtomicUsize = AtomicUsize::new(0);
 
 fn record_alloc(size: usize) {
     ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+    LARGEST_ALLOC.fetch_max(size, Ordering::Relaxed);
     let net = NET_BYTES.fetch_add(size as isize, Ordering::Relaxed) + size as isize;
     PEAK_BYTES.fetch_max(net, Ordering::Relaxed);
 }
@@ -153,6 +156,10 @@ pub struct Measurement {
     /// Highest net growth above the starting point reached at any moment
     /// during the call (the closure's true scratch footprint).
     pub peak_bytes: isize,
+    /// Largest single allocation request made during the call: a buffer
+    /// that is dropped and allocated again leaves `net_bytes` and
+    /// `peak_bytes` alone but shows here.
+    pub largest_alloc: usize,
 }
 
 /// Runs `f` and reports the heap delta it caused across **all** threads.
@@ -161,6 +168,7 @@ pub struct Measurement {
 /// whole warm-up + measure sequence.
 pub fn measure<R>(f: impl FnOnce() -> R) -> (Measurement, R) {
     reset_peak();
+    LARGEST_ALLOC.store(0, Ordering::Relaxed);
     let net0 = net_bytes();
     let calls0 = alloc_calls();
     let out = f();
@@ -168,6 +176,7 @@ pub fn measure<R>(f: impl FnOnce() -> R) -> (Measurement, R) {
         net_bytes: net_bytes() - net0,
         alloc_calls: alloc_calls() - calls0,
         peak_bytes: peak_bytes() - net0,
+        largest_alloc: LARGEST_ALLOC.load(Ordering::Relaxed),
     };
     (m, out)
 }

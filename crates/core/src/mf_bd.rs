@@ -475,15 +475,32 @@ impl MatrixFreeBd {
         let lambda = self.cfg.lambda_rpy;
         let n3 = 3 * self.system.len();
 
-        // Drop before rebuild: the previous window's operator owns a
-        // `3 lambda`-mesh batch scratch, and keeping it alive through the
-        // build and the Krylov solve below would double the resident peak.
-        // A failed refresh leaves `op = None`; `ensure_window` retries.
+        // Drop before rebuild, scratch handed over: the previous window's
+        // operator owns a `3 lambda`-mesh batch scratch, and keeping the
+        // operator alive through the build and the Krylov solve below would
+        // double the resident peak — while dropping the scratch with it has
+        // the solve allocate and fault in the same pages again. So the two
+        // buffers move across (every pipeline overwrites them) and the rest
+        // of the operator goes. The split-Ewald sampler works on meshes of
+        // its own, where an idle scratch would only add to the peak: there
+        // it is dropped too. A failed refresh leaves `op = None`;
+        // `ensure_window` retries.
+        let scratch = match &mut self.op {
+            Some(MobilityOp::Pme(old))
+                if self.cfg.displacement_mode != DisplacementMode::SplitEwald =>
+            {
+                Some(old.take_batch_scratch(0))
+            }
+            _ => None,
+        };
         self.retire_operator();
         let mut op = match &self.plans {
             MobilityPlans::Pme(plans) => {
                 let sw = telemetry::start(Phase::PmeSetup);
-                let op = PmeOperator::with_plans(self.system.positions(), Arc::clone(plans));
+                let mut op = PmeOperator::with_plans(self.system.positions(), Arc::clone(plans));
+                if let Some((mesh, spec)) = scratch {
+                    op.restore_batch_scratch(mesh, spec);
+                }
                 sw.stop(&mut self.snap);
                 MobilityOp::Pme(Box::new(op))
             }

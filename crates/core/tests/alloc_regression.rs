@@ -1,6 +1,6 @@
 //! Allocation regression for the Algorithm 2 driver: BD steps inside one
 //! operator window must not grow the heap, and a window refresh must never
-//! hold two operators.
+//! hold two operators nor allocate the batch scratch again.
 //!
 //! The expensive allocations (PME operator, displacement block, per-step
 //! scratch) all happen at the window refresh; the steps that follow inside
@@ -8,7 +8,7 @@
 //! vector per step, which frees immediately — the invariant is zero *net*
 //! growth, i.e. nothing persists step to step.
 
-use hibd_alloctrack::{exclusive, measure, net_bytes, peak_bytes, reset_peak};
+use hibd_alloctrack::{exclusive, measure};
 use hibd_core::mf_bd::{MatrixFreeBd, MatrixFreeConfig};
 use hibd_core::system::ParticleSystem;
 use rand::rngs::StdRng;
@@ -46,7 +46,10 @@ fn window_refresh_keeps_one_operator_resident() {
     // while window k's operator is still alive doubles the resident peak.
     // `refresh_operator` drops before it rebuilds; measured across the
     // *second* refresh, the heap peak above the non-operator heap must stay
-    // near one operator (it was ~2x before the fix).
+    // near one operator (it was ~2x before the fix). Nor may the scratch be
+    // dropped with the operator and grown again: that leaves net and peak
+    // bytes alone but allocates (and page-faults) `3 lambda` meshes per
+    // window, so the refresh must make no allocation as large as one mesh.
     let _guard = exclusive();
     let lambda = 8;
     let mut rng = StdRng::seed_from_u64(4);
@@ -56,12 +59,17 @@ fn window_refresh_keeps_one_operator_resident() {
     bd.run(lambda).unwrap(); // first window, fully consumed
 
     let op_mem = bd.operator_memory_bytes() as isize;
-    let non_operator = net_bytes() - op_mem;
-    reset_peak();
-    bd.step().unwrap(); // second refresh
-    let peak_above = peak_bytes() - non_operator;
+    let (m, ()) = measure(|| bd.step().unwrap()); // second refresh
+    let peak_above = m.peak_bytes + op_mem;
     assert!(
         peak_above <= op_mem + op_mem / 4,
         "refresh peaked {peak_above} bytes above the non-operator heap; one operator is {op_mem}"
+    );
+    let k = bd.shape().pme.expect("periodic").mesh_dim;
+    assert!(
+        m.largest_alloc < 8 * k * k * k,
+        "refresh allocated {} bytes at once; one K = {k} mesh is {}",
+        m.largest_alloc,
+        8 * k * k * k
     );
 }

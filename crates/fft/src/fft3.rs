@@ -7,15 +7,20 @@
 //! Axis `n2` uses the packed real transform; axes `n1` and `n0` are complex
 //! transforms over strided lines, processed by gathering each line into a
 //! contiguous buffer. There is one body per pass, generic over the `Lane`
-//! type of a line (`lanes.rs`): a batch runs as groups of four meshes whose
-//! lines move through the 1D kernels together as `C4` bundles, then the
-//! `batch % 4` tail as one-lane (`Complex64`) groups; a single mesh is the
-//! `batch = 1` call. Work is split by one rule at every lane width: groups
-//! run in parallel, each serially on its own scratch — unless the thread
-//! count does not divide the group count, when the `i0`-planes of the
-//! `n2`/`n1` passes and the lines of each gathered `i1`-slab of the `n0`
-//! pass become nested parallel work for the threads that whole groups would
-//! leave idle (a lone mesh, three tail meshes on two threads).
+//! type of a line bundle (`lanes.rs`), and one bundling rule: the lines of a
+//! pass, in the order the pass enumerates them, move through the 1D kernels
+//! `L::LANES` at a time — four consecutive rows for r2c/c2r, four
+//! neighbouring `k2` columns (one 64-byte cache line of the spectrum per
+//! element) for the strided axes — so at most the last bundle of a pass is
+//! partial. Every mesh is transformed alone, which makes a batch `batch`
+//! single transforms by construction. A mesh with a Bluestein axis runs the
+//! same passes one line per bundle (`Complex64`).
+//!
+//! Meshes are the parallel work, each serial on its own scratch — unless the
+//! thread count does not divide the mesh count, when the units inside a mesh
+//! (groups of `i0`-planes for the `n2`/`n1` passes, the gathered lines of a
+//! slab for the `n0` pass) become nested parallel work for the threads that
+//! whole meshes would leave idle (a lone mesh, a drift triple on two threads).
 
 use crate::complex::Complex64;
 use crate::lanes::{Lane, C4};
@@ -40,23 +45,11 @@ struct Scratch<L> {
     fft: Vec<L>,
 }
 
-/// Whether `groups` whole lane groups cannot keep every thread busy to the
-/// end — the one rule that turns the work inside a group into nested
-/// parallel work (12 quads on 2 threads: no; 1 mesh, or 3 on 2 threads: yes).
-fn leaves_threads_idle(groups: usize) -> bool {
-    !groups.is_multiple_of(rayon::current_num_threads())
-}
-
-/// Transposes the chunks of one lane group — `per_mesh` consecutive chunks
-/// for each of its meshes — from `[lane][pos]` to `[pos][lane]` order, so
-/// that every `lanes`-sized chunk of the result holds the disjoint slices of
-/// one position, one per lane.
-fn by_lane<S>(chunks: impl Iterator<Item = S>, per_mesh: usize) -> Vec<S> {
-    let mut chunks: Vec<Option<S>> = chunks.map(Some).collect();
-    let lanes = chunks.len() / per_mesh;
-    (0..chunks.len())
-        .map(|u| chunks[u % lanes * per_mesh + u / lanes].take().expect("a permutation"))
-        .collect()
+/// Whether `meshes` whole meshes cannot keep every thread busy to the end —
+/// the one rule that turns the work inside a mesh into nested parallel work
+/// (48 meshes on 2 threads: no; 1 mesh, or 3 on 2 threads: yes).
+fn leaves_threads_idle(meshes: usize) -> bool {
+    !meshes.is_multiple_of(rayon::current_num_threads())
 }
 
 impl Fft3 {
@@ -107,49 +100,45 @@ impl Fft3 {
     }
 
     /// Forward r2c transforms of `batch` concatenated meshes through this
-    /// one plan (shared twiddles). *Bitwise* identical to `batch` calls of
-    /// [`Fft3::forward`] on consecutive `real_len()` / `spectrum_len()`
-    /// chunks, but groups of four meshes move through every 1D line
-    /// transform together in lane-bundled form (see `lanes.rs`) — the
-    /// "3D FFTs for blocks of vectors" the paper notes no library provides
-    /// (Sec. III-B). The `batch % 4` remainder (or the whole batch when a
-    /// dimension needs the Bluestein fallback) runs as one-lane groups.
+    /// one plan (shared twiddles) — the "3D FFTs for blocks of vectors" the
+    /// paper notes no library provides (Sec. III-B). Each mesh goes through
+    /// the code of [`Fft3::forward`] on its own `real_len()` /
+    /// `spectrum_len()` chunk, so the results are *bitwise* those of `batch`
+    /// single calls; the batch only supplies the parallel work.
     pub fn forward_batch(&self, reals: &[f64], spectra: &mut [Complex64], batch: usize) {
-        let bundled = self.check_batch(reals.len(), spectra.len(), batch);
+        self.check_batch(reals.len(), spectra.len(), batch);
         hibd_telemetry::incr(Counter::ForwardFfts, batch as u64);
-        let (reals4, reals1) = reals.split_at(bundled * self.real_len());
-        let (spectra4, spectra1) = spectra.split_at_mut(bundled * self.spectrum_len());
-        self.forward_groups::<C4>(reals4, spectra4);
-        self.forward_groups::<Complex64>(reals1, spectra1);
+        if self.has_bluestein_axis() {
+            self.forward_meshes::<Complex64>(reals, spectra);
+        } else {
+            self.forward_meshes::<C4>(reals, spectra);
+        }
     }
 
     /// Inverse c2r transforms of `batch` concatenated half spectra (same
     /// unnormalized convention as [`Fft3::inverse`]:
     /// `inverse_batch(forward_batch(x)) = n0*n1*n2 * x`). Destroys `spectra`.
-    /// Bitwise identical to per-mesh [`Fft3::inverse`] calls, with groups of
-    /// four meshes lane-bundled exactly like [`Fft3::forward_batch`].
+    /// Bitwise identical to per-mesh [`Fft3::inverse`] calls, like
+    /// [`Fft3::forward_batch`].
     pub fn inverse_batch(&self, spectra: &mut [Complex64], reals: &mut [f64], batch: usize) {
-        let bundled = self.check_batch(reals.len(), spectra.len(), batch);
+        self.check_batch(reals.len(), spectra.len(), batch);
         hibd_telemetry::incr(Counter::InverseFfts, batch as u64);
-        let (reals4, reals1) = reals.split_at_mut(bundled * self.real_len());
-        let (spectra4, spectra1) = spectra.split_at_mut(bundled * self.spectrum_len());
-        self.inverse_groups::<C4>(spectra4, reals4);
-        self.inverse_groups::<Complex64>(spectra1, reals1);
+        if self.has_bluestein_axis() {
+            self.inverse_meshes::<Complex64>(spectra, reals);
+        } else {
+            self.inverse_meshes::<C4>(spectra, reals);
+        }
     }
 
-    /// Checks the batched buffer lengths; returns how many leading meshes
-    /// run as `C4` groups. Every 1D plan must be mixed-radix for that: the
-    /// Bluestein fallback is one-lane only.
-    fn check_batch(&self, reals: usize, spectra: usize, batch: usize) -> usize {
+    fn check_batch(&self, reals: usize, spectra: usize, batch: usize) {
         assert_eq!(reals, batch * self.real_len(), "batched real length mismatch");
         assert_eq!(spectra, batch * self.spectrum_len(), "batched spectrum length mismatch");
-        let lanes_supported =
-            self.rplan.is_mixed_radix() && !self.plan1.is_bluestein() && !self.plan0.is_bluestein();
-        if lanes_supported {
-            batch - batch % C4::LANES
-        } else {
-            0
-        }
+    }
+
+    /// The Bluestein fallback is one-lane only, and the lane type is chosen
+    /// per mesh, not per pass.
+    fn has_bluestein_axis(&self) -> bool {
+        !self.rplan.is_mixed_radix() || self.plan1.is_bluestein() || self.plan0.is_bluestein()
     }
 
     fn scratch<L: Lane>(&self) -> Scratch<L> {
@@ -158,8 +147,8 @@ impl Fft3 {
         Scratch { line: vec![L::ZERO; self.dims[1].max(self.nc())], fft: vec![L::ZERO; fft] }
     }
 
-    /// Runs `f` on every `per`-sized chunk of `units`: in order on the
-    /// group's `own` scratch, or when `nested` as parallel work on one
+    /// Runs `f` on every `per`-sized chunk of `units` and its index: in order
+    /// on the mesh's `own` scratch, or when `nested` as parallel work on one
     /// scratch per worker.
     fn for_chunks<L: Lane, T: Send>(
         &self,
@@ -167,159 +156,157 @@ impl Fft3 {
         own: &mut Scratch<L>,
         units: &mut [T],
         per: usize,
-        f: impl Fn(&mut Scratch<L>, &mut [T]) + Sync,
+        f: impl Fn(&mut Scratch<L>, usize, &mut [T]) + Sync,
     ) {
         if nested {
-            units.par_chunks_mut(per).for_each_init(|| self.scratch(), |s, unit| f(s, unit));
+            let units = units.par_chunks_mut(per).enumerate();
+            units.for_each_init(|| self.scratch(), |s, (i, unit)| f(s, i, unit));
         } else {
-            units.chunks_mut(per).for_each(|unit| f(own, unit));
+            units.chunks_mut(per).enumerate().for_each(|(i, unit)| f(own, i, unit));
         }
     }
 
-    /// Forward transforms of consecutive groups of `L::LANES` meshes. Groups
-    /// are the parallel work; the units inside a group (see `for_chunks`) are
-    /// nested parallel work only when whole groups would leave threads idle.
-    fn forward_groups<L: Lane>(&self, reals: &[f64], spectra: &mut [Complex64]) {
+    /// Forward transforms of consecutive meshes. Meshes are the parallel
+    /// work; the units inside a mesh (see `for_chunks`) are nested parallel
+    /// work only when whole meshes would leave threads idle. The units of the
+    /// `n2`/`n1` passes are `L::LANES` whole `i0`-planes, a whole number of
+    /// bundles in either pass.
+    fn forward_meshes<L: Lane>(&self, reals: &[f64], spectra: &mut [Complex64]) {
         let [n0, n1, n2] = self.dims;
         let nc = self.nc();
-        let (rl, sl) = (L::LANES * self.real_len(), L::LANES * self.spectrum_len());
-        let nested = leaves_threads_idle(reals.len() / rl);
-        spectra.par_chunks_mut(sl).zip(reals.par_chunks(rl)).for_each_init(
+        let rows = L::LANES * n1;
+        let nested = leaves_threads_idle(reals.len() / self.real_len());
+        let meshes =
+            spectra.par_chunks_mut(self.spectrum_len()).zip(reals.par_chunks(self.real_len()));
+        meshes.for_each_init(
             || (self.scratch::<L>(), vec![L::ZERO; n0 * nc]),
-            |(own, slab), (group, reals)| {
-                let planes = group.chunks_mut(n1 * nc).zip(reals.chunks(n1 * n2));
-                let planes = &mut by_lane(planes, n0)[..];
-                self.for_chunks(nested, own, planes, L::LANES, |s, p| self.plane_r2c(p, s));
-                self.for_chunks(nested, own, planes, L::LANES, |s, p| {
-                    self.plane_axis1(p, s, Direction::Forward);
+            |(own, slab), (spec, real)| {
+                self.for_chunks(nested, own, spec, rows * nc, |s, i, unit| {
+                    self.unit_r2c(&real[i * rows * n2..], unit, s);
                 });
-                self.pass_axis0(group, slab, own, nested, Direction::Forward);
+                self.for_chunks(nested, own, spec, rows * nc, |s, _, unit| {
+                    self.unit_axis1(unit, s, Direction::Forward);
+                });
+                self.pass_axis0(spec, slab, own, nested, Direction::Forward);
             },
         );
     }
 
-    /// Inverse transforms of consecutive groups of `L::LANES` meshes (reverse
-    /// pass order, split like [`forward_groups`](Self::forward_groups)).
-    /// Destroys `spectra`.
-    fn inverse_groups<L: Lane>(&self, spectra: &mut [Complex64], reals: &mut [f64]) {
+    /// Inverse transforms of consecutive meshes (reverse pass order, split
+    /// like [`forward_meshes`](Self::forward_meshes)). Destroys `spectra`.
+    fn inverse_meshes<L: Lane>(&self, spectra: &mut [Complex64], reals: &mut [f64]) {
         let [n0, n1, n2] = self.dims;
         let nc = self.nc();
-        let (rl, sl) = (L::LANES * self.real_len(), L::LANES * self.spectrum_len());
-        let nested = leaves_threads_idle(reals.len() / rl);
-        reals.par_chunks_mut(rl).zip(spectra.par_chunks_mut(sl)).for_each_init(
+        let rows = L::LANES * n1;
+        let nested = leaves_threads_idle(reals.len() / self.real_len());
+        let meshes =
+            spectra.par_chunks_mut(self.spectrum_len()).zip(reals.par_chunks_mut(self.real_len()));
+        meshes.for_each_init(
             || (self.scratch::<L>(), vec![L::ZERO; n0 * nc]),
-            |(own, slab), (reals, group)| {
-                self.pass_axis0(group, slab, own, nested, Direction::Inverse);
-                let planes = group.chunks_mut(n1 * nc).zip(reals.chunks_mut(n1 * n2));
-                let planes = &mut by_lane(planes, n0)[..];
-                self.for_chunks(nested, own, planes, L::LANES, |s, p| {
-                    self.plane_axis1(p, s, Direction::Inverse);
+            |(own, slab), (spec, real)| {
+                self.pass_axis0(spec, slab, own, nested, Direction::Inverse);
+                self.for_chunks(nested, own, spec, rows * nc, |s, _, unit| {
+                    self.unit_axis1(unit, s, Direction::Inverse);
                 });
-                self.for_chunks(nested, own, planes, L::LANES, |s, p| self.plane_c2r(p, s));
+                let spec = &*spec;
+                self.for_chunks(nested, own, real, rows * n2, |s, i, unit| {
+                    self.unit_c2r(&spec[i * rows * nc..], unit, s);
+                });
             },
         );
     }
 
-    /// r2c transform along axis 2 (contiguous rows) of one `i0`-plane of a
-    /// group: `planes[l]` is the plane's spectrum and real chunk in mesh `l`.
-    fn plane_r2c<L: Lane>(&self, planes: &mut [(&mut [Complex64], &[f64])], s: &mut Scratch<L>) {
-        let [_, n1, n2] = self.dims;
+    /// r2c transform along axis 2 (contiguous rows) of one unit: `unit` is
+    /// its spectrum rows, `real` starts at its first real row.
+    fn unit_r2c<L: Lane>(&self, real: &[f64], unit: &mut [Complex64], s: &mut Scratch<L>) {
+        let n2 = self.dims[2];
         let nc = self.nc();
         let line = &mut s.line[..nc];
-        for i1 in 0..n1 {
-            let rows = planes.iter().map(|(_, real)| &real[i1 * n2..(i1 + 1) * n2]);
-            self.rplan.forward_lanes(rows, line, &mut s.fft);
-            for (l, (plane, _)) in planes.iter_mut().enumerate() {
-                let row = plane[i1 * nc..(i1 + 1) * nc].iter_mut();
-                row.zip(line.iter()).for_each(|(c, v)| *c = v.lane(l));
+        for (rows, reals) in unit.chunks_mut(L::LANES * nc).zip(real.chunks(L::LANES * n2)) {
+            self.rplan.forward_lanes(reals.chunks(n2), line, &mut s.fft);
+            for (l, row) in rows.chunks_mut(nc).enumerate() {
+                row.iter_mut().zip(line.iter()).for_each(|(c, v)| *c = v.lane(l));
             }
         }
     }
 
-    /// c2r transform along axis 2 of one `i0`-plane, the reverse of
-    /// [`plane_r2c`](Self::plane_r2c).
-    fn plane_c2r<L: Lane>(
-        &self,
-        planes: &mut [(&mut [Complex64], &mut [f64])],
-        s: &mut Scratch<L>,
-    ) {
-        let [_, n1, n2] = self.dims;
+    /// c2r transform along axis 2 of one unit, the reverse of
+    /// [`unit_r2c`](Self::unit_r2c): `unit` is its real rows, `spec` starts
+    /// at its first spectrum row.
+    fn unit_c2r<L: Lane>(&self, spec: &[Complex64], unit: &mut [f64], s: &mut Scratch<L>) {
+        let n2 = self.dims[2];
         let nc = self.nc();
         let line = &mut s.line[..nc];
-        for i1 in 0..n1 {
-            for (l, (plane, _)) in planes.iter().enumerate() {
-                let row = &plane[i1 * nc..(i1 + 1) * nc];
+        for (reals, rows) in unit.chunks_mut(L::LANES * n2).zip(spec.chunks(L::LANES * nc)) {
+            for (l, row) in rows.chunks(nc).enumerate() {
                 line.iter_mut().zip(row).for_each(|(v, c)| v.set_lane(l, *c));
             }
-            let rows = planes.iter_mut().map(|(_, real)| &mut real[i1 * n2..(i1 + 1) * n2]);
-            self.rplan.inverse_lanes(line, rows, &mut s.fft);
+            self.rplan.inverse_lanes(line, reals.chunks_mut(n2), &mut s.fft);
         }
     }
 
-    /// Complex transform along axis 1 of one `i0`-plane of a group; lines
-    /// have stride `nc` inside the plane.
-    fn plane_axis1<L: Lane, R>(
-        &self,
-        planes: &mut [(&mut [Complex64], R)],
-        s: &mut Scratch<L>,
-        dir: Direction,
-    ) {
+    /// Complex transform along axis 1 of one unit of whole `i0`-planes. Line
+    /// `u = i0*nc + k2` has stride `nc` inside its plane; a bundle is the
+    /// next `L::LANES` lines in that order, wrapping into the next plane.
+    fn unit_axis1<L: Lane>(&self, unit: &mut [Complex64], s: &mut Scratch<L>, dir: Direction) {
         let n1 = self.dims[1];
         let nc = self.nc();
         if n1 == 1 {
             return;
         }
         let line = &mut s.line[..n1];
-        for k2 in 0..nc {
-            for (l, (plane, _)) in planes.iter().enumerate() {
-                let column = plane[k2..].iter().step_by(nc);
+        let lines = unit.len() / n1;
+        for u in (0..lines).step_by(L::LANES) {
+            let starts = (u..lines.min(u + L::LANES)).map(|u| u / nc * n1 * nc + u % nc);
+            for (l, start) in starts.clone().enumerate() {
+                let column = unit[start..].iter().step_by(nc);
                 line.iter_mut().zip(column).for_each(|(v, c)| v.set_lane(l, *c));
             }
             self.plan1.process(line, &mut s.fft, dir);
-            for (l, (plane, _)) in planes.iter_mut().enumerate() {
-                let column = plane[k2..].iter_mut().step_by(nc);
-                column.zip(line.iter()).for_each(|(c, v)| *c = v.lane(l));
+            for (l, start) in starts.enumerate() {
+                let column = unit[start..].iter_mut().step_by(nc);
+                line.iter().zip(column).for_each(|(v, c)| *c = v.lane(l));
             }
         }
     }
 
-    /// Complex transform of one group along axis 0. Lines have stride
-    /// `n1*nc`, so the elements of different `i1`-slabs interleave in
-    /// memory: the slabs are walked in order, each gathered into
-    /// `slab[k2*n0 + i0]`, whose `nc` lines are then the units of work.
+    /// Complex transform of one mesh along axis 0. Line `u = i1*nc + k2`
+    /// starts at element `u` and has stride `n1*nc`, so lines interleave in
+    /// memory: they are walked `L::LANES * nc` at a time, each such tile
+    /// gathered row by row into `slab[bundle*n0 + i0]`, whose bundles are
+    /// then the units of work.
     fn pass_axis0<L: Lane>(
         &self,
-        group: &mut [Complex64],
+        spec: &mut [Complex64],
         slab: &mut [L],
         own: &mut Scratch<L>,
         nested: bool,
         dir: Direction,
     ) {
         let [n0, n1, _] = self.dims;
-        let nc = self.nc();
+        let per_tile = L::LANES * self.nc();
+        let plane = n1 * self.nc();
         if n0 == 1 {
             return;
         }
-        let mesh = n0 * n1 * nc;
-        for i1 in 0..n1 {
-            // One whole slab element (every lane) per step, rows in order.
-            for i0 in 0..n0 {
-                let row = (i0 * n1 + i1) * nc;
-                for (k2, v) in slab[i0..].iter_mut().step_by(n0).enumerate() {
-                    for l in 0..L::LANES {
-                        v.set_lane(l, group[l * mesh + row + k2]);
-                    }
+        for u in (0..plane).step_by(per_tile) {
+            let width = per_tile.min(plane - u);
+            let tile = &mut slab[..width.div_ceil(L::LANES) * n0];
+            for (i0, row) in spec.chunks(plane).enumerate() {
+                for (v, bundle) in
+                    tile[i0..].iter_mut().step_by(n0).zip(row[u..u + width].chunks(L::LANES))
+                {
+                    bundle.iter().enumerate().for_each(|(l, c)| v.set_lane(l, *c));
                 }
             }
-            self.for_chunks(nested, own, slab, n0, |s, line| {
+            self.for_chunks(nested, own, tile, n0, |s, _, line| {
                 self.plan0.process(line, &mut s.fft, dir);
             });
-            for i0 in 0..n0 {
-                let row = (i0 * n1 + i1) * nc;
-                for (k2, v) in slab[i0..].iter().step_by(n0).enumerate() {
-                    for l in 0..L::LANES {
-                        group[l * mesh + row + k2] = v.lane(l);
-                    }
+            for (i0, row) in spec.chunks_mut(plane).enumerate() {
+                for (v, bundle) in
+                    tile[i0..].iter().step_by(n0).zip(row[u..u + width].chunks_mut(L::LANES))
+                {
+                    bundle.iter_mut().enumerate().for_each(|(l, c)| *c = v.lane(l));
                 }
             }
         }
@@ -343,6 +330,7 @@ mod tests {
 
     #[test]
     fn forward_matches_naive_3d_dft() {
+        // `[3, 5, 4]` ends every pass on a partial bundle.
         for dims in [[4usize, 6, 8], [3, 5, 4], [2, 2, 2], [1, 4, 6], [5, 1, 10], [8, 8, 8]] {
             let [n0, n1, n2] = dims;
             let fft = Fft3::new(dims).unwrap();
@@ -384,32 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn forward_batch_matches_per_mesh_loop() {
-        // Odd and even slow dims, batch sizes straddling the plan count.
-        for (dims, batch) in
-            [([4usize, 6, 8], 3usize), ([3, 5, 4], 5), ([8, 8, 8], 1), ([5, 1, 10], 4)]
-        {
-            let [n0, n1, n2] = dims;
-            let fft = Fft3::new(dims).unwrap();
-            let rl = n0 * n1 * n2;
-            let sl = fft.spectrum_len();
-            let x = random_real(batch * rl, (n0 * 1000 + batch) as u64);
-            let mut spec_batch = vec![Complex64::ZERO; batch * sl];
-            fft.forward_batch(&x, &mut spec_batch, batch);
-            for b in 0..batch {
-                let mut spec_one = vec![Complex64::ZERO; sl];
-                fft.forward(&x[b * rl..(b + 1) * rl], &mut spec_one);
-                for i in 0..sl {
-                    assert!(
-                        (spec_batch[b * sl + i] - spec_one[i]).abs() < 1e-12,
-                        "dims {dims:?} mesh {b} idx {i}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn inverse_batch_roundtrip_scales_by_total_size() {
         // Same unnormalized convention as the single-mesh transforms:
         // inverse_batch(forward_batch(x)) = n0*n1*n2 * x per mesh.
@@ -435,8 +397,7 @@ mod tests {
 
     /// Forward + inverse batch must be *bitwise* equal to per-mesh
     /// transforms: the ensemble engine's replicas are compared bitwise
-    /// against standalone runs, and the `C4` lane groups must not perturb a
-    /// single ulp.
+    /// against standalone runs.
     fn assert_batch_bitwise(dims: [usize; 3], batch: usize) {
         let [n0, n1, n2] = dims;
         let fft = Fft3::new(dims).unwrap();
@@ -473,8 +434,9 @@ mod tests {
 
     #[test]
     fn batch_transforms_are_bitwise_identical_to_single() {
-        // Lane groups plus tails, generic radices (7, 11, 13) on every axis,
-        // n0 == 1 / n1 == 1 early-outs, and a radix-11 real axis.
+        // Batches on both sides of the nesting rule, generic radices (7, 11,
+        // 13) on every axis, n0 == 1 / n1 == 1 early-outs, and a radix-11
+        // real axis.
         for (dims, batch) in [
             ([22usize, 6, 8], 4usize),
             ([7, 5, 4], 5),
@@ -485,6 +447,8 @@ mod tests {
             ([5, 1, 10], 4),
             ([1, 5, 8], 4),
             ([8, 8, 8], 6),
+            ([4, 6, 8], 3),
+            ([3, 5, 4], 5),
         ] {
             assert_batch_bitwise(dims, batch);
         }
@@ -492,10 +456,34 @@ mod tests {
 
     #[test]
     fn batch_with_bluestein_axis_skips_lane_path() {
-        // 17 is rough: the affected 1D plan falls back to Bluestein, the
-        // `C4` groups are gated off, and the batch must still match per-mesh.
+        // 17 is rough: the affected 1D plan falls back to Bluestein, the mesh
+        // runs one line per bundle, and the batch must still match per-mesh.
         for (dims, batch) in [([17usize, 4, 6], 4usize), ([4, 17, 6], 5), ([4, 6, 34], 4)] {
             assert_batch_bitwise(dims, batch);
+        }
+    }
+
+    #[test]
+    fn bundle_width_does_not_change_bits() {
+        // Which lines share a bundle must not matter: the four-lane passes
+        // against the one-lane passes on the same mesh, with every kind of
+        // partial bundle (`n0 % 4` planes, `n1 % 4` rows, `nc % 4` columns).
+        for dims in [[5usize, 1, 10], [1, 5, 8], [3, 2, 4], [7, 5, 6], [66, 6, 8], [9, 10, 12]] {
+            let fft = Fft3::new(dims).unwrap();
+            let x = random_real(fft.real_len(), 31 + dims[0] as u64);
+            let mut wide = vec![Complex64::ZERO; fft.spectrum_len()];
+            let mut narrow = wide.clone();
+            fft.forward_meshes::<C4>(&x, &mut wide);
+            fft.forward_meshes::<Complex64>(&x, &mut narrow);
+            let bits = |v: &[Complex64]| -> Vec<_> {
+                v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+            };
+            assert_eq!(bits(&wide), bits(&narrow), "dims {dims:?} (fwd)");
+            let (mut y4, mut y1) = (vec![0.0; x.len()], vec![0.0; x.len()]);
+            fft.inverse_meshes::<C4>(&mut wide, &mut y4);
+            fft.inverse_meshes::<Complex64>(&mut narrow, &mut y1);
+            let bits = |v: &[f64]| -> Vec<_> { v.iter().map(|r| r.to_bits()).collect() };
+            assert_eq!(bits(&y4), bits(&y1), "dims {dims:?} (inv)");
         }
     }
 

@@ -5,27 +5,31 @@
 //! axis passes — is written once, generic over `Lane`, and instantiated for
 //! exactly two element types:
 //!
-//! * [`Complex64`]: one line of one mesh;
-//! * [`C4`]: the same line of four meshes moving through the transform
-//!   together — the batched "3D FFTs for blocks of vectors" of the paper's
-//!   Section III-B. The twiddle at each step is one scalar shared by all four
-//!   lanes, so a `C4` kernel replaces the per-mesh deinterleave/permute
-//!   traffic with broadcast multiplies and turns the `O(r^2)` generic-radix
-//!   leaves into 4-wide vector arithmetic.
+//! * [`Complex64`]: one line — the public 1D API, and every line of a mesh
+//!   with a Bluestein axis;
+//! * [`C4`]: four lines of *one* mesh moving through the transform together
+//!   ([`crate::Fft3`] bundles four consecutive rows, or four neighbouring
+//!   `k2` columns of a strided axis), so one mesh fills the SIMD lanes as
+//!   well as a batch does — the "3D FFTs for blocks of vectors" of the
+//!   paper's Section III-B are simply many meshes. The twiddle at each step
+//!   is one scalar shared by all four lanes, so a `C4` kernel replaces the
+//!   per-line deinterleave/permute traffic with broadcast multiplies.
 //!
 //! Bitwise contract: every lane of a `C4` transform is *bitwise identical* to
-//! the `Complex64` transform of that mesh (ensemble replicas are compared
+//! the `Complex64` transform of that line, so which lines share a bundle — or
+//! whether any do — moves no bit of a mesh (ensemble replicas are compared
 //! bitwise against standalone runs). It holds because both are the same
 //! source: the `C4` operators below are the `Complex64` expression trees
 //! (`complex.rs`) applied per lane — plain `mul`/`add`/`sub`, never
 //! `mul_add`, which would change the rounding (Rust does not contract float
 //! expressions on its own). The only lane-specific kernels are the AVX2 fast
 //! paths: the two `combine_avx2` kernels in `simd.rs`, which share one FMA
-//! register body, and [`generic_avx2`] here, which uses lanewise
-//! `mul`/`add`/`sub` only and so rounds exactly like [`generic_scalar`].
-//! Pinned by `to_bits` tests in `fft3.rs` and `tests/batch_bitwise.rs`.
+//! register body, and [`generic_avx2`] here, which is [`generic_scalar`]
+//! itself compiled for AVX2 registers. Pinned by `to_bits` tests here, in
+//! `fft3.rs` and in `tests/batch_bitwise.rs`.
 
 use crate::complex::Complex64;
+use crate::plan::MAX_RADIX;
 use crate::simd::CombineAvx2;
 use std::ops::{Add, Mul, Sub};
 
@@ -47,7 +51,7 @@ pub(crate) trait Lane:
     + CombineAvx2
 {
     const ZERO: Self;
-    /// Meshes per element.
+    /// Lines per element.
     const LANES: usize;
 
     fn scale(self, s: f64) -> Self;
@@ -65,7 +69,8 @@ pub(crate) trait Lane:
     /// Bluestein fallback has no lane form.
     fn as_complex(data: &mut [Self]) -> Option<&mut [Complex64]>;
 
-    /// Leaf DFT for radices above 5: `out[s] = Σ_q t[q] gen[qs mod r]`.
+    /// Leaf DFT for the odd radices above 5:
+    /// `out[s] = Σ_q t[q] gen[qs mod r]`.
     fn generic_leaf(t: &[Self], out: &mut [Self], gen: &[Complex64]) {
         generic_scalar(t, out, gen);
     }
@@ -104,11 +109,11 @@ impl Lane for Complex64 {
     }
 }
 
-/// Four complex values in structure-of-arrays form; lane `l` holds mesh `l`
-/// of a lane group. Each `[f64; 4]` field is exactly one AVX register wide,
-/// and the alignment keeps an element on one cache line (at the allocator's
-/// 16 bytes, `im` straddles two in every mmap-backed slab): with the axis-0
-/// gather writing whole elements this is worth 2–3 % of a K = 66 quad.
+/// Four complex values in structure-of-arrays form; lane `l` holds line `l`
+/// of a bundle. Each `[f64; 4]` field is exactly one AVX register wide, and
+/// the alignment keeps an element on one cache line (at the allocator's 16
+/// bytes, `im` straddles two in every mmap-backed slab): with the axis-0
+/// gather writing whole elements this is worth 2–3 % of a K = 66 mesh.
 #[derive(Clone, Copy, Debug, Default)]
 #[repr(C, align(64))]
 pub(crate) struct C4 {
@@ -194,22 +199,44 @@ impl Lane for C4 {
     }
 }
 
-/// Direct `O(r^2)` DFT for small primes above 5 (`r <= MAX_RADIX`),
-/// table-driven: `gen[j] = cis(∓2 pi j / r)`.
+/// DFT for the odd primes above 5 (`r <= MAX_RADIX`), table-driven:
+/// `gen[j] = cis(∓2 pi j / r)`. The inputs are folded into conjugate pairs
+/// `a_q = t[q] + t[r-q]`, `b_q = t[q] - t[r-q]`, whose table entries are
+/// conjugates too, so that `out[s]` and `out[r-s]` share
+/// `t[0] + Σ_q cos·a_q` and `i Σ_q sin·b_q` — real multiplies only, and a
+/// quarter of the direct sum's count.
+#[inline(always)]
 fn generic_scalar<L: Lane>(t: &[L], out: &mut [L], gen: &[Complex64]) {
     let r = t.len();
-    for (s, o) in out.iter_mut().enumerate() {
-        let mut acc = L::ZERO;
-        for (q, &v) in t.iter().enumerate() {
-            acc = acc + v * gen[(q * s) % r];
+    let h = r / 2;
+    debug_assert!(r % 2 == 1 && r <= MAX_RADIX && gen.len() == r);
+    let mut a = [L::ZERO; MAX_RADIX / 2];
+    let mut b = [L::ZERO; MAX_RADIX / 2];
+    let mut sum = t[0];
+    for q in 1..=h {
+        a[q - 1] = t[q] + t[r - q];
+        b[q - 1] = t[q] - t[r - q];
+        sum = sum + a[q - 1];
+    }
+    out[0] = sum;
+    for s in 1..=h {
+        let mut even = t[0];
+        let mut odd = L::ZERO;
+        for q in 1..=h {
+            let g = gen[q * s % r];
+            even = even + a[q - 1].scale(g.re);
+            odd = odd + b[q - 1].scale(g.im);
         }
-        *o = acc;
+        let odd = odd.mul_i();
+        out[s] = even + odd;
+        out[r - s] = even - odd;
     }
 }
 
-/// [`generic_scalar`] for four lanes in AVX2 registers. Lanewise
-/// `mul`/`add`/`sub` only (no FMA), so every lane is bitwise the scalar loop
-/// — a pure speedup, legal under either `HIBD_SIMD` leg.
+/// [`generic_scalar`] for four lanes compiled for AVX2 registers: the same
+/// body, so lanewise `mul`/`add`/`sub` only (no FMA — the feature is not
+/// enabled here and Rust never contracts) and every lane is bitwise the
+/// scalar loop — a pure speedup, legal under either `HIBD_SIMD` leg.
 ///
 /// # Safety
 /// The caller must ensure the CPU supports the `avx2` target feature
@@ -217,29 +244,7 @@ fn generic_scalar<L: Lane>(t: &[L], out: &mut [L], gen: &[Complex64]) {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn generic_avx2(t: &[C4], out: &mut [C4], gen: &[Complex64]) {
-    use core::arch::x86_64::*;
-    let r = t.len();
-    for (s, o) in out.iter_mut().enumerate() {
-        let mut ar = _mm256_setzero_pd();
-        let mut ai = _mm256_setzero_pd();
-        for (q, v) in t.iter().enumerate() {
-            let g = gen[(q * s) % r];
-            let gr = _mm256_set1_pd(g.re);
-            let gi = _mm256_set1_pd(g.im);
-            // SAFETY: `[f64; 4]` is 4 contiguous f64s; in-bounds load.
-            let vr = unsafe { _mm256_loadu_pd(v.re.as_ptr()) };
-            // SAFETY: as above.
-            let vi = unsafe { _mm256_loadu_pd(v.im.as_ptr()) };
-            // acc += v * g with the scalar tree: re += vr*gr - vi*gi,
-            // im += vr*gi + vi*gr (plain ops, same rounding as scalar).
-            ar = _mm256_add_pd(ar, _mm256_sub_pd(_mm256_mul_pd(vr, gr), _mm256_mul_pd(vi, gi)));
-            ai = _mm256_add_pd(ai, _mm256_add_pd(_mm256_mul_pd(vr, gi), _mm256_mul_pd(vi, gr)));
-        }
-        // SAFETY: in-bounds stores into the 4-lane arrays.
-        unsafe { _mm256_storeu_pd(o.re.as_mut_ptr(), ar) };
-        // SAFETY: as above.
-        unsafe { _mm256_storeu_pd(o.im.as_mut_ptr(), ai) };
-    }
+    generic_scalar(t, out, gen);
 }
 
 #[cfg(test)]
@@ -268,8 +273,10 @@ mod tests {
     #[test]
     fn c4_lines_are_bitwise_four_complex_lines() {
         // Every hand-written radix as leaf and as an `m >= 4` combine (the
-        // AVX2 kernels' gate), an `m % 4` tail, and generic radices 7 and 11.
-        for n in [2usize, 3, 4, 5, 6, 7, 8, 12, 15, 16, 20, 22, 25] {
+        // AVX2 kernels' gate), an `m % 4` tail, and the conjugate-pair radices
+        // 7, 11 and 13 as leaf, as a combine and under one.
+        let sizes = [2usize, 3, 4, 5, 6, 7, 8, 12, 15, 16, 20, 22, 25];
+        for n in sizes.into_iter().chain([11, 13, 14, 26, 49, 66, 77, 121, 126]) {
             let plan = FftPlan::new(n).unwrap();
             let mut next = lcg(n as u64);
             let mut lines: Vec<Vec<Complex64>> =

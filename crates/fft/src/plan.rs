@@ -3,8 +3,8 @@
 //! Lengths whose prime factors are at most [`MAX_RADIX`] run through the
 //! mixed-radix path (the PME tuner only ever chooses such "smooth" mesh
 //! dimensions; the paper's Table III uses K in {32, 64, 128, 256, 400}, all
-//! 5-smooth). Radices 2, 3, 4 and 5 have hand-written butterflies; other
-//! small primes use a direct `O(r^2)` kernel. Any other length — including
+//! 5-smooth). Radices 2, 3, 4 and 5 have hand-written butterflies; 7, 11
+//! and 13 share one conjugate-pair kernel. Any other length — including
 //! large primes — is handled by Bluestein's chirp-z algorithm on a
 //! power-of-two inner transform, so every size is supported.
 //!
@@ -82,10 +82,9 @@ pub(crate) struct Level {
     pub tw_im: Vec<f64>,
     /// Generic-butterfly twiddles, `[forward, inverse]`: entry `j` is
     /// `e^{∓2 pi i j / r}`. Populated only for radices above 5 (the
-    /// hand-written butterflies embed their constants); the tables keep the
-    /// `O(r^2)` leaf DFT free of per-apply trigonometry while staying
-    /// bitwise identical to it — each entry is `cis` of exactly the angle
-    /// the inline expression used to compute.
+    /// hand-written butterflies embed their constants), whose conjugate-pair
+    /// leaf reads its cosines and sines from here instead of evaluating them
+    /// per apply.
     gen: [Vec<Complex64>; 2],
 }
 
@@ -305,7 +304,7 @@ impl FftPlan {
     }
 
     /// In-place transform of `L::LANES` lines at once (Bluestein plans: one
-    /// line only — `Fft3` gates its lane groups on `is_bluestein`).
+    /// line only — `Fft3` runs a mesh with such an axis one line per bundle).
     pub(crate) fn process<L: Lane>(&self, data: &mut [L], scratch: &mut [L], dir: Direction) {
         assert_eq!(data.len(), self.n, "data length mismatch");
         assert!(scratch.len() >= self.scratch_len(), "scratch too small");
@@ -380,8 +379,7 @@ pub(crate) const C2: f64 = -0.809_016_994_374_947_5;
 pub(crate) const S2: f64 = 0.587_785_252_292_473_1;
 
 /// `out[s] = Σ_q t[q] e^{∓2 pi i qs/r}` for `r = t.len()` (hand-written for
-/// r = 1..5; radices above 5 read the plan's precomputed `gen` table, whose
-/// entries are bitwise the `cis` values the direct loop used to evaluate).
+/// r = 1..5; radices above 5 read the plan's precomputed `gen` table).
 pub(crate) fn butterfly_into<L: Lane>(t: &[L], out: &mut [L], dir: Direction, gen: &[Complex64]) {
     let inv = dir == Direction::Inverse;
     match t.len() {
@@ -459,6 +457,8 @@ mod tests {
         60, 64, 100, 121, 125, 128, 144, 169, 200, 243, 256, 400,
         // Rough sizes exercising the Bluestein fallback.
         17, 19, 23, 34, 97, 101, 257,
+        // The conjugate-pair leaf (7, 11, 13 above) as an `m >= 4` combine.
+        14, 22, 26, 49, 66, 77, 126,
     ];
 
     #[test]

@@ -72,15 +72,16 @@ impl RealFftPlan {
         self.forward_lanes([input].into_iter(), spectrum, scratch);
     }
 
-    /// [`forward`](Self::forward) of `L::LANES` lines at once: lane `l`
-    /// transforms the `l`-th length-`n` signal of `input`.
+    /// [`forward`](Self::forward) of up to `L::LANES` lines at once: lane `l`
+    /// transforms the `l`-th length-`n` signal of `input` (the lanes of a
+    /// partial bundle beyond `input` carry whatever `scratch` held).
     pub(crate) fn forward_lanes<'a, L: Lane>(
         &self,
         input: impl ExactSizeIterator<Item = &'a [f64]>,
         spectrum: &mut [L],
         scratch: &mut [L],
     ) {
-        debug_assert_eq!(input.len(), L::LANES, "one input line per lane");
+        debug_assert!(input.len() <= L::LANES, "at most one input line per lane");
         let m = self.n / 2;
         assert_eq!(spectrum.len(), m + 1, "spectrum length mismatch");
         assert!(scratch.len() >= self.scratch_len(), "scratch too small");
@@ -118,7 +119,7 @@ impl RealFftPlan {
         self.inverse_lanes(spectrum, [output].into_iter(), scratch);
     }
 
-    /// [`inverse`](Self::inverse) of `L::LANES` lines at once: lane `l`
+    /// [`inverse`](Self::inverse) of up to `L::LANES` lines at once: lane `l`
     /// lands in the `l`-th length-`n` line of `output`.
     pub(crate) fn inverse_lanes<'a, L: Lane>(
         &self,
@@ -126,7 +127,7 @@ impl RealFftPlan {
         output: impl ExactSizeIterator<Item = &'a mut [f64]>,
         scratch: &mut [L],
     ) {
-        debug_assert_eq!(output.len(), L::LANES, "one output line per lane");
+        debug_assert!(output.len() <= L::LANES, "at most one output line per lane");
         let m = self.n / 2;
         assert_eq!(spectrum.len(), m + 1, "spectrum length mismatch");
         assert!(scratch.len() >= self.scratch_len(), "scratch too small");
@@ -168,7 +169,7 @@ mod tests {
     }
 
     const SIZES: &[usize] = &[
-        2, 4, 6, 8, 10, 12, 16, 20, 30, 32, 48, 64, 100, 128, 256, 400,
+        2, 4, 6, 8, 10, 12, 16, 20, 30, 32, 48, 64, 100, 128, 132, 252, 256, 400,
         // Half-lengths taking the Bluestein path.
         34, 38, 46, 194,
     ];

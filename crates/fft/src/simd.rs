@@ -10,19 +10,20 @@
 //! * `Complex64`: four *consecutive `k`* of one line — the interleaved data
 //!   is deinterleaved into split re/im registers and twiddles come from the
 //!   plan's split `tw_re`/`tw_im` tables with unit stride;
-//! * `C4`: the four *meshes* of a lane group at one `k` — already split, and
-//!   the twiddle is one broadcast scalar.
+//! * `C4`: the four *lines* of a bundle at one `k` — already split, and the
+//!   twiddle is one broadcast scalar.
 //!
 //! Both expand the same register arithmetic (`combine_body!`), in which
-//! every complex multiply-add maps onto FMA instructions, so a mesh sees the
+//! every complex multiply-add maps onto FMA instructions, so a line sees the
 //! same bits whichever kernel it rode through.
 //!
 //! Dispatch policy (see `hibd-simd`): the AVX2 path is taken only for the
 //! hand-unrolled radices 2/3/4/5 with `m >= 4`, over `k < m & !3`, and when
 //! runtime detection reports AVX2+FMA. The scalar loop reproduces the
 //! pre-SIMD combine operation-for-operation, so forcing `HIBD_SIMD=off`
-//! yields bitwise identical transforms to the historical scalar
-//! implementation.
+//! yields the historical scalar transform bit for bit at 5-smooth lengths;
+//! lengths with a factor 7, 11 or 13 differ from it on both legs alike, by
+//! the rounding of the conjugate-pair leaf (`lanes::generic_scalar`).
 
 use crate::complex::Complex64;
 use crate::lanes::{Lane, C4};
@@ -172,7 +173,7 @@ macro_rules! ldt4 {
     }};
 }
 
-/// Butterfly input `t_q` for four meshes: the lane bundle at `$idx` times
+/// Butterfly input `t_q` for four lines: the lane bundle at `$idx` times
 /// its one twiddle, broadcast and conjugated exactly as `ldt4!` does.
 #[cfg(target_arch = "x86_64")]
 macro_rules! ldtc4 {
@@ -331,7 +332,7 @@ impl CombineAvx2 for Complex64 {
 }
 
 impl CombineAvx2 for C4 {
-    /// Four meshes at one `k` per register, one broadcast twiddle.
+    /// Four lines at one `k` per register, one broadcast twiddle.
     ///
     /// # Safety
     /// See [`CombineAvx2::combine_avx2`].

@@ -4,15 +4,16 @@
 //! `forward_batch`/`inverse_batch` round trip over `3R` concatenated meshes
 //! must reproduce a standalone run's per-replica `forward`/`inverse` calls
 //! exactly, or replica trajectories would diverge from their standalone
-//! seeded twins. Both paths visit each line with the same plan and the same
-//! per-line arithmetic; only the outer partitioning differs, and this test
-//! pins that equivalence down to the last bit.
+//! seeded twins. Every mesh of a batch runs the single-mesh code, bundling
+//! lines of that mesh only; what differs with the batch width is whether the
+//! work inside a mesh is nested parallel work (thread count not dividing the
+//! batch), and this test pins that equivalence down to the last bit.
 //!
 //! `golden_bits_are_stable` additionally pins the *absolute* bits: an FNV-1a
-//! over the `to_bits` of a batch-7 round trip (one lane group + a 3-mesh
-//! tail), recorded before the lane kernels became one generic body, on both
-//! dispatch legs — so a kernel rewrite that moves batch and single together
-//! still fails here.
+//! over the `to_bits` of a batch-7 round trip, recorded before the lane
+//! kernels became one generic body and before the lanes were filled from
+//! inside one mesh, on both dispatch legs — so a rewrite that moves batch
+//! and single together still fails here.
 
 use hibd_fft::{Complex64, Fft3};
 use std::sync::{Mutex, PoisonError};
@@ -75,9 +76,23 @@ fn check_dims(dims: [usize; 3], batch: usize) {
 #[test]
 fn batch_transforms_are_bitwise_identical_to_single_mesh() {
     let _l = SIMD_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    // Tail only (batch 1 is `forward(x) == forward_batch(x, 1)`), whole lane
-    // groups only, and both.
-    for dims in [[8usize, 8, 8], [12, 12, 12], [6, 10, 8], [16, 16, 16]] {
+    // Batches on both sides of the nesting rule at 1, 2, 3 and 5 threads.
+    // After the four historical shapes: every bundle tail (`n0 % 4` planes
+    // in the last unit, `n1 % 4` rows, `nc % 4` columns, `n0 == 1`,
+    // `n1 == 1`), a radix-11 axis of 66, and a Bluestein axis (one-lane).
+    for dims in [
+        [8usize, 8, 8],
+        [12, 12, 12],
+        [6, 10, 8],
+        [16, 16, 16],
+        [5, 1, 10],
+        [1, 5, 8],
+        [3, 2, 4],
+        [7, 5, 6],
+        [66, 6, 8],
+        [17, 4, 6],
+        [4, 6, 34],
+    ] {
         for batch in [1usize, 2, 3, 4, 5, 6, 7, 9, 12] {
             check_dims(dims, batch);
         }
@@ -110,13 +125,16 @@ fn golden_hashes(dims: [usize; 3]) -> [u64; 2] {
 
 /// `(dims, scalar leg, AVX2+FMA leg)`, recorded at the commit before the
 /// lane kernels were folded into the generic body (x86-64 Linux; the
-/// twiddles come from libm's `sin_cos`). `[22, 6, 8]` has a radix-11 generic
-/// leaf on axis 0.
+/// twiddles come from libm's `sin_cos`) and unchanged since for the three
+/// 5-smooth shapes: which four lines share a bundle moves no bit.
+/// `[22, 6, 8]` has a radix-11 leaf on axis 0 and was recorded again when
+/// that leaf became the conjugate-pair sum (a different, shorter expression
+/// tree than the direct `O(r^2)` loop, so different rounding).
 const GOLDEN: [([usize; 3], [u64; 2], [u64; 2]); 4] = [
     (
         [22, 6, 8],
-        [0x2b42_bc34_2d62_d69e, 0x4dc4_79f0_b5f3_f130],
-        [0xb2b5_9847_649c_7b68, 0x5277_fa07_ee47_e400],
+        [0x567a_5460_90ac_ca12, 0xf080_bcac_c423_ef58],
+        [0x2ab7_8d1f_cd19_9d37, 0xb58f_2645_d45f_f0ee],
     ),
     // m = 3 at every combine level: below the AVX2 kernels' `m >= 4` gate.
     (
@@ -160,22 +178,24 @@ fn batch_width_does_not_change_per_mesh_bits() {
     // Widths 3 and 3R must agree mesh-for-mesh on the shared prefix: the
     // engine batches `3R` meshes where a standalone operator batches 3.
     let _l = SIMD_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    let fft = Fft3::new([12, 12, 12]).unwrap();
-    let (nreal, nspec) = (fft.real_len(), fft.spectrum_len());
-    let mut next = lcg(77);
-    let reals: Vec<f64> = (0..12 * nreal).map(|_| next()).collect();
-    let mut wide = vec![Complex64::ZERO; 12 * nspec];
-    fft.forward_batch(&reals, &mut wide, 12);
-    let mut narrow = vec![Complex64::ZERO; 3 * nspec];
-    for g in 0..4 {
-        fft.forward_batch(&reals[g * 3 * nreal..(g + 1) * 3 * nreal], &mut narrow, 3);
-        assert!(
-            wide[g * 3 * nspec..(g + 1) * 3 * nspec].iter().zip(&narrow).all(|(a, b)| a
-                .re
-                .to_bits()
-                == b.re.to_bits()
-                && a.im.to_bits() == b.im.to_bits()),
-            "forward_batch width 12 group {g} differs from width 3"
-        );
+    for dims in [[12usize, 12, 12], [7, 5, 6], [66, 6, 8]] {
+        let fft = Fft3::new(dims).unwrap();
+        let (nreal, nspec) = (fft.real_len(), fft.spectrum_len());
+        let mut next = lcg(77);
+        let reals: Vec<f64> = (0..12 * nreal).map(|_| next()).collect();
+        let mut wide = vec![Complex64::ZERO; 12 * nspec];
+        fft.forward_batch(&reals, &mut wide, 12);
+        let mut narrow = vec![Complex64::ZERO; 3 * nspec];
+        for g in 0..4 {
+            fft.forward_batch(&reals[g * 3 * nreal..(g + 1) * 3 * nreal], &mut narrow, 3);
+            assert!(
+                wide[g * 3 * nspec..(g + 1) * 3 * nspec].iter().zip(&narrow).all(|(a, b)| a
+                    .re
+                    .to_bits()
+                    == b.re.to_bits()
+                    && a.im.to_bits() == b.im.to_bits()),
+                "dims {dims:?}: forward_batch width 12 group {g} differs from width 3"
+            );
+        }
     }
 }

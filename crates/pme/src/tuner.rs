@@ -11,7 +11,6 @@
 //! `e_p = |u_pme - u_ref|_2 / |u_ref|_2` used to validate the choices.
 
 use crate::operator::{PmeOperator, PmeParams};
-use hibd_fft::FftPlan;
 use hibd_linalg::LinearOperator;
 use hibd_mathx::Vec3;
 
@@ -33,16 +32,7 @@ pub fn box_from_volume_fraction(n: usize, phi: f64, a: f64) -> f64 {
 /// Smallest even *smooth* (mixed-radix) FFT dimension `>= k`. The FFT crate
 /// can transform any size via Bluestein, but smooth sizes are several times
 /// faster, so the tuner only ever picks these.
-pub fn next_smooth_even(k: usize) -> usize {
-    let mut k = k.max(2);
-    if k % 2 == 1 {
-        k += 1;
-    }
-    while FftPlan::new_mixed_radix(k).is_err() {
-        k += 2;
-    }
-    k
-}
+pub use hibd_fft::next_smooth_even;
 
 /// Magnitude of the real-space Ewald kernel at radius `r` (units of `mu0`):
 /// the truncation error of dropping a neighbor just outside the cutoff.
@@ -212,6 +202,7 @@ pub fn reference_operator(positions: &[Vec3], base: &PmeParams) -> PmeOperator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hibd_fft::FftPlan;
     use hibd_linalg::DenseOp;
     use hibd_rpy::{dense_ewald_mobility, RpyEwald};
 

@@ -1,14 +1,14 @@
 //! **fma-discipline**: `mul_add` is permitted only inside `*_avx2` kernels.
 //!
 //! Every bitwise-reproducibility contract in the workspace (ensemble
-//! replica vs standalone run, lane-batched FFT vs per-mesh FFT, SIMD pair
-//! batches vs scalar loops) rests on the scalar expression trees using
+//! replica vs standalone run, four-lane FFT bundle vs one-lane line, SIMD
+//! pair batches vs scalar loops) rests on the scalar expression trees using
 //! plain `mul`/`add`/`sub` with IEEE rounding at every step. A single
 //! `mul_add` in a scalar tree contracts two roundings into one and silently
 //! changes the bits — the same way the paper's Section IV kernels lose
 //! accuracy when their summation order drifts. Hardware-FMA intrinsics are
-//! confined to `*_avx2` kernels (including `combine4_avx2`, the sanctioned
-//! lane mirror of `combine_avx2`'s FMA tree), where the scalar twin and the
+//! confined to `*_avx2` kernels (the FFT's two `combine_avx2` impls expand
+//! one `combine_body!` FMA tree), where the scalar twin and the
 //! equivalence/bitwise tests define the contract explicitly; `mul_add` in
 //! their scalar tail loops is part of that same audited kernel body.
 
