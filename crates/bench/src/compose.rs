@@ -4,8 +4,7 @@
 //! the figures need — Figure 4's on-the-fly weights, Figure 9's overlapped
 //! real/reciprocal branches, the pre-batching per-column block apply — are
 //! assembled here from the operator's read-only parts (`spread_plan()`,
-//! `interp_matrix()`, `real_matrix()`, `plans()`) and harness-owned meshes,
-//! the same way `hibd-engine` composes its cross-replica batched drift.
+//! `interp_matrix()`, `real_matrix()`, `plans()`) and harness-owned meshes.
 
 use hibd_fft::Complex64;
 use hibd_linalg::LinearOperator;

@@ -19,9 +19,8 @@
 //!
 //! The `jobs` section holds each replica's own phase account (`r0`, `r1`,
 //! ... — the driver's `snapshot()`, so open-boundary jobs list the tree
-//! phases) plus, for matrix-free runs, a `shared` entry for work not
-//! attributable to a single replica (the batched FFT passes and the
-//! plan-cache hit/miss counters).
+//! phases) plus, for matrix-free runs, a `shared` entry carrying the
+//! plan-cache hit/miss counters.
 //!
 //! Only phases with at least one recorded span are emitted. The `report`
 //! object (format of [`telemetry::Report::to_json`]) is present only for

@@ -37,11 +37,11 @@ pub struct PmeShape {
     pub lambda: usize,
 }
 
-/// Summary of a completed run of `replicas` lockstep replicas.
+/// Summary of a completed run of `replicas` replicas.
 #[derive(Clone, Debug)]
 pub struct RunReport {
     pub replicas: usize,
-    /// Lockstep steps actually executed (short of the budget when
+    /// Steps every replica actually executed (short of the budget when
     /// interrupted).
     pub steps: usize,
     pub seconds: f64,
@@ -54,7 +54,7 @@ pub struct RunReport {
     /// wrote a final checkpoint, and stopped early.
     pub interrupted: bool,
     /// Per-job phase accounts (`r0`, `r1`, ..., plus the engine's `shared`
-    /// batched-FFT entry for matrix-free runs) for the `--profile` jobs
+    /// plan-cache entry for matrix-free runs) for the `--profile` jobs
     /// section.
     pub jobs: Vec<LabeledSnapshot>,
 }
@@ -147,7 +147,7 @@ pub fn run_simulation(
     if spec.replicas > 1 {
         return Err(format!(
             "this config sets replicas = {}; single-trajectory `hibd run` needs replicas = 1 \
-             (use `hibd ensemble` for lockstep multi-replica runs)",
+             (use `hibd ensemble` for multi-replica runs)",
             spec.replicas
         )
         .into());
@@ -155,8 +155,8 @@ pub fn run_simulation(
     run_replicas(spec, resume_from, log)
 }
 
-/// `hibd ensemble`: `spec.replicas` independent replicas in lockstep on one
-/// shared plan cache. Replica `r` is the standalone run with seed
+/// `hibd ensemble`: `spec.replicas` independent replicas, stepped one after
+/// the other each step, on one shared plan cache. Replica `r` is the standalone run with seed
 /// `spec.seed + r` (trajectory/checkpoint files get a `.r{N}` suffix when
 /// `replicas > 1`). Resume is single-trajectory only: restart replica `r`
 /// with `hibd resume` on its own checkpoint and `seed = seed + r`.

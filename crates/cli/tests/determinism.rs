@@ -50,8 +50,8 @@ fn identical_runs_write_identical_trajectories() {
 
 /// The CLI-level ensemble contract: replica `r` of an `R`-replica ensemble
 /// writes byte-identical trajectory and checkpoint files to a standalone
-/// `replicas = 1` run with seed `seed + r`, even though the ensemble
-/// batches the drift FFTs of all replicas through shared plans.
+/// `replicas = 1` run with seed `seed + r`, with all replicas on one set of
+/// shared plans.
 #[test]
 fn ensemble_replicas_match_sequential_runs_bitwise() {
     const R: usize = 3;

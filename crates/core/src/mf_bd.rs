@@ -430,16 +430,9 @@ impl MatrixFreeBd {
         &self.plans
     }
 
-    /// The current window's operator (`None` before the first
-    /// [`ensure_window`](Self::ensure_window)).
+    /// The current window's operator (`None` before the first step).
     pub fn operator(&self) -> Option<&MobilityOp> {
         self.op.as_ref()
-    }
-
-    /// Mutable operator of the current window; the ensemble engine drives
-    /// the PME spread/FFT/interpolate stages through it directly.
-    pub fn operator_mut(&mut self) -> Option<&mut MobilityOp> {
-        self.op.as_mut()
     }
 
     /// The job's whole phase account: the driver's own spans and Lanczos
@@ -451,12 +444,6 @@ impl MatrixFreeBd {
             snap.merge(op.snapshot());
         }
         snap
-    }
-
-    /// The driver's own sink, for spans an external stepper (the ensemble
-    /// engine) spends on this job outside the driver's methods.
-    pub fn snapshot_mut(&mut self) -> &mut Snapshot {
-        &mut self.snap
     }
 
     /// Resident bytes of the current operator (0 before the first step).
@@ -489,7 +476,7 @@ impl MatrixFreeBd {
             Some(MobilityOp::Pme(old))
                 if self.cfg.displacement_mode != DisplacementMode::SplitEwald =>
             {
-                Some(old.take_batch_scratch(0))
+                Some(old.take_batch_scratch())
             }
             _ => None,
         };
@@ -589,10 +576,8 @@ impl MatrixFreeBd {
 
     /// Make the current displacement window valid: rebuild the operator and
     /// redraw the Brownian block when the window is exhausted (or none has
-    /// been built yet). After this returns `Ok`, the operator accessors are
-    /// `Some` and [`advance_with_drift`](Self::advance_with_drift) may
-    /// consume one displacement.
-    pub fn ensure_window(&mut self) -> Result<(), BdError> {
+    /// been built yet).
+    fn ensure_window(&mut self) -> Result<(), BdError> {
         if self.used >= self.cfg.lambda_rpy || self.op.is_none() {
             self.refresh_operator()?;
         }
@@ -604,30 +589,8 @@ impl MatrixFreeBd {
         total_force(&mut self.forces, &self.system)
     }
 
-    /// Propagate one step from an externally computed hydrodynamic drift
-    /// `M f` (length `3n`): `r += drift dt + d_j`, consuming displacement
-    /// `j` of the current window. Callers must have run
-    /// [`ensure_window`](Self::ensure_window) this step; the ensemble
-    /// engine computes the drift itself (batching the FFTs across
-    /// replicas), while [`step`](Self::step) uses the operator directly.
-    pub fn advance_with_drift(&mut self, drift: &[f64]) {
-        let sw = telemetry::start(Phase::Stepping);
-        let n3 = 3 * self.system.len();
-        assert_eq!(drift.len(), n3);
-        let lambda = self.cfg.lambda_rpy;
-        let j = self.used;
-        assert!(j < lambda, "displacement window exhausted; call ensure_window first");
-        self.step_scratch.resize(n3, 0.0);
-        for (i, (s, &d)) in self.step_scratch.iter_mut().zip(drift).enumerate() {
-            *s = d * self.cfg.dt + self.disp[i * lambda + j];
-        }
-        self.used += 1;
-        self.steps_done += 1;
-        self.system.apply_displacements(&self.step_scratch);
-        sw.stop(&mut self.snap);
-    }
-
-    /// Advance one BD step.
+    /// Advance one BD step: `r += M f dt + d_j`, consuming displacement `j`
+    /// of the current window.
     pub fn step(&mut self) -> Result<(), BdError> {
         self.ensure_window()?;
 
@@ -637,13 +600,17 @@ impl MatrixFreeBd {
         let op = self.op.as_mut().expect("operator refreshed by ensure_window");
         self.drift_scratch.resize(n3, 0.0);
         op.apply(&f, &mut self.drift_scratch);
-        sw.stop(&mut self.snap);
 
-        // Same buffer round-trips through `advance_with_drift` (which needs
-        // `&mut self`), so the steady state stays allocation-free.
-        let drift = std::mem::take(&mut self.drift_scratch);
-        self.advance_with_drift(&drift);
-        self.drift_scratch = drift;
+        let lambda = self.cfg.lambda_rpy;
+        let j = self.used;
+        self.step_scratch.resize(n3, 0.0);
+        for (i, (s, &d)) in self.step_scratch.iter_mut().zip(&self.drift_scratch).enumerate() {
+            *s = d * self.cfg.dt + self.disp[i * lambda + j];
+        }
+        self.used += 1;
+        self.steps_done += 1;
+        self.system.apply_displacements(&self.step_scratch);
+        sw.stop(&mut self.snap);
         Ok(())
     }
 
@@ -691,7 +658,7 @@ mod tests {
         bd.run(4).unwrap();
         let first = bd.snapshot();
         assert_eq!(first.phase(Phase::PmeSetup).count, 2, "plans + the first window");
-        assert_eq!(first.phase(Phase::Stepping).count, 2 * 4, "drift + propagation per step");
+        assert_eq!(first.phase(Phase::Stepping).count, 4, "one span per step");
         bd.run(3).unwrap(); // one more setup at step 5, reused for 6-7
         let second = bd.snapshot();
         assert_eq!(second.phase(Phase::PmeSetup).count, 3);

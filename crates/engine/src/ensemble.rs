@@ -1,26 +1,15 @@
-//! Lockstep multi-replica stepping with cross-replica FFT batching.
+//! Resident multi-job stepping: stable slots, shared plans, per-job faults.
 //!
-//! Each replica is a full [`MatrixFreeBd`] driver — own positions, own
-//! RNG stream, own operator scratch — but replicas resolving to the same
-//! shape share one [`PmePlans`]/[`TreePlans`] allocation from the runner's
-//! [`PlanCache`], and the per-step drift `M f` of every same-shape periodic
-//! group goes through **one** batched forward/inverse FFT pair instead of
-//! `G` separate 3-transform trips.
-//!
-//! Membership is dynamic: [`EnsembleRunner::admit`] adds a job between
-//! steps (it joins its shape group at the next step boundary) and
-//! [`EnsembleRunner::retire`] removes one without stalling the rest —
-//! retired slots are reused by later admissions. This is safe under the
-//! bitwise contract because the batched FFTs are bitwise identical per
-//! mesh: regrouping only repacks which meshes ride in one batch, never
-//! what any single mesh computes.
-//!
-//! Bitwise contract: a replica stepped here produces exactly the trajectory
-//! a standalone `MatrixFreeBd` with the same system, config, and seed
-//! would. The window refresh (operator build + Brownian block) is the
-//! standalone code path verbatim; the drift pipeline reuses the operator's
-//! own spread/influence/interpolate kernels; and the batch FFTs are bitwise
-//! identical per mesh to the single-mesh transforms.
+//! Each job is a full [`MatrixFreeBd`] driver — own positions, own RNG
+//! stream, own operator — and one engine step is [`MatrixFreeBd::step`] on
+//! every live slot, so a job stepped here produces exactly the trajectory a
+//! standalone driver with the same system, config and seed would: it *is*
+//! that driver. What the runner adds is residency. Jobs resolving to the
+//! same shape share one [`PmePlans`]/[`TreePlans`] allocation from the
+//! runner's [`PlanCache`]; [`EnsembleRunner::admit`] and
+//! [`EnsembleRunner::retire`] change membership between steps (retired slots
+//! are reused); and a job that errors or panics is reported by slot while
+//! the others finish the step.
 //!
 //! [`PmePlans`]: hibd_pme::PmePlans
 //! [`TreePlans`]: hibd_treecode::TreePlans
@@ -29,18 +18,8 @@ use crate::cache::PlanCache;
 use hibd_core::ewald_bd::BdError;
 use hibd_core::mf_bd::{MatrixFreeConfig, MobilityOp, MobilityPlans};
 use hibd_core::{MatrixFreeBd, ParticleSystem};
-use hibd_linalg::LinearOperator;
-use hibd_pme::PmeOperator;
-use hibd_telemetry::{self as telemetry, Counter, LabeledSnapshot, Phase, Snapshot};
+use hibd_telemetry::{Counter, LabeledSnapshot, Snapshot};
 use std::sync::Arc;
-
-/// The PME operator of a periodic replica whose window is current.
-fn pme_op(bd: &mut MatrixFreeBd) -> &mut PmeOperator {
-    match bd.operator_mut() {
-        Some(MobilityOp::Pme(op)) => op,
-        _ => panic!("periodic replica runs on PME"),
-    }
-}
 
 /// Why a job failed during a step.
 #[derive(Debug)]
@@ -60,10 +39,9 @@ impl std::fmt::Display for JobFault {
     }
 }
 
-/// One job's failure from [`EnsembleRunner::step_isolated`]. The slot is
-/// dead for the rest of that step; the caller decides whether to
-/// [`retire`](EnsembleRunner::retire) it (a failed job's operator scratch
-/// is suspect — always retire before stepping again).
+/// One job's failure from [`EnsembleRunner::step_isolated`]. The job did
+/// not complete that step and its driver state is suspect: always
+/// [`retire`](EnsembleRunner::retire) it before stepping again.
 #[derive(Debug)]
 pub struct JobFailure {
     /// Slot index of the failed job.
@@ -91,40 +69,23 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Run one per-job segment, converting an error or a panic into a fault.
-/// The segment only touches that job's own driver state, which the caller
-/// then retires — hence the `AssertUnwindSafe`.
-fn run_guarded<T>(f: impl FnOnce() -> Result<T, BdError>) -> Result<T, JobFault> {
+/// Run one job's step, converting an error or a panic into a fault. The
+/// step only touches that job's own driver state, which the caller then
+/// retires — hence the `AssertUnwindSafe`.
+fn run_guarded(f: impl FnOnce() -> Result<(), BdError>) -> Result<(), JobFault> {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-        Ok(Ok(v)) => Ok(v),
+        Ok(Ok(())) => Ok(()),
         Ok(Err(e)) => Err(JobFault::Error(e)),
         Err(p) => Err(JobFault::Panic(panic_message(p.as_ref()))),
     }
 }
 
-/// Mark `slot` dead for the rest of the step and report why.
-fn note_fault(slot: usize, fault: JobFault, dead: &mut [bool], failures: &mut Vec<JobFailure>) {
-    dead[slot] = true;
-    failures.push(JobFailure { slot, fault });
-}
-
-/// Steps live replicas in lockstep, sharing setup plans and batching the
-/// drift FFTs of same-shape periodic replicas. Slots are stable handles:
-/// a job keeps its slot index for life, and retired slots are recycled.
+/// Steps every live job once per engine step, sharing setup plans between
+/// same-shape jobs. Slots are stable handles: a job keeps its slot index
+/// for life, and retired slots are recycled.
 pub struct EnsembleRunner {
     slots: Vec<Option<MatrixFreeBd>>,
     cache: PlanCache,
-    /// Same-shape periodic groups (slot indices), rebuilt on every
-    /// admit/retire. Plans are per-driver immutable, so membership only
-    /// changes at those step boundaries.
-    groups: Vec<Vec<usize>>,
-    /// Open-boundary slots, stepped through their own tree operator.
-    solo: Vec<usize>,
-    /// Per-slot drift `M f` buffers.
-    drift: Vec<Vec<f64>>,
-    /// Work not attributable to one job: the batched FFT passes. Everything
-    /// else is in the owning driver's own snapshot.
-    shared: Snapshot,
 }
 
 impl EnsembleRunner {
@@ -145,20 +106,13 @@ impl EnsembleRunner {
     /// [`PlanCache::with_capacity`] to bound a long-running service).
     #[must_use]
     pub fn with_cache(cache: PlanCache) -> EnsembleRunner {
-        EnsembleRunner {
-            slots: Vec::new(),
-            cache,
-            groups: Vec::new(),
-            solo: Vec::new(),
-            drift: Vec::new(),
-            shared: Snapshot::empty(),
-        }
+        EnsembleRunner { slots: Vec::new(), cache }
     }
 
-    /// Admit a new job, returning its slot index. The job joins its shape
-    /// group at the next step boundary; a retired slot is reused when one
-    /// is free. Admission is the only point that builds plans, so a
-    /// same-shape admit is a cache hit and shares the existing `Arc`.
+    /// Admit a new job, returning its slot index; it steps from the next
+    /// engine step on. A retired slot is reused when one is free. Admission
+    /// is the only point that builds plans, so a same-shape admit is a
+    /// cache hit and shares the existing `Arc`.
     pub fn admit(
         &mut self,
         system: ParticleSystem,
@@ -167,51 +121,23 @@ impl EnsembleRunner {
     ) -> Result<usize, BdError> {
         let plans = self.cache.plans_for(&system, &cfg)?;
         let bd = MatrixFreeBd::with_plans(system, cfg, seed, plans)?;
-        let slot = match self.slots.iter().position(Option::is_none) {
+        Ok(match self.slots.iter().position(Option::is_none) {
             Some(free) => {
                 self.slots[free] = Some(bd);
                 free
             }
             None => {
                 self.slots.push(Some(bd));
-                self.drift.push(Vec::new());
                 self.slots.len() - 1
             }
-        };
-        self.drift[slot].clear();
-        self.regroup();
-        Ok(slot)
+        })
     }
 
     /// Remove the job in `slot` (finished, failed, or cancelled) and hand
-    /// its driver back — phase account included; the rest of its group
-    /// keeps stepping.
+    /// its driver back — phase account included; the other jobs keep
+    /// stepping.
     pub fn retire(&mut self, slot: usize) -> Option<MatrixFreeBd> {
-        let bd = self.slots.get_mut(slot)?.take()?;
-        self.drift[slot] = Vec::new();
-        self.regroup();
-        Some(bd)
-    }
-
-    /// Rebuild the periodic groups and the solo list from the live slots.
-    /// `Arc::ptr_eq` is the grouping key: equal pointers guarantee the
-    /// same FFT plan, so one batched transform serves the whole group.
-    /// Slot-index iteration keeps the grouping deterministic.
-    fn regroup(&mut self) {
-        let mut groups: Vec<(Arc<hibd_pme::PmePlans>, Vec<usize>)> = Vec::new();
-        let mut solo = Vec::new();
-        for (r, bd) in self.slots.iter().enumerate() {
-            let Some(bd) = bd else { continue };
-            match bd.plans() {
-                MobilityPlans::Pme(p) => match groups.iter_mut().find(|(g, _)| Arc::ptr_eq(g, p)) {
-                    Some((_, members)) => members.push(r),
-                    None => groups.push((Arc::clone(p), vec![r])),
-                },
-                MobilityPlans::Tree(_) => solo.push(r),
-            }
-        }
-        self.groups = groups.into_iter().map(|(_, members)| members).collect();
-        self.solo = solo;
+        self.slots.get_mut(slot)?.take()
     }
 
     /// Number of live replicas.
@@ -267,18 +193,6 @@ impl EnsembleRunner {
         &self.cache
     }
 
-    /// Sizes of the current same-shape periodic groups, in group order.
-    #[must_use]
-    pub fn group_sizes(&self) -> Vec<usize> {
-        self.groups.iter().map(Vec::len).collect()
-    }
-
-    /// Number of open-boundary (ungrouped) replicas.
-    #[must_use]
-    pub fn solo_count(&self) -> usize {
-        self.solo.len()
-    }
-
     /// Advance every replica by one BD step; the first job failure of the
     /// step is the error. [`step_isolated`](Self::step_isolated) is the body:
     /// a failing job never unwinds through the engine, and the replicas
@@ -287,157 +201,17 @@ impl EnsembleRunner {
         self.step_isolated().into_iter().next().map_or(Ok(()), Err)
     }
 
-    /// Advance every replica by one BD step with per-job fault isolation:
-    /// a job that errors or panics is skipped for the rest of the step and
-    /// reported, while the rest of its group (and the daemon) keep going.
-    /// Failed slots must be [`retire`](EnsembleRunner::retire)d before the
-    /// next step — their driver state is suspect.
+    /// Advance every live job by one [`MatrixFreeBd::step`] with per-job
+    /// fault isolation: a job that errors or panics is reported, the others
+    /// (and the daemon) keep going. Failed slots must be
+    /// [`retire`](EnsembleRunner::retire)d before the next step — their
+    /// driver state is suspect.
     pub fn step_isolated(&mut self) -> Vec<JobFailure> {
-        let n_slots = self.slots.len();
         let mut failures = Vec::new();
-        let mut dead = vec![false; n_slots];
-
-        // Window refresh per replica (operator rebuild + Brownian block):
-        // the standalone code path, timed into the driver's own snapshot.
-        for r in 0..n_slots {
-            let Some(bd) = self.slots[r].as_mut() else {
-                dead[r] = true;
-                continue;
-            };
-            if let Err(fault) = run_guarded(|| bd.ensure_window()) {
-                note_fault(r, fault, &mut dead, &mut failures);
-            }
-        }
-
-        // Deterministic forces on the current configurations.
-        let mut forces: Vec<Vec<f64>> = vec![Vec::new(); n_slots];
-        for r in 0..n_slots {
-            if dead[r] {
-                continue;
-            }
-            let bd = self.slots[r].as_mut().expect("live");
-            match run_guarded(|| Ok(bd.total_forces())) {
-                Ok(f) => forces[r] = f,
-                Err(fault) => note_fault(r, fault, &mut dead, &mut failures),
-            }
-        }
-        for (r, is_dead) in dead.iter().enumerate() {
-            self.drift[r].clear();
-            if !*is_dead {
-                let n = self.slots[r].as_ref().expect("live").system().len();
-                self.drift[r].resize(3 * n, 0.0);
-            }
-        }
-
-        // Drift `M f` for each same-shape periodic group: per-replica
-        // real-space + spread, one shared batched FFT round trip,
-        // per-replica influence + interpolation. The batch buffers are
-        // *borrowed* from the group's first live operator — its Krylov
-        // batch scratch already holds `3 lambda` meshes, so lockstepping
-        // adds no large allocation of its own. A member that faults
-        // mid-group leaves its mesh chunk untouched downstream; the batch
-        // FFT is bitwise per mesh, so one member's garbage never reaches
-        // another's lanes.
-        for group in &self.groups {
-            let live: Vec<usize> = group.iter().copied().filter(|&r| !dead[r]).collect();
-            let Some(&host) = live.first() else { continue };
-            let g = live.len();
-            let plans = match self.slots[host].as_ref().expect("live").plans() {
-                MobilityPlans::Pme(p) => Arc::clone(p),
-                MobilityPlans::Tree(_) => unreachable!("groups hold periodic replicas"),
-            };
-            let k = plans.params().mesh_dim;
-            let k3 = k * k * k;
-            let s_len = k * k * (k / 2 + 1);
-            let (need_mesh, need_spec) = (3 * g * k3, 3 * g * s_len);
-            let (mut bmesh, mut bspec) =
-                pme_op(self.slots[host].as_mut().expect("live")).take_batch_scratch(g);
-
-            for (gi, &r) in live.iter().enumerate() {
-                let chunk = &mut bmesh[gi * 3 * k3..(gi + 1) * 3 * k3];
-                let bd = self.slots[r].as_mut().expect("live");
-                let f = &forces[r];
-                let drift = &mut self.drift[r];
-                let res = run_guarded(|| {
-                    let op = pme_op(bd);
-                    op.real_apply(f, drift);
-                    op.spread_forces(f, chunk);
-                    Ok(())
-                });
-                if let Err(fault) = res {
-                    note_fault(r, fault, &mut dead, &mut failures);
-                }
-            }
-
-            let sw = telemetry::start(Phase::ForwardFft);
-            plans.fft().forward_batch(&bmesh[..need_mesh], &mut bspec[..need_spec], 3 * g);
-            sw.stop(&mut self.shared);
-
-            for (gi, &r) in live.iter().enumerate() {
-                if dead[r] {
-                    continue;
-                }
-                let sw = telemetry::start(Phase::Influence);
-                plans.influence().apply(&mut bspec[gi * 3 * s_len..(gi + 1) * 3 * s_len]);
-                sw.stop(self.slots[r].as_mut().expect("live").snapshot_mut());
-            }
-
-            let sw = telemetry::start(Phase::InverseFft);
-            plans.fft().inverse_batch(&mut bspec[..need_spec], &mut bmesh[..need_mesh], 3 * g);
-            sw.stop(&mut self.shared);
-
-            for (gi, &r) in live.iter().enumerate() {
-                if dead[r] {
-                    continue;
-                }
-                let chunk = &bmesh[gi * 3 * k3..(gi + 1) * 3 * k3];
-                let bd = self.slots[r].as_mut().expect("live");
-                let drift = &mut self.drift[r];
-                let res = run_guarded(|| {
-                    pme_op(bd).interpolate_add(chunk, drift);
-                    Ok(())
-                });
-                if let Err(fault) = res {
-                    note_fault(r, fault, &mut dead, &mut failures);
-                }
-            }
-
-            pme_op(self.slots[host].as_mut().expect("live")).restore_batch_scratch(bmesh, bspec);
-        }
-
-        // Open-boundary replicas: the treecode apply is already an `O(n
-        // log n)` single pass with nothing to batch across replicas.
-        for &r in &self.solo {
-            if dead[r] {
-                continue;
-            }
-            let bd = self.slots[r].as_mut().expect("live");
-            let f = &forces[r];
-            let drift = &mut self.drift[r];
-            let res = run_guarded(|| {
-                let sw = telemetry::start(Phase::Stepping);
-                bd.operator_mut().expect("window is current").apply(f, drift);
-                sw.stop(bd.snapshot_mut());
-                Ok(())
-            });
-            if let Err(fault) = res {
-                note_fault(r, fault, &mut dead, &mut failures);
-            }
-        }
-
-        // Propagate every replica.
-        for r in 0..n_slots {
-            if dead[r] {
-                continue;
-            }
-            let bd = self.slots[r].as_mut().expect("live");
-            let drift = &self.drift[r];
-            let res = run_guarded(|| {
-                bd.advance_with_drift(drift);
-                Ok(())
-            });
-            if let Err(fault) = res {
-                note_fault(r, fault, &mut dead, &mut failures);
+        for (slot, bd) in self.slots.iter_mut().enumerate() {
+            let Some(bd) = bd else { continue };
+            if let Err(fault) = run_guarded(|| bd.step()) {
+                failures.push(JobFailure { slot, fault });
             }
         }
         failures
@@ -459,8 +233,8 @@ impl EnsembleRunner {
     }
 
     /// Per-job phase statistics labeled `r{slot}` for every live slot plus
-    /// a `shared` entry for the batched FFT passes and the plan-cache
-    /// counters. Merging these across runners goes through
+    /// a `shared` entry carrying the plan-cache counters (all work is some
+    /// job's own). Merging these across runners goes through
     /// [`hibd_telemetry::merge_labeled`].
     #[must_use]
     pub fn job_snapshots(&self) -> Vec<LabeledSnapshot> {
@@ -472,7 +246,7 @@ impl EnsembleRunner {
                 Some(LabeledSnapshot { label: format!("r{r}"), snapshot: bd.as_ref()?.snapshot() })
             })
             .collect();
-        let mut shared = self.shared.clone();
+        let mut shared = Snapshot::empty();
         shared.counters[Counter::PlanCacheHits as usize] = self.cache.hits();
         shared.counters[Counter::PlanCacheMisses as usize] = self.cache.misses();
         shared.counters[Counter::PlanCacheEvictions as usize] = self.cache.evictions();
@@ -481,14 +255,12 @@ impl EnsembleRunner {
     }
 
     /// Resident bytes of the whole ensemble: every live replica's per-job
-    /// operator state (which includes the borrowed batch scratch), each
-    /// distinct shared plan set **once**, and the drift buffers. With `R`
+    /// operator state and each distinct shared plan set **once**. With `R`
     /// replicas of one shape this is strictly less than `R` standalone
     /// operators, which count their plans `R` times.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
-        let mut total =
-            self.drift.iter().map(|d| d.capacity() * std::mem::size_of::<f64>()).sum::<usize>();
+        let mut total = 0;
         let mut seen: Vec<*const u8> = Vec::new();
         for bd in self.slots.iter().flatten() {
             total += bd.operator().map_or(0, MobilityOp::state_memory_bytes);

@@ -3,26 +3,26 @@
 //! Screening studies run many replicas of the *same shape* — one suspension
 //! geometry, many noise seeds. Building a standalone [`MatrixFreeBd`] per
 //! replica repeats the position-independent setup work (FFT twiddle plans,
-//! the `O(K^3)` influence table, Chebyshev transfer matrices) `R` times and
-//! steps each trajectory alone. This crate keeps that work resident:
+//! the `O(K^3)` influence table, Chebyshev transfer matrices) `R` times.
+//! This crate keeps that work resident:
 //!
 //! * [`PlanCache`] — deduplicates the immutable setup artifacts
 //!   ([`hibd_pme::PmePlans`] / [`hibd_treecode::TreePlans`]) behind a
 //!   canonical [`ShapeKey`], handing every replica of a shape the same
 //!   `Arc`. Hit/miss counts feed the telemetry counters.
-//! * [`EnsembleRunner`] — steps `R` replicas in lockstep, batching the
-//!   per-step `M f` drift FFTs of same-shape periodic replicas through one
-//!   [`hibd_fft::Fft3::forward_batch`]/`inverse_batch` pair. Membership is
-//!   dynamic (`admit`/`retire` at step boundaries) and `step_isolated`
-//!   confines one job's error or panic to that job — the substrate the
-//!   `hibd-serve` daemon schedules onto.
+//! * [`EnsembleRunner`] — holds `R` jobs in stable slots and advances each
+//!   by one `MatrixFreeBd::step` per engine step. Membership is dynamic
+//!   (`admit`/`retire` at step boundaries) and `step_isolated` confines one
+//!   job's error or panic to that job — the substrate the `hibd-serve`
+//!   daemon schedules onto.
 //!
-//! The correctness contract is **bitwise**: every replica's trajectory is
-//! identical, bit for bit, to a standalone single-trajectory run with the
-//! same seed. This holds because the batch FFT entry points are bitwise
-//! identical per mesh to the single-mesh transforms (pinned by
-//! `crates/fft/tests/batch_bitwise.rs`) and every other stage runs on the
-//! replica's own operator exactly as `MatrixFreeBd::step` would.
+//! The correctness contract is **bitwise** and holds by construction: a
+//! job's trajectory is identical, bit for bit, to a standalone
+//! single-trajectory run with the same seed, because the runner steps it
+//! through the standalone driver's own `step`. Same-shape jobs' FFTs are
+//! deliberately not fused into one batch: `Fft3` fills its SIMD lanes from
+//! inside one mesh, so a mesh in a wide batch costs what a mesh alone does
+//! (DESIGN.md §12).
 //!
 //! [`MatrixFreeBd`]: hibd_core::MatrixFreeBd
 

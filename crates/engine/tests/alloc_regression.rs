@@ -1,8 +1,8 @@
-//! Allocation regression for the ensemble runner: lockstep steps inside an
-//! operator window must not grow the heap. The batch mesh/spectrum scratch
-//! and per-replica drift buffers are grown on the first step and reused;
-//! per-step force vectors are transient (freed within the step), so the
-//! invariant is zero *net* growth.
+//! Allocation regression for the ensemble runner: engine steps inside an
+//! operator window must not grow the heap. The runner owns no scratch of
+//! its own; each driver's operator and step buffers are grown on its first
+//! step and reused. The one transient is `MatrixFreeBd::step`'s force
+//! vector (freed within the step), so the invariant is zero *net* growth.
 
 use hibd_alloctrack::{exclusive, measure};
 use hibd_core::mf_bd::MatrixFreeConfig;
@@ -24,8 +24,8 @@ fn lockstep_steps_within_a_window_do_not_grow_the_heap() {
     let jobs: Vec<_> = (0..3u64).map(|r| (base.clone(), 70 + r)).collect();
     let mut runner = EnsembleRunner::new(cfg, jobs).unwrap();
 
-    // Step 1 refreshes every window and grows the batch + drift scratch;
-    // steps 2..6 stay inside the windows.
+    // Step 1 refreshes every window and grows each driver's scratch; steps
+    // 2..6 stay inside the windows.
     runner.step().unwrap();
     let mem = runner.memory_bytes();
     let (m, ()) = measure(|| {
@@ -33,6 +33,6 @@ fn lockstep_steps_within_a_window_do_not_grow_the_heap() {
             runner.step().unwrap();
         }
     });
-    assert!(m.net_bytes.abs() <= TOL, "5 lockstep steps leaked {} net bytes", m.net_bytes);
+    assert!(m.net_bytes.abs() <= TOL, "5 engine steps leaked {} net bytes", m.net_bytes);
     assert_eq!(runner.memory_bytes(), mem, "ensemble scratch grew inside the window");
 }

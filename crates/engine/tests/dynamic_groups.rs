@@ -1,7 +1,8 @@
-//! Dynamic group membership and fault isolation: jobs admitted mid-run
-//! join their shape group at the next step boundary, retired jobs leave
-//! without perturbing the rest, and a panicking job fails alone — all
-//! without breaking the replica-vs-standalone bitwise contract.
+//! Dynamic membership and fault isolation: jobs admitted mid-run start
+//! stepping at the next step boundary on the plans their shape already has,
+//! retired jobs leave without perturbing the rest, and a panicking job
+//! fails alone — all without breaking the replica-vs-standalone bitwise
+//! contract.
 
 use hibd_core::forces::{Force, RepulsiveHarmonic};
 use hibd_core::mf_bd::{MatrixFreeBd, MatrixFreeConfig};
@@ -48,17 +49,17 @@ fn admit_mid_run_and_retire_early_stay_bitwise() {
     runner.replica_mut(a).add_force(RepulsiveHarmonic::default());
     runner.run(JOIN_AT).unwrap();
 
-    // b joins the group mid-run; from here the pair steps batched.
+    // b joins mid-run on a's plans; from here the pair steps together.
     let b = runner.admit(base.clone(), cfg, 200).unwrap();
     runner.replica_mut(b).add_force(RepulsiveHarmonic::default());
-    assert_eq!(runner.group_sizes(), vec![2], "same shape jobs share one group");
     assert_eq!(runner.cache().hits(), 1, "the second admit reuses the plans");
+    assert_eq!(runner.cache().misses(), 1, "same shape jobs share one plan build");
     runner.run(STEPS_B).unwrap();
 
     // b finishes first and retires; a keeps going alone.
     let done_b = runner.retire(b).expect("b was live");
     assert_eq!(done_b.completed_steps(), STEPS_B as u64);
-    assert_eq!(runner.group_sizes(), vec![1]);
+    assert_eq!(runner.live_slots(), vec![a]);
     runner.run(STEPS_A - JOIN_AT - STEPS_B).unwrap();
 
     let want_a = standalone_trajectory(base.clone(), cfg, 100, STEPS_A);

@@ -1,7 +1,7 @@
 //! The ensemble correctness contract, end to end: every replica stepped by
 //! [`EnsembleRunner`] must reproduce the trajectory of a standalone
-//! [`MatrixFreeBd`] with the same system, config, and seed — bit for bit —
-//! even though the drift FFTs of same-shape replicas run batched.
+//! [`MatrixFreeBd`] with the same system, config, and seed — bit for bit,
+//! and span for span — while same-shape replicas share one set of plans.
 
 use hibd_core::forces::RepulsiveHarmonic;
 use hibd_core::mf_bd::{MatrixFreeBd, MatrixFreeConfig};
@@ -143,21 +143,36 @@ fn job_snapshots_attribute_per_replica_work() {
     let labels: Vec<&str> = snaps.iter().map(|s| s.label.as_str()).collect();
     assert_eq!(labels, ["r0", "r1", "shared"]);
 
-    for s in &snaps[..R] {
-        assert_eq!(s.snapshot.phase(Phase::Stepping).count, STEPS as u64, "{}", s.label);
-        assert!(s.snapshot.phase(Phase::Displacements).count > 0, "{}", s.label);
-        assert!(s.snapshot.phase(Phase::Influence).count > 0, "{}", s.label);
-        // The operator's own phases: per-step drift stages plus the Krylov
-        // applies of both windows (the first window's operator is retired).
-        for ph in [Phase::Spreading, Phase::RealSpace, Phase::Interpolation] {
-            assert!(s.snapshot.phase(ph).count > STEPS as u64, "{} {}", s.label, ph.name());
+    // A replica's account is the standalone driver's, span for span: drift
+    // FFTs and `Stepping` included, both windows' Krylov applies included.
+    for (r, s) in snaps[..R].iter().enumerate() {
+        let mut alone = MatrixFreeBd::new(base.clone(), cfg, 5 + r as u64).unwrap();
+        alone.run(STEPS).unwrap();
+        let want = alone.snapshot();
+        assert_eq!(runner.job_snapshot(r).phases, s.snapshot.phases, "{}", s.label);
+        for ph in Phase::ALL {
+            // The standalone driver built its own plans; the replica's came
+            // from the cache.
+            let own_plans = u64::from(ph == Phase::PmeSetup);
+            let (got, want) = (s.snapshot.phase(ph).count, want.phase(ph).count - own_plans);
+            assert_eq!(got, want, "{} {}", s.label, ph.name());
         }
-        assert_eq!(s.snapshot.phase(Phase::TreeBuild).count, 0, "{}", s.label);
-        assert!(s.snapshot.counter(Counter::LanczosIterations) > 0, "{}", s.label);
+        assert_eq!(s.snapshot.phase(Phase::Stepping).count, STEPS as u64, "{}", s.label);
+        assert!(s.snapshot.phase(Phase::ForwardFft).count > STEPS as u64, "{}", s.label);
+        let iterations = s.snapshot.counter(Counter::LanczosIterations);
+        assert!(iterations > 0, "{}", s.label);
+        assert_eq!(iterations, want.counter(Counter::LanczosIterations), "{}", s.label);
     }
+    // No work is shared: `shared` carries the plan-cache counters only
+    // (no evictions in an unbounded cache).
     let shared = &snaps[R].snapshot;
-    assert_eq!(shared.phase(Phase::ForwardFft).count, STEPS as u64);
-    assert_eq!(shared.phase(Phase::InverseFft).count, STEPS as u64);
-    assert_eq!(shared.counter(Counter::PlanCacheMisses), 1);
-    assert_eq!(shared.counter(Counter::PlanCacheHits), R as u64 - 1);
+    assert!(Phase::ALL.iter().all(|&ph| shared.phase(ph).count == 0));
+    for c in Counter::ALL {
+        let want = match c {
+            Counter::PlanCacheMisses => 1,
+            Counter::PlanCacheHits => R as u64 - 1,
+            _ => 0,
+        };
+        assert_eq!(shared.counter(c), want, "shared {c:?}");
+    }
 }

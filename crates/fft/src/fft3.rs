@@ -396,8 +396,8 @@ mod tests {
     }
 
     /// Forward + inverse batch must be *bitwise* equal to per-mesh
-    /// transforms: the ensemble engine's replicas are compared bitwise
-    /// against standalone runs.
+    /// transforms: a width-1 PME apply and a column of a block apply must
+    /// see the same transform.
     fn assert_batch_bitwise(dims: [usize; 3], batch: usize) {
         let [n0, n1, n2] = dims;
         let fft = Fft3::new(dims).unwrap();

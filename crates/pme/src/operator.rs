@@ -17,10 +17,10 @@
 //!
 //! The reciprocal sum has **one** body, `recip_pipeline`, behind the two
 //! entries `recip_apply_add` (one vector) and `recip_apply_add_multi` (a
-//! block). Everything else that wants the pipeline — the ensemble engine's
-//! cross-replica batched drift, the paper-figure harnesses in `hibd-bench`
-//! (overlapped, on-the-fly, column-partitioned applies) — composes it from
-//! the stage methods and read-only accessors below with its own meshes.
+//! block). Everything else that wants the pipeline — the paper-figure
+//! harnesses in `hibd-bench` (overlapped, on-the-fly, column-partitioned
+//! applies) — composes it from the stage methods and read-only accessors
+//! below with its own meshes.
 //!
 //! Each phase is timed with a [`hibd_telemetry`] stopwatch stopped into the
 //! operator's own [`Snapshot`] ([`PmeOperator::snapshot`], which the Figure 5
@@ -284,7 +284,7 @@ impl PmeOperator {
     /// The six-step reciprocal pipeline (Section IV-A), the only body of it
     /// in this crate: spread, one batched r2c over the `3*width` meshes,
     /// influence multiply, one batched c2r, interpolate-accumulate. A vector
-    /// goes through the same stage methods the engine composes
+    /// goes through the public stage methods
     /// ([`spread_forces`](Self::spread_forces) /
     /// [`interpolate_add`](Self::interpolate_add)), and at width 1 the batch
     /// transforms are bitwise the per-mesh ones (`fft/tests/batch_bitwise.rs`).
@@ -300,7 +300,8 @@ impl PmeOperator {
             }
         };
         let k = self.plans.params.mesh_dim;
-        let (mut mesh_buf, mut spec_buf) = self.take_batch_scratch(width);
+        self.ensure_batch_scratch(width);
+        let (mut mesh_buf, mut spec_buf) = self.take_batch_scratch();
         let mesh = &mut mesh_buf[..3 * width * k * k * k];
         let spec = &mut spec_buf[..3 * width * k * k * (k / 2 + 1)];
 
@@ -347,10 +348,7 @@ impl PmeOperator {
 
     /// Spread `f` through this operator's `P` into a caller-provided
     /// `[F_x | F_y | F_z]` mesh triple (`3 K^3`). *Is* the spreading stage
-    /// of [`PmeOperator::recip_apply_add`], exposed so the ensemble engine
-    /// can run many replicas' meshes through one batched FFT — the bitwise
-    /// contract with the standalone path follows from calling the identical
-    /// kernel.
+    /// of [`PmeOperator::recip_apply_add`].
     #[hibd::hot]
     pub fn spread_forces(&mut self, f: &[f64], mesh: &mut [f64]) {
         assert_eq!(f.len(), 3 * self.n);
@@ -362,8 +360,7 @@ impl PmeOperator {
     }
 
     /// `u += P^T mesh` from a caller-provided mesh triple — the
-    /// interpolation stage of [`PmeOperator::recip_apply_add`], exposed for
-    /// the ensemble engine (same kernel, same accumulate-into-`u` tail).
+    /// interpolation stage of [`PmeOperator::recip_apply_add`].
     #[hibd::hot]
     pub fn interpolate_add(&mut self, mesh: &[f64], u: &mut [f64]) {
         assert_eq!(u.len(), 3 * self.n);
@@ -377,21 +374,17 @@ impl PmeOperator {
         sw.stop(&mut self.state.snap);
     }
 
-    /// Hand out this operator's batch mesh/spectrum scratch, grown to
-    /// `width` mesh triples, for an external batched pipeline (the
-    /// ensemble engine funnels a whole replica group through one member's
-    /// scratch instead of allocating its own). Returns `(mesh, spec)`
-    /// sized at least `3 * width * K^3` reals / `3 * width * K^2 (K/2+1)`
-    /// complexes; no allocation at steady state. The scratch must come
-    /// back via [`restore_batch_scratch`](Self::restore_batch_scratch)
-    /// before the next multi-RHS apply on this operator.
-    pub fn take_batch_scratch(&mut self, width: usize) -> (Vec<f64>, Vec<Complex64>) {
-        self.ensure_batch_scratch(width);
+    /// Hand out this operator's batch mesh/spectrum scratch at whatever size
+    /// its applies have grown it to, so a successor operator can adopt the
+    /// buffers (and their faulted-in pages) through
+    /// [`restore_batch_scratch`](Self::restore_batch_scratch).
+    pub fn take_batch_scratch(&mut self) -> (Vec<f64>, Vec<Complex64>) {
         (std::mem::take(&mut self.state.batch_mesh), std::mem::take(&mut self.state.batch_spec))
     }
 
-    /// Return scratch taken with
-    /// [`take_batch_scratch`](Self::take_batch_scratch).
+    /// Adopt scratch taken with
+    /// [`take_batch_scratch`](Self::take_batch_scratch), from this operator
+    /// or one on the same plans.
     pub fn restore_batch_scratch(&mut self, mesh: Vec<f64>, spec: Vec<Complex64>) {
         self.state.batch_mesh = mesh;
         self.state.batch_spec = spec;

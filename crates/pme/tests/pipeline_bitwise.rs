@@ -5,11 +5,12 @@
 //! and `recip_apply_add_multi` (a block). Two contracts keep trajectories
 //! where they were:
 //!
-//! * **bitwise**: `recip_apply_add` equals the stage composition the
-//!   ensemble engine runs with its own meshes (`spread_forces` → the plans'
-//!   batched FFTs and influence table → `interpolate_add`), under both SIMD
-//!   dispatch legs — so a replica stepped by the engine and a standalone
-//!   `apply` agree to the last bit;
+//! * **bitwise**: `recip_apply_add` equals its stages run one by one through
+//!   the public stage methods on caller-owned meshes (`spread_forces` → the
+//!   plans' batched FFTs and influence table → `interpolate_add`), under
+//!   both SIMD dispatch legs — the public stages *are* the pipeline's, which
+//!   is what lets the ladder's `pme.spread.ms` / `pme.interp.ms` rungs time
+//!   them in isolation;
 //! * **to roundoff**: column `j` of a block apply matches the single-vector
 //!   entry on the gathered column, and a gathered sub-block matches the same
 //!   columns of the full block (what the column-partitioned executor in
@@ -60,7 +61,7 @@ fn gather(x: &[f64], s: usize, col0: usize, w: usize) -> Vec<f64> {
     x.chunks_exact(s).flat_map(|row| row[col0..col0 + w].iter().copied()).collect()
 }
 
-/// `recip_apply_add` and the engine-style stage composition on caller-owned
+/// `recip_apply_add` and the public stage methods composed on caller-owned
 /// meshes, both starting from the same nonzero `u`.
 fn entry_and_composition(op: &mut PmeOperator, f: &[f64]) -> (Vec<f64>, Vec<f64>) {
     let k = op.params().mesh_dim;

@@ -10,16 +10,16 @@
 //!   watched directory; a `<name>.cancel` sentinel cancels cooperatively;
 //! * [`server`] — the main loop: bounded admission, one-time shape
 //!   resolution, and shape-affine routing so same-shape jobs land in the
-//!   same worker's runner (continuous batching — joins at the next step
-//!   boundary, retirements without stalling the group);
+//!   same worker's runner and share its plans (joins at the next step
+//!   boundary, retirements without stalling the rest);
 //! * [`worker`] — worker threads (std threads + channels, no async
 //!   runtime), each owning one runner with per-job fault isolation;
 //! * [`job`] / [`output`] — the crash-safe streaming protocol: append-only
 //!   trajectories, atomic rename-on-write checkpoints, and a `meta.json`
 //!   commit point, with non-terminal checkpoints aligned to `lambda_RPY`
 //!   window boundaries so a killed daemon resumes every job **bitwise**;
-//! * [`status`] — a periodically rewritten `hibd-serve-v1` `status.json`
-//!   (queue depths, plan-cache health, group occupancy, per-job telemetry)
+//! * [`status`] — a periodically rewritten `hibd-serve-v2` `status.json`
+//!   (queue depths, plan-cache health, per-worker load, per-job telemetry)
 //!   plus the validator behind `xtask validate-status`;
 //! * [`shutdown`] — SIGINT/SIGTERM → finish the step, checkpoint all, exit.
 

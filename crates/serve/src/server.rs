@@ -5,8 +5,7 @@
 //! resolution runs once here, on the server thread, and the resolved
 //! parameters are pinned into the job's `MatrixFreeConfig` — so the worker
 //! never re-runs the tuner and every same-shape job routes to the same
-//! worker, where the runner's plan cache turns its admission into a hit and
-//! its stepping into batched lockstep.
+//! worker, where the runner's plan cache turns its admission into a hit.
 
 use crate::job::{JobMeta, JobState};
 use crate::output::atomic_write;
@@ -298,7 +297,7 @@ impl Server {
         if sim.replicas != 1 {
             return Err(format!(
                 "spool jobs are single-trajectory (replicas = {}); submit replicas as \
-                 separate job files — the service batches same-shape jobs anyway",
+                 separate job files — the service shares plans between same-shape jobs anyway",
                 sim.replicas
             ));
         }
@@ -344,7 +343,7 @@ impl Server {
     }
 
     /// Worker routing: shape affinity first (so same-shape jobs share one
-    /// runner's plans and batch together), least-loaded otherwise.
+    /// runner's plans), least-loaded otherwise.
     fn route(&mut self, key: ShapeKey) -> usize {
         if let Some(&w) = self.routing.get(&key) {
             return w;

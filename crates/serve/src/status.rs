@@ -2,7 +2,7 @@
 //!
 //! Workers publish per-job and per-worker views into a [`ServiceState`]
 //! behind one mutex; the server thread periodically renders the
-//! `hibd-serve-v1` JSON document and rewrites the status file atomically.
+//! `hibd-serve-v2` JSON document and rewrites the status file atomically.
 //! [`validate_status`] closes the loop (schema checks in tests and
 //! `xtask validate-status`), mirroring the `hibd-profile-v1` tooling.
 
@@ -48,10 +48,6 @@ impl JobView {
 pub struct WorkerView {
     /// Live jobs in the runner.
     pub jobs: usize,
-    /// Same-plan group sizes (periodic batching occupancy).
-    pub groups: Vec<usize>,
-    /// Open-boundary solo jobs.
-    pub solo: usize,
     /// Plan-cache resident shapes / hits / misses / evictions / capacity.
     pub cache_shapes: usize,
     pub cache_hits: u64,
@@ -87,11 +83,11 @@ impl ServiceState {
     }
 }
 
-/// Render the `hibd-serve-v1` status document.
+/// Render the `hibd-serve-v2` status document.
 #[must_use]
 pub fn render_status(state: &ServiceState, queue_capacity: usize, uptime_seconds: f64) -> String {
     let mut out = String::with_capacity(4096);
-    out.push_str("{\n  \"schema\": \"hibd-serve-v1\",\n");
+    out.push_str("{\n  \"schema\": \"hibd-serve-v2\",\n");
     let _ = writeln!(
         out,
         "  \"daemon\": {{\"workers\": {}, \"queue_capacity\": {queue_capacity}, \
@@ -129,20 +125,12 @@ pub fn render_status(state: &ServiceState, queue_capacity: usize, uptime_seconds
         if i > 0 {
             out.push_str(", ");
         }
-        let groups = w.groups.iter().map(ToString::to_string).collect::<Vec<_>>().join(", ");
         let capacity = w.cache_capacity.map_or_else(|| "null".to_string(), |c| c.to_string());
         let _ = write!(
             out,
-            "{{\"jobs\": {}, \"groups\": [{groups}], \"solo\": {}, \
-             \"cache\": {{\"shapes\": {}, \"hits\": {}, \"misses\": {}, \"evictions\": {}, \
-             \"capacity\": {capacity}, \"plan_bytes\": {}}}}}",
-            w.jobs,
-            w.solo,
-            w.cache_shapes,
-            w.cache_hits,
-            w.cache_misses,
-            w.cache_evictions,
-            w.plan_bytes
+            "{{\"jobs\": {}, \"cache\": {{\"shapes\": {}, \"hits\": {}, \"misses\": {}, \
+             \"evictions\": {}, \"capacity\": {capacity}, \"plan_bytes\": {}}}}}",
+            w.jobs, w.cache_shapes, w.cache_hits, w.cache_misses, w.cache_evictions, w.plan_bytes
         );
     }
     out.push_str("],\n");
@@ -171,10 +159,10 @@ pub fn render_status(state: &ServiceState, queue_capacity: usize, uptime_seconds
     out
 }
 
-/// Validate an `hibd-serve-v1` status document (parse + schema checks).
+/// Validate an `hibd-serve-v2` status document (parse + schema checks).
 pub fn validate_status(src: &str) -> Result<(), String> {
     let v = json::parse(src)?;
-    expect_schema(&v, "hibd-serve-v1")?;
+    expect_schema(&v, "hibd-serve-v2")?;
     let daemon = expect_obj(&v, "daemon", "document")?;
     let workers = expect_num(daemon, "workers", "daemon")?;
     expect_num(daemon, "queue_capacity", "daemon")?;
@@ -206,7 +194,6 @@ pub fn validate_status(src: &str) -> Result<(), String> {
     for (i, w) in worker_list.iter().enumerate() {
         let ctx = format!("workers[{i}]");
         expect_num(w, "jobs", &ctx)?;
-        w.get("groups").and_then(Value::as_array).ok_or(format!("{ctx}.groups is not an array"))?;
         expect_obj(w, "cache", &ctx)?;
     }
 
@@ -240,8 +227,6 @@ mod tests {
         let workers = vec![
             WorkerView {
                 jobs: 2,
-                groups: vec![2],
-                solo: 0,
                 cache_shapes: 1,
                 cache_hits: 1,
                 cache_misses: 1,
@@ -279,7 +264,7 @@ mod tests {
         assert!(validate_status("{}").is_err());
         assert!(validate_status("not json").is_err());
         let doc = render_status(&sample_state(), 8, 0.0);
-        let wrong = doc.replace("hibd-serve-v1", "hibd-serve-v0");
+        let wrong = doc.replace("hibd-serve-v2", "hibd-serve-v1");
         assert!(validate_status(&wrong).is_err());
         let wrong = doc.replace("\"step\": 128", "\"step\": 1000000");
         assert!(validate_status(&wrong).unwrap_err().contains("exceeds budget"));

@@ -1,10 +1,9 @@
-//! Worker threads: each owns one [`EnsembleRunner`] and steps its admitted
-//! jobs in lockstep.
+//! Worker threads: each owns one [`EnsembleRunner`] and advances every
+//! admitted job by one step per round.
 //!
-//! The server routes same-shape jobs to the same worker, so a worker's
-//! runner groups them on one plan `Arc` and batches their drift FFTs
-//! (continuous batching: an admit joins its group at the next step
-//! boundary, a finished job retires without stalling the rest). All file
+//! The server routes same-shape jobs to the same worker, so they share one
+//! plan `Arc` from that worker's cache (an admit starts stepping at the
+//! next round, a finished job retires without stalling the rest). All file
 //! output follows the `meta.json` commit protocol in [`crate::job`]; faults
 //! are isolated per job through [`EnsembleRunner::step_isolated`].
 
@@ -134,8 +133,10 @@ impl Worker {
             }
 
             let failures = self.runner.step_isolated();
+            // A faulted driver is somewhere inside a step: its in-memory
+            // state must not become a checkpoint.
             for f in &failures {
-                self.finalize(f.slot, JobState::Failed, Some(f.fault.to_string()));
+                self.finalize(f.slot, JobState::Failed, Some(f.fault.to_string()), false);
             }
             let survivors: Vec<usize> =
                 self.jobs.keys().copied().filter(|s| self.runner.slot(*s).is_some()).collect();
@@ -265,12 +266,17 @@ impl Worker {
         for slot in slots {
             let job = &self.jobs[&slot];
             if job.step >= job.steps {
-                self.finalize(slot, JobState::Done, None);
+                self.finalize(slot, JobState::Done, None, true);
             } else if job.cancel {
-                self.finalize(slot, JobState::Cancelled, Some("cancelled by sentinel".into()));
+                self.finalize(
+                    slot,
+                    JobState::Cancelled,
+                    Some("cancelled by sentinel".into()),
+                    true,
+                );
             } else if job.deadline.is_some_and(|d| job.admitted.elapsed() > d) {
                 let msg = format!("deadline exceeded at step {}/{}", job.step, job.steps);
-                self.finalize(slot, JobState::Failed, Some(msg));
+                self.finalize(slot, JobState::Failed, Some(msg), true);
             } else if self.draining && job.step.is_multiple_of(job.lambda) {
                 self.park(slot);
             }
@@ -287,50 +293,54 @@ impl Worker {
             let comment = format!("step={}", job.step);
             if let Err(e) = job.writer.write_frame(system, &comment) {
                 let msg = format!("trajectory write failed: {e}");
-                self.finalize(slot, JobState::Failed, Some(msg));
+                self.finalize(slot, JobState::Failed, Some(msg), true);
                 return;
             }
         }
         let job = &self.jobs[&slot];
         if job.step >= job.steps {
-            self.finalize(slot, JobState::Done, None);
+            self.finalize(slot, JobState::Done, None, true);
         } else if job.step.is_multiple_of(job.ckpt_every) {
-            if let Err(e) = self.commit_checkpoint(slot, JobState::Running, None) {
+            if let Err(e) = self.commit(slot, JobState::Running, None, true) {
                 let msg = format!("checkpoint commit failed: {e}");
-                self.finalize(slot, JobState::Failed, Some(msg));
+                self.finalize(slot, JobState::Failed, Some(msg), true);
             }
         }
     }
 
-    /// Flush the trajectory, write `ckpt-<step>.hibd`, commit `meta.json`,
-    /// and unlink the superseded checkpoint (in that order — see
-    /// [`crate::job`] for why a kill anywhere in between stays consistent).
-    fn commit_checkpoint(
+    /// Flush the trajectory, write `ckpt-<step>.hibd` when `capture` is set,
+    /// commit `meta.json`, and unlink the superseded checkpoint (in that
+    /// order — see [`crate::job`] for why a kill anywhere in between stays
+    /// consistent). Without `capture` the record keeps naming the last
+    /// committed checkpoint.
+    fn commit(
         &mut self,
         slot: usize,
         state: JobState,
         error: Option<String>,
+        capture: bool,
     ) -> std::io::Result<()> {
-        let system_ckpt = {
-            let job = self.jobs.get_mut(&slot).expect("live job");
-            job.writer.sink_mut().flush()?;
-            let system = self.runner.slot(slot).expect("live slot").system();
-            Checkpoint::capture(system, job.step).encode()
-        };
         let job = self.jobs.get_mut(&slot).expect("live job");
-        let ckpt = checkpoint_name(job.step);
-        atomic_write(&job.dir.join(&ckpt), &system_ckpt)?;
+        job.writer.sink_mut().flush()?;
+        let checkpoint = if capture {
+            let system = self.runner.slot(slot).expect("live slot").system();
+            let ckpt = checkpoint_name(job.step);
+            atomic_write(&job.dir.join(&ckpt), &Checkpoint::capture(system, job.step).encode())?;
+            Some(ckpt)
+        } else {
+            job.committed_ckpt.clone()
+        };
         let meta = JobMeta {
             name: job.name.clone(),
             state,
             step: job.step,
             steps: job.steps,
-            checkpoint: Some(ckpt.clone()),
+            checkpoint: checkpoint.clone(),
             trajectory_bytes: job.writer.sink_mut().bytes(),
             error,
         };
         meta.commit(&job.dir)?;
-        if let Some(old) = job.committed_ckpt.replace(ckpt) {
+        if let Some(old) = std::mem::replace(&mut job.committed_ckpt, checkpoint) {
             if Some(&old) != job.committed_ckpt.as_ref() {
                 std::fs::remove_file(job.dir.join(old)).ok();
             }
@@ -338,30 +348,13 @@ impl Worker {
         Ok(())
     }
 
-    /// Retire `slot` into a terminal state: final checkpoint + meta commit,
-    /// registry update, slot freed for the next admission.
-    fn finalize(&mut self, slot: usize, state: JobState, error: Option<String>) {
+    /// Retire `slot` into a terminal state: terminal commit (with a final
+    /// checkpoint of the in-memory state only when `at_boundary` — a job
+    /// that faulted inside a step keeps its last committed one), registry
+    /// update, slot freed for the next admission.
+    fn finalize(&mut self, slot: usize, state: JobState, error: Option<String>, at_boundary: bool) {
         let snapshot = self.runner.job_snapshot(slot);
-        let commit = if self.runner.slot(slot).is_some() {
-            self.commit_checkpoint(slot, state, error.clone())
-        } else {
-            // The driver died mid-step (fault isolation): the in-memory
-            // state is not at a step boundary, so keep the last committed
-            // checkpoint and only update the record.
-            let job = self.jobs.get_mut(&slot).expect("live job");
-            job.writer.sink_mut().flush().and_then(|()| {
-                JobMeta {
-                    name: job.name.clone(),
-                    state,
-                    step: job.step,
-                    steps: job.steps,
-                    checkpoint: job.committed_ckpt.clone(),
-                    trajectory_bytes: job.writer.sink_mut().bytes(),
-                    error: error.clone(),
-                }
-                .commit(&job.dir)
-            })
-        };
+        let commit = self.commit(slot, state, error.clone(), at_boundary);
         self.runner.retire(slot);
         let job = self.jobs.remove(&slot).expect("live job");
         if let Err(e) = commit {
@@ -383,7 +376,7 @@ impl Worker {
     /// re-admits it from exactly this point, bitwise.
     fn park(&mut self, slot: usize) {
         let snapshot = self.runner.job_snapshot(slot);
-        let commit = self.commit_checkpoint(slot, JobState::Running, None);
+        let commit = self.commit(slot, JobState::Running, None, true);
         self.runner.retire(slot);
         let job = self.jobs.remove(&slot).expect("live job");
         if let Err(e) = commit {
@@ -407,8 +400,6 @@ impl Worker {
         let cache = self.runner.cache();
         let worker_view = WorkerView {
             jobs: self.runner.len(),
-            groups: self.runner.group_sizes(),
-            solo: self.runner.solo_count(),
             cache_shapes: cache.len(),
             cache_hits: cache.hits(),
             cache_misses: cache.misses(),
@@ -424,5 +415,100 @@ impl Worker {
             }
         }
         state.workers[self.index] = worker_view;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hibd_core::forces::Force;
+    use hibd_core::MatrixFreeBd;
+
+    /// Panics on its `trigger`-th evaluation (one per step) — a fault in the
+    /// middle of a step that no config file can express, which is why this
+    /// case sits here with the worker's runner in reach and not beside the
+    /// spool-driven cases in `tests/service.rs`.
+    struct PanicAt {
+        calls: u64,
+        trigger: u64,
+    }
+
+    impl Force for PanicAt {
+        fn accumulate(&mut self, _system: &ParticleSystem, _f: &mut [f64]) {
+            self.calls += 1;
+            assert!(self.calls < self.trigger, "poison pill");
+        }
+
+        fn name(&self) -> &'static str {
+            "panic-at"
+        }
+    }
+
+    #[test]
+    fn step_fault_keeps_the_last_committed_checkpoint() {
+        const COMMIT: u64 = 2;
+        let dir = std::env::temp_dir().join("hibd_serve_worker_fault");
+        std::fs::remove_dir_all(&dir).ok();
+        let spec = SimSpec {
+            particles: 14,
+            seed: 7,
+            steps: 20,
+            lambda_rpy: 2,
+            trajectory_interval: 2,
+            checkpoint_interval: COMMIT as usize,
+            report_interval: 0,
+            ..SimSpec::default()
+        };
+        let cfg = spec.matrix_free_config();
+        let system = spec.build_system(spec.seed);
+
+        // What the step-`COMMIT` commit must have written, and must still hold.
+        let mut alone = MatrixFreeBd::new(system.clone(), cfg, spec.seed).unwrap();
+        for force in spec.forces() {
+            alone.add_force_boxed(force);
+        }
+        alone.run(COMMIT as usize).unwrap();
+        let committed = Checkpoint::capture(alone.system(), COMMIT).encode();
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        let state = Arc::new(Mutex::new(ServiceState {
+            workers: vec![WorkerView::default()],
+            ..ServiceState::default()
+        }));
+        let mut worker = Worker {
+            index: 0,
+            runner: EnsembleRunner::with_cache(PlanCache::new()),
+            jobs: BTreeMap::new(),
+            rx,
+            state: Arc::clone(&state),
+            throttle: Duration::ZERO,
+            poll: Duration::from_millis(1),
+            draining: false,
+        };
+        worker.admit(AdmitJob {
+            name: "poisoned".into(),
+            spec,
+            cfg,
+            system,
+            start_step: 0,
+            traj_bytes: 0,
+            dir: dir.clone(),
+        });
+        // Steps 1..=3 complete (checkpoint at 2); the fourth faults with one
+        // uncommitted step in memory.
+        let poison = PanicAt { calls: 0, trigger: COMMIT + 2 };
+        worker.runner.slot_mut(0).expect("admitted").add_force(poison);
+        drop(tx); // the idle worker sees the closed channel and returns
+        worker.serve();
+
+        let meta = JobMeta::load(&dir).unwrap().unwrap();
+        assert_eq!(meta.state, JobState::Failed);
+        assert!(meta.error.unwrap().contains("poison pill"));
+        assert_eq!(meta.step, COMMIT + 1, "the record says how far the job got");
+        assert_eq!(meta.checkpoint, Some(checkpoint_name(COMMIT)), "not the mid-step state");
+        assert_eq!(std::fs::read(dir.join(checkpoint_name(COMMIT))).unwrap(), committed);
+        assert!(!dir.join(checkpoint_name(COMMIT + 1)).exists());
+        assert_eq!(state.lock().unwrap().jobs["poisoned"].state, JobState::Failed);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

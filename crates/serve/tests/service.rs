@@ -1,6 +1,7 @@
 //! In-process service tests: mixed spool to completion (bitwise vs a
 //! standalone run), graceful drain + resume, cancellation, and bad-job
-//! isolation.
+//! isolation. A fault *inside* a step needs a poisoned force, which no spool
+//! file can carry: that case is `worker::tests` in `src/worker.rs`.
 //!
 //! The shutdown flag is process-global, so every test here serializes on
 //! one mutex and resets the flag before starting its daemon.
@@ -104,7 +105,7 @@ fn mixed_spool_completes_bitwise_and_status_validates() {
     shutdown::reset();
     let root = temp_root("mixed");
     // a and b share a shape (same n, phi — only the seed differs); c is a
-    // different shape. One worker, so a and b batch in one group.
+    // different shape. One worker, so a and b share one plan set.
     let a = small_spec(14, 7, 6);
     let b = small_spec(14, 8, 6);
     let c = small_spec(24, 9, 6);

@@ -8,7 +8,7 @@
 //! `hibd --profile` output document matches the `hibd-profile-v1` schema.
 //!
 //! `cargo run -p xtask -- validate-status <status.json>`: check that a
-//! `hibd serve` status document matches the `hibd-serve-v1` schema.
+//! `hibd serve` status document matches the `hibd-serve-v2` schema.
 
 use std::path::PathBuf;
 
