@@ -1,37 +1,118 @@
 //! Table III: PME simulation configurations.
 //!
 //! For each particle count at volume fraction 0.2, runs the tuner targeting
-//! `e_p < 1e-3` and prints the chosen `(K, p, r_max, alpha)` plus the
-//! *measured* PME relative error against a reference operator:
-//! the tight-tolerance dense Ewald matrix where affordable (n <= 500), an
-//! over-resolved PME operator otherwise.
+//! `e_p < 1e-3` and prints the chosen `(K, p, r_max, alpha)` plus
+//!
+//! * the *measured* PME relative error against a reference operator: the
+//!   tight-tolerance dense Ewald matrix where affordable (n <= 500), an
+//!   over-resolved PME operator with its own split otherwise;
+//! * the *measured* cost per mobility column — one `s = 16` block apply per
+//!   column plus the operator build amortized as the tuner amortizes it — at
+//!   the chosen split and at the nearest cutoffs of the tuner's ladder, below
+//!   and above, that land on a different mesh: the check that the model's
+//!   optimum sits where the host's does.
+//!
+//! Exits non-zero when any measured `e_p` reaches the target, so the CI
+//! smoke step is a gate.
 
-use hibd_bench::{suspension, table3_sizes, Opts};
-use hibd_linalg::DenseOp;
-use hibd_pme::tuner::{measure_ep, reference_operator};
-use hibd_pme::{tune, PmeOperator};
+use hibd_bench::{flush_stdout, suspension, table3_sizes, time_once, Opts};
+use hibd_linalg::{DenseOp, LinearOperator};
+use hibd_pme::tuner::{
+    candidate_splits, measure_ep, reference_operator, split_cost, APPLIES_PER_BUILD,
+};
+use hibd_pme::{tune, PmeOperator, PmeParams, PmePlans};
 use hibd_rpy::{dense_ewald_mobility, RpyEwald};
+use std::sync::Arc;
+
+const S: usize = 16;
+
+/// Measured milliseconds per mobility column at one split, `(apply, build)`:
+/// an `s = 16` block apply per column, and the per-window operator build
+/// spread over [`APPLIES_PER_BUILD`] columns. Best of five after a warm-up
+/// for the apply, best of three for the build (a shared host's noise only
+/// ever adds time).
+fn ms_per_col(positions: &[hibd_mathx::Vec3], params: PmeParams) -> (f64, f64) {
+    let plans = Arc::new(PmePlans::new(params).expect("plans"));
+    let mut t_build = f64::MAX;
+    let mut op = None;
+    for _ in 0..3 {
+        drop(op.take()); // never two real-space matrices at once
+        let (built, t) = time_once(|| PmeOperator::with_plans(positions, Arc::clone(&plans)));
+        t_build = t_build.min(t);
+        op = Some(built);
+    }
+    let mut op = op.expect("built three times");
+    let dim = 3 * positions.len();
+    let x: Vec<f64> = (0..dim * S).map(|i| ((i * 17 + 5) % 83) as f64 / 41.0 - 1.0).collect();
+    let mut y = vec![0.0; dim * S];
+    op.apply_multi(&x, &mut y, S);
+    let t_apply =
+        (0..5).map(|_| time_once(|| op.apply_multi(&x, &mut y, S)).1).fold(f64::MAX, f64::min);
+    (t_apply * 1e3 / S as f64, t_build * 1e3 / APPLIES_PER_BUILD)
+}
+
+/// The nearest ladder cutoffs below and above `chosen.r_max` whose split
+/// lands on a different mesh than the chosen one.
+fn neighbours(n: usize, phi: f64, target: f64, chosen: &PmeParams) -> [Option<PmeParams>; 2] {
+    let splits: Vec<PmeParams> =
+        candidate_splits(n, phi, chosen.a, chosen.eta, target).map(|c| c.params).collect();
+    let other_mesh = |p: &&PmeParams| p.mesh_dim != chosen.mesh_dim;
+    let below = splits.iter().rev().filter(|p| p.r_max < chosen.r_max).find(other_mesh);
+    let above = splits.iter().filter(|p| p.r_max > chosen.r_max).find(other_mesh);
+    [below.copied(), above.copied()]
+}
 
 fn main() {
     let opts = Opts::parse();
     let phi = 0.2;
     let target = 1e-3;
+    let mut all_under_target = true;
 
     println!("# Table III: tuned PME configurations (phi = {phi}, target e_p < {target:e})");
     println!(
-        "{:>8} {:>6} {:>3} {:>7} {:>8} {:>12}  reference",
-        "n", "K", "p", "r_max", "alpha", "e_p(meas)"
+        "# ms/col: measured cost per mobility column = s = {S} block apply per column + operator"
+    );
+    println!("# build / {APPLIES_PER_BUILD} (what the tuner minimizes), at the chosen split and at the nearest ladder");
+    println!("# cutoffs below (<) / above (>) it that land on another mesh.");
+    println!(
+        "{:>8} {:>5} {:>2} {:>6} {:>6} {:>7} {:>10}  {:<18} {:>8} {:>18} | {:>13} | {:>13} | {:>7} | model real : recip",
+        "n",
+        "K",
+        "p",
+        "r_max",
+        "L/2",
+        "alpha",
+        "e_p(meas)",
+        "reference",
+        "ms/col",
+        "(apply + build)",
+        "< K    ms/col",
+        "> K    ms/col",
+        "vs best"
     );
     for n in table3_sizes(opts.full) {
-        let cfg = tune(n, phi, 1.0, 1.0, target);
-        let p = cfg.params;
-        // Measuring e_p on the full system is expensive for large n; use a
-        // smaller surrogate with the same parameter-selection inputs when
-        // n is large (the error is configuration-independent to first
-        // order; the paper likewise reports one e_p per configuration).
+        let p = tune(n, phi, 1.0, 1.0, target).params;
+        let cost = split_cost(n, &p);
+        let shape = format!(
+            "{n:>8} {:>5} {:>2} {:>6.2} {:>6.2} {:>7.4}",
+            p.mesh_dim,
+            p.spline_order,
+            p.r_max,
+            p.box_l / 2.0,
+            p.alpha
+        );
+        let model = format!("{:.2} : {:.2} ms", cost.real * 1e3, cost.recip * 1e3);
+        // Measuring on the full system is expensive for large n; past 20k
+        // the smaller rows stand in (the error is configuration-independent
+        // to first order; the paper likewise reports one e_p per
+        // configuration).
+        if n > 20_000 {
+            println!("{shape} {:>10}  (not measured: the n <= 20k rows cover it) | {model}", "-");
+            continue;
+        }
+        let sys = suspension(n, phi, opts.seed);
+        let mut op = PmeOperator::new(sys.positions(), p).expect("operator");
         let (ep, reference) = if n <= 500 {
-            let sys = suspension(n, phi, opts.seed);
-            let mut op = PmeOperator::new(sys.positions(), p).expect("operator");
             // Reference with the classic cost-balanced splitting parameter
             // (the total is xi-independent; the PME alpha would make the
             // reference's reciprocal table enormous).
@@ -41,27 +122,39 @@ fn main() {
                 &RpyEwald::new(p.a, p.eta, p.box_l, xi_bal, 1e-6),
             );
             (measure_ep(&mut op, &mut DenseOp::new(dense), 2, opts.seed), "dense Ewald")
-        } else if n <= 20_000 {
-            let sys = suspension(n, phi, opts.seed);
-            let mut op = PmeOperator::new(sys.positions(), p).expect("operator");
+        } else {
             let mut refop = reference_operator(sys.positions(), &p);
             (measure_ep(&mut op, &mut refop, 1, opts.seed), "over-resolved PME")
-        } else {
-            (f64::NAN, "(skipped: surrogate at n<=20k covers it)")
         };
-        if ep.is_nan() {
-            println!(
-                "{n:>8} {:>6} {:>3} {:>7.2} {:>8.4} {:>12}  {reference}",
-                p.mesh_dim, p.spline_order, p.r_max, p.alpha, "-"
-            );
-        } else {
-            println!(
-                "{n:>8} {:>6} {:>3} {:>7.2} {:>8.4} {:>12.2e}  {reference}",
-                p.mesh_dim, p.spline_order, p.r_max, p.alpha, ep
-            );
-        }
+        all_under_target &= ep < target;
+
+        drop(op);
+
+        let (apply_ms, build_ms) = ms_per_col(sys.positions(), p);
+        let chosen_ms = apply_ms + build_ms;
+        let mut best = chosen_ms;
+        let sides = neighbours(n, phi, target, &p).map(|q| match q {
+            Some(q) => {
+                let (apply, build) = ms_per_col(sys.positions(), q);
+                best = best.min(apply + build);
+                format!("{:>4} {:>8.3}", q.mesh_dim, apply + build)
+            }
+            None => format!("{:>13}", "-"),
+        });
+        let parts = format!("({apply_ms:.3} + {build_ms:.3})");
+        println!(
+            "{shape} {ep:>10.2e}  {reference:<18} {chosen_ms:>8.3} {parts:>18} | {} | {} | {:>6.2}x | {model}",
+            sides[0],
+            sides[1],
+            chosen_ms / best
+        );
+        flush_stdout();
     }
     println!();
     println!("# Paper shape: K grows from 32 to 400 over n = 500..500k, p in {{4,6}},");
     println!("# r_max grows slowly, alpha falls, and every measured e_p stays < 1e-3.");
+    if !all_under_target {
+        eprintln!("table3: a measured e_p reached the {target:e} target");
+        std::process::exit(1);
+    }
 }

@@ -24,7 +24,7 @@
 //! come from the same performance model the paper's scheduler uses. None of
 //! this is production code, which is why it lives with the harnesses.
 
-use hibd_pme::perf::{Machine, PerfModel};
+use hibd_pme::perf::{real_space_blocks, Machine, PerfModel};
 use hibd_pme::{PmeOperator, PmeParams};
 
 /// PCIe transfer model for offloading one vector each way (bytes/s and
@@ -64,8 +64,8 @@ pub struct HybridModel {
     pub cpu: Device,
     pub accels: Vec<Device>,
     pub link: Interconnect,
-    /// Average real-space neighbors per particle (from `r_max` and density).
-    pub neighbors_per_particle: f64,
+    /// Expected stored real-space blocks (from `r_max` and density).
+    pub real_blocks: f64,
     /// Telemetry-calibrated CPU phase costs. When set, the CPU side of the
     /// split (reciprocal per-column cost and real-space block cost) comes
     /// from constants fitted to *measured* spans instead of the a-priori
@@ -77,18 +77,16 @@ pub struct HybridModel {
 }
 
 impl HybridModel {
-    /// Build the model from PME parameters; the neighbor count comes from
-    /// the uniform-density estimate `n (4/3) pi r_max^3 / L^3`.
+    /// Build the model from PME parameters; the real-space block count is
+    /// the uniform-density estimate [`real_space_blocks`].
     pub fn new(params: PmeParams, n: usize, cpu: Machine, accels: Vec<Machine>) -> HybridModel {
-        let density = n as f64 / params.box_l.powi(3);
-        let neighbors = density * 4.0 / 3.0 * std::f64::consts::PI * params.r_max.powi(3);
         HybridModel {
             params,
             n,
             cpu: Device { machine: cpu, offload: false },
             accels: accels.into_iter().map(|m| Device { machine: m, offload: true }).collect(),
             link: Interconnect::default(),
-            neighbors_per_particle: neighbors,
+            real_blocks: real_space_blocks(n, params.box_l, params.r_max),
             calibrated_cpu: None,
         }
     }
@@ -100,15 +98,13 @@ impl HybridModel {
         self
     }
 
-    /// Modeled real-space SpMV time on the CPU: streaming the BCSR blocks
-    /// (72 B + 4 B index each) plus the in/out vectors.
+    /// Modeled real-space SpMV time on the CPU ([`PerfModel::t_real`]).
     pub fn t_real(&self) -> f64 {
         self.t_real_block(1)
     }
 
     /// Modeled multi-RHS real-space SpMM for `s` columns: the matrix
-    /// streams **once** regardless of `s` (the paper's ref. \[24\] benefit);
-    /// only the vector traffic scales.
+    /// streams **once** regardless of `s`; only the vector traffic scales.
     pub fn t_real_block(&self, s: usize) -> f64 {
         if let Some(cal) = &self.calibrated_cpu {
             let p = cal.predict(self.n, self.params.mesh_dim, self.params.spline_order, s, 1);
@@ -116,9 +112,11 @@ impl HybridModel {
                 return p.real_space;
             }
         }
-        let nnz_blocks = self.n as f64 * self.neighbors_per_particle;
-        let bytes = nnz_blocks * 76.0 + 2.0 * (3 * self.n * 8 * s) as f64;
-        bytes / self.cpu.machine.bandwidth
+        self.model_on(&self.cpu).t_real(self.real_blocks, s)
+    }
+
+    fn model_on(&self, dev: &Device) -> PerfModel {
+        PerfModel::new(dev.machine, self.params.mesh_dim, self.params.spline_order, self.n)
     }
 
     /// Modeled reciprocal time on a device. The CPU uses calibrated phase
@@ -135,9 +133,8 @@ impl HybridModel {
                 }
             }
         }
-        let m = PerfModel::new(dev.machine, self.params.mesh_dim, self.params.spline_order, self.n);
         let transfer = if dev.offload { self.link.roundtrip(self.n) } else { 0.0 };
-        m.t_recip() + transfer
+        self.model_on(dev).t_recip() + transfer
     }
 
     /// CPU-only single application: real + reciprocal sequentially.
@@ -212,7 +209,7 @@ impl HybridModel {
 
 /// Search for the `alpha` that balances modeled CPU real-space time against
 /// the modeled accelerator reciprocal time (the Section IV-E tuning), by
-/// scanning `r_max` candidates and retuning the mesh for each.
+/// scanning the tuner's own candidate splits.
 ///
 /// Returns the chosen parameters and the resulting `(t_real, t_recip)`.
 pub fn balance_alpha(
@@ -224,11 +221,8 @@ pub fn balance_alpha(
     cpu: Machine,
     accel: Machine,
 ) -> (PmeParams, f64, f64) {
-    let base = hibd_pme::tune(n, phi, a, eta, target_ep).params;
     let mut best: Option<(PmeParams, f64, f64, f64)> = None;
-    for mult in [0.6, 0.8, 1.0, 1.25, 1.5, 2.0, 2.5] {
-        let r_max = (base.r_max * mult).min(base.box_l / 2.0);
-        let cfg = hibd_pme::tuner::tune_with_rmax(n, phi, a, eta, target_ep, r_max);
+    for cfg in hibd_pme::tuner::candidate_splits(n, phi, a, eta, target_ep) {
         let model = HybridModel::new(cfg.params, n, cpu, vec![accel]);
         let tr = model.t_real();
         let tk = model.t_recip_on(&model.accels[0]);

@@ -196,8 +196,10 @@ pub fn calibrate_host() -> Machine {
         bandwidth,
         fft_flops,
         ifft_flops,
-        fft_sat_k3: 32.0 * 32.0 * 32.0,
         peak_flops: 0.0,
+        // Not measured here: the saturation scale and assembly rate stay
+        // as pinned for the reference host.
+        ..Machine::reference()
     }
 }
 

@@ -111,9 +111,19 @@ fn log_shape(bd: &MatrixFreeBd, lambda: usize, log: &mut impl FnMut(&str)) -> Op
         ));
     }
     resolved.pme.map(|p| {
+        // `r_max` against `L/2` says which way the split was bound; the
+        // model terms are what the tuner weighed at it.
+        let cost = hibd_pme::tuner::split_cost(bd.system().len(), &p);
         log(&format!(
-            "matrix-free: K = {}, p = {}, r_max = {:.2}, alpha = {:.4}",
-            p.mesh_dim, p.spline_order, p.r_max, p.alpha
+            "matrix-free: K = {}, p = {}, r_max = {:.2} (L/2 = {:.2}), alpha = {:.4}, \
+             model real : recip = {:.3} : {:.3} ms/col",
+            p.mesh_dim,
+            p.spline_order,
+            p.r_max,
+            p.box_l / 2.0,
+            p.alpha,
+            cost.real * 1e3,
+            cost.recip * 1e3
         ));
         PmeShape {
             n: bd.system().len(),

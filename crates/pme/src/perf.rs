@@ -16,10 +16,42 @@
 //! crossover (KNC no faster than the CPU for small problems, up to ~1.6x
 //! faster for large ones).
 //!
+//! The real-space half is modeled here too, so the tuner and the hybrid
+//! harness share one definition of it. For `B_r` stored 3x3 blocks
+//! ([`real_space_blocks`]) and `s` right-hand sides:
+//!
+//! * `T_real     = (76 B_r + 48 n s) / B` — one pass over the BCSR matrix
+//!   (72 B block + 4 B column index) plus the in/out vectors;
+//! * `T_assembly = B_r / R_asm` — the once-per-window build of that matrix
+//!   (neighbor search, Beenakker pair kernel, BCSR insertion), which at a
+//!   cost-balanced split is as large as the products it is amortized over.
+//!
 //! **Hardware substitution note.** This host has neither a Westmere-EP pair
-//! nor Xeon Phi cards; the machine constants below encode Table I plus
-//! canonical MKL FFT efficiencies, and the hybrid scheduler consumes the
-//! *model*, exactly as the paper's static partitioner does. See DESIGN.md.
+//! nor Xeon Phi cards; [`Machine::westmere`] and [`Machine::knc`] encode
+//! Table I plus canonical MKL FFT efficiencies, and the hybrid scheduler
+//! consumes the *model*, exactly as the paper's static partitioner does. See
+//! DESIGN.md.
+//!
+//! **The pinned reference machine.** [`Machine::reference`] is the one
+//! machine [`crate::tuner::tune`] prices an Ewald split on. Its constants
+//! are read off named rungs of `results/BENCH_pr16.json` (workload
+//! `periodic_run`; 2 vCPU Xeon 2.1 GHz, AVX2, 2 threads) and then frozen in
+//! source:
+//!
+//! | field | value | rung |
+//! |---|---|---|
+//! | `bandwidth` | 21.4 GB/s | `host.triad_gbs` 21.36 |
+//! | `fft_flops`, `ifft_flops` | 7.3 GF/s | `fft.r2c_k128.ms` 15.30 → `2.5·128³·21 / t` = 7.20 GF/s, lifted through the saturation curve (`·(1 + 32³/128³)`) as the ladder does; there is no inverse K = 128 rung, and `fft.c2r_k64.ms` 1.73 vs `fft.r2c_k64.ms` 1.59 says the two directions agree to 10 % |
+//! | `fft_sat_k3` | 32³ | Westmere's; `pme.model_ratio_fft` reads 0.99 at K = 66 with it |
+//! | `assembly_rate` | 3.0 M blocks/s | `rpy.pairs_ewald_real.ns_per_pair` 166, doubled and charged per stored *block* (0.33 µs): the rung times the pair kernel alone at the old split's `alpha`; at a cost-balanced `alpha` the kernel's `erfc` continued fraction runs deeper (313 ns/pair, two blocks), and the neighbor search over a cutoff near `L/2`, the pushes and the BCSR sort add as much again — whole `assemble_real_space` calls measure 0.22 / 0.35 / 0.54 µs per block at n = 200 / 1000 / 5000 |
+//!
+//! It is deliberately **not** calibrated on the running host: checkpoints do
+//! not store `PmeParams` (resume re-tunes), the engine's `ShapeKey` is the
+//! tuned parameter bits, and replica == standalone / kill-and-restart ==
+//! uninterrupted must hold across hosts, so the split has to be a pure
+//! function of the physical inputs. A host whose balance differs from the
+//! reference runs a split that is off its own optimum by the flatness of the
+//! cost curve (EXPERIMENTS.md, Table III), never a wrong one.
 
 /// A machine description for the performance model.
 #[derive(Clone, Copy, Debug)]
@@ -36,6 +68,9 @@ pub struct Machine {
     pub fft_sat_k3: f64,
     /// Peak double-precision flop rate (Table I), for reporting.
     pub peak_flops: f64,
+    /// Real-space assembly rate, stored 3x3 blocks per second (neighbor
+    /// search + Beenakker pair kernel + BCSR insertion).
+    pub assembly_rate: f64,
 }
 
 impl Machine {
@@ -48,6 +83,9 @@ impl Machine {
             ifft_flops: 24.0e9,
             fft_sat_k3: 32.0 * 32.0 * 32.0,
             peak_flops: 160.0e9,
+            // Compute-bound (`erfc`/`exp` per pair): the reference host's
+            // measured rate scaled by peak flops.
+            assembly_rate: 7.0e6,
         }
     }
 
@@ -62,6 +100,25 @@ impl Machine {
             ifft_flops: 30.0e9,
             fft_sat_k3: 128.0 * 128.0 * 128.0,
             peak_flops: 1074.0e9,
+            // The hybrid scheme never assembles on the accelerator; scaled
+            // like Westmere's for completeness.
+            assembly_rate: 48.0e6,
+        }
+    }
+
+    /// The pinned machine the tuner prices an Ewald split on: the ladder's
+    /// reference host as archived in `results/BENCH_pr16.json` (see the
+    /// module docs for the rung behind each constant). Frozen in source —
+    /// never probed, so [`crate::tuner::tune`] stays a pure function.
+    pub fn reference() -> Machine {
+        Machine {
+            name: "ladder reference host (2 vCPU Xeon 2.1 GHz, AVX2)",
+            bandwidth: 21.4e9,
+            fft_flops: 7.3e9,
+            ifft_flops: 7.3e9,
+            fft_sat_k3: 32.0 * 32.0 * 32.0,
+            peak_flops: 67.2e9,
+            assembly_rate: 3.0e6,
         }
     }
 
@@ -76,6 +133,14 @@ impl Machine {
         let k3 = (k * k * k) as f64;
         self.ifft_flops * k3 / (k3 + self.fft_sat_k3)
     }
+}
+
+/// Expected number of stored 3x3 blocks of the real-space matrix at uniform
+/// density: `n · (n / L^3) · (4/3) pi r_max^3` (each of the `n` particles
+/// sees the particles inside its cutoff sphere).
+pub fn real_space_blocks(n: usize, box_l: f64, r_max: f64) -> f64 {
+    let density = n as f64 / box_l.powi(3);
+    n as f64 * density * 4.0 / 3.0 * std::f64::consts::PI * r_max.powi(3)
 }
 
 /// Performance model for one PME configuration on one machine.
@@ -154,6 +219,19 @@ impl PerfModel {
             + self.t_interpolation()
     }
 
+    /// Real-space SpMM time for `blocks` stored 3x3 blocks and `s`
+    /// right-hand sides, bandwidth-bound: the matrix (72 B block + 4 B column
+    /// index) streams **once** regardless of `s` (the paper's ref. \[24\]
+    /// benefit); only the in/out vector traffic scales.
+    pub fn t_real(&self, blocks: f64, s: usize) -> f64 {
+        (76.0 * blocks + 2.0 * (3 * self.n * 8 * s) as f64) / self.machine.bandwidth
+    }
+
+    /// Time to assemble the real-space matrix once (per operator window).
+    pub fn t_assembly(&self, blocks: f64) -> f64 {
+        blocks / self.machine.assembly_rate
+    }
+
     /// Reciprocal-space memory (paper Eq. 11): meshes + P + influence.
     pub fn m_pme_bytes(&self) -> f64 {
         24.0 * self.k3() + 12.0 * self.p3n() + 8.0 * self.k3() / 2.0
@@ -205,6 +283,19 @@ mod tests {
         let large_k = PerfModel::new(Machine::knc(), 256, 6, 200_000).t_recip();
         assert!(large_w / large_k > 1.3, "KNC {large_k} vs Westmere {large_w}");
         assert!(large_w / large_k < 2.5);
+    }
+
+    #[test]
+    fn real_space_terms_scale_with_the_cutoff_volume() {
+        let m = PerfModel::new(Machine::reference(), 32, 6, 1000);
+        let (b1, b2) = (real_space_blocks(1000, 27.6, 4.0), real_space_blocks(1000, 27.6, 8.0));
+        assert!((b2 / b1 - 8.0).abs() < 1e-12);
+        // ~12.8 neighbors per particle at phi = 0.2, r_max = 4a.
+        assert!((b1 / 1000.0 - 12.75).abs() < 0.1, "{}", b1 / 1000.0);
+        assert!((m.t_assembly(b2) / m.t_assembly(b1) - 8.0).abs() < 1e-12);
+        // The matrix streams once per block product; vectors scale with s.
+        let want = (76.0 * b1 + 16.0 * 48.0 * 1000.0) / m.machine.bandwidth;
+        assert!((m.t_real(b1, 16) - want).abs() < 1e-15);
     }
 
     #[test]

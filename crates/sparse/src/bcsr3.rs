@@ -49,33 +49,56 @@ impl Bcsr3Builder {
     }
 
     /// Assemble, summing duplicate blocks, block columns sorted per row.
-    pub fn build(mut self) -> Bcsr3 {
-        self.entries.sort_unstable_by_key(|a| (a.0, a.1));
-        let mut merged: Vec<(usize, usize, [f64; 9])> = Vec::with_capacity(self.entries.len());
-        for &(r, c, blk) in &self.entries {
-            match merged.last_mut() {
-                Some(last) if last.0 == r && last.1 == c => {
-                    for (a, b) in last.2.iter_mut().zip(&blk) {
-                        *a += b;
-                    }
-                }
-                _ => merged.push((r, c, blk)),
-            }
-        }
-        let mut indptr = vec![0usize; self.nbrows + 1];
-        for &(r, _, _) in &merged {
-            indptr[r + 1] += 1;
+    ///
+    /// A counting sort by block row straight into the final arrays: entries
+    /// are bucketed per row through an index permutation (the 88-byte
+    /// entries themselves never move), each row's indices are sorted by
+    /// column, and every block is copied exactly once. Duplicates of one
+    /// `(row, column)` are summed in push order.
+    pub fn build(self) -> Bcsr3 {
+        let entries = &self.entries;
+        assert!(entries.len() <= u32::MAX as usize, "too many blocks for u32 entry indices");
+        // Pre-merge row bounds, then the entry indices bucketed by row in
+        // push order.
+        let mut starts = vec![0usize; self.nbrows + 1];
+        for e in entries {
+            starts[e.0 + 1] += 1;
         }
         for i in 0..self.nbrows {
-            indptr[i + 1] += indptr[i];
+            starts[i + 1] += starts[i];
         }
-        Bcsr3 {
-            nbrows: self.nbrows,
-            nbcols: self.nbcols,
-            indptr,
-            indices: merged.iter().map(|e| e.1 as u32).collect(),
-            blocks: merged.iter().map(|e| e.2).collect(),
+        let mut cursor = starts.clone();
+        let mut order = vec![0u32; entries.len()];
+        for (e, entry) in entries.iter().enumerate() {
+            order[cursor[entry.0]] = e as u32;
+            cursor[entry.0] += 1;
         }
+        let mut indptr = Vec::with_capacity(self.nbrows + 1);
+        let mut indices: Vec<u32> = Vec::with_capacity(entries.len());
+        let mut blocks: Vec<[f64; 9]> = Vec::with_capacity(entries.len());
+        for br in 0..self.nbrows {
+            indptr.push(blocks.len());
+            let row = &mut order[starts[br]..starts[br + 1]];
+            // The entry index breaks column ties, so equal columns stay in
+            // push order without a stable (allocating) sort.
+            row.sort_unstable_by_key(|&e| (entries[e as usize].1, e));
+            let mut open_col = None; // column of the row's last pushed block
+            for &e in row.iter() {
+                let (_, col, blk) = &entries[e as usize];
+                if open_col == Some(*col) {
+                    let acc = blocks.len() - 1;
+                    for (a, b) in blocks[acc].iter_mut().zip(blk) {
+                        *a += b;
+                    }
+                } else {
+                    indices.push(*col as u32);
+                    blocks.push(*blk);
+                    open_col = Some(*col);
+                }
+            }
+        }
+        indptr.push(blocks.len());
+        Bcsr3 { nbrows: self.nbrows, nbcols: self.nbcols, indptr, indices, blocks }
     }
 }
 
@@ -229,6 +252,51 @@ mod tests {
         assert_eq!(a.nblocks(), 1);
         let d = a.to_dense();
         assert!((d[0] - 3.0).abs() < 1e-15);
+    }
+
+    #[test]
+    fn build_matches_dense_accumulation_in_push_order() {
+        // Random pushes, with and without repeated `(row, col)` pairs: the
+        // built matrix must hold exactly the distinct pairs, columns strictly
+        // ascending per row, each block the push-order sum of its entries
+        // (bit for bit — the dense reference accumulates in that order).
+        let mut state = 2014u64;
+        let mut next = move |m: usize| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as usize % m
+        };
+        for (nb, pushes, unique) in [(7, 40, true), (7, 200, false), (1, 5, false), (12, 0, true)] {
+            let mut builder = Bcsr3Builder::new(nb, nb);
+            let mut dense = vec![0.0; 9 * nb * nb];
+            let mut seen = std::collections::BTreeSet::new();
+            for k in 0..pushes {
+                let (r, c) = (next(nb), next(nb));
+                if unique && seen.contains(&(r, c)) {
+                    continue;
+                }
+                seen.insert((r, c));
+                let blk = block(0.37 * k as f64 - 3.0);
+                builder.push(r, c, blk);
+                for i in 0..3 {
+                    for j in 0..3 {
+                        dense[(3 * r + i) * 3 * nb + 3 * c + j] += blk[3 * i + j];
+                    }
+                }
+            }
+            let a = builder.build();
+            assert_eq!(a.nblocks(), seen.len(), "nb={nb} pushes={pushes}");
+            let mut stored = 0;
+            for br in 0..nb {
+                let (cols, blocks) = a.row(br);
+                assert_eq!(cols.len(), blocks.len());
+                assert!(cols.windows(2).all(|w| w[0] < w[1]), "row {br}: {cols:?}");
+                assert!(cols.iter().all(|&c| seen.contains(&(br, c as usize))));
+                stored += cols.len();
+            }
+            assert_eq!(stored, seen.len());
+            let got = a.to_dense();
+            assert!(got.iter().zip(&dense).all(|(x, y)| x.to_bits() == y.to_bits()));
+        }
     }
 
     #[test]

@@ -28,6 +28,25 @@ fn tuned_pme_meets_its_error_target_across_volume_fractions() {
 }
 
 #[test]
+fn ladder_reference_shape_meets_its_target_at_the_box_bound_split() {
+    // n = 200, phi = 0.2 is the benchmark's periodic shape: the tuner's split
+    // there is box-bound (r_max at L/2, the smallest mesh any cutoff allows),
+    // the corner of the search that trades the most reciprocal work away.
+    let (n, phi) = (200, 0.2);
+    let sys = build(n, phi, 2014);
+    let cfg = tune(n, phi, 1.0, 1.0, 1e-3);
+    assert!(cfg.params.r_max > 0.9 * cfg.params.box_l / 2.0, "{:?}", cfg.params);
+    let mut op = PmeOperator::new(sys.positions(), cfg.params).unwrap();
+    // Cost-balanced reference split (the total is xi-independent).
+    let xi = std::f64::consts::PI.sqrt() * (n as f64).sqrt().cbrt() / cfg.params.box_l;
+    let dense =
+        dense_ewald_mobility(sys.positions(), &RpyEwald::new(1.0, 1.0, cfg.params.box_l, xi, 1e-9));
+    let ep = measure_ep(&mut op, &mut DenseOp::new(dense), 2, 2014);
+    assert!(ep < 1e-3, "e_p = {ep:e}");
+    assert_rayleigh_quotients_positive(&mut op, n);
+}
+
+#[test]
 fn pme_accuracy_improves_with_tighter_target() {
     let n = 50;
     let phi = 0.2;
@@ -70,12 +89,16 @@ fn pme_agrees_with_dense_for_overlapping_particles() {
 
 #[test]
 fn pme_is_positive_definite_in_practice() {
-    // Rayleigh quotients of random vectors must be positive (the property
-    // Lanczos depends on).
     let n = 80;
     let sys = build(n, 0.25, 8);
     let cfg = tune(n, 0.25, 1.0, 1.0, 1e-3);
     let mut op = PmeOperator::new(sys.positions(), cfg.params).unwrap();
+    assert_rayleigh_quotients_positive(&mut op, n);
+}
+
+/// Rayleigh quotients of random vectors must be positive (the property
+/// Lanczos depends on).
+fn assert_rayleigh_quotients_positive(op: &mut PmeOperator, n: usize) {
     let mut u = vec![0.0; 3 * n];
     let mut state = 12345u64;
     for _ in 0..5 {
