@@ -21,12 +21,16 @@ fn bench_apply(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("fmm", n), &n, |b, _| {
             b.iter(|| op.apply(&f, &mut u));
         });
-        let s = 4;
-        let fs: Vec<f64> = (0..3 * n * s).map(|i| (i as f64 * 0.31).sin()).collect();
-        let mut us = vec![0.0; 3 * n * s];
-        group.bench_with_input(BenchmarkId::new("fmm_block_x4", n), &n, |b, _| {
-            b.iter(|| op.apply_multi(&fs, &mut us, s));
-        });
+        // Block applies: one partial column tile, then the Brownian window's
+        // width (two full tiles). Divide by `s` for the per-column cost the
+        // `fmm` line above is the `s = 1` case of.
+        for s in [4usize, 16] {
+            let fs: Vec<f64> = (0..3 * n * s).map(|i| (i as f64 * 0.31).sin()).collect();
+            let mut us = vec![0.0; 3 * n * s];
+            group.bench_with_input(BenchmarkId::new(format!("fmm_block_x{s}"), n), &n, |b, _| {
+                b.iter(|| op.apply_multi(&fs, &mut us, s));
+            });
+        }
         let mut tree = TreeOperator::new(sys.positions(), TreeParams::default());
         group.bench_with_input(BenchmarkId::new("tree", n), &n, |b, _| {
             b.iter(|| tree.apply(&f, &mut u));

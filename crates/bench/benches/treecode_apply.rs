@@ -20,12 +20,16 @@ fn bench_apply(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("tree", n), &n, |b, _| {
             b.iter(|| op.apply(&f, &mut u));
         });
-        let s = 4;
-        let fs: Vec<f64> = (0..3 * n * s).map(|i| (i as f64 * 0.31).sin()).collect();
-        let mut us = vec![0.0; 3 * n * s];
-        group.bench_with_input(BenchmarkId::new("tree_block_x4", n), &n, |b, _| {
-            b.iter(|| op.apply_multi(&fs, &mut us, s));
-        });
+        // Block applies: one partial column tile, then the Brownian window's
+        // width (two full tiles). Divide by `s` for the per-column cost the
+        // `tree` line above is the `s = 1` case of.
+        for s in [4usize, 16] {
+            let fs: Vec<f64> = (0..3 * n * s).map(|i| (i as f64 * 0.31).sin()).collect();
+            let mut us = vec![0.0; 3 * n * s];
+            group.bench_with_input(BenchmarkId::new(format!("tree_block_x{s}"), n), &n, |b, _| {
+                b.iter(|| op.apply_multi(&fs, &mut us, s));
+            });
+        }
         if n <= 1000 {
             let m = dense_rpy_free(sys.positions(), 1.0, 1.0);
             let mut v = vec![0.0; 3 * n];

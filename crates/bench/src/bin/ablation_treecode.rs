@@ -8,6 +8,13 @@
 //! the treecode's grows by a constant per added level (the log factor),
 //! the FMM's stays level-constant. It also locates the tree-vs-FMM apply
 //! crossover and, under `--full`, pushes to n = 1e5 for the scaling row.
+//!
+//! Beside each single-vector apply it times the block apply at the Brownian
+//! window's width (`apply_multi`, `s = 16`, two column tiles) and prints
+//! the time **per column** with its ratio to the `s = 1` apply — the block
+//! body walks the tree and evaluates the pair scalars once per tile, so the
+//! ratio is what a block of vectors buys on this backend. (Stand-in for a
+//! `treecode.apply_s16.ms_per_col` ladder rung.)
 
 use hibd_bench::{cluster, flush_stdout, fmt_bytes, fmt_secs, time_mean, time_once, Opts};
 use hibd_linalg::LinearOperator;
@@ -16,6 +23,9 @@ use hibd_treecode::{measured_rel_error, TreeEval, TreeOperator, TreeParams};
 
 /// Dense matrices hold 9 n^2 doubles; past this the reference is unaffordable.
 const DENSE_CAP: usize = 4000;
+
+/// Block width of the `s16/col` columns: the ladder's `lambda_rpy`.
+const BLOCK: usize = 16;
 
 fn main() {
     let opts = Opts::parse();
@@ -33,13 +43,17 @@ fn main() {
         tree_params.theta, tree_params.cheb_order
     );
     println!(
-        "{:>7} {:>5} | {:>11} | {:>11} {:>8} | {:>11} {:>8} {:>9} | {:>8} {:>8} {:>8}",
+        "{:>7} {:>5} | {:>11} | {:>11} {:>11} {:>6} {:>8} | {:>11} {:>11} {:>6} {:>8} {:>9} | {:>8} {:>8} {:>8}",
         "n",
         "depth",
         "dense mv",
         "tree apply",
+        "s16/col",
+        "ratio",
         "evals/n",
         "fmm apply",
+        "s16/col",
+        "ratio",
         "evals/n",
         "fmm mem",
         "fmm/tree",
@@ -54,17 +68,25 @@ fn main() {
         let f: Vec<f64> = (0..3 * n).map(|i| (i as f64 * 0.37).sin()).collect();
         let mut u = vec![0.0; 3 * n];
         let reps = (20_000 / n).clamp(2, 40);
+        let fs: Vec<f64> = (0..3 * n * BLOCK).map(|i| (i as f64 * 0.31).sin()).collect();
+        let mut us = vec![0.0; 3 * n * BLOCK];
+        // Seconds per single apply, and per column of a BLOCK-wide apply.
+        let mut race = |op: &mut TreeOperator| {
+            let single = time_mean(reps, || {
+                op.apply(&f, &mut u);
+                std::hint::black_box(&u);
+            });
+            let block = time_mean(reps.div_ceil(4), || {
+                op.apply_multi(&fs, &mut us, BLOCK);
+                std::hint::black_box(&us);
+            });
+            (single, block / BLOCK as f64)
+        };
 
         let (mut tree_op, _) = time_once(|| TreeOperator::new(pos, tree_params));
-        let t_tree = time_mean(reps, || {
-            tree_op.apply(&f, &mut u);
-            std::hint::black_box(&u);
-        });
+        let (t_tree, t_tree_col) = race(&mut tree_op);
         let (mut fmm_op, _) = time_once(|| TreeOperator::new(pos, fmm_params));
-        let t_fmm = time_mean(reps, || {
-            fmm_op.apply(&f, &mut u);
-            std::hint::black_box(&u);
-        });
+        let (t_fmm, t_fmm_col) = race(&mut fmm_op);
         races.push((n, t_tree, t_fmm));
 
         let t_dense = if n <= DENSE_CAP {
@@ -88,11 +110,15 @@ fn main() {
         };
 
         println!(
-            "{n:>7} {:>5} | {t_dense:>11} | {:>11} {:>8.0} | {:>11} {:>8.0} {:>9} | {:>7.1}x {err_t:>8} {err_f:>8}",
+            "{n:>7} {:>5} | {t_dense:>11} | {:>11} {:>11} {:>6.2} {:>8.0} | {:>11} {:>11} {:>6.2} {:>8.0} {:>9} | {:>7.1}x {err_t:>8} {err_f:>8}",
             tree_op.max_depth(),
             fmt_secs(t_tree),
+            fmt_secs(t_tree_col),
+            t_tree_col / t_tree,
             tree_op.interactions_per_apply() as f64 / n as f64,
             fmt_secs(t_fmm),
+            fmt_secs(t_fmm_col),
+            t_fmm_col / t_fmm,
             fmm_op.interactions_per_apply() as f64 / n as f64,
             fmt_bytes(fmm_op.memory_bytes()),
             t_tree / t_fmm,
@@ -120,4 +146,11 @@ fn main() {
     println!("# bounded by a level constant instead of climbing: the O(n)");
     println!("# signature. Both strategies hold rel err <= 1e-3 at the default");
     println!("# theta; dense columns stop where 9 n^2 doubles stop fitting.");
+    println!("# s16/col is apply_multi(s = {BLOCK}) per column, ratio = s16/col over the");
+    println!("# s = 1 apply: pair scalars and the tree walk are paid once per");
+    println!(
+        "# {}-column tile, so the ratio should sit well under 0.5. fmm mem",
+        hibd_rpy::COL_TILE
+    );
+    println!("# is read after the block apply: it includes the tile scratch.");
 }

@@ -246,17 +246,17 @@ pub fn block_lanczos_sqrt(
         return Err(KrylovError::BadShape(format!("block width {s} exceeds dimension {n}")));
     }
 
-    // V_1 R = Z (thin QR).
-    let z0 = DMat::from_vec(n, s, z.to_vec());
-    let qr0 = thin_qr(&z0);
+    // V_1 R = Z (thin QR); the copy of `z` the factorization reads dies here.
+    let qr0 = thin_qr(&DMat::from_vec(n, s, z.to_vec()));
     let r0 = qr0.r;
     let mut panels: Vec<DMat> = vec![qr0.q];
     let mut a_blocks: Vec<DMat> = Vec::new(); // diagonal blocks A_j (s x s)
     let mut b_blocks: Vec<DMat> = Vec::new(); // subdiagonal blocks B_j (s x s)
 
     // W is reused across iterations; apply_multi writes the operator's
-    // batched block product straight into it (it fully overwrites), so the
-    // hot loop performs no per-iteration allocation or copy for W.
+    // batched block product straight into it (it fully overwrites), and the
+    // projections subtract `V P` row by row (`add_scaled_matmul`), so the
+    // hot loop holds no `n x s` temporary besides W and the new panel.
     let mut wmat = DMat::zeros(n, s);
     let mut g_prev: Option<DMat> = None;
     let mut rel_change = f64::INFINITY;
@@ -266,19 +266,16 @@ pub fn block_lanczos_sqrt(
         op.apply_multi(panels[j].as_slice(), wmat.as_mut_slice(), s);
         if j > 0 {
             // W -= V_{j-1} B_{j-1}^T
-            let corr = panels[j - 1].matmul(&b_blocks[j - 1].transpose());
-            sub_assign(&mut wmat, &corr);
+            wmat.add_scaled_matmul(-1.0, &panels[j - 1], &b_blocks[j - 1].transpose());
         }
         // A_j = V_j^T W; W -= V_j A_j
         let aj = panels[j].tr_matmul(&wmat);
-        let corr = panels[j].matmul(&aj);
-        sub_assign(&mut wmat, &corr);
+        wmat.add_scaled_matmul(-1.0, &panels[j], &aj);
         a_blocks.push(symmetrize(aj));
         // Full block reorthogonalization.
         for vk in &panels {
             let p = vk.tr_matmul(&wmat);
-            let corr = vk.matmul(&p);
-            sub_assign(&mut wmat, &corr);
+            wmat.add_scaled_matmul(-1.0, vk, &p);
         }
         let qr = thin_qr(&wmat);
         if qr.deficient.len() == s {
@@ -295,13 +292,13 @@ pub fn block_lanczos_sqrt(
                 rel_change = rel_diff(g.as_slice(), prev.as_slice());
                 if rel_change < cfg.tol || breakdown {
                     return done(
-                        g.as_slice().to_vec(),
+                        g.into_vec(),
                         KrylovStats { iterations: j + 1, converged: true, rel_change },
                     );
                 }
             } else if breakdown {
                 return done(
-                    g.as_slice().to_vec(),
+                    g.into_vec(),
                     KrylovStats { iterations: j + 1, converged: true, rel_change: 0.0 },
                 );
             }
@@ -309,10 +306,7 @@ pub fn block_lanczos_sqrt(
         }
     }
     let g = g_prev.expect("at least one evaluation");
-    done(
-        g.as_slice().to_vec(),
-        KrylovStats { iterations: cfg.max_iter, converged: false, rel_change },
-    )
+    done(g.into_vec(), KrylovStats { iterations: cfg.max_iter, converged: false, rel_change })
 }
 
 /// `G_m = [V_1 .. V_m] * sqrt(T_m) * E_1 * R` for the current block
@@ -357,8 +351,7 @@ fn evaluate_sqrt_block(
     let mut g = DMat::zeros(n, s);
     for (jb, vj) in panels.iter().take(m).enumerate() {
         let cj = DMat::from_fn(s, s, |i, k| coeffs[(jb * s + i, k)]);
-        let add = vj.matmul(&cj);
-        add_assign(&mut g, &add);
+        g.add_scaled_matmul(1.0, vj, &cj);
     }
     Ok(g)
 }
@@ -378,20 +371,6 @@ fn rel_diff(a: &[f64], b: &[f64]) -> f64 {
     let num: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>().sqrt();
     let den = norm(a).max(1e-300);
     num / den
-}
-
-#[hibd::hot]
-fn sub_assign(a: &mut DMat, b: &DMat) {
-    for (x, y) in a.as_mut_slice().iter_mut().zip(b.as_slice()) {
-        *x -= y;
-    }
-}
-
-#[hibd::hot]
-fn add_assign(a: &mut DMat, b: &DMat) {
-    for (x, y) in a.as_mut_slice().iter_mut().zip(b.as_slice()) {
-        *x += y;
-    }
 }
 
 fn symmetrize(a: DMat) -> DMat {

@@ -55,6 +55,11 @@ impl DMat {
         &mut self.data
     }
 
+    /// The row-major buffer itself (no copy).
+    pub fn into_vec(self) -> Vec<f64> {
+        self.data
+    }
+
     #[inline]
     pub fn row(&self, i: usize) -> &[f64] {
         &self.data[i * self.ncols..(i + 1) * self.ncols]
@@ -119,6 +124,35 @@ impl DMat {
             }
         });
         c
+    }
+
+    /// `self += alpha * (A * B)` without materializing the product: each
+    /// row of `A * B` is formed exactly as [`DMat::matmul`] forms it (ikj
+    /// order, zero-skipping, accumulated from zero) in a row-sized buffer,
+    /// then added. For `alpha = 1` / `alpha = -1` the result is therefore
+    /// bitwise `self + a.matmul(b)` / `self - a.matmul(b)` — minus the
+    /// `nrows x ncols` temporary, which is what block Lanczos' projections
+    /// (`W -= V P`, a dozen per iteration) used to allocate.
+    pub fn add_scaled_matmul(&mut self, alpha: f64, a: &DMat, b: &DMat) {
+        assert_eq!(a.ncols, b.nrows);
+        assert_eq!((self.nrows, self.ncols), (a.nrows, b.ncols));
+        let bn = b.ncols;
+        self.data.par_chunks_mut(bn).enumerate().for_each_init(
+            || vec![0.0; bn],
+            |prod, (i, crow)| {
+                prod.fill(0.0);
+                for (k, aik) in a.row(i).iter().enumerate() {
+                    if *aik != 0.0 {
+                        for (pv, bv) in prod.iter_mut().zip(b.row(k)) {
+                            *pv += aik * bv;
+                        }
+                    }
+                }
+                for (cv, pv) in crow.iter_mut().zip(&*prod) {
+                    *cv += alpha * pv;
+                }
+            },
+        );
     }
 
     /// `C = A^T * B` where `A` is `n x p`, `B` is `n x q` → `p x q`.
@@ -220,6 +254,49 @@ mod tests {
         let b = DMat::from_vec(3, 2, vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
         let c = a.matmul(&b);
         assert_eq!(c.as_slice(), &[58.0, 64.0, 139.0, 154.0]);
+    }
+
+    #[test]
+    fn add_scaled_matmul_is_matmul_then_add_bitwise() {
+        // Tall-skinny times small, as block Lanczos uses it; the second case
+        // plants zeros (skipped by both forms) and a zero-bearing target.
+        let lcg = |seed: u64| {
+            let mut state = seed;
+            move || {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+            }
+        };
+        for zeros in [false, true] {
+            let mut next = lcg(7 + u64::from(zeros));
+            let mut gen = |r: usize, c: usize| {
+                DMat::from_fn(r, c, |i, j| {
+                    let v = next();
+                    if zeros && (i + 2 * j) % 3 == 0 {
+                        0.0
+                    } else {
+                        v
+                    }
+                })
+            };
+            let (a, b, c) = (gen(37, 5), gen(5, 4), gen(37, 4));
+            let prod = a.matmul(&b);
+            for alpha in [-1.0, 1.0] {
+                let mut fused = c.clone();
+                fused.add_scaled_matmul(alpha, &a, &b);
+                let want = DMat::from_fn(37, 4, |i, j| {
+                    if alpha < 0.0 {
+                        c[(i, j)] - prod[(i, j)]
+                    } else {
+                        c[(i, j)] + prod[(i, j)]
+                    }
+                });
+                let bits = |m: &DMat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&fused), bits(&want), "alpha {alpha}, zeros {zeros}");
+            }
+        }
+        let m = DMat::from_vec(1, 2, vec![1.0, 2.0]);
+        assert_eq!(m.into_vec(), vec![1.0, 2.0]);
     }
 
     #[test]

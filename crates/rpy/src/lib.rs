@@ -27,7 +27,10 @@ pub mod tensor;
 
 pub use dense::{dense_ewald_mobility, dense_rpy_free};
 pub use ewald::RpyEwald;
-pub use nearfield::{real_tensors_with_overlap4, rpy_pairs_accumulate, PAIR_TILE};
+pub use nearfield::{
+    real_tensors_with_overlap4, rpy_pairs_accumulate, rpy_pairs_accumulate_multi, COL_TILE,
+    PAIR_TILE,
+};
 pub use polydisperse::{dense_rpy_free_poly, rpy_poly_pair_tensor};
 pub use stokeslet::OseenEwald;
 pub use tensor::{rpy_pair_scalars, rpy_pair_tensor, rpy_self_mobility};

@@ -1,14 +1,17 @@
 //! Allocation regression for the batched near-field kernels.
 //!
 //! Both entry points work on caller-provided slices with stack-only state
-//! (the treecode calls `rpy_pairs_accumulate` inside its parallel leaf pass,
+//! (the treecode calls `rpy_pairs_accumulate_multi` inside its parallel leaf pass,
 //! and `real_tensors_with_overlap4` runs inside the real-space assembly
 //! loop), so the assertion is zero allocator calls, not a steady-state
 //! budget.
 
 use hibd_alloctrack::{exclusive, measure};
 use hibd_mathx::Vec3;
-use hibd_rpy::{real_tensors_with_overlap4, rpy_pairs_accumulate, RpyEwald, PAIR_TILE};
+use hibd_rpy::{
+    real_tensors_with_overlap4, rpy_pairs_accumulate, rpy_pairs_accumulate_multi, RpyEwald,
+    PAIR_TILE,
+};
 
 hibd_alloctrack::install!();
 
@@ -32,9 +35,14 @@ fn pair_batch_kernel_never_allocates() {
     let vy: Vec<f64> = (0..n).map(|_| next()).collect();
     let vz: Vec<f64> = (0..n).map(|_| next()).collect();
     let mut out = [0.0f64; 3];
+    // A three-column block over the same tile (the runtime-width instance).
+    let cols =
+        [[&vx[..], &vy[..], &vz[..]], [&vy[..], &vz[..], &vx[..]], [&vz[..], &vx[..], &vy[..]]];
+    let mut outs = [[0.0f64; 3]; 3];
     let (m, ()) = measure(|| {
         for _ in 0..8 {
             rpy_pairs_accumulate(a, 0.1, -0.2, 0.3, &sx, &sy, &sz, &vx, &vy, &vz, &mut out);
+            rpy_pairs_accumulate_multi(a, 0.1, -0.2, 0.3, &sx, &sy, &sz, &cols, &mut outs);
         }
     });
     assert_eq!(m.alloc_calls, 0, "pair kernel made {} allocations", m.alloc_calls);

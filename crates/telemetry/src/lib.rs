@@ -145,16 +145,18 @@ pub enum Counter {
     NeighborRebuilds = 4,
     /// Peak PME operator scratch footprint in bytes (a gauge: merged by max).
     PmeScratchBytes = 5,
-    /// Treecode traversal interactions evaluated per apply: direct
-    /// particle-particle near-field pairs plus proxy-to-particle far-field
-    /// kernel evaluations.
+    /// Treecode column-pair work: direct particle-particle near-field pairs
+    /// plus proxy-to-particle far-field kernel evaluations, counted once per
+    /// applied column — a block apply of `s` columns adds `s` times the
+    /// single apply's count, although it evaluates each pair's kernel
+    /// scalars only once per column tile.
     TreeInteractions = 6,
     /// Engine plan-cache lookups that reused an existing `Arc<...Plans>`.
     PlanCacheHits = 7,
     /// Engine plan-cache lookups that had to build fresh plans.
     PlanCacheMisses = 8,
     /// FMM multipole-to-local translations applied (one per accepted
-    /// target-node/source-node pair per apply).
+    /// target-node/source-node pair per applied column).
     M2lTranslations = 9,
     /// Engine plan-cache entries evicted by the LRU capacity bound.
     PlanCacheEvictions = 10,

@@ -35,8 +35,19 @@
 //!
 //! The MAC's `d - r_t - r_s >= 2a` clause bounds every proxy-proxy distance
 //! below by `2a`, so the smooth far branch is exact on every table entry.
+//!
+//! **Blocks of vectors.** Multipoles and locals of a column tile are laid
+//! out `[node][comp][m][w]` (`m` the grid index, the `w` columns of the tile
+//! contiguous — see the `operator` module docs), so `m2l_apply` reads each
+//! table entry once and applies it to all `w` columns through the far
+//! field's micro-kernel (`far_columns`), SIMD lanes over the columns. A
+//! column's accumulation is the single-vector expression tree in the same
+//! order, whatever the width: a block translation is bitwise `w` single
+//! ones, and the width-1 instance is the only single-vector M2L there is.
 
+use crate::operator::far_columns;
 use crate::tree::Octree;
+use hibd_rpy::COL_TILE;
 use std::collections::BTreeMap;
 
 use hibd_hot as hibd;
@@ -228,44 +239,62 @@ impl FmmData {
     }
 }
 
-/// M2L: accumulate one source node's proxy weights `w` (planar `[comp][q^3]`)
-/// into a target node's local expansion `out` (same layout) through a
-/// translation table. Pure table lookups plus the separable rank-one
-/// reconstruction — no square roots on the apply path.
+/// M2L: accumulate one source node's proxy weights `src` (`[comp][q^3][w]`,
+/// the `w` columns of a tile contiguous) into a target node's local
+/// expansion `out` (same layout) through a translation table. Pure table
+/// lookups plus the separable rank-one reconstruction — no square roots on
+/// the apply path. Each table entry is read once and applied to all `w`
+/// columns by the far field's micro-kernel ([`far_columns`], lanes over
+/// columns); per column the accumulation is the single-vector expression
+/// tree, so a column of a block translation is bitwise its own translation.
 #[hibd::hot]
-pub(crate) fn m2l_apply(entry: &M2lEntry, q: usize, w: &[f64], out: &mut [f64]) {
+#[inline(always)]
+pub(crate) fn m2l_apply(entry: &M2lEntry, q: usize, w: usize, src: &[f64], out: &mut [f64]) {
     let q3 = q * q * q;
-    let (wx, wyz) = w.split_at(q3);
-    let (wy, wz) = wyz.split_at(q3);
-    let (ox, oyz) = out.split_at_mut(q3);
-    let (oy, oz) = oyz.split_at_mut(q3);
+    let (wx, wyz) = src.split_at(q3 * w);
+    let (wy, wz) = wyz.split_at(q3 * w);
+    let (ox, oyz) = out.split_at_mut(q3 * w);
+    let (oy, oz) = oyz.split_at_mut(q3 * w);
     let mut i = 0;
     for mx in 0..q {
         for my in 0..q {
             for mz in 0..q {
                 let row_fi = &entry.fi[i * q3..(i + 1) * q3];
                 let row_fr = &entry.fr[i * q3..(i + 1) * q3];
-                let (mut ax, mut ay, mut az) = (0.0f64, 0.0f64, 0.0f64);
+                let dzs = &entry.dzs[mz * q..(mz + 1) * q];
+                let mut acc = [0.0f64; 3 * COL_TILE];
+                let (ax, ayz) = acc[..3 * w].split_at_mut(w);
+                let (ay, az) = ayz.split_at_mut(w);
                 let mut j = 0;
                 for px in 0..q {
                     let dx = entry.dxs[mx * q + px];
                     for py in 0..q {
                         let dy = entry.dys[my * q + py];
-                        for pz in 0..q {
-                            let dz = entry.dzs[mz * q + pz];
-                            let fi = row_fi[j];
-                            let fr = row_fr[j];
-                            let dot = dx * wx[j] + dy * wy[j] + dz * wz[j];
-                            ax += fi * wx[j] + fr * dot * dx;
-                            ay += fi * wy[j] + fr * dot * dy;
-                            az += fi * wz[j] + fr * dot * dz;
-                            j += 1;
+                        // One `pz` run of the source grid: its `q` table
+                        // entries zipped with their column blocks (no
+                        // per-entry bounds checks in the hot loop).
+                        let run = j * w..(j + q) * w;
+                        let cols = wx[run.clone()]
+                            .chunks_exact(w)
+                            .zip(wy[run.clone()].chunks_exact(w))
+                            .zip(wz[run].chunks_exact(w));
+                        let scalars = row_fi[j..j + q].iter().zip(&row_fr[j..j + q]).zip(dzs);
+                        for (((&fi, &fr), &dz), ((cx, cy), cz)) in scalars.zip(cols) {
+                            far_columns(fi, fr, [dx, dy, dz], cx, cy, cz, ax, ay, az);
                         }
+                        j += q;
                     }
                 }
-                ox[i] += ax;
-                oy[i] += ay;
-                oz[i] += az;
+                let at = i * w..(i + 1) * w;
+                for (o, a) in ox[at.clone()].iter_mut().zip(&*ax) {
+                    *o += a;
+                }
+                for (o, a) in oy[at.clone()].iter_mut().zip(&*ay) {
+                    *o += a;
+                }
+                for (o, a) in oz[at].iter_mut().zip(&*az) {
+                    *o += a;
+                }
                 i += 1;
             }
         }
@@ -358,7 +387,7 @@ mod tests {
                 w.iter_mut().for_each(|v| *v = 0.0);
                 out.iter_mut().for_each(|v| *v = 0.0);
                 w[comp * q3 + j] = 1.0;
-                m2l_apply(&entry, q, &w, &mut out);
+                m2l_apply(&entry, q, 1, &w, &mut out);
                 let src = proxy(&tree.nodes[bi], j);
                 for i in 0..q3 {
                     let tgt = proxy(&tree.nodes[ai], i);

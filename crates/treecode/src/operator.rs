@@ -1,7 +1,7 @@
 //! The hierarchical free-space RPY mobility operator.
 //!
-//! `TreeOperator` approximates `y = M x` for the free-space RPY tensor over
-//! a fixed particle cloud in `O(n log n)`:
+//! `TreeOperator` approximates `Y = M X` for the free-space RPY tensor over
+//! a fixed particle cloud in `O(n log n)` per column:
 //!
 //! 1. **Upward pass** ([`hibd_telemetry::Phase::Upward`]): particle source
 //!    strengths (3-vectors) are anterpolated onto each leaf's `q^3`
@@ -23,8 +23,14 @@
 //!
 //! The dual tree traversal and its flattening into per-leaf interaction
 //! lists happen once at construction ([`hibd_telemetry::Phase::TreeBuild`]);
-//! `apply` is allocation-free at steady state (operator-owned scratch only)
-//! and parallelizes over leaves, whose Morton ranges partition the output.
+//! applies are allocation-free at steady state (operator-owned scratch only)
+//! and parallelize over leaves, whose Morton ranges partition the output;
+//! the upward pass (and the FMM's L2L) parallelizes over sibling subtrees,
+//! whose preorder ranges partition the per-node grids (`par_sweep`). No
+//! stage of an apply is serial: at [`COL_TILE`] columns a serial upward pass
+//! is ~2 ms at n = 2000, which is how long an idle pool thread spins before
+//! it sleeps, so whether the far field started with a sleeping helper
+//! depended on timing (26 of a run's 28 block tiles did).
 //!
 //! With [`TreeEval::Fmm`] the far field runs as a true kernel-independent
 //! FMM instead: the MAC-accepted pairs stay at the *node* level and are
@@ -33,13 +39,55 @@
 //! per particle ([`hibd_telemetry::Phase::Downward`]) — `O(n)` far-field
 //! work, level-independent per particle. See the [`crate::fmm`] module docs
 //! for the table construction and the determinism argument.
+//!
+//! # Blocks of vectors
+//!
+//! The paper's Section III-B argument for PME holds here too: the tree, the
+//! interaction lists and every pair's kernel scalars depend on the positions
+//! only, so a block of `s` right-hand sides should traverse the structure
+//! and evaluate the kernel **once**. There is one apply body,
+//! `apply_tile`, generic in the tile width `w`: `apply_multi` cuts its
+//! block into column tiles of at most [`COL_TILE`] and `apply` is the
+//! `w = 1` tile — there is no second single-column kernel anywhere.
+//!
+//! *Layouts.* A tile is gathered into Morton order as `[particle][comp][w]`
+//! (`xr`; the result `yr` likewise), proxy weights and FMM locals are
+//! `[node][comp][m][w]` with `m` the proxy-grid index: the `w` columns of
+//! one scalar are always contiguous.
+//!
+//! *Far field, upward and downward passes: lanes over columns.* Each
+//! particle–proxy (or M2L grid–grid) pair's `fi`, `g = frr / r^2` and
+//! displacement `d` are computed once and broadcast against the `w`
+//! contiguous weights through one micro-kernel, `far_columns`
+//! (`o += fi w + g (d·w) d`); P2M/M2M/L2L/L2P broadcast one interpolation
+//! coefficient the same way. Per column this is the historical scalar
+//! expression tree, operation for operation — plain mul/add, never
+//! `mul_add` — so column `j` of a block equals `apply` on that column by
+//! `to_bits`, and `apply` kept the bits it had before blocks existed. The
+//! body is compiled twice (`kernel_scalar`, and `kernel_avx2` = the same
+//! source with 256-bit registers; no FMA contraction either way), with the
+//! widths `1` and [`COL_TILE`] constant-propagated so their column loops
+//! unroll into registers.
+//!
+//! *Near field: lanes over pairs.* [`hibd_rpy::rpy_pairs_accumulate_multi`]
+//! keeps its four SIMD lanes on four source particles and loops the columns
+//! inside (its module docs say why); the leaf stages each source tile's
+//! columns once, transposed to `[col][comp][source]`.
+//!
+//! *The tile width is a memory bound.* The tile scratch is
+//! `(6 n + 3 q^3 nodes) w` doubles (plus `3 q^3 nodes w` FMM locals); it is
+//! sized for width 1 at build and grows to the widest tile applied, never
+//! back — `apply`-only users keep the single-column footprint, and
+//! `state_memory_bytes` counts whatever is resident. [`COL_TILE`] `= 8` is
+//! what the ladder's 5 % peak-RSS gate leaves room for on its n = 2000
+//! open workload (measurements beside the constant in `hibd_rpy`).
 
 use crate::cheb;
 use crate::fmm;
 use crate::tree::{Node, Octree, NO_CHILD};
 use hibd_linalg::LinearOperator;
 use hibd_mathx::Vec3;
-use hibd_rpy::{rpy_pairs_accumulate, rpy_self_mobility, PAIR_TILE};
+use hibd_rpy::{rpy_pairs_accumulate_multi, rpy_self_mobility, COL_TILE, PAIR_TILE};
 use hibd_telemetry::{Counter, Phase, Snapshot};
 use std::sync::Arc;
 
@@ -176,9 +224,6 @@ pub struct TreeOperator {
     /// Per-particle anterpolation weights `[particle][dim][q]` (Morton
     /// order), toward the particle's leaf grid.
     pw: Vec<f64>,
-    /// Proxy source strengths, planar per node: `[node][comp][q^3]` (the
-    /// planar layout keeps the M2M and far-field inner loops unit-stride).
-    weights: Vec<f64>,
     /// CSR per-leaf far interaction lists (source node ids).
     far_off: Vec<u32>,
     far_src: Vec<u32>,
@@ -188,19 +233,26 @@ pub struct TreeOperator {
     near_src: Vec<u32>,
     /// FMM far-field state ([`TreeEval::Fmm`] only): node-level interaction
     /// lists with deduplicated M2L tables, plus the local-expansion scratch
-    /// (grown once at build, never shrunk — applies stay allocation-free).
+    /// (part of the tile scratch, see `width`).
     fmm: Option<FmmState>,
-    /// Interactions per apply (near particle pairs + far particle-proxy
-    /// evaluations; for FMM, `q^6` per M2L translation + `q^3` per particle
-    /// L2P), for `Counter::TreeInteractions`.
+    /// Interactions per applied column (near particle pairs + far
+    /// particle-proxy evaluations; for FMM, `q^6` per M2L translation + `q^3`
+    /// per particle L2P), for `Counter::TreeInteractions`.
     interactions: u64,
-    /// Morton-ordered input/output scratch (length `3n`).
+    /// Widest column tile the scratch below (and the FMM locals) holds:
+    /// `1` from construction, then the widest tile applied so far — grown by
+    /// `ensure_width`, never shrunk, so steady-state applies stay
+    /// allocation-free. A tile of width `w` uses the `w`-strided prefix of
+    /// each buffer.
+    width: usize,
+    /// Morton-ordered input/output tile, `[particle][comp][w]`.
     xr: Vec<f64>,
     yr: Vec<f64>,
-    /// Column scratch for `apply_multi`.
-    xcol: Vec<f64>,
-    ycol: Vec<f64>,
-    /// Phase spans of this instance: `TreeBuild` once, then per apply
+    /// Proxy source strengths of the tile, `[node][comp][q^3][w]` (planar
+    /// per component: the M2M and far-field inner loops are unit-stride).
+    weights: Vec<f64>,
+    /// Phase spans of this instance: `TreeBuild` once, then per applied
+    /// column tile (one per `apply`, `ceil(s / COL_TILE)` per `apply_multi`)
     /// `Upward`, `NearField` and `FarField` (treecode) or `M2l`/`Downward`
     /// (FMM) — the other mode's phases stay empty.
     snap: Snapshot,
@@ -209,7 +261,8 @@ pub struct TreeOperator {
 /// Per-operator FMM far-field state (see [`TreeOperator::fmm`]).
 struct FmmState {
     data: fmm::FmmData,
-    /// Local expansions, planar per node: `[node][comp][q^3]`.
+    /// Local expansions of the tile, `[node][comp][q^3][w]` (sized like
+    /// `TreeOperator::weights`).
     locals: Vec<f64>,
 }
 
@@ -314,8 +367,8 @@ impl TreeOperator {
                 // work is level-independent.
                 let far_evals = (data.num_pairs() as u64) * (q3 as u64) * (q3 as u64)
                     + (n as u64) * (q3 as u64);
-                let locals = vec![0.0; tree.nodes.len() * q3 * 3];
-                (vec![0u32; nleaves + 1], Vec::new(), Some(FmmState { data, locals }), far_evals)
+                let state = FmmState { data, locals: Vec::new() };
+                (vec![0u32; nleaves + 1], Vec::new(), Some(state), far_evals)
             }
         };
 
@@ -334,22 +387,19 @@ impl TreeOperator {
             n,
             q3,
             pw,
-            weights: Vec::new(),
             far_off,
             far_src,
             near_off,
             near_src,
             fmm,
             interactions,
+            width: 0,
             xr: Vec::new(),
             yr: Vec::new(),
-            xcol: Vec::new(),
-            ycol: Vec::new(),
+            weights: Vec::new(),
             snap: Snapshot::empty(),
         };
-        op.weights.resize(op.tree.nodes.len() * q3 * 3, 0.0);
-        op.xr.resize(3 * n, 0.0);
-        op.yr.resize(3 * n, 0.0);
+        op.ensure_width(1);
         sw.stop(&mut op.snap);
         op
     }
@@ -385,8 +435,8 @@ impl TreeOperator {
         self.fmm.as_ref().map(|st| (st.data.num_pairs(), st.data.num_entries()))
     }
 
-    /// Near + far interaction evaluations per apply (the value added to
-    /// `Counter::TreeInteractions`).
+    /// Near + far interaction evaluations per applied column (a block apply
+    /// of `s` columns adds `s` times this to `Counter::TreeInteractions`).
     pub fn interactions_per_apply(&self) -> u64 {
         self.interactions
     }
@@ -420,175 +470,273 @@ impl TreeOperator {
             + self.near_src.capacity() * size_of::<u32>()
             + self.xr.capacity() * size_of::<f64>()
             + self.yr.capacity() * size_of::<f64>()
-            + self.xcol.capacity() * size_of::<f64>()
-            + self.ycol.capacity() * size_of::<f64>()
             + match &self.fmm {
                 Some(st) => st.data.memory_bytes() + st.locals.capacity() * size_of::<f64>(),
                 None => 0,
             }
     }
 
-    /// One full tree apply into the Morton scratch, then scatter to `y`.
-    fn apply_inner(&mut self, x: &[f64], y: &mut [f64]) {
+    /// Grow the tile scratch (and the FMM locals) to hold a `w`-column
+    /// tile. Grow-only and exact, so steady-state applies never allocate and
+    /// `state_memory_bytes` reports what is resident.
+    fn ensure_width(&mut self, w: usize) {
+        if w <= self.width {
+            return;
+        }
+        self.width = w;
+        let grow = |v: &mut Vec<f64>, len: usize| {
+            v.reserve_exact(len - v.len());
+            v.resize(len, 0.0);
+        };
+        let grid = self.tree.nodes.len() * 3 * self.q3 * w;
+        grow(&mut self.xr, 3 * self.n * w);
+        grow(&mut self.yr, 3 * self.n * w);
+        grow(&mut self.weights, grid);
+        if let Some(st) = &mut self.fmm {
+            grow(&mut st.locals, grid);
+        }
+    }
+
+    /// The one apply body: columns `col0..col0 + w` of the `s`-column block
+    /// `x` (row-major `[dim][s]`) through the whole operator into the same
+    /// columns of `y`. `apply` is the `s = w = 1` call.
+    fn apply_tile(&mut self, x: &[f64], y: &mut [f64], s: usize, col0: usize, w: usize) {
+        debug_assert!((1..=COL_TILE).contains(&w) && col0 + w <= s);
         if self.n == 0 {
             return;
         }
+        self.ensure_width(w);
+        let tile = 3 * self.n * w;
+        let grid = self.tree.nodes.len() * 3 * self.q3 * w;
+        let nleaves = self.tree.leaves.len();
+
+        // The buffers a pass writes are moved out so the kernels can borrow
+        // `self` shared while writing disjoint slices of them (no
+        // allocation: `take` swaps in an empty vec).
         let sw = hibd_telemetry::start(Phase::Upward);
-        gather(&self.tree.order, x, &mut self.xr);
-        self.upward();
+        gather(&self.tree.order, x, s, col0, w, &mut self.xr[..tile]);
+        let mut weights = std::mem::take(&mut self.weights);
+        par_sweep(self, Sweep::Up, 0, w, &mut weights[..grid]);
+        self.weights = weights;
         sw.stop(&mut self.snap);
 
-        // Move the output scratch out so the leaf passes can borrow `self`
-        // shared while writing disjoint slices of it (no allocation: `take`
-        // swaps in an empty vec).
         let mut yr = std::mem::take(&mut self.yr);
-        let nleaves = self.tree.leaves.len();
-        yr.iter_mut().for_each(|v| *v = 0.0);
+        let yt = &mut yr[..tile];
+        yt.fill(0.0);
 
         if self.fmm.is_some() {
             // FMM far field: M2L into the locals (node-parallel, disjoint
-            // slices), serial L2L push-down, then one L2P pass per leaf.
+            // slices), L2L push-down by subtree, then one L2P pass per leaf.
             // The state is taken out so the M2L pass can borrow `self`
             // shared, and restored before L2P reads the locals through it.
             let mut st = self.fmm.take().expect("checked above");
             let m2l_pairs = st.data.num_pairs() as u64;
+            let locals = &mut st.locals[..grid];
 
             let sw = hibd_telemetry::start(Phase::M2l);
-            st.locals.iter_mut().for_each(|v| *v = 0.0);
-            par_m2l(self, &st.data, 0, self.tree.nodes.len(), &mut st.locals);
+            locals.fill(0.0);
+            par_m2l(self, &st.data, 0, self.tree.nodes.len(), w, locals);
             sw.stop(&mut self.snap);
 
             let sw = hibd_telemetry::start(Phase::Downward);
-            self.l2l(&mut st.locals);
+            par_sweep(self, Sweep::Down, 0, w, locals);
             self.fmm = Some(st);
-            par_leaf_pass(self, LeafPass::L2p, 0, nleaves, &mut yr);
+            par_leaf_pass(self, LeafPass::L2p, 0, nleaves, w, yt);
             sw.stop(&mut self.snap);
-            hibd_telemetry::incr(Counter::M2lTranslations, m2l_pairs);
+            hibd_telemetry::incr(Counter::M2lTranslations, m2l_pairs * w as u64);
         } else {
             let sw = hibd_telemetry::start(Phase::FarField);
-            par_leaf_pass(self, LeafPass::Far, 0, nleaves, &mut yr);
+            par_leaf_pass(self, LeafPass::Far, 0, nleaves, w, yt);
             sw.stop(&mut self.snap);
         }
 
         let sw = hibd_telemetry::start(Phase::NearField);
-        par_leaf_pass(self, LeafPass::Near, 0, nleaves, &mut yr);
+        par_leaf_pass(self, LeafPass::Near, 0, nleaves, w, yt);
         sw.stop(&mut self.snap);
 
-        scatter(&self.tree.order, &yr, y);
+        scatter(&self.tree.order, yt, s, col0, w, y);
         self.yr = yr;
-        hibd_telemetry::incr(Counter::TreeInteractions, self.interactions);
+        hibd_telemetry::incr(Counter::TreeInteractions, self.interactions * w as u64);
     }
+}
 
-    /// Upward pass: P2M on the leaves, then child→parent M2M merges in
-    /// reverse preorder (children precede parents in that order).
-    fn upward(&mut self) {
-        self.weights.iter_mut().for_each(|v| *v = 0.0);
-        let q = self.plans.params.cheb_order;
-        let q3 = self.q3;
-        let stride = q3 * 3;
-        for &l in &self.tree.leaves {
-            let node = &self.tree.nodes[l as usize];
-            let w = &mut self.weights[l as usize * stride..(l as usize + 1) * stride];
-            p2m_leaf(node, &self.pw, &self.xr, q, w);
-        }
-        for ni in (0..self.tree.nodes.len()).rev() {
-            if self.tree.nodes[ni].leaf {
-                continue;
-            }
-            for c in self.tree.nodes[ni].children {
-                if c == NO_CHILD {
-                    continue;
-                }
-                let ci = c as usize;
-                let (head, tail) = self.weights.split_at_mut(ci * stride);
-                let parent = &mut head[ni * stride..(ni + 1) * stride];
-                let child = &tail[..stride];
-                m2m_accumulate(
-                    &self.plans.m2m[self.tree.nodes[ci].octant as usize],
-                    child,
-                    q3,
-                    parent,
-                );
-            }
-        }
-    }
-
-    /// L2L: push each node's local expansion onto its children's grids
-    /// through the transposed octant matrices, in preorder (parents are
-    /// final before any child reads them). A serial sweep — `O(nodes q^6)`
-    /// is negligible next to M2L, and serial order keeps the downward pass
-    /// trivially deterministic.
-    fn l2l(&self, locals: &mut [f64]) {
-        let q3 = self.q3;
-        let stride = q3 * 3;
-        for ni in 0..self.tree.nodes.len() {
-            if self.tree.nodes[ni].leaf {
-                continue;
-            }
-            for c in self.tree.nodes[ni].children {
-                if c == NO_CHILD {
-                    continue;
-                }
-                let ci = c as usize;
-                let (head, tail) = locals.split_at_mut(ci * stride);
-                let parent = &head[ni * stride..(ni + 1) * stride];
-                let child = &mut tail[..stride];
-                // The transposed-GEMV shape is identical to M2M, so the
-                // same kernel serves with the L2L table and the roles of
-                // parent/child swapped.
-                m2m_accumulate(
-                    &self.plans.l2l[self.tree.nodes[ci].octant as usize],
-                    parent,
-                    q3,
-                    child,
-                );
-            }
+/// Gather columns `col0..col0 + w` of `x` (original particle order,
+/// row-major `[dim][s]`) into the Morton-ordered tile `[particle][comp][w]`.
+#[hibd::hot]
+fn gather(order: &[u32], x: &[f64], s: usize, col0: usize, w: usize, xr: &mut [f64]) {
+    for (&i, xk) in order.iter().zip(xr.chunks_exact_mut(3 * w)) {
+        for (c, xc) in xk.chunks_exact_mut(w).enumerate() {
+            let at = (3 * i as usize + c) * s + col0;
+            xc.copy_from_slice(&x[at..at + w]);
         }
     }
 }
 
-/// Gather `x` (original particle order) into Morton order.
+/// Scatter the Morton-ordered result tile back to columns `col0..col0 + w`
+/// of `y` in the original order.
 #[hibd::hot]
-fn gather(order: &[u32], x: &[f64], xr: &mut [f64]) {
-    for (k, &i) in order.iter().enumerate() {
-        let i = i as usize;
-        xr[3 * k] = x[3 * i];
-        xr[3 * k + 1] = x[3 * i + 1];
-        xr[3 * k + 2] = x[3 * i + 2];
+fn scatter(order: &[u32], yr: &[f64], s: usize, col0: usize, w: usize, y: &mut [f64]) {
+    for (&i, yk) in order.iter().zip(yr.chunks_exact(3 * w)) {
+        for (c, yc) in yk.chunks_exact(w).enumerate() {
+            let at = (3 * i as usize + c) * s + col0;
+            y[at..at + w].copy_from_slice(yc);
+        }
     }
 }
 
-/// Scatter the Morton-ordered result back to the original order.
+/// One unit of width-generic kernel work, for [`run_kernel`].
+enum Kernel<'a> {
+    /// One node of a [`par_sweep`]; `sub` is the grids of its subtree.
+    Node { sweep: Sweep, node: usize, sub: &'a mut [f64] },
+    /// One leaf of a [`par_leaf_pass`]; `y` is that leaf's output slice.
+    Leaf { pass: LeafPass, ord: usize, y: &'a mut [f64] },
+    /// M2L fan-in of target node `node`; `out` is its local expansion.
+    M2l { data: &'a fmm::FmmData, node: usize, out: &'a mut [f64] },
+}
+
+/// The single SIMD dispatch point of the apply: every width-generic kernel
+/// runs through here, as [`kernel_avx2`] when the host has AVX2 and
+/// [`kernel_scalar`] otherwise — one source, identical bits.
 #[hibd::hot]
-fn scatter(order: &[u32], yr: &[f64], y: &mut [f64]) {
-    for (k, &i) in order.iter().enumerate() {
-        let i = i as usize;
-        y[3 * i] = yr[3 * k];
-        y[3 * i + 1] = yr[3 * k + 1];
-        y[3 * i + 2] = yr[3 * k + 2];
+fn run_kernel(op: &TreeOperator, w: usize, work: Kernel) {
+    #[cfg(target_arch = "x86_64")]
+    if hibd_simd::avx2() {
+        // SAFETY: `hibd_simd::avx2()` returns true only after runtime
+        // detection of the avx2 target feature on this CPU.
+        unsafe { kernel_avx2(op, w, work) };
+        return;
+    }
+    kernel_scalar(op, w, work);
+}
+
+/// Width specialization: the tile widths that matter — `1` (`apply`) and a
+/// full [`COL_TILE`] — reach the kernels as constants, so their column loops
+/// unroll and the per-column accumulators live in registers; tail tiles take
+/// the same body with a runtime width.
+#[hibd::hot]
+#[inline(always)]
+fn kernel_scalar(op: &TreeOperator, w: usize, work: Kernel) {
+    match w {
+        1 => kernel(op, 1, work),
+        COL_TILE => kernel(op, COL_TILE, work),
+        _ => kernel(op, w, work),
     }
 }
 
-/// P2M: anterpolate the leaf's particle strengths onto its proxy grid.
+/// [`kernel_scalar`] compiled for AVX2 registers: the same body, so plain
+/// `mul`/`add` per column lane (the `fma` feature is not enabled and Rust
+/// never contracts) and every column is bitwise the scalar loop — a pure
+/// speedup, legal under either `HIBD_SIMD` leg. The near field dispatches
+/// its own pair kernel inside `hibd_rpy`.
+///
+/// # Safety
+/// The caller must ensure the CPU supports the `avx2` target feature
+/// (runtime-detected via `hibd_simd::avx2()`).
+#[cfg(target_arch = "x86_64")]
 #[hibd::hot]
-fn p2m_leaf(node: &Node, pw: &[f64], xr: &[f64], q: usize, w: &mut [f64]) {
+#[target_feature(enable = "avx2")]
+unsafe fn kernel_avx2(op: &TreeOperator, w: usize, work: Kernel) {
+    kernel_scalar(op, w, work);
+}
+
+/// The kernels themselves, by unit of work, at tile width `w`.
+#[hibd::hot]
+#[inline(always)]
+fn kernel(op: &TreeOperator, w: usize, work: Kernel) {
+    match work {
+        Kernel::Node { sweep: Sweep::Up, node, sub } => upward_node(op, node, w, sub),
+        Kernel::Node { sweep: Sweep::Down, node, sub } => l2l_node(op, node, w, sub),
+        Kernel::Leaf { pass, ord, y } => {
+            let node = &op.tree.nodes[op.tree.leaves[ord] as usize];
+            debug_assert_eq!(y.len(), 3 * w * node.len());
+            match pass {
+                LeafPass::Far => far_leaf(op, ord, node, w, y),
+                LeafPass::Near => near_leaf(op, ord, node, w, y),
+                LeafPass::L2p => l2p_leaf(op, ord, node, w, y),
+            }
+        }
+        Kernel::M2l { data, node, out } => m2l_node(op, data, node, w, out),
+    }
+}
+
+/// Upward pass at one node whose children are done: P2M on a leaf, else the
+/// children's M2M merges in octant order. `sub` holds the proxy weights of
+/// the node's subtree — preorder, so the node's own grid comes first and
+/// child `c` sits `c - ni - 1` grids behind it.
+#[hibd::hot]
+#[inline(always)]
+fn upward_node(op: &TreeOperator, ni: usize, w: usize, sub: &mut [f64]) {
+    let q3 = op.q3;
+    let stride = 3 * q3 * w;
+    let node = &op.tree.nodes[ni];
+    let (own, below) = sub.split_at_mut(stride);
+    own.fill(0.0);
+    if node.leaf {
+        p2m_leaf(node, &op.pw, &op.xr, op.plans.params.cheb_order, w, own);
+        return;
+    }
+    for c in node.children {
+        if c == NO_CHILD {
+            continue;
+        }
+        let ci = c as usize;
+        let child = &below[(ci - ni - 1) * stride..(ci - ni) * stride];
+        m2m_accumulate(&op.plans.m2m[op.tree.nodes[ci].octant as usize], child, q3, w, own);
+    }
+}
+
+/// L2L at one node: push its (final) local expansion onto its children's
+/// grids through the transposed octant matrices. `sub` is laid out as in
+/// [`upward_node`].
+#[hibd::hot]
+#[inline(always)]
+fn l2l_node(op: &TreeOperator, ni: usize, w: usize, sub: &mut [f64]) {
+    let q3 = op.q3;
+    let stride = 3 * q3 * w;
+    let (own, below) = sub.split_at_mut(stride);
+    for c in op.tree.nodes[ni].children {
+        if c == NO_CHILD {
+            continue;
+        }
+        let ci = c as usize;
+        let child = &mut below[(ci - ni - 1) * stride..(ci - ni) * stride];
+        // The transposed-GEMV shape is identical to M2M, so the same
+        // kernel serves with the L2L table and the roles of parent/child
+        // swapped.
+        m2m_accumulate(&op.plans.l2l[op.tree.nodes[ci].octant as usize], own, q3, w, child);
+    }
+}
+
+/// P2M: anterpolate the leaf's particle strengths (`xr`, `[particle][comp][w]`)
+/// onto its proxy grid (`wt`, `[comp][q^3][w]`).
+#[hibd::hot]
+#[inline(always)]
+fn p2m_leaf(node: &Node, pw: &[f64], xr: &[f64], q: usize, w: usize, wt: &mut [f64]) {
+    let q3 = q * q * q;
+    let (tx, tyz) = wt.split_at_mut(q3 * w);
+    let (ty, tz) = tyz.split_at_mut(q3 * w);
     for k in node.start as usize..node.end as usize {
         let base = k * 3 * q;
         let (wx, rest) = pw[base..base + 3 * q].split_at(q);
         let (wy, wz) = rest.split_at(q);
-        let sx = xr[3 * k];
-        let sy = xr[3 * k + 1];
-        let sz = xr[3 * k + 2];
-        let q3 = q * q * q;
+        let (sx, syz) = xr[3 * k * w..3 * (k + 1) * w].split_at(w);
+        let (sy, sz) = syz.split_at(w);
         let mut m = 0;
         for &ax in wx {
             for &ay in wy {
                 let axy = ax * ay;
                 for &az in wz {
                     let s = axy * az;
-                    w[m] += s * sx;
-                    w[q3 + m] += s * sy;
-                    w[2 * q3 + m] += s * sz;
+                    let (cx, cy, cz) = (
+                        &mut tx[m * w..(m + 1) * w],
+                        &mut ty[m * w..(m + 1) * w],
+                        &mut tz[m * w..(m + 1) * w],
+                    );
+                    for j in 0..w {
+                        cx[j] += s * sx[j];
+                        cy[j] += s * sy[j];
+                        cz[j] += s * sz[j];
+                    }
                     m += 1;
                 }
             }
@@ -597,20 +745,55 @@ fn p2m_leaf(node: &Node, pw: &[f64], xr: &[f64], q: usize, w: &mut [f64]) {
 }
 
 /// M2M: `parent += T_octant * child`, one unit-stride `q^3 x q^3` GEMV per
-/// weight component plane.
+/// weight component plane and column (planes are `[q^3][w]`).
 #[hibd::hot]
-fn m2m_accumulate(mat: &[f64], child: &[f64], q3: usize, parent: &mut [f64]) {
+#[inline(always)]
+fn m2m_accumulate(mat: &[f64], child: &[f64], q3: usize, w: usize, parent: &mut [f64]) {
     for c in 0..3 {
-        let cp = &child[c * q3..(c + 1) * q3];
-        let pp = &mut parent[c * q3..(c + 1) * q3];
-        for (m, pv) in pp.iter_mut().enumerate() {
+        let cp = &child[c * q3 * w..(c + 1) * q3 * w];
+        let pp = &mut parent[c * q3 * w..(c + 1) * q3 * w];
+        for (m, pv) in pp.chunks_exact_mut(w).enumerate() {
             let row = &mat[m * q3..(m + 1) * q3];
-            let mut acc = 0.0;
-            for (t, x) in row.iter().zip(cp) {
-                acc += t * x;
+            let mut acc = [0.0f64; COL_TILE];
+            let acc = &mut acc[..w];
+            for (t, x) in row.iter().zip(cp.chunks_exact(w)) {
+                for j in 0..w {
+                    acc[j] += t * x[j];
+                }
             }
-            *pv += acc;
+            for j in 0..w {
+                pv[j] += acc[j];
+            }
         }
+    }
+}
+
+/// The far-field column micro-kernel, shared by the treecode's
+/// particle–proxy evaluation and the FMM's M2L: one source point's RPY far
+/// tensor `fi I + g d dᵀ` (`g = frr / r^2`, raw displacement `d`) applied to
+/// its `w` columns of weights, `o += fi w + g (d·w) d`. The expression tree
+/// per column is the historical single-vector one; do not re-associate it
+/// and do not use `mul_add`.
+#[hibd::hot]
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn far_columns(
+    fi: f64,
+    g: f64,
+    d: [f64; 3],
+    wx: &[f64],
+    wy: &[f64],
+    wz: &[f64],
+    ox: &mut [f64],
+    oy: &mut [f64],
+    oz: &mut [f64],
+) {
+    let [dx, dy, dz] = d;
+    for j in 0..ox.len() {
+        let dot = dx * wx[j] + dy * wy[j] + dz * wz[j];
+        ox[j] += fi * wx[j] + g * dot * dx;
+        oy[j] += fi * wy[j] + g * dot * dy;
+        oz[j] += fi * wz[j] + g * dot * dz;
     }
 }
 
@@ -714,65 +897,125 @@ enum LeafPass {
 }
 
 /// Recursive leaf-parallel evaluation over the leaf-ordinal range
-/// `lo..hi`: the leaves' Morton ranges partition `0..n`, so the output is
-/// split at leaf boundaries and the two halves recurse under `rayon::join`
-/// — every leaf writes a disjoint `yr` slice. `yr` covers exactly the
-/// particles of leaves `lo..hi`.
-fn par_leaf_pass(op: &TreeOperator, pass: LeafPass, lo: usize, hi: usize, yr: &mut [f64]) {
+/// `lo..hi`: the leaves' Morton ranges partition `0..n`, so the output tile
+/// is split at leaf boundaries and the two halves recurse under
+/// `rayon::join` — every leaf writes a disjoint `yr` slice. `yr` covers
+/// exactly the particles of leaves `lo..hi` (`3 w` values each).
+fn par_leaf_pass(
+    op: &TreeOperator,
+    pass: LeafPass,
+    lo: usize,
+    hi: usize,
+    w: usize,
+    yr: &mut [f64],
+) {
     if lo >= hi {
         return;
     }
     if hi - lo == 1 {
-        let node = &op.tree.nodes[op.tree.leaves[lo] as usize];
-        debug_assert_eq!(yr.len(), 3 * node.len());
-        match pass {
-            LeafPass::Far => far_leaf(op, lo, node, yr),
-            LeafPass::Near => near_leaf(op, lo, node, yr),
-            LeafPass::L2p => l2p_leaf(op, lo, node, yr),
-        }
+        run_kernel(op, w, Kernel::Leaf { pass, ord: lo, y: yr });
         return;
     }
     let mid = lo + (hi - lo) / 2;
     let first = op.tree.nodes[op.tree.leaves[lo] as usize].start as usize;
     let boundary = op.tree.nodes[op.tree.leaves[mid] as usize].start as usize;
-    let (left, right) = yr.split_at_mut(3 * (boundary - first));
+    let (left, right) = yr.split_at_mut(3 * w * (boundary - first));
     rayon::join(
-        || par_leaf_pass(op, pass, lo, mid, left),
-        || par_leaf_pass(op, pass, mid, hi, right),
+        || par_leaf_pass(op, pass, lo, mid, w, left),
+        || par_leaf_pass(op, pass, mid, hi, w, right),
     );
 }
 
+/// Direction of a [`par_sweep`]: proxy weights up (P2M, M2M) or FMM locals
+/// down (L2L).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Sweep {
+    Up,
+    Down,
+}
+
+/// Subtree-parallel sweep over node `ni`'s subtree, whose grids (`3 q^3 w`
+/// values per node, preorder) are exactly `sub`. A node runs after its
+/// children going up and before them going down; the child subtrees are
+/// contiguous disjoint slices of `sub` and recurse under `rayon::join`
+/// ([`par_children`]). Each grid is written by one node's kernel in a fixed
+/// order (children in octant order), so the result is bitwise independent of
+/// the rayon schedule. Parallel less for its own time than to keep the
+/// pool's threads awake between a tile's passes (module docs).
+fn par_sweep(op: &TreeOperator, sweep: Sweep, ni: usize, w: usize, sub: &mut [f64]) {
+    if sweep == Sweep::Down {
+        run_kernel(op, w, Kernel::Node { sweep, node: ni, sub });
+    }
+    let mut kids = [NO_CHILD; 8];
+    let mut nkids = 0;
+    for c in op.tree.nodes[ni].children {
+        if c != NO_CHILD {
+            kids[nkids] = c;
+            nkids += 1;
+        }
+    }
+    par_children(op, sweep, &kids[..nkids], w, &mut sub[3 * op.q3 * w..]);
+    if sweep == Sweep::Up {
+        run_kernel(op, w, Kernel::Node { sweep, node: ni, sub });
+    }
+}
+
+/// The sibling subtrees rooted at `kids` (preorder indices, increasing),
+/// `sub` covering exactly their nodes: split between two siblings and
+/// recurse under `rayon::join`.
+fn par_children(op: &TreeOperator, sweep: Sweep, kids: &[u32], w: usize, sub: &mut [f64]) {
+    match kids {
+        [] => {}
+        [k] => par_sweep(op, sweep, *k as usize, w, sub),
+        _ => {
+            let mid = kids.len() / 2;
+            let (left, right) = sub.split_at_mut((kids[mid] - kids[0]) as usize * 3 * op.q3 * w);
+            rayon::join(
+                || par_children(op, sweep, &kids[..mid], w, left),
+                || par_children(op, sweep, &kids[mid..], w, right),
+            );
+        }
+    }
+}
+
 /// Recursive node-parallel M2L over the preorder node range `lo..hi`:
-/// `locals` covers exactly nodes `lo..hi` (stride `3 q^3` each) and splits
+/// `locals` covers exactly nodes `lo..hi` (stride `3 q^3 w` each) and splits
 /// at node boundaries under `rayon::join`; each target node accumulates its
 /// interaction list sequentially, so the result is bitwise independent of
 /// the rayon schedule (same structure as [`par_leaf_pass`]).
-fn par_m2l(op: &TreeOperator, data: &fmm::FmmData, lo: usize, hi: usize, locals: &mut [f64]) {
+fn par_m2l(
+    op: &TreeOperator,
+    data: &fmm::FmmData,
+    lo: usize,
+    hi: usize,
+    w: usize,
+    locals: &mut [f64],
+) {
     if lo >= hi {
         return;
     }
     if hi - lo == 1 {
-        m2l_node(op, data, lo, locals);
+        run_kernel(op, w, Kernel::M2l { data, node: lo, out: locals });
         return;
     }
     let mid = lo + (hi - lo) / 2;
-    let (left, right) = locals.split_at_mut((mid - lo) * 3 * op.q3);
-    rayon::join(|| par_m2l(op, data, lo, mid, left), || par_m2l(op, data, mid, hi, right));
+    let (left, right) = locals.split_at_mut((mid - lo) * 3 * op.q3 * w);
+    rayon::join(|| par_m2l(op, data, lo, mid, w, left), || par_m2l(op, data, mid, hi, w, right));
 }
 
 /// M2L for one target node: translate every listed source node's proxy
 /// weights into the target's local expansion, in list order.
 #[hibd::hot]
-fn m2l_node(op: &TreeOperator, data: &fmm::FmmData, ni: usize, out: &mut [f64]) {
+#[inline(always)]
+fn m2l_node(op: &TreeOperator, data: &fmm::FmmData, ni: usize, w: usize, out: &mut [f64]) {
     let q = op.plans.params.cheb_order;
-    let q3 = op.q3;
+    let stride = 3 * op.q3 * w;
     let lo = data.m2l_off[ni] as usize;
     let hi = data.m2l_off[ni + 1] as usize;
     for k in lo..hi {
         let s = data.m2l_src[k] as usize;
         let entry = &data.entries[data.pair_entry[k] as usize];
-        let w = &op.weights[s * 3 * q3..(s + 1) * 3 * q3];
-        fmm::m2l_apply(entry, q, w, out);
+        fmm::m2l_apply(entry, q, w, &op.weights[s * stride..(s + 1) * stride], out);
     }
 }
 
@@ -781,49 +1024,58 @@ fn m2l_node(op: &TreeOperator, data: &fmm::FmmData, ni: usize, out: &mut [f64]) 
 /// (interpolation is the transpose of anterpolation), scaled by `mu0` like
 /// every far-field contribution.
 #[hibd::hot]
-fn l2p_leaf(op: &TreeOperator, ord: usize, node: &Node, y: &mut [f64]) {
+#[inline(always)]
+fn l2p_leaf(op: &TreeOperator, ord: usize, node: &Node, w: usize, y: &mut [f64]) {
     let q = op.plans.params.cheb_order;
     let q3 = op.q3;
     let mu0 = rpy_self_mobility(op.plans.params.a, op.plans.params.eta);
     let Some(st) = &op.fmm else { return };
     let li = op.tree.leaves[ord] as usize;
-    let loc = &st.locals[li * 3 * q3..(li + 1) * 3 * q3];
-    let (lx, rest) = loc.split_at(q3);
-    let (ly, lz) = rest.split_at(q3);
-    for k in node.start as usize..node.end as usize {
+    let loc = &st.locals[li * 3 * q3 * w..(li + 1) * 3 * q3 * w];
+    let (lx, rest) = loc.split_at(q3 * w);
+    let (ly, lz) = rest.split_at(q3 * w);
+    for (k, yk) in (node.start as usize..node.end as usize).zip(y.chunks_exact_mut(3 * w)) {
         let base = k * 3 * q;
         let (wx, rest) = op.pw[base..base + 3 * q].split_at(q);
         let (wy, wz) = rest.split_at(q);
-        let (mut ox, mut oy, mut oz) = (0.0f64, 0.0f64, 0.0f64);
+        let mut acc = [0.0f64; 3 * COL_TILE];
+        let (ox, oyz) = acc[..3 * w].split_at_mut(w);
+        let (oy, oz) = oyz.split_at_mut(w);
         let mut m = 0;
         for &ax in wx {
             for &ay in wy {
                 let axy = ax * ay;
                 for &az in wz {
                     let s = axy * az;
-                    ox += s * lx[m];
-                    oy += s * ly[m];
-                    oz += s * lz[m];
+                    let (cx, cy, cz) =
+                        (&lx[m * w..(m + 1) * w], &ly[m * w..(m + 1) * w], &lz[m * w..(m + 1) * w]);
+                    for j in 0..w {
+                        ox[j] += s * cx[j];
+                        oy[j] += s * cy[j];
+                        oz[j] += s * cz[j];
+                    }
                     m += 1;
                 }
             }
         }
-        let o = 3 * (k - node.start as usize);
-        y[o] += mu0 * ox;
-        y[o + 1] += mu0 * oy;
-        y[o + 2] += mu0 * oz;
+        for (yv, o) in yk.iter_mut().zip(&acc[..3 * w]) {
+            *yv += mu0 * o;
+        }
     }
 }
 
 /// Far field for one target leaf: particles against accepted source-node
 /// proxy grids, far-branch RPY only (the MAC guarantees `r >= 2a`).
 ///
-/// The per-proxy kernel is staged through stack buffers so the `sqrt`/`div`
-/// pass and the accumulation pass are straight unit-stride loops the
-/// compiler can vectorize; `frr` is folded as `frr / r^2` so the raw
-/// displacement replaces the normalized `r_hat` (no per-proxy division).
+/// Per particle and source node the `q^3` displacements and kernel scalars
+/// are staged through stack buffers — a straight unit-stride `sqrt`/`div`
+/// loop the compiler vectorizes over the proxies — and then applied to the
+/// tile's `w` columns by [`far_columns`], lanes over columns. `frr` is
+/// folded as `frr / r^2` so the raw displacement replaces the normalized
+/// `r_hat` (no per-proxy division).
 #[hibd::hot]
-fn far_leaf(op: &TreeOperator, ord: usize, node: &Node, y: &mut [f64]) {
+#[inline(always)]
+fn far_leaf(op: &TreeOperator, ord: usize, node: &Node, w: usize, y: &mut [f64]) {
     let q = op.plans.params.cheb_order;
     let q3 = op.q3;
     let mu0 = rpy_self_mobility(op.plans.params.a, op.plans.params.eta);
@@ -832,8 +1084,9 @@ fn far_leaf(op: &TreeOperator, ord: usize, node: &Node, y: &mut [f64]) {
     let mut px = [0.0f64; MAX_CHEB_ORDER];
     let mut py = [0.0f64; MAX_CHEB_ORDER];
     let mut pz = [0.0f64; MAX_CHEB_ORDER];
-    let mut r2b = [0.0f64; MAX_Q3];
-    let mut irb = [0.0f64; MAX_Q3];
+    let mut db = [[0.0f64; 3]; MAX_Q3];
+    let mut fib = [0.0f64; MAX_Q3];
+    let mut gb = [0.0f64; MAX_Q3];
     for &s in srcs {
         let sn = &op.tree.nodes[s as usize];
         for m in 0..q {
@@ -841,91 +1094,90 @@ fn far_leaf(op: &TreeOperator, ord: usize, node: &Node, y: &mut [f64]) {
             py[m] = sn.center.y + sn.half * op.plans.cheb_t[m];
             pz[m] = sn.center.z + sn.half * op.plans.cheb_t[m];
         }
-        let w = &op.weights[s as usize * q3 * 3..(s as usize + 1) * q3 * 3];
-        let (wx, wyz) = w.split_at(q3);
-        let (wy, wz) = wyz.split_at(q3);
-        for k in node.start as usize..node.end as usize {
+        let ws = &op.weights[s as usize * 3 * q3 * w..(s as usize + 1) * 3 * q3 * w];
+        let (wx, wyz) = ws.split_at(q3 * w);
+        let (wy, wz) = wyz.split_at(q3 * w);
+        for (k, yk) in (node.start as usize..node.end as usize).zip(y.chunks_exact_mut(3 * w)) {
             let p = op.tree.pos[k];
             let mut m = 0;
             for &cx in &px[..q] {
-                let dx2 = (p.x - cx) * (p.x - cx);
-                for &cy in &py[..q] {
-                    let dxy2 = dx2 + (p.y - cy) * (p.y - cy);
-                    for &cz in &pz[..q] {
-                        let dz = p.z - cz;
-                        r2b[m] = dxy2 + dz * dz;
-                        m += 1;
-                    }
-                }
-            }
-            for (ir, r2) in irb[..q3].iter_mut().zip(&r2b[..q3]) {
-                *ir = 1.0 / r2.sqrt();
-            }
-            let (mut ox, mut oy, mut oz) = (0.0f64, 0.0f64, 0.0f64);
-            let mut m = 0;
-            for &cx in &px[..q] {
                 let dx = p.x - cx;
+                let dx2 = dx * dx;
                 for &cy in &py[..q] {
                     let dy = p.y - cy;
+                    let dxy2 = dx2 + dy * dy;
                     for &cz in &pz[..q] {
                         let dz = p.z - cz;
-                        // Far branch of RPY (guaranteed r >= 2a by the MAC).
-                        let ir = irb[m];
-                        let ar = a * ir;
-                        let ar3 = ar * ar * ar;
-                        let fi = 0.75 * ar + 0.5 * ar3;
-                        let fr = (0.75 * ar - 1.5 * ar3) * (ir * ir);
-                        let dot = dx * wx[m] + dy * wy[m] + dz * wz[m];
-                        ox += fi * wx[m] + fr * dot * dx;
-                        oy += fi * wy[m] + fr * dot * dy;
-                        oz += fi * wz[m] + fr * dot * dz;
+                        db[m] = [dx, dy, dz];
+                        gb[m] = dxy2 + dz * dz;
                         m += 1;
                     }
                 }
             }
-            let o = 3 * (k - node.start as usize);
-            y[o] += mu0 * ox;
-            y[o + 1] += mu0 * oy;
-            y[o + 2] += mu0 * oz;
+            // Far branch of RPY (guaranteed r >= 2a by the MAC); `gb` holds
+            // `r^2` on entry and `frr / r^2` on exit.
+            for (fi, g) in fib[..q3].iter_mut().zip(&mut gb[..q3]) {
+                let ir = 1.0 / g.sqrt();
+                let ar = a * ir;
+                let ar3 = ar * ar * ar;
+                *fi = 0.75 * ar + 0.5 * ar3;
+                *g = (0.75 * ar - 1.5 * ar3) * (ir * ir);
+            }
+            let mut acc = [0.0f64; 3 * COL_TILE];
+            let (ox, oyz) = acc[..3 * w].split_at_mut(w);
+            let (oy, oz) = oyz.split_at_mut(w);
+            let scalars = fib[..q3].iter().zip(&gb[..q3]).zip(&db[..q3]);
+            let cols = wx.chunks_exact(w).zip(wy.chunks_exact(w)).zip(wz.chunks_exact(w));
+            for (((&fi, &g), &d), ((cx, cy), cz)) in scalars.zip(cols) {
+                far_columns(fi, g, d, cx, cy, cz, ox, oy, oz);
+            }
+            for (yv, o) in yk.iter_mut().zip(&acc[..3 * w]) {
+                *yv += mu0 * o;
+            }
         }
     }
 }
 
 /// Near field for one target leaf: direct two-branch RPY against every
 /// source leaf in the near list via the batched pair kernel
-/// ([`hibd_rpy::rpy_pairs_accumulate`], four pairs per AVX2 iteration).
-/// Sources are staged once per SoA tile and reused by every target of the
-/// leaf. The self block needs no special casing: the kernel's coincident
-/// (`r = 0`) lanes contribute exactly the `mu0 I` diagonal.
+/// ([`hibd_rpy::rpy_pairs_accumulate_multi`]: four pairs per AVX2
+/// iteration, pair scalars shared by the tile's columns). Sources are
+/// staged once per SoA tile — positions, and the `w` columns transposed to
+/// `[col][comp][source]` — and reused by every target of the leaf. The self
+/// block needs no special casing: the kernel's coincident (`r = 0`) lanes
+/// contribute exactly the `mu0 I` diagonal.
 #[hibd::hot]
-fn near_leaf(op: &TreeOperator, ord: usize, node: &Node, y: &mut [f64]) {
+#[inline(always)]
+fn near_leaf(op: &TreeOperator, ord: usize, node: &Node, w: usize, y: &mut [f64]) {
     let mu0 = rpy_self_mobility(op.plans.params.a, op.plans.params.eta);
     let a = op.plans.params.a;
     let srcs = &op.near_src[op.near_off[ord] as usize..op.near_off[ord + 1] as usize];
     let mut sx = [0.0f64; PAIR_TILE];
     let mut sy = [0.0f64; PAIR_TILE];
     let mut sz = [0.0f64; PAIR_TILE];
-    let mut vx = [0.0f64; PAIR_TILE];
-    let mut vy = [0.0f64; PAIR_TILE];
-    let mut vz = [0.0f64; PAIR_TILE];
+    let mut v = [[[0.0f64; PAIR_TILE]; 3]; COL_TILE];
     for &s in srcs {
         let sn = &op.tree.nodes[s as usize];
         let mut j0 = sn.start as usize;
         while j0 < sn.end as usize {
             let l = (sn.end as usize - j0).min(PAIR_TILE);
-            for (t, j) in (j0..j0 + l).enumerate() {
-                let pj = op.tree.pos[j];
+            for (t, xj) in op.xr[3 * w * j0..3 * w * (j0 + l)].chunks_exact(3 * w).enumerate() {
+                let pj = op.tree.pos[j0 + t];
                 sx[t] = pj.x;
                 sy[t] = pj.y;
                 sz[t] = pj.z;
-                vx[t] = op.xr[3 * j];
-                vy[t] = op.xr[3 * j + 1];
-                vz[t] = op.xr[3 * j + 2];
+                for (c, xc) in xj.chunks_exact(w).enumerate() {
+                    for (col, &x) in v.iter_mut().zip(xc) {
+                        col[c][t] = x;
+                    }
+                }
             }
-            for k in node.start as usize..node.end as usize {
+            let cols: [[&[f64]; 3]; COL_TILE] =
+                std::array::from_fn(|j| v[j].each_ref().map(|c| &c[..l]));
+            for (k, yk) in (node.start as usize..node.end as usize).zip(y.chunks_exact_mut(3 * w)) {
                 let p = op.tree.pos[k];
-                let mut acc = [0.0f64; 3];
-                rpy_pairs_accumulate(
+                let mut acc = [[0.0f64; 3]; COL_TILE];
+                rpy_pairs_accumulate_multi(
                     a,
                     p.x,
                     p.y,
@@ -933,15 +1185,14 @@ fn near_leaf(op: &TreeOperator, ord: usize, node: &Node, y: &mut [f64]) {
                     &sx[..l],
                     &sy[..l],
                     &sz[..l],
-                    &vx[..l],
-                    &vy[..l],
-                    &vz[..l],
-                    &mut acc,
+                    &cols[..w],
+                    &mut acc[..w],
                 );
-                let o = 3 * (k - node.start as usize);
-                y[o] += mu0 * acc[0];
-                y[o + 1] += mu0 * acc[1];
-                y[o + 2] += mu0 * acc[2];
+                for (c, yc) in yk.chunks_exact_mut(w).enumerate() {
+                    for (yv, o) in yc.iter_mut().zip(&acc) {
+                        *yv += mu0 * o[c];
+                    }
+                }
             }
             j0 += l;
         }
@@ -956,27 +1207,16 @@ impl LinearOperator for TreeOperator {
     fn apply(&mut self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), 3 * self.n);
         assert_eq!(y.len(), 3 * self.n);
-        self.apply_inner(x, y);
+        self.apply_tile(x, y, 1, 0, 1);
     }
 
+    /// One tree walk per column tile of at most [`COL_TILE`]: column `j` of
+    /// the result is `apply` on column `j`, bit for bit.
     fn apply_multi(&mut self, x: &[f64], y: &mut [f64], s: usize) {
-        let n = self.dim();
-        assert_eq!(x.len(), n * s);
-        assert_eq!(y.len(), n * s);
-        self.xcol.resize(n, 0.0);
-        self.ycol.resize(n, 0.0);
-        for col in 0..s {
-            for i in 0..n {
-                self.xcol[i] = x[i * s + col];
-            }
-            let xcol = std::mem::take(&mut self.xcol);
-            let mut ycol = std::mem::take(&mut self.ycol);
-            self.apply_inner(&xcol, &mut ycol);
-            for i in 0..n {
-                y[i * s + col] = ycol[i];
-            }
-            self.xcol = xcol;
-            self.ycol = ycol;
+        assert_eq!(x.len(), 3 * self.n * s);
+        assert_eq!(y.len(), 3 * self.n * s);
+        for col0 in (0..s).step_by(COL_TILE) {
+            self.apply_tile(x, y, s, col0, COL_TILE.min(s - col0));
         }
     }
 }
@@ -1108,26 +1348,150 @@ mod tests {
         assert!(rel_err(&yt, &yd) < 1e-3);
     }
 
+    /// The SIMD override is process-global; the tests that flip it serialize.
+    static SIMD_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// A cloud with real traversal structure (depth 5 at leaf capacity 6,
+    /// MAC-accepted pairs at several levels), a dense cluster (Yamakawa
+    /// overlaps in the near field) and two coincident pairs.
+    fn structured_cloud() -> Vec<Vec3> {
+        let mut pos = cloud(300, 24.0, 71);
+        pos.extend(cloud(40, 3.0, 73).into_iter().map(|p| p + Vec3::new(9.0, 11.0, 5.0)));
+        pos.push(pos[17]);
+        pos.push(pos[310]);
+        pos
+    }
+
+    fn structured_op(eval: TreeEval) -> TreeOperator {
+        let params = TreeParams { leaf_capacity: 6, eval, ..TreeParams::default() };
+        TreeOperator::new(&structured_cloud(), params)
+    }
+
+    fn fnv1a(v: &[f64]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        for x in v {
+            for b in x.to_bits().to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Column `j` of `apply_multi` == `apply` on column `j` by `to_bits`,
+    /// on both dispatch legs. Widths straddle the column tile (one tile,
+    /// tile + tail, two tiles, two tiles + tail) and hit every kernel
+    /// instance: the constant widths 1 and COL_TILE and the runtime-width
+    /// tails.
+    fn assert_block_columns_are_applies(eval: TreeEval) {
+        let _l = SIMD_LOCK.lock().unwrap();
+        for scalar in [false, true] {
+            let _g = scalar.then(hibd_simd::ScalarGuard::new);
+            let mut op = structured_op(eval);
+            assert!(op.max_depth() >= 3 && op.interactions_per_apply() > 0);
+            let dim = op.dim();
+            let mut x = vec![0.0; dim];
+            let mut y = vec![0.0; dim];
+            for s in [1, 2, 3, 7, 8, 9, 16, 17] {
+                let xm = test_vec(dim * s, 11 + s as u64);
+                let mut ym = vec![0.0; dim * s];
+                op.apply_multi(&xm, &mut ym, s);
+                for col in 0..s {
+                    for i in 0..dim {
+                        x[i] = xm[i * s + col];
+                    }
+                    op.apply(&x, &mut y);
+                    for i in 0..dim {
+                        assert!(
+                            ym[i * s + col].to_bits() == y[i].to_bits(),
+                            "{eval:?}, scalar leg forced: {scalar}, s = {s}, column {col}, \
+                             row {i}: {:e} vs {:e}",
+                            ym[i * s + col],
+                            y[i]
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
+    #[cfg_attr(miri, ignore = "hundreds of applies: too slow to interpret")]
     fn apply_multi_matches_column_by_column_apply() {
-        let pos = cloud(30, 8.0, 31);
-        let params = TreeParams { leaf_capacity: 4, ..TreeParams::default() };
-        let mut op = TreeOperator::new(&pos, params);
+        assert_block_columns_are_applies(TreeEval::Tree);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "hundreds of applies: too slow to interpret")]
+    fn fmm_apply_multi_matches_column_by_column_apply() {
+        assert_block_columns_are_applies(TreeEval::Fmm);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "hundreds of applies: too slow to interpret")]
+    fn apply_and_block_apply_keep_their_recorded_bits() {
+        // FNV-1a over the `to_bits` of `apply` and of `apply_multi(s = 16)`,
+        // recorded at the commit before `apply` became the width-1 instance
+        // of the block body (PR 18), whose `apply_multi` was `apply` per
+        // column: `(eval, [avx2 leg, scalar leg])`, each leg `(apply, s16)`.
+        // The legs differ through the near-field pair kernel only. CI runs
+        // this at RAYON_NUM_THREADS = 1 and 3, so it also pins serial ==
+        // rayon against one absolute value.
+        const GOLDEN: [(TreeEval, [(u64, u64); 2]); 2] = [
+            (
+                TreeEval::Tree,
+                [
+                    (0x0b78_1ae9_0688_db58, 0x7664_c8cf_5d47_8ef0),
+                    (0x0fc3_009b_6a1e_bb21, 0x3f95_192d_3a0b_e7d5),
+                ],
+            ),
+            (
+                TreeEval::Fmm,
+                [
+                    (0xa2bb_d2c8_b7f0_9dd6, 0x8370_db4d_4853_1983),
+                    (0x57dd_f7ad_7363_eaf4, 0xe518_28bc_767d_5b83),
+                ],
+            ),
+        ];
+        let _l = SIMD_LOCK.lock().unwrap();
+        for (eval, legs) in GOLDEN {
+            for scalar in [false, true] {
+                let _g = scalar.then(hibd_simd::ScalarGuard::new);
+                let want = legs[usize::from(!hibd_simd::avx2())];
+                let mut op = structured_op(eval);
+                let dim = op.dim();
+                let x = test_vec(dim, 5);
+                let mut y = vec![0.0; dim];
+                op.apply(&x, &mut y);
+                let xm = test_vec(dim * 16, 6);
+                let mut ym = vec![0.0; dim * 16];
+                op.apply_multi(&xm, &mut ym, 16);
+                assert_eq!(
+                    (fnv1a(&y), fnv1a(&ym)),
+                    want,
+                    "{eval:?}, scalar leg forced: {scalar}: got {:#018x} / {:#018x}",
+                    fnv1a(&y),
+                    fnv1a(&ym)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn block_applies_account_per_tile_and_grow_scratch_once() {
+        let mut op = structured_op(TreeEval::Fmm);
         let dim = op.dim();
-        let s = 3;
-        let xm = test_vec(dim * s, 11);
-        let mut ym = vec![0.0; dim * s];
-        op.apply_multi(&xm, &mut ym, s);
-        let mut x = vec![0.0; dim];
-        let mut y = vec![0.0; dim];
-        for col in 0..s {
-            for i in 0..dim {
-                x[i] = xm[i * s + col];
-            }
-            op.apply(&x, &mut y);
-            for i in 0..dim {
-                assert!((ym[i * s + col] - y[i]).abs() < 1e-12);
-            }
+        let built = op.state_memory_bytes();
+        let mut y = vec![0.0; dim * 17];
+        op.apply(&test_vec(dim, 1), &mut y[..dim]);
+        assert_eq!(op.state_memory_bytes(), built, "width-1 scratch is sized at build");
+        op.apply_multi(&test_vec(dim * 17, 2), &mut y, 17);
+        let wide = op.state_memory_bytes();
+        assert!(wide > built, "a wide tile grows the scratch, and the report shows it");
+        op.apply_multi(&test_vec(dim * 3, 3), &mut y[..dim * 3], 3);
+        assert_eq!(op.state_memory_bytes(), wide, "narrower tiles reuse it");
+        // 1 + ceil(17 / 8) + 1 tiles, one span each.
+        for ph in [Phase::Upward, Phase::M2l, Phase::Downward, Phase::NearField] {
+            assert_eq!(op.snapshot().phase(ph).count, 5, "{}", ph.name());
         }
     }
 
@@ -1218,29 +1582,6 @@ mod tests {
         op.apply(&x, &mut y);
         for (g, w) in y.iter().zip(&x) {
             assert!((g - mu0 * w).abs() < 1e-14);
-        }
-    }
-
-    #[test]
-    fn fmm_apply_multi_matches_column_by_column_apply() {
-        let pos = cloud(40, 9.0, 37);
-        let params = TreeParams { leaf_capacity: 4, eval: TreeEval::Fmm, ..TreeParams::default() };
-        let mut op = TreeOperator::new(&pos, params);
-        let dim = op.dim();
-        let s = 3;
-        let xm = test_vec(dim * s, 11);
-        let mut ym = vec![0.0; dim * s];
-        op.apply_multi(&xm, &mut ym, s);
-        let mut x = vec![0.0; dim];
-        let mut y = vec![0.0; dim];
-        for col in 0..s {
-            for i in 0..dim {
-                x[i] = xm[i * s + col];
-            }
-            op.apply(&x, &mut y);
-            for i in 0..dim {
-                assert!((ym[i * s + col] - y[i]).abs() < 1e-12);
-            }
         }
     }
 

@@ -3,8 +3,9 @@
 //! Particles are sorted by Morton code once; every node then owns a
 //! contiguous range `start..end` of the sorted order, found by binary
 //! searching octant prefixes. Nodes are stored in preorder (parents before
-//! children), so a single reverse sweep of the node array is the upward
-//! pass. Empty octants produce no node.
+//! children), so a subtree is one contiguous index range — the upward and
+//! downward passes split their per-node buffers between sibling subtrees.
+//! Empty octants produce no node.
 
 use crate::morton;
 use hibd_mathx::Vec3;

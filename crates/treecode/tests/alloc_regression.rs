@@ -45,23 +45,36 @@ fn apply_is_allocation_free_at_steady_state() {
 
 #[test]
 fn apply_multi_is_allocation_free_at_steady_state() {
+    // `s = 16` is two full column tiles: the first block apply grows the
+    // tile scratch (and the FMM locals) from width 1 to the tile width, once;
+    // after it neither block nor single applies touch the heap, and
+    // `memory_bytes` — which counts the grown scratch — stays put.
     let _guard = exclusive();
     let n = 200;
-    let s = 4;
+    let s = 16;
     let pos = cloud(n, 20.0, 9);
-    let params = TreeParams { leaf_capacity: 16, ..TreeParams::default() };
-    let mut op = TreeOperator::new(&pos, params);
-    let x = vec![0.25; 3 * n * s];
-    let mut y = vec![0.0; 3 * n * s];
-    op.apply_multi(&x, &mut y, s); // warm-up grows the column scratch
-    let mem = op.memory_bytes();
-    let (m, ()) = measure(|| {
-        for _ in 0..3 {
-            op.apply_multi(&x, &mut y, s);
-        }
-    });
-    assert!(m.net_bytes.abs() <= TOL, "3 warm block applies leaked {} net bytes", m.net_bytes);
-    assert_eq!(op.memory_bytes(), mem, "block scratch grew after warm-up");
+    for eval in [TreeEval::Tree, TreeEval::Fmm] {
+        let params = TreeParams { leaf_capacity: 16, eval, ..TreeParams::default() };
+        let mut op = TreeOperator::new(&pos, params);
+        let built = op.memory_bytes();
+        let x = vec![0.25; 3 * n * s];
+        let mut y = vec![0.0; 3 * n * s];
+        op.apply_multi(&x, &mut y, s); // warm-up grows the tile scratch
+        let mem = op.memory_bytes();
+        assert!(mem > built, "{eval:?}: the report must show the grown tile scratch");
+        let (m, ()) = measure(|| {
+            for _ in 0..3 {
+                op.apply_multi(&x, &mut y, s);
+                op.apply(&x[..3 * n], &mut y[..3 * n]);
+            }
+        });
+        assert!(
+            m.net_bytes.abs() <= TOL,
+            "{eval:?}: 3 warm block applies leaked {} net bytes",
+            m.net_bytes
+        );
+        assert_eq!(op.memory_bytes(), mem, "{eval:?}: block scratch grew after warm-up");
+    }
 }
 
 #[test]
