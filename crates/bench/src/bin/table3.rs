@@ -15,13 +15,10 @@
 //! Exits non-zero when any measured `e_p` reaches the target, so the CI
 //! smoke step is a gate.
 
-use hibd_bench::{flush_stdout, suspension, table3_sizes, time_once, Opts};
-use hibd_linalg::{DenseOp, LinearOperator};
-use hibd_pme::tuner::{
-    candidate_splits, measure_ep, reference_operator, split_cost, APPLIES_PER_BUILD,
-};
+use hibd_bench::{flush_stdout, mobility_reference, suspension, table3_sizes, time_once, Opts};
+use hibd_linalg::LinearOperator;
+use hibd_pme::tuner::{candidate_splits, measure_ep, split_cost, APPLIES_PER_BUILD};
 use hibd_pme::{tune, PmeOperator, PmeParams, PmePlans};
-use hibd_rpy::{dense_ewald_mobility, RpyEwald};
 use std::sync::Arc;
 
 const S: usize = 16;
@@ -112,20 +109,10 @@ fn main() {
         }
         let sys = suspension(n, phi, opts.seed);
         let mut op = PmeOperator::new(sys.positions(), p).expect("operator");
-        let (ep, reference) = if n <= 500 {
-            // Reference with the classic cost-balanced splitting parameter
-            // (the total is xi-independent; the PME alpha would make the
-            // reference's reciprocal table enormous).
-            let xi_bal = std::f64::consts::PI.sqrt() * (n as f64).powf(1.0 / 6.0) / p.box_l;
-            let dense = dense_ewald_mobility(
-                sys.positions(),
-                &RpyEwald::new(p.a, p.eta, p.box_l, xi_bal, 1e-6),
-            );
-            (measure_ep(&mut op, &mut DenseOp::new(dense), 2, opts.seed), "dense Ewald")
-        } else {
-            let mut refop = reference_operator(sys.positions(), &p);
-            (measure_ep(&mut op, &mut refop, 1, opts.seed), "over-resolved PME")
-        };
+        let (mut trusted, reference) = mobility_reference(sys.positions(), &p);
+        let trials = if n <= 500 { 2 } else { 1 };
+        let ep = measure_ep(&mut op, &mut *trusted, trials, opts.seed);
+        drop(trusted);
         all_under_target &= ep < target;
 
         drop(op);

@@ -18,7 +18,12 @@ pub mod hybrid;
 use hibd_core::diffusion::DiffusionEstimator;
 use hibd_core::mf_bd::MatrixFreeBd;
 use hibd_core::system::ParticleSystem;
+use hibd_linalg::{DenseOp, LinearOperator};
+use hibd_mathx::Vec3;
 use hibd_pme::perf::Machine;
+use hibd_pme::tuner::reference_operator;
+use hibd_pme::PmeParams;
+use hibd_rpy::{dense_ewald_mobility, RpyEwald};
 use hibd_telemetry::{self as telemetry, Counter, Snapshot};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -70,6 +75,26 @@ pub fn suspension(n: usize, phi: f64, seed: u64) -> ParticleSystem {
 pub fn cluster(n: usize, phi: f64, seed: u64) -> ParticleSystem {
     let mut rng = StdRng::seed_from_u64(seed);
     ParticleSystem::random_cluster_with(n, phi, 1.0, 1.0, &mut rng)
+}
+
+/// The trusted operator an accuracy gate measures `e_p` against, and its
+/// name: the tight-tolerance dense Ewald matrix where affordable
+/// (n <= 500) — at the classic cost-balanced splitting parameter, since the
+/// total is xi-independent and the PME `alpha` would make the reference's
+/// reciprocal table enormous — an over-resolved PME operator with its own
+/// split otherwise.
+pub fn mobility_reference(
+    positions: &[Vec3],
+    p: &PmeParams,
+) -> (Box<dyn LinearOperator>, &'static str) {
+    let n = positions.len();
+    if n <= 500 {
+        let xi_bal = std::f64::consts::PI.sqrt() * (n as f64).powf(1.0 / 6.0) / p.box_l;
+        let ewald = RpyEwald::new(p.a, p.eta, p.box_l, xi_bal, 1e-6);
+        (Box::new(DenseOp::new(dense_ewald_mobility(positions, &ewald))), "dense Ewald")
+    } else {
+        (Box::new(reference_operator(positions, p)), "over-resolved PME")
+    }
 }
 
 /// Paper Table III particle counts (quick subset vs full list).

@@ -12,7 +12,7 @@ use crate::checkpoint::Checkpoint;
 use crate::config::{Algorithm, SimSpec};
 use hibd_core::ewald_bd::{EwaldBd, EwaldBdConfig};
 use hibd_core::io::{Coordinates, XyzWriter};
-use hibd_core::mf_bd::MatrixFreeBd;
+use hibd_core::mf_bd::{DisplacementMode, MatrixFreeBd};
 use hibd_core::system::{Boundary, ParticleSystem};
 use hibd_engine::EnsembleRunner;
 use hibd_telemetry::{Counter, LabeledSnapshot};
@@ -125,6 +125,18 @@ fn log_shape(bd: &MatrixFreeBd, lambda: usize, log: &mut impl FnMut(&str)) -> Op
             cost.real * 1e3,
             cost.recip * 1e3
         ));
+        if bd.config().displacement_mode == DisplacementMode::SplitEwald {
+            // The sampler has no split of its own to report: its near field
+            // is the drift operator's real-space sparsity pattern.
+            let n = bd.system().len();
+            log(&format!(
+                "split-ewald: xi = {:.4}, r_max = {:.2} (the drift operator's), \
+                 near field {:.1} blocks/row",
+                p.alpha,
+                p.r_max,
+                hibd_pme::perf::real_space_blocks(n, p.box_l, p.r_max) / n as f64
+            ));
+        }
         PmeShape {
             n: bd.system().len(),
             mesh_dim: p.mesh_dim,

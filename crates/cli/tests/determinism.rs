@@ -41,9 +41,30 @@ fn identical_runs_write_identical_trajectories() {
         assert_eq!(a, b, "{tag}: two identical runs diverged");
 
         // A different seed must actually change the trajectory.
-        let other = SimSpec { seed: 778, ..spec };
+        let other = SimSpec { seed: 778, ..spec.clone() };
         let c = run_to_file(&other, &dir, &format!("{tag}_c.xyz"));
         assert_ne!(a, c, "{tag}: seed had no effect");
+
+        // The shape log names the sampler's split for split-ewald only, and
+        // it is the drift operator's: same alpha, same r_max.
+        let mut lines = Vec::new();
+        run_simulation(&SimSpec { steps: 0, ..spec }, None, |m: &str| lines.push(m.to_string()))
+            .unwrap();
+        let drift = lines.iter().find(|l| l.starts_with("matrix-free: K")).expect("shape line");
+        let field = |line: &str, key: &str| {
+            let rest =
+                &line[line.find(key).unwrap_or_else(|| panic!("{key} in {line}")) + key.len()..];
+            rest.split([' ', ',']).next().unwrap().to_string()
+        };
+        match lines.iter().find(|l| l.starts_with("split-ewald:")) {
+            Some(pse) => {
+                assert_eq!(mode, Displacement::SplitEwald, "{pse}");
+                assert_eq!(field(pse, "xi = "), field(drift, "alpha = "), "{pse} / {drift}");
+                assert_eq!(field(pse, "r_max = "), field(drift, "r_max = "), "{pse} / {drift}");
+                assert!(pse.contains("blocks/row"), "{pse}");
+            }
+            None => assert_eq!(mode, Displacement::BlockKrylov),
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -40,7 +40,7 @@ pub enum DisplacementMode {
     Chebyshev,
     /// Positively-split Ewald sampling (`hibd-pse`): exact single-inverse
     /// FFT square root in wave space plus block Lanczos on a sparse,
-    /// FFT-free near field at the sampler's own small `xi`.
+    /// FFT-free near field, at the drift operator's own `(alpha, r_max, K, p)`.
     SplitEwald,
 }
 
@@ -64,8 +64,6 @@ pub struct MatrixFreeConfig {
     pub max_krylov: usize,
     /// Displacement solver variant.
     pub displacement_mode: DisplacementMode,
-    /// PSE split knobs, used only by [`DisplacementMode::SplitEwald`].
-    pub pse: PseSplit,
     /// Explicit treecode parameters for open-boundary systems; `None` lets
     /// the measured tuner choose `(theta, cheb_order)` from `target_ep`
     /// (validated against the dense free-space RPY matrix). The particle
@@ -89,7 +87,6 @@ impl Default for MatrixFreeConfig {
             pme: None,
             max_krylov: 100,
             displacement_mode: DisplacementMode::BlockKrylov,
-            pse: PseSplit::default(),
             tree: None,
             tree_eval: TreeEval::Tree,
         }
@@ -299,7 +296,7 @@ fn window_seed(seed: u64, window: u64) -> u64 {
 fn map_pse(e: PseError) -> BdError {
     match e {
         PseError::Setup(s) => BdError::Setup(s),
-        PseError::Krylov(k) => BdError::Krylov(k.to_string()),
+        e @ PseError::Krylov(_) => BdError::Krylov(e.to_string()),
     }
 }
 
@@ -520,7 +517,7 @@ impl MatrixFreeBd {
                         let MobilityPlans::Pme(plans) = &self.plans else {
                             unreachable!("SplitEwald is gated to periodic systems")
                         };
-                        let pse_params = self.cfg.pse.resolve(plans.params());
+                        let pse_params = PseSplit::default().resolve(plans.params());
                         self.pse = Some(
                             PseSampler::new(self.system.positions(), pse_params)
                                 .map_err(map_pse)?,

@@ -5,8 +5,10 @@
 //!
 //! `s(k) = mu0 * m_alpha(|k|) * |b0|^2 |b1|^2 |b2|^2 / L^3`
 //!
-//! (`m_alpha` from Beenakker's reciprocal kernel, `|b|^2` the B-spline Euler
-//! factors, `1/L^3` the reciprocal-sum prefactor, `k = 0` excluded).
+//! (`m_alpha` from the split's wave kernel — Beenakker's for the drift
+//! operator, the positively split one for the `hibd-pse` sampler — `|b|^2`
+//! the B-spline Euler factors, `1/L^3` the reciprocal-sum prefactor, `k = 0`
+//! excluded).
 //!
 //! Storing the full tensor would need 6 doubles per point; following the
 //! paper, only the scalar `s(k)` is stored ("a savings of a factor of 6")
@@ -16,7 +18,7 @@
 use crate::bspline::euler_factors;
 use hibd_fft::Complex64;
 use hibd_hot as hibd;
-use hibd_rpy::RpyEwald;
+use hibd_rpy::WaveKernel;
 use rayon::prelude::*;
 use std::f64::consts::TAU;
 
@@ -42,14 +44,14 @@ pub fn fold(ki: usize, k: usize) -> i64 {
 }
 
 impl Influence {
-    /// Precompute the scalar array; `ewald` supplies `m_alpha` and `mu0`,
-    /// `p` the B-spline order.
-    pub fn new(ewald: &RpyEwald, k: usize, p: usize) -> Influence {
+    /// Precompute the scalar array; `kernel` supplies `m_alpha`, `mu0` and
+    /// `L`, `p` the B-spline order.
+    pub fn new(kernel: &impl WaveKernel, k: usize, p: usize) -> Influence {
         let nc = k / 2 + 1;
         let b2 = euler_factors(k, p);
-        let l = ewald.box_l;
+        let l = kernel.box_l();
         let kunit = TAU / l;
-        let mu0 = ewald.mu0();
+        let mu0 = kernel.mu0();
         let vol = l * l * l;
         let mut scalars = vec![0.0; k * k * nc];
         scalars.par_chunks_mut(k * nc).enumerate().for_each(|(k0, plane)| {
@@ -62,7 +64,7 @@ impl Influence {
                         continue; // k = 0 excluded
                     }
                     let k2norm = kunit * kunit * (f0 * f0 + f1 * f1 + f2 * f2);
-                    let m = ewald.recip_scalar(k2norm);
+                    let m = kernel.recip_scalar(k2norm);
                     plane[k1 * nc + k2] = mu0 * m * b2[k0] * b2[k1] * b2[k2] / vol;
                 }
             }
@@ -83,29 +85,6 @@ impl Influence {
     /// Raw scalar value at half-spectrum index (tests).
     pub fn scalar_at(&self, k0: usize, k1: usize, k2: usize) -> f64 {
         self.scalars[(k0 * self.k + k1) * self.nc + k2]
-    }
-
-    /// Zero out every negative scalar, returning the clipped mass ratio
-    /// `sum(|negative|) / sum(positive)`.
-    ///
-    /// Beenakker's reciprocal kernel truncates a square at `O(k^2)`, so
-    /// `m_alpha(k)` dips (exponentially damped) negative for `|k| >
-    /// sqrt(3)/a`. The PSE sampler needs `I(k) >= 0` to take its square
-    /// root; at the small PSE splitting parameter the clipped mass is tiny
-    /// (~1e-5 at `xi = 0.25/a`), but the *exact* influence used by the PME
-    /// drift operator must keep the negative lobes, so clamping is opt-in.
-    pub fn clamp_nonnegative(&mut self) -> f64 {
-        let mut neg = 0.0;
-        let mut pos = 0.0;
-        for s in &mut self.scalars {
-            if *s < 0.0 {
-                neg -= *s;
-                *s = 0.0;
-            } else {
-                pos += *s;
-            }
-        }
-        neg / pos.max(f64::MIN_POSITIVE)
     }
 
     /// Apply `D_theta = I(k) C_theta` in place. `spec` holds the three force
@@ -138,10 +117,10 @@ impl Influence {
     }
 
     /// Apply `I(k)^{1/2} = s(k)^{1/2} (I - k̂k̂ᵀ)` in place (the projector is
-    /// idempotent, so the square root only touches the scalar). Negative
-    /// scalars are treated as zero; compose with
-    /// [`clamp_nonnegative`](Self::clamp_nonnegative) so that
-    /// `apply_sqrt ∘ apply_sqrt = apply` exactly.
+    /// idempotent, so the square root only touches the scalar), so that
+    /// `apply_sqrt ∘ apply_sqrt = apply`. Only a positively split kernel
+    /// (`hibd_rpy::RpyHasimoto`) has the nonnegative table this needs;
+    /// Beenakker's negative lobes would come out NaN.
     #[hibd::hot]
     pub fn apply_sqrt(&self, spec: &mut [Complex64]) {
         let s_len = self.k * self.k * self.nc;
@@ -175,8 +154,7 @@ impl Influence {
         self.stream_components(sx, sy, sz, false);
     }
 
-    /// Streaming pass; `sqrt` selects `s(k)^{1/2}` (clamped at zero) over
-    /// `s(k)`. The projector is applied once either way — it is idempotent,
+    /// Streaming pass; `sqrt` selects `s(k)^{1/2}` over `s(k)`. The projector is applied once either way — it is idempotent,
     /// so the square root of the tensor only changes the scalar factor.
     #[hibd::hot]
     fn stream_components(
@@ -202,7 +180,7 @@ impl Influence {
                     let f1 = fold(k1, k) as f64 * kunit;
                     let row = k1 * nc;
                     for k2 in 0..nc {
-                        let s = if sqrt { ps[row + k2].max(0.0).sqrt() } else { ps[row + k2] };
+                        let s = if sqrt { ps[row + k2].sqrt() } else { ps[row + k2] };
                         let idx = row + k2;
                         if s == 0.0 {
                             px[idx] = Complex64::ZERO;
@@ -229,9 +207,16 @@ impl Influence {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hibd_rpy::{RpyEwald, RpyHasimoto};
 
     fn test_ewald() -> RpyEwald {
         RpyEwald::new(1.0, 1.0, 10.0, 0.8, 1e-8)
+    }
+
+    /// The positive split at the same `(L, xi)`: the table `apply_sqrt` is
+    /// defined on.
+    fn positive_split() -> RpyHasimoto {
+        RpyHasimoto::new(1.0, 1.0, 10.0, 0.8)
     }
 
     #[test]
@@ -322,44 +307,6 @@ mod tests {
         assert_eq!(inf.memory_bytes(), 8 * k * k * (k / 2 + 1));
     }
 
-    #[test]
-    fn clamp_zeroes_exactly_the_negative_scalars() {
-        // At alpha = 0.8, L = 10, K = 8 the corner modes sit beyond
-        // |k| = sqrt(3)/a where Beenakker's kernel goes negative.
-        let mut inf = Influence::new(&test_ewald(), 8, 4);
-        let exact = inf.clone();
-        let mut neg = 0.0;
-        let mut pos = 0.0;
-        for k0 in 0..8 {
-            for k1 in 0..8 {
-                for k2 in 0..5 {
-                    let s = exact.scalar_at(k0, k1, k2);
-                    if s < 0.0 {
-                        neg -= s;
-                    } else {
-                        pos += s;
-                    }
-                }
-            }
-        }
-        assert!(neg > 0.0, "test config must have negative modes");
-        let ratio = inf.clamp_nonnegative();
-        assert!((ratio - neg / pos).abs() < 1e-12 * ratio);
-        for k0 in 0..8 {
-            for k1 in 0..8 {
-                for k2 in 0..5 {
-                    let s = exact.scalar_at(k0, k1, k2);
-                    let c = inf.scalar_at(k0, k1, k2);
-                    if s < 0.0 {
-                        assert_eq!(c, 0.0);
-                    } else {
-                        assert_eq!(c, s);
-                    }
-                }
-            }
-        }
-    }
-
     /// Deterministic pseudo-random spectrum triple (no RNG dependency here).
     fn synthetic_spectra(s_len: usize) -> Vec<Complex64> {
         let mut spec = vec![Complex64::ZERO; 3 * s_len];
@@ -375,10 +322,14 @@ mod tests {
     }
 
     #[test]
-    fn apply_sqrt_composed_twice_matches_apply_after_clamp() {
+    fn apply_sqrt_composed_twice_matches_apply() {
+        // At alpha = 0.8, L = 10 the corner modes sit beyond |k| = sqrt(3)/a,
+        // where Beenakker's table is negative and the positive split's is not.
         let k = 10;
-        let mut inf = Influence::new(&test_ewald(), k, 4);
-        inf.clamp_nonnegative();
+        let negative = |inf: &Influence| inf.scalars.iter().any(|&s| s < 0.0);
+        assert!(negative(&Influence::new(&test_ewald(), k, 4)));
+        let inf = Influence::new(&positive_split(), k, 4);
+        assert!(!negative(&inf));
         let s_len = k * k * (k / 2 + 1);
         let base = synthetic_spectra(s_len);
         let mut twice = base.clone();
@@ -395,8 +346,7 @@ mod tests {
     #[test]
     fn apply_sqrt_multi_matches_columnwise_apply_sqrt() {
         let k = 8;
-        let mut inf = Influence::new(&test_ewald(), k, 4);
-        inf.clamp_nonnegative();
+        let inf = Influence::new(&positive_split(), k, 4);
         let s_len = k * k * (k / 2 + 1);
         let width = 3;
         // Build the batched layout [theta][col] from `width` single triples.

@@ -274,7 +274,7 @@ fn split_at(
 /// vectors, where `reference` is any trusted operator of the same dimension
 /// (tight-tolerance dense Ewald, or a deliberately over-resolved PME).
 pub fn measure_ep(
-    op: &mut PmeOperator,
+    op: &mut dyn LinearOperator,
     reference: &mut dyn LinearOperator,
     trials: usize,
     seed: u64,

@@ -1,14 +1,14 @@
 //! Property tests for the influence-function square-root path (the PSE
 //! sampler's precondition): over tuner-chosen `(K, p, alpha)` configs,
-//! every scalar inside Beenakker's positivity region `|k| <= sqrt(3)/a` is
-//! nonnegative as computed, clamping removes exactly the (exponentially
-//! damped) negative tail beyond it, and `apply_sqrt` composed twice
-//! reproduces `apply` to 1e-12.
+//! every Beenakker scalar inside its positivity region `|k| <= sqrt(3)/a`
+//! is nonnegative as computed, the positively split table at the *same*
+//! `(alpha, K, p)` — what the sampler runs on — is nonnegative everywhere,
+//! and on it `apply_sqrt` composed twice reproduces `apply` to 1e-12.
 
 use hibd_fft::Complex64;
 use hibd_pme::influence::{fold, Influence};
 use hibd_pme::tune;
-use hibd_rpy::RpyEwald;
+use hibd_rpy::{RpyEwald, RpyHasimoto};
 use proptest::prelude::*;
 use std::f64::consts::TAU;
 
@@ -39,7 +39,7 @@ proptest! {
         let cfg = tune(n, phi, 1.0, 1.0, ep);
         let p = cfg.params;
         let ewald = RpyEwald::kernel_only(p.a, p.eta, p.box_l, p.alpha);
-        let mut inf = Influence::new(&ewald, p.mesh_dim, p.spline_order);
+        let beenakker = Influence::new(&ewald, p.mesh_dim, p.spline_order);
 
         // (a) Inside |k| <= sqrt(3)/a the Beenakker kernel is positive, so
         // every mesh scalar there must be nonnegative as computed.
@@ -56,31 +56,22 @@ proptest! {
                     let f = [fold(k0, k) as f64, fold(k1, k) as f64, k2 as f64];
                     let k2norm = kunit * kunit * (f[0] * f[0] + f[1] * f[1] + f[2] * f[2]);
                     if k2norm <= k2lim {
-                        let s = inf.scalar_at(k0, k1, k2);
+                        let s = beenakker.scalar_at(k0, k1, k2);
                         prop_assert!(s >= 0.0, "negative scalar {s:e} at ({k0},{k1},{k2})");
                     }
                 }
             }
         }
 
-        // (b) Clamping leaves a nonnegative table. At PME-tuned alphas the
-        // negative tail can even dominate the positive mass (the ratio is
-        // unbounded, which is exactly why the PSE sampler runs its own
-        // small xi) — only finiteness and sign are invariant here.
-        let clipped = inf.clamp_nonnegative();
-        prop_assert!(clipped.is_finite() && clipped >= 0.0, "clip ratio {clipped}");
+        // (b) The positive split's table has no negative entry at any
+        // tuned alpha, beyond `sqrt(3)/a` included.
+        let hasimoto = RpyHasimoto::new(p.a, p.eta, p.box_l, p.alpha);
+        let inf = Influence::new(&hasimoto, p.mesh_dim, p.spline_order);
         for (k0, k1, k2) in
             (0..k).flat_map(|a| (0..k).flat_map(move |b| (0..nc).map(move |c| (a, b, c))))
         {
             prop_assert!(inf.scalar_at(k0, k1, k2) >= 0.0);
         }
-
-        // (b') In the PSE regime (small xi) on the same mesh, the clipped
-        // tail really is negligible.
-        let pse_ewald = RpyEwald::kernel_only(p.a, p.eta, p.box_l, 0.25 / p.a);
-        let mut pse_inf = Influence::new(&pse_ewald, p.mesh_dim, p.spline_order);
-        let pse_clipped = pse_inf.clamp_nonnegative();
-        prop_assert!(pse_clipped < 1e-3, "PSE-regime clip ratio {pse_clipped}");
 
         // (c) sqrt composed twice = apply, to 1e-12 of the spectrum scale.
         let s_len = k * k * nc;

@@ -4,32 +4,29 @@
 //! one full PME apply (six batched FFT passes per column block) per Krylov
 //! iteration. Fiore, Balboa Usabiaga, Donev & Swan ("Rapid sampling of
 //! stochastic displacements in Brownian dynamics simulations", J. Chem.
-//! Phys. 146, 124116 (2017)) observed that the Ewald split itself hands us
-//! the square root: in the wave-space sum the RPY operator is *diagonal* in
-//! `k` with tensor `I(k) = s(k) (I - k̂k̂ᵀ)`, so `I(k)^{1/2} = s(k)^{1/2}
-//! (I - k̂k̂ᵀ)` is exact and sampling costs a single inverse-FFT pass —
-//! no forward transforms, no iteration. Krylov iteration survives only on
-//! the short-ranged *real-space* part, which is a sparse matrix whose
-//! matvecs cost no FFTs at all.
+//! Phys. 146, 124116 (2017)) observed that an Ewald split whose two halves
+//! are *each* positive semidefinite hands us the square root: `M = N + A`
+//! with independent samples `N^{1/2} z1 + A^{1/2} z2` has covariance `M`.
 //!
-//! Two Beenakker-specific wrinkles (established numerically; see DESIGN.md
-//! Sec. 4) shape the implementation:
+//! * **Wave half `A`.** In the wave-space sum the operator is *diagonal* in
+//!   `k` with tensor `I(k) = s(k) (I - k̂k̂ᵀ)`, so `I(k)^{1/2} = s(k)^{1/2}
+//!   (I - k̂k̂ᵀ)` is exact and sampling costs a single inverse-FFT pass — no
+//!   forward transforms, no iteration.
+//! * **Near half `N`.** A short-ranged sparse matrix whose matvecs cost no
+//!   FFTs at all; block Lanczos on it converges in a handful of iterations.
 //!
-//! * **Positivity.** Beenakker's reciprocal kernel truncates a square at
-//!   `O(k^2)`, so `s(k) < 0` beyond `|k| = sqrt(3)/a`. The sampler runs the
-//!   split at its own small `xi` (default `0.25/a`, far below the PME-tuned
-//!   `alpha`), where the negative tail carries ~1e-5 of the spectral mass,
-//!   and clamps it to zero ([`hibd_pme::influence::Influence::clamp_nonnegative`]).
-//! * **SPD near field.** The complementary real-space operator `N = M - W`
-//!   is only positive definite while the wave part is small, and the
-//!   ceiling is *box-coupled*: dense eigenvalue scans put the break at
-//!   `xi L ~ 1.9` across sizes and volume fractions, so the resolved `xi`
-//!   is capped at [`XI_BOX_CAP`]` / L` (the price of Beenakker's split not
-//!   being positively split — the near field stays dense-ish in small
-//!   boxes). An image-summed assembly with a tolerance-driven cutoff keeps
-//!   the truncation exact to `~1e-6`;
-//!   [`hibd_krylov::KrylovError::NotPositiveSemidefinite`] is the runtime
-//!   backstop.
+//! Both need `s(k) >= 0` and `N` positive definite, which is a property of
+//! the *split*: Hasimoto's screening function `H(k) = (1 + k²/4xi²)
+//! e^{-k²/4xi²}` on the RPY spectrum `sinc²(ka)/k²` satisfies `0 <= H <= 1`,
+//! so `H` and `1 - H` both multiply a nonnegative spectrum and both halves
+//! are PSD for **every** `xi` ([`hibd_rpy::RpyHasimoto`]; Beenakker's split,
+//! which the drift operator and the dense reference use, is not — see
+//! DESIGN.md Sec. 4). With no `xi` to protect, the sampler runs at the
+//! drift operator's own `(alpha, r_max, K, p)` ([`PseSplit::resolve`]): its
+//! real-space tail at that cutoff is ~10x *below* Beenakker's at equal `xi`
+//! and its wave kernel decays faster, so a mesh and a cutoff tuned for the
+//! drift PME at `e_p` resolve the sampled operator at least as well, and the
+//! near field is the same minimum-image sparsity pattern as `M_real`.
 //!
 //! [`PseSampler`] packages both halves: near-field block Lanczos writes the
 //! output, the wave sampler accumulates on top (mirroring the overwrite +
@@ -43,47 +40,11 @@ pub use sampler::{PseError, PseSampler};
 
 use hibd_pme::PmeParams;
 
-/// Default PSE splitting parameter in units of `1/a`: small enough that the
-/// clipped wave mass is ~1e-5. [`XI_BOX_CAP`] may lower it further.
-pub const DEFAULT_XI_A: f64 = 0.25;
-
-/// SPD ceiling on the *dimensionless* product `xi * L`. Beenakker's split
-/// (unlike the Hasimoto split of Fiore et al.) is not positively split: the
-/// real-space complement loses positive definiteness once the wave sum
-/// grows past the first few lattice modes. Dense eigenvalue scans over
-/// suspensions (`n = 15..300`, `phi = 0.05..0.2`, `L = 8.6..20.3`) put the
-/// break consistently at `xi L ~ 1.9`; capping at 1.5 keeps the measured
-/// minimum eigenvalue of `N` above `+8e-3 ~ 0.16 mu0` on every probed
-/// configuration (see DESIGN.md Sec. 4).
-pub const XI_BOX_CAP: f64 = 1.5;
-
-/// SPD guard for an explicitly chosen near-field cutoff: require
-/// `xi * r_max >= XI_RMAX_GUARD` so the truncated real-space sum stays a
-/// small perturbation (`erfc(2.6) ~ 2e-4`).
-pub const XI_RMAX_GUARD: f64 = 2.6;
-
-/// User-facing knobs of the PSE split (all optional; defaults follow the
-/// numerically validated regime).
-#[derive(Clone, Copy, Debug)]
-pub struct PseSplit {
-    /// Splitting parameter; `None` selects [`DEFAULT_XI_A`]` / a`.
-    pub xi: Option<f64>,
-    /// Near-field cutoff; `None` derives it from `real_tol` as
-    /// `sqrt(ln(1/tol)) * 1.5 / xi` (the same rule as `RpyEwald::new`).
-    pub r_max: Option<f64>,
-    /// Hard lower bound on the effective `xi`, in units of `1/a`. Guards
-    /// both SPD-ness of the truncated near field and the assembly cost
-    /// (`r_max ~ 1/xi` controls the image-sum volume).
-    pub xi_floor: f64,
-    /// Real-space truncation tolerance used when `r_max` is derived.
-    pub real_tol: f64,
-}
-
-impl Default for PseSplit {
-    fn default() -> Self {
-        PseSplit { xi: None, r_max: None, xi_floor: 0.15, real_tol: 1e-6 }
-    }
-}
+/// The sampler's split policy. It has no knobs: a positive split is valid at
+/// any `xi`, so the one that costs nothing extra — the drift operator's — is
+/// the only one used.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct PseSplit {}
 
 /// Fully resolved sampler parameters (analogous to [`PmeParams`] for the
 /// PME operator).
@@ -95,41 +56,25 @@ pub struct PseParams {
     pub eta: f64,
     /// Periodic box edge.
     pub box_l: f64,
-    /// PSE splitting parameter (not the PME `alpha`).
+    /// Splitting parameter (the PME `alpha`).
     pub xi: f64,
-    /// Near-field image cutoff.
+    /// Near-field minimum-image cutoff (the PME `r_max`, `<= L/2`).
     pub r_max: f64,
-    /// Mesh dimension `K` (shared with the PME drift operator).
+    /// Mesh dimension `K`.
     pub mesh_dim: usize,
     /// B-spline interpolation order `p`.
     pub spline_order: usize,
 }
 
 impl PseSplit {
-    /// Resolve against the PME parameters in effect: the sampler shares the
-    /// mesh and spline order with the drift operator (its much softer
-    /// kernel is trivially resolved on a mesh tuned for `alpha`), but runs
-    /// its own splitting parameter and cutoff.
+    /// The sampler shares every parameter with the drift operator.
     pub fn resolve(&self, pme: &PmeParams) -> PseParams {
-        let a = pme.a;
-        let mut xi = self.xi.unwrap_or(DEFAULT_XI_A / a).max(self.xi_floor / a);
-        // SPD cap: the near field goes indefinite past `xi L ~ 1.9`
-        // regardless of the floor (correctness beats assembly cost).
-        xi = xi.min(XI_BOX_CAP / pme.box_l);
-        if let Some(r_max) = self.r_max {
-            // SPD guard: never let an explicit cutoff truncate an
-            // un-decayed real-space sum (may exceed the box cap; a user
-            // forcing a short cutoff accepts the runtime
-            // `NotPositiveSemidefinite` backstop).
-            xi = xi.max(XI_RMAX_GUARD / r_max);
-        }
-        let r_max = self.r_max.unwrap_or_else(|| (1.0 / self.real_tol).ln().sqrt() * 1.5 / xi);
         PseParams {
-            a,
+            a: pme.a,
             eta: pme.eta,
             box_l: pme.box_l,
-            xi,
-            r_max,
+            xi: pme.alpha,
+            r_max: pme.r_max,
             mesh_dim: pme.mesh_dim,
             spline_order: pme.spline_order,
         }
@@ -141,28 +86,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn resolve_uses_defaults_floor_and_box_cap() {
-        // Small box: the a-scale default survives the box cap.
-        let small = PmeParams { box_l: 5.0, ..PmeParams::default() };
-        let p = PseSplit::default().resolve(&small);
-        assert_eq!(p.xi, DEFAULT_XI_A / small.a);
-        assert!((p.r_max - (1e6f64).ln().sqrt() * 1.5 / p.xi).abs() < 1e-12);
-        assert_eq!(p.mesh_dim, small.mesh_dim);
-
-        // Default 10^3 box: the SPD cap xi <= 1.5 / L bites.
-        let pme = PmeParams::default();
-        let capped = PseSplit::default().resolve(&pme);
-        assert_eq!(capped.xi, XI_BOX_CAP / pme.box_l);
-
-        let floored = PseSplit { xi: Some(0.01), ..Default::default() }.resolve(&small);
-        assert_eq!(floored.xi, 0.15 / small.a);
-    }
-
-    #[test]
-    fn explicit_cutoff_raises_xi_to_the_guard() {
-        let pme = PmeParams::default();
-        let p = PseSplit { r_max: Some(4.0), ..Default::default() }.resolve(&pme);
-        assert_eq!(p.r_max, 4.0);
-        assert!(p.xi >= XI_RMAX_GUARD / 4.0 - 1e-15);
+    fn resolve_returns_the_drift_operators_split() {
+        for pme in [PmeParams::default(), hibd_pme::tune(200, 0.2, 1.0, 1.0, 1e-3).params] {
+            let p = PseSplit::default().resolve(&pme);
+            assert_eq!(p.xi.to_bits(), pme.alpha.to_bits());
+            assert_eq!(p.r_max.to_bits(), pme.r_max.to_bits());
+            assert_eq!(p.box_l.to_bits(), pme.box_l.to_bits());
+            assert_eq!((p.mesh_dim, p.spline_order), (pme.mesh_dim, pme.spline_order));
+            assert_eq!((p.a, p.eta), (pme.a, pme.eta));
+        }
     }
 }

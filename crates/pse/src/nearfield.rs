@@ -1,25 +1,18 @@
 //! The PSE near-field operator `N = M_self + M_real(xi)`.
 //!
-//! The complement of the wave-space sum at the sampler's splitting
-//! parameter: Beenakker's real-space tensor summed over periodic images out
-//! to the tolerance-driven cutoff `r_max`, plus the Yamakawa overlap
-//! correction for overlapping pairs and the `xi`-dependent self term. At the
-//! small PSE `xi` the cutoff can exceed the box, so assembly has two paths:
-//!
-//! * `r_max < L/2` — only the minimum image of any pair can lie inside the
-//!   cutoff, so a Verlet list delivers exactly the contributing pairs (the
-//!   sparse production path for large boxes);
-//! * `r_max >= L/2` — each pair (including `i = i`) sums a full shell of
-//!   lattice images; blocks are dense-ish, which is fine for the small
-//!   boxes where this triggers.
-//!
-//! Both paths produce one symmetric [`Bcsr3`]; the self coefficient stays a
-//! scalar applied on the fly (it would only pad the diagonal blocks).
+//! The complement of the wave-space sum under the positive (Hasimoto)
+//! split: [`RpyHasimoto::real_tensor`] — overlap branch included — over the
+//! pairs inside the cutoff, plus the `xi`-dependent self term. The cutoff is
+//! the drift operator's `r_max <= L/2`, so only the minimum image of a pair
+//! can lie inside it and one cell-list pass delivers exactly the
+//! contributing pairs (the contract of `pme::real::assemble_real_space`, and
+//! the same sparsity pattern). The self coefficient stays a scalar applied
+//! on the fly (it would only pad the diagonal blocks).
 
-use hibd_cells::VerletList;
+use hibd_cells::CellList;
 use hibd_linalg::LinearOperator;
 use hibd_mathx::Vec3;
-use hibd_rpy::RpyEwald;
+use hibd_rpy::RpyHasimoto;
 use hibd_sparse::{Bcsr3, Bcsr3Builder};
 
 /// Sparse SPD near-field mobility as a [`LinearOperator`] for (block)
@@ -34,26 +27,25 @@ pub struct NearFieldOperator {
 }
 
 impl NearFieldOperator {
-    /// Assemble for a configuration; `ewald` must be the `kernel_only`
-    /// split at the PSE `xi`.
-    pub fn new(positions: &[Vec3], ewald: &RpyEwald, r_max: f64) -> NearFieldOperator {
+    /// Assemble for a configuration; needs `r_max <= L/2`.
+    pub fn new(positions: &[Vec3], kernel: &RpyHasimoto, r_max: f64) -> NearFieldOperator {
         NearFieldOperator {
             n: positions.len(),
-            mat: assemble(positions, ewald, r_max),
-            self_coef: ewald.self_coefficient(),
+            mat: assemble(positions, kernel, r_max),
+            self_coef: kernel.self_coefficient(),
             matvec_columns: 0,
         }
     }
 
     /// Re-assemble for new positions (operator refresh), keeping the
     /// cumulative matvec counter.
-    pub fn rebuild(&mut self, positions: &[Vec3], ewald: &RpyEwald, r_max: f64) {
+    pub fn rebuild(&mut self, positions: &[Vec3], kernel: &RpyHasimoto, r_max: f64) {
         self.n = positions.len();
-        self.mat = assemble(positions, ewald, r_max);
-        self.self_coef = ewald.self_coefficient();
+        self.mat = assemble(positions, kernel, r_max);
+        self.self_coef = kernel.self_coefficient();
     }
 
-    /// The sparse off-diagonal-image part.
+    /// The sparse pair part (zero diagonal blocks).
     pub fn matrix(&self) -> &Bcsr3 {
         &self.mat
     }
@@ -110,60 +102,23 @@ impl LinearOperator for NearFieldOperator {
     }
 }
 
-/// Image-summed pair block for minimum-image displacement `mi`: every
-/// lattice image within `r_max`, with the Yamakawa overlap correction
-/// applied per image (it vanishes for `r >= 2a`). Returns `None` when no
-/// image contributes.
-fn image_summed_block(ewald: &RpyEwald, mi: Vec3, box_l: f64, r_max: f64) -> Option<[f64; 9]> {
-    let nmax = (r_max / box_l + 0.5).ceil() as i64;
-    let mut blk = [0.0f64; 9];
-    let mut any = false;
-    for lx in -nmax..=nmax {
-        for ly in -nmax..=nmax {
-            for lz in -nmax..=nmax {
-                let rv = mi + Vec3::new(lx as f64, ly as f64, lz as f64) * box_l;
-                let r = rv.norm();
-                if r < 1e-12 || r > r_max {
-                    continue;
-                }
-                any = true;
-                for (acc, v) in blk.iter_mut().zip(&ewald.real_tensor_with_overlap(rv)) {
-                    *acc += v;
-                }
-            }
-        }
-    }
-    any.then_some(blk)
-}
-
-fn assemble(positions: &[Vec3], ewald: &RpyEwald, r_max: f64) -> Bcsr3 {
+fn assemble(positions: &[Vec3], kernel: &RpyHasimoto, r_max: f64) -> Bcsr3 {
+    // Minimum image only: any further image of a pair is at least
+    // `L - r_max >= r_max` away, and self images at least `L`.
+    assert!(
+        r_max <= kernel.box_l / 2.0 + 1e-12,
+        "r_max {r_max} must be <= L/2 = {}",
+        kernel.box_l / 2.0
+    );
     let n = positions.len();
-    let box_l = ewald.box_l;
     let mut b = Bcsr3Builder::new(n, n);
-    if 2.0 * r_max < box_l {
-        // Minimum image only: any further image of a pair is at least
-        // `L - r_max > r_max` away, and self images at least `L`.
-        let mut vl = VerletList::new(positions, box_l, r_max, 0.0);
-        vl.for_each_pair(positions, |i, j, dr, _r2| {
-            let blk = ewald.real_tensor_with_overlap(dr);
-            // The RPY pair tensor is symmetric and even in `dr`, so the
-            // (j, i) block is identical.
-            b.push(i, j, blk);
-            b.push(j, i, blk);
-        });
-    } else {
-        for i in 0..n {
-            for j in i..n {
-                let mi = (positions[i] - positions[j]).min_image(box_l);
-                if let Some(blk) = image_summed_block(ewald, mi, box_l, r_max) {
-                    b.push(i, j, blk);
-                    if j > i {
-                        b.push(j, i, blk);
-                    }
-                }
-            }
-        }
-    }
+    CellList::new(positions, kernel.box_l, r_max).for_each_pair(|i, j, dr, _r2| {
+        // The pair tensor is symmetric and even in `dr`, so the (j, i)
+        // block is identical.
+        let blk = kernel.real_tensor(dr);
+        b.push(i, j, blk);
+        b.push(j, i, blk);
+    });
     b.build()
 }
 
@@ -188,34 +143,49 @@ mod tests {
     }
 
     #[test]
-    fn verlet_and_image_sum_paths_agree_below_half_box() {
-        // With r_max < L/2 the image sum degenerates to the minimum image,
-        // so both assembly paths must produce the same matrix.
-        let box_l = 20.0;
-        let pos = random_positions(24, box_l, 3);
-        let ewald = RpyEwald::kernel_only(1.0, 1.0, box_l, 0.6);
-        let r_max = 8.0;
-        let sparse = assemble(&pos, &ewald, r_max).to_dense();
-        // Force the image path by assembling as if the box were smaller
-        // than 2 r_max, using a manual all-pairs loop with the real box.
+    fn assembly_is_the_minimum_image_pair_sum_up_to_exactly_half_the_box() {
+        // The tuner's box-bound splits sit at r_max = L/2 exactly (every
+        // ladder shape): that cutoff is inside the one assembly path, as an
+        // interior one is. Overlapping pairs included (random positions).
+        let box_l = 9.0;
+        let pos = random_positions(40, box_l, 3);
+        let kernel = RpyHasimoto::new(1.0, 1.0, box_l, 0.6);
         let n = pos.len();
-        let mut b = Bcsr3Builder::new(n, n);
-        for i in 0..n {
-            for j in i..n {
-                let mi = (pos[i] - pos[j]).min_image(box_l);
-                if let Some(blk) = image_summed_block(&ewald, mi, box_l, r_max) {
-                    b.push(i, j, blk);
-                    if j > i {
-                        b.push(j, i, blk);
+        let dim = 3 * n;
+        for r_max in [box_l / 2.0, 3.7] {
+            let got = assemble(&pos, &kernel, r_max).to_dense();
+            let mut want = vec![0.0; dim * dim];
+            let mut stored = 0;
+            for i in 0..n {
+                for j in 0..n {
+                    let dr = (pos[i] - pos[j]).min_image(box_l);
+                    if i == j || dr.norm2() > r_max * r_max {
+                        continue;
+                    }
+                    stored += 1;
+                    let blk = kernel.real_tensor(dr);
+                    for (e, v) in blk.iter().enumerate() {
+                        want[(3 * i + e / 3) * dim + 3 * j + e % 3] = *v;
                     }
                 }
             }
+            assert!(stored > n, "r_max = {r_max}: the cutoff must hold pairs");
+            for (g, w) in got.iter().zip(&want) {
+                assert!((g - w).abs() <= 1e-15, "r_max = {r_max}: {g} vs {w}");
+            }
+            for i in 0..dim {
+                for j in 0..i {
+                    assert!((got[i * dim + j] - got[j * dim + i]).abs() <= 1e-14);
+                }
+            }
         }
-        let dense = b.build().to_dense();
-        assert_eq!(sparse.len(), dense.len());
-        for (a, b) in sparse.iter().zip(&dense) {
-            assert!((a - b).abs() < 1e-15, "{a} vs {b}");
-        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must be <= L/2")]
+    fn rejects_a_cutoff_beyond_half_the_box() {
+        let pos = random_positions(5, 8.0, 2);
+        assemble(&pos, &RpyHasimoto::new(1.0, 1.0, 8.0, 0.5), 4.5);
     }
 
     /// Sequential insertion with a minimum pair distance of `2a = 2`.
@@ -236,29 +206,17 @@ mod tests {
     }
 
     #[test]
-    fn near_field_is_spd_at_the_default_split() {
-        // Dense phi ~ 0.2 box small enough that the cutoff wraps images;
-        // xi at the production SPD cap.
-        let box_l = 6.5;
-        let pos = random_suspension(12, box_l, 7);
-        let xi = crate::XI_BOX_CAP / box_l;
-        let ewald = RpyEwald::kernel_only(1.0, 1.0, box_l, xi);
-        let r_max = (1.0f64 / 1e-6).ln().sqrt() * 1.5 / xi;
-        let op = NearFieldOperator::new(&pos, &ewald, r_max);
+    fn near_field_is_spd_at_a_tuned_split() {
+        // phi = 0.2 at the drift operator's own box-bound split — xi L = 3.5,
+        // well past the 1.9 at which Beenakker's near field goes indefinite.
+        let pme = hibd_pme::tune(24, 0.2, 1.0, 1.0, 1e-3).params;
+        assert!(pme.alpha * pme.box_l > 3.0);
+        let pos = random_suspension(24, pme.box_l, 7);
+        let kernel = RpyHasimoto::new(1.0, 1.0, pme.box_l, pme.alpha);
+        let op = NearFieldOperator::new(&pos, &kernel, pme.r_max);
         let dim = 3 * pos.len();
-        let d = op.to_dense();
-        let mut m = DMat::zeros(dim, dim);
-        for i in 0..dim {
-            for j in 0..dim {
-                m[(i, j)] = d[i * dim + j];
-            }
-        }
-        // Symmetric by construction.
-        for i in 0..dim {
-            for j in 0..dim {
-                assert!((m[(i, j)] - m[(j, i)]).abs() < 1e-13);
-            }
-        }
+        let m = DMat::from_vec(dim, dim, op.to_dense());
+        assert!(m.max_asymmetry() < 1e-13);
         let (w, _) = sym_eig(&m);
         let min = w.iter().copied().fold(f64::MAX, f64::min);
         assert!(min > 0.0, "near field not SPD: min eigenvalue {min}");
@@ -268,8 +226,8 @@ mod tests {
     fn apply_adds_self_term_and_counts_columns() {
         let box_l = 12.0;
         let pos = random_positions(8, box_l, 11);
-        let ewald = RpyEwald::kernel_only(1.0, 1.0, box_l, 0.5);
-        let mut op = NearFieldOperator::new(&pos, &ewald, 5.0);
+        let kernel = RpyHasimoto::new(1.0, 1.0, box_l, 0.5);
+        let mut op = NearFieldOperator::new(&pos, &kernel, 5.0);
         let dim = op.dim();
         let x: Vec<f64> = (0..dim).map(|i| (i as f64 * 0.37).sin()).collect();
         let mut y = vec![0.0; dim];

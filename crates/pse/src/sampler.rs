@@ -17,8 +17,8 @@
 //! Zero FFT forward passes, zero iterations.
 //!
 //! **Near part.** Block Lanczos on the sparse [`NearFieldOperator`] — whose
-//! matvec is an SpMM, not an FFT — converges in a handful of iterations
-//! because the near field is well conditioned at the small PSE `xi`.
+//! matvec is an SpMM, not an FFT — converges in a handful of iterations:
+//! the screened real-space kernel is short-ranged and diagonally dominant.
 //!
 //! The near sample is written first (overwrite), the wave sample
 //! accumulates on top via [`interpolate_multi`] — the same
@@ -29,11 +29,12 @@ use crate::PseParams;
 use hibd_fft::{Complex64, Fft3};
 use hibd_hot as hibd;
 use hibd_krylov::{block_lanczos_sqrt, KrylovConfig, KrylovError, KrylovStats};
+use hibd_linalg::LinearOperator;
 use hibd_mathx::{fill_standard_normal, standard_normal, Vec3};
 use hibd_pme::influence::Influence;
 use hibd_pme::pmat::{build_interp_matrix, InterpMatrix};
-use hibd_pme::spread::interpolate_multi;
-use hibd_rpy::RpyEwald;
+use hibd_pme::spread::{interpolate_multi, SpreadPlan};
+use hibd_rpy::RpyHasimoto;
 use rand::rngs::StdRng;
 use std::f64::consts::FRAC_1_SQRT_2;
 
@@ -46,9 +47,10 @@ pub const WAVE_CHUNK: usize = 8;
 pub enum PseError {
     /// FFT plan or parameter validation failure.
     Setup(String),
-    /// The near-field Lanczos failed — `NotPositiveSemidefinite` means the
-    /// split `xi` is too large (or the cutoff too small) for this
-    /// configuration; lower `xi` or raise the cutoff.
+    /// The near-field Lanczos failed. The positive split keeps the near
+    /// field SPD at every `xi`, so `NotPositiveSemidefinite` here means
+    /// degenerate input (coincident or non-finite particle positions) or a
+    /// bug, not a parameter to retune.
     Krylov(KrylovError),
 }
 
@@ -56,6 +58,12 @@ impl std::fmt::Display for PseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PseError::Setup(s) => write!(f, "PSE setup: {s}"),
+            PseError::Krylov(KrylovError::NotPositiveSemidefinite { eigenvalue }) => write!(
+                f,
+                "PSE near field is not positive definite (projected eigenvalue {eigenvalue:e}): \
+                 the positive split is SPD at every xi, so the configuration is degenerate \
+                 (coincident or non-finite particle positions) or this is a bug"
+            ),
             PseError::Krylov(e) => write!(f, "PSE near-field Lanczos: {e}"),
         }
     }
@@ -72,18 +80,17 @@ impl From<KrylovError> for PseError {
 /// Positively-split Ewald Brownian displacement sampler.
 ///
 /// Draws blocks `G` (row-major `[3n][s]`, the repo's multi-RHS layout) with
-/// `Cov(G columns) = N + A ≈ M` — near field plus clamped wave field at the
-/// PSE split. Steady-state draws are allocation-free: all mesh, spectrum
+/// `Cov(G columns) = N + A ≈ M` — near field plus wave field of the positive
+/// split. Steady-state draws are allocation-free: all mesh, spectrum
 /// and Gaussian scratch is grown by `resize` and never shrunk, and
 /// [`memory_bytes`](Self::memory_bytes) accounts it.
 pub struct PseSampler {
     params: PseParams,
     n: usize,
-    ewald: RpyEwald,
+    kernel: RpyHasimoto,
     fft: Fft3,
     pm: InterpMatrix,
     inf: Influence,
-    clipped: f64,
     near: NearFieldOperator,
     /// Wave scratch: up to `3 * WAVE_CHUNK` half spectra / meshes.
     spec: Vec<Complex64>,
@@ -105,21 +112,26 @@ impl PseSampler {
                 params.xi, params.r_max, params.box_l
             )));
         }
+        if params.r_max > params.box_l / 2.0 + 1e-12 {
+            return Err(PseError::Setup(format!(
+                "near-field cutoff r_max {} exceeds L/2 = {} (minimum-image assembly)",
+                params.r_max,
+                params.box_l / 2.0
+            )));
+        }
         let k = params.mesh_dim;
         let fft = Fft3::new([k, k, k]).map_err(|e| PseError::Setup(e.to_string()))?;
-        let ewald = RpyEwald::kernel_only(params.a, params.eta, params.box_l, params.xi);
+        let kernel = RpyHasimoto::new(params.a, params.eta, params.box_l, params.xi);
         let pm = build_interp_matrix(positions, params.box_l, k, params.spline_order);
-        let mut inf = Influence::new(&ewald, k, params.spline_order);
-        let clipped = inf.clamp_nonnegative();
-        let near = NearFieldOperator::new(positions, &ewald, params.r_max);
+        let inf = Influence::new(&kernel, k, params.spline_order);
+        let near = NearFieldOperator::new(positions, &kernel, params.r_max);
         Ok(PseSampler {
             params,
             n: positions.len(),
-            ewald,
+            kernel,
             fft,
             pm,
             inf,
-            clipped,
             near,
             spec: Vec::new(),
             mesh: Vec::new(),
@@ -146,17 +158,12 @@ impl PseSampler {
             self.params.mesh_dim,
             self.params.spline_order,
         );
-        self.near.rebuild(positions, &self.ewald, self.params.r_max);
+        self.near.rebuild(positions, &self.kernel, self.params.r_max);
         Ok(())
     }
 
     pub fn params(&self) -> &PseParams {
         &self.params
-    }
-
-    /// Fraction of wave spectral mass clipped by the nonnegativity clamp.
-    pub fn clipped_fraction(&self) -> f64 {
-        self.clipped
     }
 
     pub fn near_field(&self) -> &NearFieldOperator {
@@ -216,6 +223,19 @@ impl PseSampler {
         Ok(stats)
     }
 
+    /// `u += A f` (spread -> forward -> `I(k)` -> inverse -> interpolate).
+    fn wave_apply_add(&self, f: &[f64], u: &mut [f64]) {
+        let k = self.params.mesh_dim;
+        let plan = SpreadPlan::new(&self.pm.scaled, k, self.params.spline_order);
+        let mut mesh = vec![0.0; 3 * k * k * k];
+        let mut spec = vec![Complex64::ZERO; 3 * self.fft.spectrum_len()];
+        plan.spread(&self.pm, f, &mut mesh);
+        self.fft.forward_batch(&mesh, &mut spec, 3);
+        self.inf.apply(&mut spec);
+        self.fft.inverse_batch(&mut spec, &mut mesh, 3);
+        interpolate_multi(&self.pm, &mesh, 1, 0, 1, u);
+    }
+
     /// Accumulate a wave-space sample block into `out` (row-major
     /// `[3n][s]`): Hermitian Gaussian spectrum → `I(k)^{1/2}` → one inverse
     /// batch FFT → B-spline interpolation. Public for the ablation harness
@@ -247,6 +267,26 @@ impl PseSampler {
             interpolate_multi(&self.pm, mesh, s, col0, width, out);
             col0 += width;
         }
+    }
+}
+
+/// The operator whose square root [`PseSampler::sample_block`] draws,
+/// `u = (N + A) f`: the near field plus the mesh wave operator
+/// `A = P W̄ D W Pᵀ` on the sampler's own `P`, FFT and influence table. A
+/// verification view (`hibd_pme::measure_ep` against dense Ewald in the
+/// tests and the ablation's accuracy gate), not a production path: it plans
+/// its spread and allocates its meshes per call.
+impl LinearOperator for PseSampler {
+    fn dim(&self) -> usize {
+        3 * self.n
+    }
+
+    fn apply(&mut self, f: &[f64], u: &mut [f64]) {
+        self.near.matrix().mul_vec(f, u);
+        for (ui, fi) in u.iter_mut().zip(f) {
+            *ui += self.near.self_coefficient() * fi;
+        }
+        self.wave_apply_add(f, u);
     }
 }
 
@@ -297,8 +337,9 @@ fn fill_hermitian_gaussian(rng: &mut StdRng, spec: &mut [Complex64], k: usize, n
 mod tests {
     use super::*;
     use crate::PseSplit;
-    use hibd_pme::spread::SpreadPlan;
+    use hibd_linalg::DenseOp;
     use hibd_pme::PmeParams;
+    use hibd_rpy::{dense_ewald_mobility, RpyEwald};
     use rand::{Rng, SeedableRng};
 
     fn suspension(n: usize, box_l: f64, seed: u64) -> Vec<Vec3> {
@@ -319,7 +360,15 @@ mod tests {
 
     fn small_sampler(n: usize, box_l: f64, k: usize, seed: u64) -> (Vec<Vec3>, PseSampler) {
         let pos = suspension(n, box_l, seed);
-        let pme = PmeParams { box_l, mesh_dim: k, spline_order: 4, ..PmeParams::default() };
+        // Box-bound like every tuned small box, at the default's `alpha r_max`.
+        let pme = PmeParams {
+            box_l,
+            mesh_dim: k,
+            spline_order: 4,
+            r_max: box_l / 2.0,
+            alpha: 6.4 / box_l,
+            ..PmeParams::default()
+        };
         let params = PseSplit::default().resolve(&pme);
         let sampler = PseSampler::new(&pos, params).unwrap();
         (pos, sampler)
@@ -376,27 +425,15 @@ mod tests {
     fn wave_sample_covariance_matches_recip_operator() {
         // Monte-Carlo covariance of the wave sampler against the exact
         // reciprocal-operator matrix built from the *same* P, FFT and
-        // clamped influence (spread -> forward -> I(k) -> inverse ->
-        // interpolate), column by column.
+        // influence table, column by column.
         let (pos, mut sampler) = small_sampler(4, 4.4, 8, 5);
         let n3 = 3 * pos.len();
-        let k = sampler.params.mesh_dim;
-        let k3 = k * k * k;
-        let plan = SpreadPlan::new(&sampler.pm.scaled, k, sampler.params.spline_order);
         let mut a = vec![0.0; n3 * n3]; // column-major columns of A
         let mut e = vec![0.0; n3];
-        let mut mesh = vec![0.0; 3 * k3];
-        let mut spec = vec![Complex64::ZERO; 3 * sampler.fft.spectrum_len()];
         for j in 0..n3 {
             e.fill(0.0);
             e[j] = 1.0;
-            plan.spread(&sampler.pm, &e, &mut mesh);
-            sampler.fft.forward_batch(&mesh, &mut spec, 3);
-            sampler.inf.apply(&mut spec);
-            sampler.fft.inverse_batch(&mut spec, &mut mesh, 3);
-            let mut col = vec![0.0; n3];
-            hibd_pme::spread::interpolate(&sampler.pm, &mesh, &mut col);
-            a[j * n3..(j + 1) * n3].copy_from_slice(&col);
+            sampler.wave_apply_add(&e, &mut a[j * n3..(j + 1) * n3]);
         }
 
         let mut rng = StdRng::seed_from_u64(9);
@@ -428,6 +465,46 @@ mod tests {
         }
         let rel = (diff2 / norm2).sqrt();
         assert!(rel < 0.1, "wave covariance mismatch {rel}");
+    }
+
+    #[test]
+    fn sampled_operator_matches_dense_ewald_at_the_tuned_split() {
+        // The sampler runs at the drift operator's own (alpha, r_max, K, p):
+        // near field + mesh wave operator must meet the e_p those were tuned
+        // for (the metric of `pme.rel_err_vs_dense`), against a dense Ewald
+        // reference at a cost-balanced xi of its own. And the near field it
+        // leaves is well conditioned: a handful of Lanczos iterations.
+        for (n, seed) in [(24usize, 11u64), (80, 12)] {
+            let pme = hibd_pme::tune(n, 0.2, 1.0, 1.0, 1e-3).params;
+            let pos = suspension(n, pme.box_l, seed);
+            let mut sampler = PseSampler::new(&pos, PseSplit::default().resolve(&pme)).unwrap();
+            let xi = std::f64::consts::PI.sqrt() * (n as f64).powf(1.0 / 6.0) / pme.box_l;
+            let dense = dense_ewald_mobility(&pos, &RpyEwald::new(1.0, 1.0, pme.box_l, xi, 1e-9));
+            let worst = hibd_pme::measure_ep(&mut sampler, &mut DenseOp::new(dense), 3, seed);
+            assert!(worst < 1e-3, "n = {n}: sampled operator vs dense Ewald {worst:e}");
+
+            let s = 16;
+            let mut out = vec![0.0; 3 * n * s];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let kcfg = KrylovConfig { tol: 1e-2, max_iter: 100, check_interval: 1 };
+            let stats = sampler.sample_block(&mut rng, &mut out, s, &kcfg).unwrap();
+            assert!(stats.converged && stats.iterations <= 6, "n = {n}: {stats:?}");
+        }
+    }
+
+    #[test]
+    fn cutoff_beyond_half_the_box_is_a_setup_error() {
+        let pme = PmeParams { box_l: 6.0, r_max: 4.0, ..PmeParams::default() };
+        let err = PseSampler::new(&suspension(4, 6.0, 1), PseSplit::default().resolve(&pme));
+        assert!(matches!(err, Err(PseError::Setup(m)) if m.contains("L/2")));
+    }
+
+    #[test]
+    fn indefinite_near_field_error_carries_the_eigenvalue_and_names_no_knob() {
+        let e = PseError::from(KrylovError::NotPositiveSemidefinite { eigenvalue: -2.5e-3 });
+        let text = e.to_string();
+        assert!(text.contains("-2.5e-3") && text.contains("coincident"), "{text}");
+        assert!(!text.contains("lower") && !text.contains("cutoff"), "{text}");
     }
 
     #[test]

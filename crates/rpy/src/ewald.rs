@@ -260,6 +260,29 @@ impl RpyEwald {
     }
 }
 
+/// A wave-space kernel the PME influence table can be built from:
+/// `M_recip = mu0 / L³ Σ_k cos(k·r) (I - k̂k̂ᵀ) recip_scalar(k²)`.
+pub trait WaveKernel: Sync {
+    /// Cubic box side.
+    fn box_l(&self) -> f64;
+    /// `mu0 = 1/(6 pi eta a)`.
+    fn mu0(&self) -> f64;
+    /// The scalar `m(k)` at `k² = |k|² > 0`.
+    fn recip_scalar(&self, k2: f64) -> f64;
+}
+
+impl WaveKernel for RpyEwald {
+    fn box_l(&self) -> f64 {
+        self.box_l
+    }
+    fn mu0(&self) -> f64 {
+        self.mu0()
+    }
+    fn recip_scalar(&self, k2: f64) -> f64 {
+        self.recip_scalar(k2)
+    }
+}
+
 #[inline]
 fn add_iso_outer(m: &mut [f64; 9], s1: f64, s2: f64, u: Vec3) {
     let t = iso_plus_outer(s1, s2, u);

@@ -11,6 +11,9 @@
 //!   periodic boundary conditions (paper Section II-B, ref. \[22\]): the
 //!   real-space kernels `M^(1)`, the reciprocal-space kernel `M^(2)`, the
 //!   self term, and tolerance-driven cutoffs;
+//! * [`hasimoto`] — the positively split (Hasimoto) form of the same sum,
+//!   whose real and wave halves are each positive semidefinite: what the
+//!   split-Ewald displacement sampler (`hibd-pse`) takes square roots of;
 //! * [`dense`] — dense mobility-matrix assembly: the periodic Ewald matrix
 //!   used by the conventional Algorithm 1 and as the ground truth that PME
 //!   is validated against, plus a free-space variant for unit tests.
@@ -20,13 +23,15 @@
 
 pub mod dense;
 pub mod ewald;
+pub mod hasimoto;
 pub mod nearfield;
 pub mod polydisperse;
 pub mod stokeslet;
 pub mod tensor;
 
 pub use dense::{dense_ewald_mobility, dense_rpy_free};
-pub use ewald::RpyEwald;
+pub use ewald::{RpyEwald, WaveKernel};
+pub use hasimoto::RpyHasimoto;
 pub use nearfield::{
     real_tensors_with_overlap4, rpy_pairs_accumulate, rpy_pairs_accumulate_multi, COL_TILE,
     PAIR_TILE,
