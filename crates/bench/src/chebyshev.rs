@@ -3,7 +3,8 @@
 //! The paper (Section III-B) notes that matrix-free alternatives to the
 //! Krylov approach exist "but they require eigenvalue estimates of M, e.g.,
 //! \[25\]" — Fixman (Macromolecules 19, 1986). This module implements that
-//! method for completeness and for the ablation comparison:
+//! method for the ablation comparison only (`ablation_krylov`); no
+//! production crate links it:
 //!
 //! 1. estimate the extreme eigenvalues of the SPD operator with a short
 //!    Lanczos run ([`estimate_spectrum_bounds`]);
@@ -17,8 +18,7 @@
 //! spectral distribution seen by `z`, so it typically needs more operator
 //! applications at equal accuracy — which the comparison test demonstrates.
 
-use crate::{KrylovError, KrylovStats};
-use hibd_hot as hibd;
+use hibd_krylov::KrylovError;
 use hibd_linalg::{tridiag_eig, LinearOperator};
 
 /// Options for the Chebyshev square-root evaluation.
@@ -174,8 +174,8 @@ pub fn chebyshev_sqrt(
         }
     }
     let mut t_next = vec![0.0; n];
-    for k in 2..=degree {
-        recurrence_step(op, scale, shift, coeffs[k], &t_prev, &t_cur, &mut t_next, &mut g);
+    for &ck in coeffs.iter().take(degree + 1).skip(2) {
+        recurrence_step(op, scale, shift, ck, &t_prev, &t_cur, &mut t_next, &mut g);
         std::mem::swap(&mut t_prev, &mut t_cur);
         std::mem::swap(&mut t_cur, &mut t_next);
     }
@@ -212,7 +212,6 @@ pub fn chebyshev_coefficients(nq: usize, f: impl Fn(f64) -> f64, lo: f64, hi: f6
 
 /// Shifted operator application `out = scale (M x) - shift x`, mapping the
 /// spectrum of `M` onto `[-1, 1]` for the Chebyshev recurrence.
-#[hibd::hot]
 fn apply_shifted(op: &mut dyn LinearOperator, scale: f64, shift: f64, x: &[f64], out: &mut [f64]) {
     op.apply(x, out);
     for (o, xv) in out.iter_mut().zip(x) {
@@ -223,7 +222,6 @@ fn apply_shifted(op: &mut dyn LinearOperator, scale: f64, shift: f64, x: &[f64],
 /// One degree of the three-term recurrence `T_k z = 2 y(T_{k-1} z) - T_{k-2} z`
 /// plus the accumulation `g += c_k T_k z`. All work happens in caller-owned
 /// buffers: one polynomial degree costs exactly one operator application.
-#[hibd::hot]
 #[allow(clippy::too_many_arguments)]
 fn recurrence_step(
     op: &mut dyn LinearOperator,
@@ -244,32 +242,18 @@ fn recurrence_step(
     }
 }
 
-#[hibd::hot]
 fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-#[hibd::hot]
 fn norm(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
-}
-
-/// Convenience conversion of Chebyshev stats into the common stats type.
-impl From<ChebyshevStats> for KrylovStats {
-    fn from(s: ChebyshevStats) -> KrylovStats {
-        KrylovStats {
-            iterations: s.degree + s.bound_applications,
-            converged: true,
-            rel_change: s.poly_error,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lanczos_sqrt;
-    use crate::KrylovConfig;
+    use hibd_krylov::{lanczos_sqrt, KrylovConfig};
     use hibd_linalg::{sym_eig, DMat, DenseOp};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -417,5 +401,46 @@ mod tests {
         let (lo, hi) = estimate_spectrum_bounds(&mut DenseOp::new(m), 15).unwrap();
         assert!(lo <= 0.3 && lo > 0.0, "lo {lo}");
         assert!(hi >= 2.5, "hi {hi}");
+    }
+
+    #[test]
+    fn chebyshev_displacements_have_mobility_covariance() {
+        // Fluctuation-dissipation (the paper's Eq. 1) on the workload of
+        // root `tests/fluctuation_dissipation.rs`: 12 particles at
+        // phi = 0.2, the tuned PME operator, covariance of ~500 samples
+        // against the dense Ewald mobility.
+        let sys = crate::suspension(12, 0.2, 31);
+        let params = hibd_pme::tune(12, 0.2, 1.0, 1.0, 1e-3).params;
+        let dense = hibd_rpy::dense_ewald_mobility(
+            sys.positions(),
+            &hibd_rpy::RpyEwald::new(1.0, 1.0, params.box_l, 0.45, 1e-9),
+        );
+        let mut op = hibd_pme::PmeOperator::new(sys.positions(), params).unwrap();
+        let dim = dense.nrows();
+        let bounds = estimate_spectrum_bounds(&mut op, 15).unwrap();
+        let ccfg = ChebyshevConfig { tol: 1e-4, bounds: Some(bounds), ..Default::default() };
+        let mut rng = StdRng::seed_from_u64(133);
+        let mut zc = vec![0.0; dim];
+        let mut cov = DMat::zeros(dim, dim);
+        let samples = 480;
+        for _ in 0..samples {
+            hibd_mathx::fill_standard_normal(&mut rng, &mut zc);
+            let (d, _) = chebyshev_sqrt(&mut op, &zc, &ccfg).unwrap();
+            for i in 0..dim {
+                for j in 0..dim {
+                    cov[(i, j)] += d[i] * d[j] / samples as f64;
+                }
+            }
+        }
+        let mut diff2 = 0.0;
+        let mut norm2 = 0.0;
+        for i in 0..dim {
+            for j in 0..dim {
+                diff2 += (cov[(i, j)] - dense[(i, j)]).powi(2);
+                norm2 += dense[(i, j)].powi(2);
+            }
+        }
+        let rel = (diff2 / norm2).sqrt();
+        assert!(rel < 0.25, "Chebyshev covariance error {rel}");
     }
 }

@@ -8,10 +8,12 @@
 //! * `--seed N` — RNG seed.
 //!
 //! Paper-only executors live here too, out of the production crates:
-//! [`hybrid`] (the *modeled* Section IV-E CPU + Xeon Phi scheduler) and
+//! [`hybrid`] (the *modeled* Section IV-E CPU + Xeon Phi scheduler),
 //! [`compose`] (overlapped, on-the-fly and per-column PME applies built from
-//! a `PmeOperator`'s read-only parts).
+//! a `PmeOperator`'s read-only parts) and [`chebyshev`] (Fixman's polynomial
+//! `M^{1/2} z`, the paper's ref. \[25\] comparison).
 
+pub mod chebyshev;
 pub mod compose;
 pub mod hybrid;
 

@@ -173,11 +173,6 @@ impl CellList {
         self.pos.is_empty()
     }
 
-    /// Cells per dimension (1 when in brute-force mode).
-    pub fn cells_per_dim(&self) -> usize {
-        self.ncell
-    }
-
     /// Total number of cells; callers may parallelize over `0..num_cells()`
     /// with [`for_each_pair_in_cell`](Self::for_each_pair_in_cell), since the
     /// half stencil visits every pair exactly once.

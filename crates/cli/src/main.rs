@@ -39,7 +39,7 @@ boundary        = periodic   # or: open (free-space RPY via the treecode)
 
 # integrator (Algorithm 2 of Liu & Chow, IPDPS 2014)
 algorithm    = matrix-free    # or: dense
-displacement = block-krylov   # or: chebyshev | split-ewald
+displacement = block-krylov   # or: split-ewald
 dt          = 0.01
 kbt         = 1.0
 lambda_rpy  = 16             # mobility reuse interval

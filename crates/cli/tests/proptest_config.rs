@@ -8,7 +8,7 @@ use proptest::prelude::*;
 fn spec_strategy() -> impl Strategy<Value = SimSpec> {
     (
         (1usize..3000, 0.01f64..0.5, 0.1f64..3.0, 0.1f64..5.0, any::<u64>()),
-        (0u8..4, 1e-4f64..0.1, 0.0f64..4.0, 1usize..64),
+        (0u8..3, 1e-4f64..0.1, 0.0f64..4.0, 1usize..64),
         (1e-6f64..0.9, 1e-6f64..0.4, 1usize..5000, prop::bool::ANY),
         (
             prop::option::of((-2.0f64..2.0, -2.0f64..2.0, -2.0f64..2.0)),
@@ -32,7 +32,7 @@ fn spec_strategy() -> impl Strategy<Value = SimSpec> {
                 (gravity, lj_epsilon, trajectory, interval),
                 (open, theta, replicas, eval, deadline),
             )| {
-                // solver 0 = dense, 1..=3 = matrix-free displacement modes.
+                // solver 0 = dense, 1..=2 = matrix-free displacement modes.
                 SimSpec {
                     particles,
                     volume_fraction,
@@ -46,7 +46,6 @@ fn spec_strategy() -> impl Strategy<Value = SimSpec> {
                     },
                     displacement: match solver {
                         0 | 1 => Displacement::BlockKrylov,
-                        2 => Displacement::Chebyshev,
                         _ => Displacement::SplitEwald,
                     },
                     dt,

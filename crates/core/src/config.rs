@@ -230,14 +230,12 @@ impl SimSpec {
                 "displacement" => {
                     spec.displacement = match value.to_ascii_lowercase().as_str() {
                         "block-krylov" | "block" => Displacement::BlockKrylov,
-                        "chebyshev" => Displacement::Chebyshev,
                         "split-ewald" | "pse" => Displacement::SplitEwald,
                         other => {
                             return Err(err(
                                 *line,
                                 format!(
-                                    "unknown displacement `{other}` (block-krylov | \
-                                     chebyshev | split-ewald)"
+                                    "unknown displacement `{other}` (block-krylov | split-ewald)"
                                 ),
                             ))
                         }
@@ -455,7 +453,6 @@ impl SimSpec {
         writeln!(out, "algorithm = {alg}").unwrap();
         let disp = match self.displacement {
             Displacement::BlockKrylov => "block-krylov",
-            Displacement::Chebyshev => "chebyshev",
             Displacement::SplitEwald => "split-ewald",
         };
         writeln!(out, "displacement = {disp}").unwrap();
@@ -587,18 +584,17 @@ mod tests {
         for (text, want) in [
             ("displacement = block-krylov\n", Displacement::BlockKrylov),
             ("displacement = block\n", Displacement::BlockKrylov),
-            ("displacement = chebyshev\n", Displacement::Chebyshev),
             ("displacement = split-ewald\n", Displacement::SplitEwald),
             ("displacement = PSE\n", Displacement::SplitEwald),
         ] {
             assert_eq!(SimSpec::parse(text).unwrap().displacement, want, "{text}");
         }
-        // The ablation-only single-vector mode is gone: a typed error that
-        // lists the three remaining values, never a panic.
-        for gone in ["single-krylov", "single", "qr"] {
+        // The ablation-only single-vector and Chebyshev modes are gone: a
+        // typed error that lists the two remaining values, never a panic.
+        for gone in ["single-krylov", "single", "qr", "chebyshev"] {
             let e = SimSpec::parse(&format!("displacement = {gone}\n")).unwrap_err();
             assert!(e.message.contains("unknown displacement"), "{gone}: {}", e.message);
-            assert!(e.message.contains("(block-krylov | chebyshev | split-ewald)"), "{gone}");
+            assert!(e.message.contains("(block-krylov | split-ewald)"), "{gone}");
         }
         // Dense Cholesky has no displacement solver to select.
         assert!(SimSpec::parse("algorithm = dense\ndisplacement = pse\n")

@@ -41,11 +41,6 @@ impl RepulsiveHarmonic {
     pub fn new(k: f64) -> RepulsiveHarmonic {
         RepulsiveHarmonic { k, skin: 0.3, list: None }
     }
-
-    /// `(rebuilds, reuses)` of the internal neighbor list so far.
-    pub fn neighbor_stats(&self) -> (usize, usize) {
-        self.list.as_ref().map(hibd_cells::VerletList::stats).unwrap_or((0, 0))
-    }
 }
 
 impl Default for RepulsiveHarmonic {

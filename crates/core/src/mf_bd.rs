@@ -9,14 +9,14 @@
 //! The operator backend follows the system's [`Boundary`]: periodic boxes
 //! use the [`PmeOperator`] (Ewald split + particle-mesh reciprocal sum),
 //! open systems use the hierarchical free-space [`TreeOperator`] from
-//! `hibd-treecode`. The `M v`-only displacement modes (block Lanczos,
-//! Chebyshev) work with either backend; `SplitEwald` is wave-space sampling
-//! and therefore periodic-only.
+//! `hibd-treecode`. Block Lanczos needs only `M v` products and works with
+//! either backend; `SplitEwald` is wave-space sampling and therefore
+//! periodic-only.
 
 use crate::ewald_bd::BdError;
 use crate::forces::{total_force, Force};
 use crate::system::{Boundary, ParticleSystem};
-use hibd_krylov::{block_lanczos_sqrt, chebyshev_sqrt, ChebyshevConfig, KrylovConfig};
+use hibd_krylov::{block_lanczos_sqrt, KrylovConfig};
 use hibd_linalg::LinearOperator;
 use hibd_mathx::fill_standard_normal;
 use hibd_pme::{tune, PmeOperator, PmeParams, PmePlans};
@@ -34,10 +34,6 @@ pub enum DisplacementMode {
     /// fewer iterations per vector, multi-RHS real-space SpMM).
     #[default]
     BlockKrylov,
-    /// Fixman's Chebyshev polynomial method (the paper's ref. \[25\]):
-    /// spectral bounds are estimated once per operator refresh, then one
-    /// polynomial evaluation per displacement vector.
-    Chebyshev,
     /// Positively-split Ewald sampling (`hibd-pse`): exact single-inverse
     /// FFT square root in wave space plus block Lanczos on a sparse,
     /// FFT-free near field, at the drift operator's own `(alpha, r_max, K, p)`.
@@ -471,7 +467,7 @@ impl MatrixFreeBd {
         // `ensure_window` retries.
         let scratch = match &mut self.op {
             Some(MobilityOp::Pme(old))
-                if self.cfg.displacement_mode != DisplacementMode::SplitEwald =>
+                if self.cfg.displacement_mode == DisplacementMode::BlockKrylov =>
             {
                 Some(old.take_batch_scratch())
             }
@@ -499,32 +495,32 @@ impl MatrixFreeBd {
         let mut rng = StdRng::seed_from_u64(window_seed(self.seed, self.steps_done));
         let kcfg =
             KrylovConfig { tol: self.cfg.e_k, max_iter: self.cfg.max_krylov, check_interval: 1 };
-        let mut z = Vec::new();
-        if self.cfg.displacement_mode != DisplacementMode::SplitEwald {
-            z.resize(n3 * lambda, 0.0);
-            fill_standard_normal(&mut rng, &mut z);
-        }
         let (mut d, iterations) = match self.cfg.displacement_mode {
             DisplacementMode::BlockKrylov => {
+                let mut z = vec![0.0; n3 * lambda];
+                fill_standard_normal(&mut rng, &mut z);
                 let (d, stats) = block_lanczos_sqrt(&mut op, &z, lambda, &kcfg)
                     .map_err(|e| BdError::Krylov(e.to_string()))?;
                 (d, stats.iterations)
             }
             DisplacementMode::SplitEwald => {
-                match &mut self.pse {
-                    Some(s) => s.rebuild(self.system.positions()).map_err(map_pse)?,
-                    None => {
-                        let MobilityPlans::Pme(plans) = &self.plans else {
-                            unreachable!("SplitEwald is gated to periodic systems")
-                        };
-                        let pse_params = PseSplit::default().resolve(plans.params());
-                        self.pse = Some(
-                            PseSampler::new(self.system.positions(), pse_params)
-                                .map_err(map_pse)?,
-                        );
+                let positions = self.system.positions();
+                let sampler = match (&mut self.pse, &self.plans) {
+                    (Some(sampler), _) => {
+                        sampler.rebuild(positions).map_err(map_pse)?;
+                        sampler
                     }
-                }
-                let sampler = self.pse.as_mut().expect("just built");
+                    (slot @ None, MobilityPlans::Pme(plans)) => {
+                        let pse_params = PseSplit::default().resolve(plans.params());
+                        slot.insert(PseSampler::new(positions, pse_params).map_err(map_pse)?)
+                    }
+                    // `resolve_shape` rejects this pairing at setup.
+                    (None, MobilityPlans::Tree(_)) => {
+                        return Err(BdError::Setup(
+                            "SplitEwald sampling needs a periodic system".into(),
+                        ))
+                    }
+                };
                 // Reuse the displacement block as the sampler output so the
                 // steady-state refresh allocates nothing here.
                 let mut d = std::mem::take(&mut self.disp);
@@ -532,31 +528,6 @@ impl MatrixFreeBd {
                 let stats =
                     sampler.sample_block(&mut rng, &mut d, lambda, &kcfg).map_err(map_pse)?;
                 (d, stats.iterations)
-            }
-            DisplacementMode::Chebyshev => {
-                // Estimate bounds once; reuse for all lambda evaluations.
-                let bounds = hibd_krylov::estimate_spectrum_bounds(&mut op, 15)
-                    .map_err(|e| BdError::Krylov(e.to_string()))?;
-                let ccfg = ChebyshevConfig {
-                    tol: self.cfg.e_k,
-                    bounds: Some(bounds),
-                    ..Default::default()
-                };
-                let mut d = vec![0.0; n3 * lambda];
-                let mut iters = 15; // bound estimation applications
-                let mut zc = vec![0.0; n3];
-                for col in 0..lambda {
-                    for i in 0..n3 {
-                        zc[i] = z[i * lambda + col];
-                    }
-                    let (g, stats) = chebyshev_sqrt(&mut op, &zc, &ccfg)
-                        .map_err(|e| BdError::Krylov(e.to_string()))?;
-                    iters += stats.degree;
-                    for i in 0..n3 {
-                        d[i * lambda + col] = g[i];
-                    }
-                }
-                (d, iters)
             }
         };
         let scale = (2.0 * self.cfg.kbt * self.cfg.dt).sqrt();
@@ -694,35 +665,6 @@ mod tests {
     }
 
     #[test]
-    fn chebyshev_mode_produces_comparable_displacement_scale() {
-        // Same seed => same Gaussian block; the RMS displacement from the
-        // Chebyshev path must match the block-Krylov path closely (both
-        // approximate the same M^{1/2} z at tolerance e_k).
-        let run = |mode| {
-            let sys = small_system(15, 0.1, 9);
-            let cfg = MatrixFreeConfig {
-                lambda_rpy: 4,
-                e_k: 1e-4,
-                displacement_mode: mode,
-                ..Default::default()
-            };
-            let mut bd = MatrixFreeBd::new(sys, cfg, 77).unwrap();
-            bd.run(4).unwrap();
-            bd.system().unwrapped().to_vec()
-        };
-        let a = run(DisplacementMode::BlockKrylov);
-        let b = run(DisplacementMode::Chebyshev);
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for (p, q) in a.iter().zip(&b) {
-            num += (*p - *q).norm2();
-            den += p.norm2().max(q.norm2());
-        }
-        let rel = (num / den.max(1e-300)).sqrt();
-        assert!(rel < 0.05, "trajectory mismatch {rel}");
-    }
-
-    #[test]
     fn split_ewald_mode_produces_comparable_displacement_scale() {
         // SplitEwald consumes a different Gaussian stream (spectral noise +
         // near-field block instead of one dense block), so trajectories
@@ -810,18 +752,6 @@ mod tests {
             for c in 0..3 {
                 assert!(p[c].is_finite());
             }
-        }
-    }
-
-    #[test]
-    fn open_boundary_supports_every_matvec_displacement_mode() {
-        for mode in [DisplacementMode::BlockKrylov, DisplacementMode::Chebyshev] {
-            let sys = small_cluster(12, 0.1, 19);
-            let cfg =
-                MatrixFreeConfig { lambda_rpy: 3, displacement_mode: mode, ..Default::default() };
-            let mut bd = MatrixFreeBd::new(sys, cfg, 7).unwrap();
-            bd.run(3).unwrap();
-            assert_eq!(bd.completed_steps(), 3, "mode {mode:?}");
         }
     }
 

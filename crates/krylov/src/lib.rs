@@ -19,20 +19,8 @@
 //! matrix and the PME operator interchangeably. Convergence is declared when
 //! the relative change between successive iterates drops below the paper's
 //! `e_k` tolerance.
-//!
-//! Two further matrix-free solvers round out the toolbox:
-//!
-//! * [`chebyshev_sqrt`] — Fixman's Chebyshev polynomial method (the paper's
-//!   ref. \[25\]), which needs spectral bounds instead of a Krylov basis;
-//! * [`conjugate_gradient`] — CG for the resistance problem `M f = u`.
 
 #![allow(clippy::needless_range_loop)] // index-heavy numeric kernels
-
-pub mod cg;
-pub mod chebyshev;
-
-pub use cg::{conjugate_gradient, CgConfig};
-pub use chebyshev::{chebyshev_sqrt, estimate_spectrum_bounds, ChebyshevConfig, ChebyshevStats};
 
 use hibd_hot as hibd;
 use hibd_linalg::{sym_sqrt_times_block, thin_qr, DMat, LinearOperator};

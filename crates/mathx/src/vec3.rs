@@ -56,12 +56,6 @@ impl Vec3 {
         }
     }
 
-    /// Component-wise multiplication.
-    #[inline]
-    pub fn mul_elem(self, o: Vec3) -> Vec3 {
-        Vec3::new(self.x * o.x, self.y * o.y, self.z * o.z)
-    }
-
     /// Minimum-image displacement in a cubic periodic box of side `l`:
     /// every component is wrapped into `[-l/2, l/2)`.
     #[inline]
@@ -103,12 +97,6 @@ impl Vec3 {
             self.z * o.y,
             self.z * o.z,
         ]
-    }
-
-    /// View as a fixed-size array `[x, y, z]`.
-    #[inline]
-    pub fn to_array(self) -> [f64; 3] {
-        [self.x, self.y, self.z]
     }
 }
 

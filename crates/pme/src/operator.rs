@@ -223,11 +223,6 @@ impl PmeOperator {
         op
     }
 
-    /// Number of particles.
-    pub fn num_particles(&self) -> usize {
-        self.n
-    }
-
     pub fn params(&self) -> &PmeParams {
         &self.plans.params
     }

@@ -115,15 +115,6 @@ impl SpreadPlan {
         self.serial
     }
 
-    /// Number of independent sets actually used.
-    pub fn num_sets(&self) -> usize {
-        if self.serial {
-            1
-        } else {
-            8
-        }
-    }
-
     /// Blocks per dimension (0 in serial mode).
     pub fn blocks_per_dim(&self) -> usize {
         self.nb

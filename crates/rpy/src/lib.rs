@@ -25,8 +25,6 @@ pub mod dense;
 pub mod ewald;
 pub mod hasimoto;
 pub mod nearfield;
-pub mod polydisperse;
-pub mod stokeslet;
 pub mod tensor;
 
 pub use dense::{dense_ewald_mobility, dense_rpy_free};
@@ -36,6 +34,4 @@ pub use nearfield::{
     real_tensors_with_overlap4, rpy_pairs_accumulate, rpy_pairs_accumulate_multi, COL_TILE,
     PAIR_TILE,
 };
-pub use polydisperse::{dense_rpy_free_poly, rpy_poly_pair_tensor};
-pub use stokeslet::OseenEwald;
 pub use tensor::{rpy_pair_scalars, rpy_pair_tensor, rpy_self_mobility};

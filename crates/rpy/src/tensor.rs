@@ -115,6 +115,29 @@ mod tests {
     }
 
     #[test]
+    fn scalars_are_the_equal_radius_limit_of_the_unequal_sphere_tensor() {
+        // Zuk, Wajnryb, Mizerski & Szymczak (J. Fluid Mech. 741, 2014) give
+        // the RPY tensor for radii `a_i != a_j`. At `a_i = a_j = a`, in units
+        // of `mu0`, their partial-overlap and far branches read as below: an
+        // expression tree independent of `rpy_pair_scalars`, at `a != 1`,
+        // inside both branches and on both sides of contact.
+        let a = 1.3;
+        for r in [0.4, 1.0, 2.0, 2.6 - 1e-9, 2.6 + 1e-9, 4.0, 10.0] {
+            let (r2, r3) = (r * r, r * r * r);
+            let (want_i, want_rr) = if r <= 2.0 * a {
+                let overlap = 32.0 * r3 * a;
+                ((32.0 * a * r3 - 9.0 * r2 * r2) / overlap, 3.0 * r2 * r2 / overlap)
+            } else {
+                let oseen = 6.0 * a / (8.0 * r);
+                (oseen * (1.0 + 2.0 * a * a / (3.0 * r2)), oseen * (1.0 - 2.0 * a * a / r2))
+            };
+            let (fi, frr) = rpy_pair_scalars(r, a);
+            assert!((fi - want_i).abs() < 1e-13, "r={r}: {fi} vs {want_i}");
+            assert!((frr - want_rr).abs() < 1e-13, "r={r}: {frr} vs {want_rr}");
+        }
+    }
+
+    #[test]
     fn overlap_limit_reaches_self_mobility() {
         // As r -> 0 the regularized tensor approaches mu0 I.
         let (fi, frr) = rpy_pair_scalars(1e-12, A);

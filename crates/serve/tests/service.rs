@@ -203,6 +203,8 @@ fn cancellation_and_bad_jobs_leave_the_daemon_serving() {
     spool_job(&root, "ok", &ok);
     spool_job(&root, "slow", &slow);
     std::fs::write(root.join("spool").join("bad.conf"), "particles = what\n").unwrap();
+    // A value the parser no longer knows is one more bad job, not a panic.
+    std::fs::write(root.join("spool").join("retired.conf"), "displacement = chebyshev\n").unwrap();
 
     let spec = serve_spec(&root);
     let status_path = spec.status_path();
@@ -216,16 +218,17 @@ fn cancellation_and_bad_jobs_leave_the_daemon_serving() {
             json::parse(&doc).ok()
         })
     };
-    // The bad job fails fast; ok completes; slow keeps running through both.
+    // The bad jobs fail fast; ok completes; slow keeps running through all.
     wait_for(
         || {
             read_status().is_some_and(|s| {
                 job_state(&s, "bad").as_deref() == Some("failed")
+                    && job_state(&s, "retired").as_deref() == Some("failed")
                     && job_state(&s, "ok").as_deref() == Some("done")
                     && job_state(&s, "slow").as_deref() == Some("running")
             })
         },
-        "bad failed, ok done, slow running",
+        "bad and retired failed, ok done, slow running",
     );
     // Cooperative cancellation through the spool sentinel.
     std::fs::write(root.join("spool").join("slow.cancel"), "").unwrap();
@@ -235,11 +238,16 @@ fn cancellation_and_bad_jobs_leave_the_daemon_serving() {
     );
     shutdown::request();
     let report = handle.join().unwrap();
-    assert_eq!((report.done, report.failed, report.cancelled), (1, 1, 1));
+    assert_eq!((report.done, report.failed, report.cancelled), (1, 2, 1));
 
     let meta = JobMeta::load(&root.join("out").join("bad")).unwrap().unwrap();
     assert_eq!(meta.state, JobState::Failed);
     assert!(meta.error.unwrap().contains("cannot parse"), "parse error should be recorded");
+    let meta = JobMeta::load(&root.join("out").join("retired")).unwrap().unwrap();
+    assert_eq!(meta.state, JobState::Failed);
+    let error = meta.error.unwrap();
+    assert!(error.contains("unknown displacement `chebyshev`"), "{error}");
+    assert!(error.contains("(block-krylov | split-ewald)"), "{error}");
     let meta = JobMeta::load(&root.join("out").join("slow")).unwrap().unwrap();
     assert_eq!(meta.state, JobState::Cancelled);
     std::fs::remove_dir_all(&root).ok();

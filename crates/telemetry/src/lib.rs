@@ -56,7 +56,7 @@ pub enum Phase {
     RealSpace = 5,
     /// Matrix-free operator construction (tuning, spreading plan, BCSR).
     PmeSetup = 6,
-    /// Brownian displacement sampling (Krylov / Chebyshev / PSE).
+    /// Brownian displacement sampling (block Lanczos / split-Ewald).
     Displacements = 7,
     /// Force evaluation + drift + position update.
     Stepping = 8,

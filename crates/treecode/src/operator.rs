@@ -414,16 +414,6 @@ impl TreeOperator {
         &self.plans
     }
 
-    /// Number of tree nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.tree.nodes.len()
-    }
-
-    /// Number of leaves.
-    pub fn num_leaves(&self) -> usize {
-        self.tree.leaves.len()
-    }
-
     /// Deepest tree level (`0` for a single-leaf or empty tree).
     pub fn max_depth(&self) -> u32 {
         self.tree.max_depth()
