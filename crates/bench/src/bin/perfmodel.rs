@@ -1,22 +1,23 @@
-//! Section IV-D performance model: calibrate, then predict a held-out run.
+//! Section IV-D performance model: fit a machine, then predict a held-out
+//! run.
 //!
-//! Phase 1 calibrates the four model constants (bandwidth, forward/inverse
-//! FFT rates, real-space rate) from telemetry spans of bare block PME
-//! applies at two small shapes. Phase 2 runs a matrix-free BD window at a
-//! *different* shape and prints the measured-vs-predicted table for all six
-//! model phases plus the reciprocal-space total — a genuine out-of-sample
-//! test of the paper's cost model on this host.
+//! Phase 1 fits the host's `Machine` (`hibd_pme::perf::Fit`) from telemetry
+//! spans of bare block PME applies at two small shapes. Phase 2 runs a
+//! matrix-free BD window at a *different* shape and prints
+//! `PerfModel::report` — a genuine out-of-sample test of the paper's cost
+//! model on this host. Nothing is fitted to the real-space row: it is the
+//! fitted bandwidth on `real_space_blocks`.
 
 use hibd_bench::{flush_stdout, suspension, telemetry_window, Opts};
 use hibd_core::forces::RepulsiveHarmonic;
 use hibd_core::mf_bd::{MatrixFreeBd, MatrixFreeConfig};
 use hibd_linalg::LinearOperator;
+use hibd_pme::perf::{real_space_blocks, Fit, Machine, PerfModel};
 use hibd_pme::PmeOperator;
-use hibd_telemetry::{CalibrationSample, PerfModel};
 
-/// One calibration shape: `reps` block applies of `s` columns on an
-/// `n`-particle suspension.
-fn calibration_sample(n: usize, s: usize, reps: usize, seed: u64) -> CalibrationSample {
+/// Pool one calibration shape into `fit`: `reps` block applies of `s`
+/// columns on an `n`-particle suspension.
+fn calibrate_on(fit: Fit, n: usize, s: usize, reps: usize, seed: u64) -> Fit {
     let sys = suspension(n, 0.2, seed);
     let params = hibd_pme::tune(n, 0.2, 1.0, 1.0, 1e-3).params;
     let mut op = PmeOperator::new(sys.positions(), params).expect("operator");
@@ -31,14 +32,13 @@ fn calibration_sample(n: usize, s: usize, reps: usize, seed: u64) -> Calibration
             op.apply_multi(&x, &mut y, s);
         }
     });
-    CalibrationSample::from_snapshot(
-        n,
-        params.mesh_dim,
-        params.spline_order,
-        (reps * s) as f64,
-        1,
-        &snap,
-    )
+    let cols = (reps * s) as f64;
+    println!(
+        "# calibration shape: n = {n}, K = {}, p = {}, {cols} columns",
+        params.mesh_dim, params.spline_order
+    );
+    flush_stdout();
+    fit.spans(params.mesh_dim, params.spline_order, n, cols, &snap)
 }
 
 fn main() {
@@ -46,21 +46,15 @@ fn main() {
     let (cal_shapes, bd_n, bd_steps): (&[(usize, usize, usize)], usize, usize) = if opts.full {
         (&[(2000, 16, 4), (8000, 8, 2)], 20_000, 16)
     } else {
-        (&[(300, 8, 3), (1000, 4, 2)], 2000, 8)
+        (&[(300, 8, 24), (1000, 4, 12)], 2000, 8)
     };
 
-    println!("# Section IV-D model: calibrate on block applies, predict an mf-BD run");
-    let mut samples = Vec::new();
+    println!("# Section IV-D model: fit a machine on block applies, predict an mf-BD run");
+    let mut fit = Fit::new(Machine::reference());
     for &(n, s, reps) in cal_shapes {
-        let sample = calibration_sample(n, s, reps, opts.seed);
-        println!(
-            "# calibration shape: n = {n}, K = {}, p = {}, {} columns",
-            sample.k, sample.p, sample.cols
-        );
-        samples.push(sample);
-        flush_stdout();
+        fit = calibrate_on(fit, n, s, reps, opts.seed);
     }
-    let model = PerfModel::calibrate(&samples);
+    let host = fit.machine();
 
     // Held-out measurement: a matrix-free BD window at a different shape.
     let sys = suspension(bd_n, 0.2, opts.seed);
@@ -70,14 +64,15 @@ fn main() {
     let p = bd.shape().pme.expect("periodic run has PME params");
     let cols = snap.columns_applied();
     println!(
-        "# measured run: n = {bd_n}, K = {}, p = {}, {bd_steps} steps, {cols} columns",
-        p.mesh_dim, p.spline_order
+        "# measured run: n = {bd_n}, K = {}, p = {}, r_max = {:.2}, {bd_steps} steps, {cols} columns",
+        p.mesh_dim, p.spline_order, p.r_max
     );
     println!();
-    let report = model.report(bd_n, p.mesh_dim, p.spline_order, cols, 1, &snap);
+    let blocks = real_space_blocks(bd_n, p.box_l, p.r_max);
+    let report = PerfModel::new(host, p.mesh_dim, p.spline_order, bd_n).report(blocks, cols, &snap);
     print!("{}", report.to_text());
     println!();
-    println!("# ratio = measured / predicted; the FFT and real-space rows test");
-    println!("# shape transfer (constants fitted at other n, K), the bandwidth");
-    println!("# rows additionally test the single-bandwidth assumption.");
+    println!("# ratio = measured / predicted. The FFT rows test shape transfer");
+    println!("# (asymptotes fitted at other K, moved along the saturation curve);");
+    println!("# the bandwidth rows and real_space, the single-bandwidth assumption.");
 }

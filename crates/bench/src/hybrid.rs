@@ -66,19 +66,13 @@ pub struct HybridModel {
     pub link: Interconnect,
     /// Expected stored real-space blocks (from `r_max` and density).
     pub real_blocks: f64,
-    /// Telemetry-calibrated CPU phase costs. When set, the CPU side of the
-    /// split (reciprocal per-column cost and real-space block cost) comes
-    /// from constants fitted to *measured* spans instead of the a-priori
-    /// Table I machine description, so the partition fraction is derived
-    /// from calibrated phase costs. Accelerators stay modeled (no hardware
-    /// to measure on this host). Conventions: calibrate with `threads = 1`
-    /// (the constants then absorb the host's actual parallel efficiency).
-    pub calibrated_cpu: Option<hibd_telemetry::PerfModel>,
 }
 
 impl HybridModel {
     /// Build the model from PME parameters; the real-space block count is
-    /// the uniform-density estimate [`real_space_blocks`].
+    /// the uniform-density estimate [`real_space_blocks`]. `cpu` is any
+    /// [`Machine`] — a Table I description, or this host's fitted from
+    /// measured spans (`hibd_pme::perf::Fit`); accelerators stay modeled.
     pub fn new(params: PmeParams, n: usize, cpu: Machine, accels: Vec<Machine>) -> HybridModel {
         HybridModel {
             params,
@@ -87,15 +81,7 @@ impl HybridModel {
             accels: accels.into_iter().map(|m| Device { machine: m, offload: true }).collect(),
             link: Interconnect::default(),
             real_blocks: real_space_blocks(n, params.box_l, params.r_max),
-            calibrated_cpu: None,
         }
-    }
-
-    /// Install telemetry-calibrated CPU costs (see
-    /// [`HybridModel::calibrated_cpu`]). Returns `self` for chaining.
-    pub fn with_calibrated_cpu(mut self, model: hibd_telemetry::PerfModel) -> HybridModel {
-        self.calibrated_cpu = Some(model);
-        self
     }
 
     /// Modeled real-space SpMV time on the CPU ([`PerfModel::t_real`]).
@@ -106,12 +92,6 @@ impl HybridModel {
     /// Modeled multi-RHS real-space SpMM for `s` columns: the matrix
     /// streams **once** regardless of `s`; only the vector traffic scales.
     pub fn t_real_block(&self, s: usize) -> f64 {
-        if let Some(cal) = &self.calibrated_cpu {
-            let p = cal.predict(self.n, self.params.mesh_dim, self.params.spline_order, s, 1);
-            if p.real_space > 0.0 {
-                return p.real_space;
-            }
-        }
         self.model_on(&self.cpu).t_real(self.real_blocks, s)
     }
 
@@ -119,20 +99,9 @@ impl HybridModel {
         PerfModel::new(dev.machine, self.params.mesh_dim, self.params.spline_order, self.n)
     }
 
-    /// Modeled reciprocal time on a device. The CPU uses calibrated phase
-    /// costs when available ([`HybridModel::with_calibrated_cpu`]);
-    /// accelerators always use their machine description plus the offload
-    /// round-trip.
+    /// Modeled reciprocal time on a device: its machine description, plus
+    /// the offload round-trip for an accelerator.
     pub fn t_recip_on(&self, dev: &Device) -> f64 {
-        if !dev.offload {
-            if let Some(cal) = &self.calibrated_cpu {
-                let p = cal.predict(self.n, self.params.mesh_dim, self.params.spline_order, 1, 1);
-                let t = p.recip_total();
-                if t > 0.0 {
-                    return t;
-                }
-            }
-        }
         let transfer = if dev.offload { self.link.roundtrip(self.n) } else { 0.0 };
         self.model_on(dev).t_recip() + transfer
     }
@@ -365,33 +334,21 @@ mod tests {
     }
 
     #[test]
-    fn calibrated_cpu_steers_the_partition() {
+    fn a_faster_cpu_machine_steers_the_partition() {
         let m = model(50_000);
         let s = 16;
         let (base_cols, _) = m.partition_block(s);
-        // A calibrated CPU far faster than its Table I description pulls
-        // columns off the accelerators and onto the host.
-        let fast = hibd_telemetry::PerfModel {
-            bandwidth: 1e13,
-            fft_rate: 1e14,
-            ifft_rate: 1e14,
-            real_rate: 1e12,
-        };
-        let cal = m.clone().with_calibrated_cpu(fast);
+        // A host far faster than its Table I description (as a fit from
+        // measured spans would report it) pulls columns off the
+        // accelerators and onto the CPU.
+        let fast = Machine { bandwidth: 1e13, fft_flops: 1e14, ifft_flops: 1e14, ..m.cpu.machine };
+        let cal = HybridModel::new(m.params, m.n, fast, vec![Machine::knc(), Machine::knc()]);
         assert!(cal.t_recip_on(&cal.cpu) < m.t_recip_on(&m.cpu));
         let (cal_cols, _) = cal.partition_block(s);
         assert_eq!(cal_cols.iter().sum::<usize>(), s);
         assert!(cal_cols[2] > base_cols[2], "{base_cols:?} vs {cal_cols:?}");
-        // Accelerator predictions are untouched by CPU calibration.
+        // Accelerator predictions do not depend on the CPU's machine.
         assert_eq!(cal.t_recip_on(&cal.accels[0]), m.t_recip_on(&m.accels[0]));
-    }
-
-    #[test]
-    fn zeroed_calibration_falls_back_to_machine_model() {
-        let m = model(20_000);
-        let cal = m.clone().with_calibrated_cpu(hibd_telemetry::PerfModel::default());
-        assert_eq!(cal.t_recip_on(&cal.cpu), m.t_recip_on(&m.cpu));
-        assert_eq!(cal.t_real_block(8), m.t_real_block(8));
     }
 
     #[test]

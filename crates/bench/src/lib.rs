@@ -22,7 +22,7 @@ use hibd_core::mf_bd::MatrixFreeBd;
 use hibd_core::system::ParticleSystem;
 use hibd_linalg::{DenseOp, LinearOperator};
 use hibd_mathx::Vec3;
-use hibd_pme::perf::Machine;
+use hibd_pme::perf::{Fit, Machine};
 use hibd_pme::tuner::reference_operator;
 use hibd_pme::PmeParams;
 use hibd_rpy::{dense_ewald_mobility, RpyEwald};
@@ -179,55 +179,57 @@ pub fn time_mean(reps: usize, mut f: impl FnMut()) -> f64 {
     t0.elapsed().as_secs_f64() / reps as f64
 }
 
-/// Calibrate a [`Machine`] description for *this* host: STREAM-like triad
-/// bandwidth and an achieved FFT rate, so the Section IV-D model can be
-/// compared against measurements on the machine actually running.
+/// A [`Machine`] for *this* host, fitted ([`Fit`]) from a STREAM-like triad
+/// and one r2c + one c2r transform at K = 64, so the Section IV-D model can
+/// be compared against measurements on the machine actually running. Prints
+/// the raw timings as a `#` line: the fitted machine's `t_fft` / `t_ifft` at
+/// K = 64 are three times those transforms, by construction.
 pub fn calibrate_host() -> Machine {
-    // Bandwidth: out-of-cache triad a[i] = b[i] + s*c[i].
-    let n = 8 << 20; // 8 Mi doubles per array, 192 MiB total traffic per pass
+    // Out-of-cache triad a[i] = b[i] + s*c[i]: 8 Mi doubles per array, 192
+    // MiB of traffic per pass.
+    let n = 8 << 20;
     let b = vec![1.0f64; n];
     let c = vec![2.0f64; n];
     let mut a = vec![0.0f64; n];
-    let t = time_mean(3, || {
+    let t_triad = time_mean(3, || {
         for ((x, y), z) in a.iter_mut().zip(&b).zip(&c) {
             *x = y + 0.5 * z;
         }
         std::hint::black_box(&a);
     });
-    let bandwidth = (3 * n * 8) as f64 / t;
 
-    // FFT rate: one 3D r2c transform at K = 64.
     let k = 64;
     let fft = hibd_fft::Fft3::new([k, k, k]).expect("smooth size");
     let real = vec![0.1f64; k * k * k];
     let mut spec = vec![hibd_fft::Complex64::ZERO; fft.spectrum_len()];
-    let t_fft = time_mean(3, || {
+    let t_fft = time_mean(10, || {
         fft.forward(&real, &mut spec);
         std::hint::black_box(&spec);
     });
-    let k3 = (k * k * k) as f64;
-    let flops = 2.5 * k3 * k3.log2() / 2.0; // r2c at half the c2c flops
-    let fft_flops = flops / t_fft;
-
     let mut inv_spec = spec.clone();
     let mut out = vec![0.0f64; k * k * k];
-    let t_ifft = time_mean(3, || {
+    let t_ifft = time_mean(10, || {
         inv_spec.copy_from_slice(&spec);
         fft.inverse(&mut inv_spec, &mut out);
         std::hint::black_box(&out);
     });
-    let ifft_flops = flops / t_ifft;
 
-    Machine {
-        name: "this host (calibrated)",
-        bandwidth,
-        fft_flops,
-        ifft_flops,
-        peak_flops: 0.0,
-        // Not measured here: the saturation scale and assembly rate stay
-        // as pinned for the reference host.
-        ..Machine::reference()
-    }
+    // The saturation scale and assembly rate are not measured here: they
+    // stay as pinned for the reference host.
+    let fit = Fit::new(Machine::reference())
+        .stream((3 * n * 8) as f64, t_triad)
+        .transforms(k, 1.0, t_fft, t_ifft);
+    let host = Machine { name: "this host (calibrated)", peak_flops: 0.0, ..fit.machine() };
+    println!(
+        "# host calibration: triad {:.1} GB/s; K = {k} r2c {}, c2r {} -> asymptotes fft {:.2} GF/s, \
+         ifft {:.2} GF/s",
+        host.bandwidth / 1e9,
+        fmt_secs(t_fft),
+        fmt_secs(t_ifft),
+        host.fft_flops / 1e9,
+        host.ifft_flops / 1e9
+    );
+    host
 }
 
 /// Flush stdout (harness rows must survive a timeout kill).

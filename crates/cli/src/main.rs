@@ -12,7 +12,7 @@
 //! ```
 //!
 //! `--profile PATH` enables telemetry recording for the run and writes a
-//! `hibd-profile-v1` JSON document (phase spans, workload counters, and the
+//! `hibd-profile-v2` JSON document (phase spans, workload counters, and the
 //! calibrated measured-vs-predicted performance report) to PATH.
 //!
 //! `run`, `ensemble`, and `serve` install a SIGINT/SIGTERM handler: Ctrl-C

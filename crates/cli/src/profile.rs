@@ -1,19 +1,22 @@
-//! `--profile <path.json>` output: the run's telemetry snapshot, the
-//! calibrated Section IV-D performance model, and a measured-vs-predicted
-//! report, serialized as a single self-describing JSON document.
+//! `--profile <path.json>` output: the run's telemetry snapshot and the
+//! Section IV-D model's measured-vs-predicted report, serialized as a single
+//! self-describing JSON document.
 //!
-//! Schema (`"schema": "hibd-profile-v1"`):
+//! Schema (`"schema": "hibd-profile-v2"`; v1's `report.model` carried a
+//! self-fitted `real_cols_n_per_s` instead of `fft_sat_k3`):
 //!
 //! ```text
 //! {
-//!   "schema":   "hibd-profile-v1",
+//!   "schema":   "hibd-profile-v2",
 //!   "run":      { steps, seconds, seconds_per_step, krylov_iterations },
-//!   "shape":    { n, mesh_dim, spline_order, lambda } | null,
+//!   "shape":    { n, mesh_dim, spline_order, lambda, box_l, r_max } | null,
 //!   "phases":   { <phase>: { count, total_s, min_ns, max_ns, mean_ns,
 //!                            hist: [u64; 32] }, ... },
 //!   "counters": { <counter>: u64, ... },
 //!   "jobs":     { <label>: { phases: {...}, counters: {...} }, ... },
-//!   "report":   { model: {...}, rows: [...] } | null
+//!   "report":   { model: { bandwidth_bytes_per_s, fft_flops_per_s,
+//!                          ifft_flops_per_s, fft_sat_k3 },
+//!                 rows: [ { phase, measured_s, predicted_s } x 7 ] } | null
 //! }
 //! ```
 //!
@@ -23,19 +26,21 @@
 //! plan-cache hit/miss counters.
 //!
 //! Only phases with at least one recorded span are emitted. The `report`
-//! object (format of [`telemetry::Report::to_json`]) is present only for
-//! matrix-free runs, where the PME shape is known; its model is calibrated
-//! from this run's own spans, so the three pooled bandwidth phases
-//! (spreading / influence / interpolation) are genuinely falsifiable while
-//! the single-constant FFT and real-space rows fit exactly by construction.
+//! object ([`hibd_pme::perf::Report::to_json`]) is present only for periodic
+//! matrix-free runs, where the PME shape is known. Its machine is
+//! `Machine::reference()` with bandwidth and FFT asymptotes re-fitted from
+//! this run's own spans ([`hibd_pme::perf::Fit`]), so the two FFT rows fit
+//! by construction while the three pooled bandwidth rows and the real-space
+//! row (the same bandwidth on `real_space_blocks`) are falsifiable.
 
 use crate::runner::RunReport;
-use hibd_telemetry::json::{expect_num, expect_obj, expect_schema};
-use hibd_telemetry::{self as telemetry, CalibrationSample, PerfModel, Snapshot};
+use hibd_pme::perf::{real_space_blocks, Fit, Machine, PerfModel};
+use hibd_telemetry::json::{expect_num, expect_obj, expect_schema, Value};
+use hibd_telemetry::{self as telemetry, Snapshot};
 use std::path::Path;
 
 /// The schema tag emitted in (and required of) every profile document.
-pub const SCHEMA: &str = "hibd-profile-v1";
+pub const SCHEMA: &str = "hibd-profile-v2";
 
 /// Render the profile document for a finished run: the [`SCHEMA`]
 /// document over the merged (process-global) snapshot, with the report's
@@ -54,8 +59,9 @@ pub fn render_profile(report: &RunReport, snap: &Snapshot) -> String {
     out.push_str(",\"shape\":");
     match &report.pme {
         Some(s) => out.push_str(&format!(
-            "{{\"n\":{},\"mesh_dim\":{},\"spline_order\":{},\"lambda\":{}}}",
-            s.n, s.mesh_dim, s.spline_order, s.lambda
+            "{{\"n\":{},\"mesh_dim\":{},\"spline_order\":{},\"lambda\":{},\
+             \"box_l\":{:e},\"r_max\":{:e}}}",
+            s.n, s.mesh_dim, s.spline_order, s.lambda, s.box_l, s.r_max
         )),
         None => out.push_str("null"),
     }
@@ -86,10 +92,10 @@ pub fn render_profile(report: &RunReport, snap: &Snapshot) -> String {
     match &report.pme {
         Some(s) => {
             let cols = snap.columns_applied();
-            let sample =
-                CalibrationSample::from_snapshot(s.n, s.mesh_dim, s.spline_order, cols, 1, snap);
-            let model = PerfModel::calibrate(&[sample]);
-            let rep = model.report(s.n, s.mesh_dim, s.spline_order, cols, 1, snap);
+            let (k, p) = (s.mesh_dim, s.spline_order);
+            let fitted = Fit::new(Machine::reference()).spans(k, p, s.n, cols, snap).machine();
+            let blocks = real_space_blocks(s.n, s.box_l, s.r_max);
+            let rep = PerfModel::new(fitted, k, p, s.n).report(blocks, cols, snap);
             out.push_str(&rep.to_json());
         }
         None => out.push_str("null"),
@@ -104,8 +110,10 @@ pub fn write_profile(path: &Path, report: &RunReport, snap: &Snapshot) -> std::i
 }
 
 /// Validate a profile document: it must parse as JSON, carry the
-/// [`SCHEMA`] tag, and contain the `run`/`phases`/`counters` sections.
-/// Returns a description of the first problem found.
+/// [`SCHEMA`] tag, contain the `run`/`phases`/`counters` sections, and its
+/// `report` (when not `null`) must be the seven-row table of
+/// [`hibd_pme::perf::Report`]. Returns a description of the first problem
+/// found.
 pub fn validate_profile(text: &str) -> Result<(), String> {
     let v = telemetry::json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
     expect_schema(&v, SCHEMA)?;
@@ -116,7 +124,7 @@ pub fn validate_profile(text: &str) -> Result<(), String> {
         expect_num(run, key, "run")?;
     }
     if v.get("jobs").is_some() {
-        let telemetry::json::Value::Obj(map) = expect_obj(&v, "jobs", "document")? else {
+        let Value::Obj(map) = expect_obj(&v, "jobs", "document")? else {
             unreachable!("expect_obj returned a non-object")
         };
         for (label, job) in map {
@@ -124,11 +132,38 @@ pub fn validate_profile(text: &str) -> Result<(), String> {
             expect_obj(job, "counters", &format!("jobs.{label}"))?;
         }
     }
-    if let Some(rep) = v.get("report") {
-        if rep.get("rows").is_some()
-            && rep.get("rows").and_then(telemetry::json::Value::as_array).is_none()
-        {
-            return Err("report.rows is not an array".into());
+    match v.get("report") {
+        None | Some(Value::Null) => Ok(()),
+        Some(rep) => validate_report(rep),
+    }
+}
+
+/// The `report` section: a `model` object carrying the four machine
+/// constants (finite, positive), and the six model phases plus
+/// `recip_total`, in order, each with finite non-negative measured and
+/// predicted seconds.
+fn validate_report(rep: &Value) -> Result<(), String> {
+    let model = expect_obj(rep, "model", "report")?;
+    for key in ["bandwidth_bytes_per_s", "fft_flops_per_s", "ifft_flops_per_s", "fft_sat_k3"] {
+        let x = expect_num(model, key, "report.model")?;
+        if !(x.is_finite() && x > 0.0) {
+            return Err(format!("report.model.{key} = {x} is not finite and > 0"));
+        }
+    }
+    let rows = rep.get("rows").and_then(Value::as_array).ok_or("report.rows is not an array")?;
+    if rows.len() != 7 {
+        return Err(format!("report.rows has {} rows, expected 7", rows.len()));
+    }
+    let names = telemetry::MODEL_PHASES.iter().map(|ph| ph.name()).chain(["recip_total"]);
+    for (row, name) in rows.iter().zip(names) {
+        if row.get("phase").and_then(Value::as_str) != Some(name) {
+            return Err(format!("report.rows: expected a \"{name}\" row"));
+        }
+        for key in ["measured_s", "predicted_s"] {
+            let x = expect_num(row, key, &format!("report.rows.{name}"))?;
+            if !(x.is_finite() && x >= 0.0) {
+                return Err(format!("report.rows.{name}.{key} = {x} is not finite and >= 0"));
+            }
         }
     }
     Ok(())
@@ -158,8 +193,8 @@ mod tests {
         let text = render_profile(&fake_report(None), &Snapshot::empty());
         validate_profile(&text).unwrap();
         let v = telemetry::json::parse(&text).unwrap();
-        assert!(matches!(v.get("shape"), Some(telemetry::json::Value::Null)));
-        assert!(matches!(v.get("report"), Some(telemetry::json::Value::Null)));
+        assert!(matches!(v.get("shape"), Some(Value::Null)));
+        assert!(matches!(v.get("report"), Some(Value::Null)));
     }
 
     #[test]
@@ -170,16 +205,20 @@ mod tests {
             snap.phases[ph as usize].record(1_000_000);
         }
         snap.counters[Counter::ForwardFfts as usize] = 3 * 12;
-        let shape = PmeShape { n: 50, mesh_dim: 16, spline_order: 4, lambda: 4 };
+        let shape =
+            PmeShape { n: 50, mesh_dim: 16, spline_order: 4, lambda: 4, box_l: 10.0, r_max: 4.0 };
         let text = render_profile(&fake_report(Some(shape)), &snap);
         validate_profile(&text).unwrap();
         let v = telemetry::json::parse(&text).unwrap();
-        let rows = v
-            .get("report")
-            .and_then(|r| r.get("rows"))
-            .and_then(telemetry::json::Value::as_array)
-            .unwrap();
+        let rows = v.get("report").and_then(|r| r.get("rows")).and_then(Value::as_array).unwrap();
         assert_eq!(rows.len(), 7);
+        // Fitted from these very spans, the FFT rows read ratio 1; every
+        // other row (real space: 12 columns, one apply) is priced.
+        for (i, row) in rows.iter().enumerate() {
+            let predicted = row.get("predicted_s").and_then(Value::as_f64).unwrap();
+            assert!(predicted > 0.0);
+            assert!((i != 1 && i != 3) || (predicted - 1e-3).abs() < 1e-12, "{row:?}");
+        }
     }
 
     #[test]
@@ -205,7 +244,7 @@ mod tests {
         assert!(
             (r0.get("counters")
                 .and_then(|c| c.get("lanczos_iterations"))
-                .and_then(telemetry::json::Value::as_f64)
+                .and_then(Value::as_f64)
                 .unwrap()
                 - 5.0)
                 .abs()
@@ -214,7 +253,7 @@ mod tests {
         assert!(jobs.get("shared").is_some());
         // A malformed jobs section is rejected.
         assert!(validate_profile(
-            "{\"schema\":\"hibd-profile-v1\",\"run\":{\"steps\":1,\"seconds\":1,\
+            "{\"schema\":\"hibd-profile-v2\",\"run\":{\"steps\":1,\"seconds\":1,\
              \"seconds_per_step\":1,\"krylov_iterations\":0},\"phases\":{},\
              \"counters\":{},\"jobs\":[]}"
         )
@@ -226,5 +265,6 @@ mod tests {
         assert!(validate_profile("not json").is_err());
         assert!(validate_profile("{\"schema\":\"other\"}").is_err());
         assert!(validate_profile("{\"schema\":\"hibd-profile-v1\"}").is_err());
+        assert!(validate_profile("{\"schema\":\"hibd-profile-v2\"}").is_err());
     }
 }

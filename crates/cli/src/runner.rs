@@ -35,6 +35,10 @@ pub struct PmeShape {
     pub spline_order: usize,
     /// Mobility reuse interval (block width of the Krylov solves).
     pub lambda: usize,
+    /// Box side and real-space cutoff: with `n`, what
+    /// `hibd_pme::perf::real_space_blocks` prices the real-space row on.
+    pub box_l: f64,
+    pub r_max: f64,
 }
 
 /// Summary of a completed run of `replicas` replicas.
@@ -142,19 +146,26 @@ fn log_shape(bd: &MatrixFreeBd, lambda: usize, log: &mut impl FnMut(&str)) -> Op
             mesh_dim: p.mesh_dim,
             spline_order: p.spline_order,
             lambda,
+            box_l: p.box_l,
+            r_max: p.r_max,
         }
     })
 }
 
 /// Per-replica output path: plain at `R = 1`, otherwise `.r{N}` spliced
-/// before the extension (`out.xyz` -> `out.r2.xyz`).
+/// before the extension of the *file name* (`out.xyz` -> `out.r2.xyz`; a
+/// dot in a directory name is not an extension).
 fn replica_path(base: &str, r: usize, replicas: usize) -> String {
     if replicas == 1 {
         return base.to_string();
     }
-    match base.rsplit_once('.') {
-        Some((stem, ext)) => format!("{stem}.r{r}.{ext}"),
-        None => format!("{base}.r{r}"),
+    let path = Path::new(base);
+    match (path.file_stem(), path.extension()) {
+        (Some(stem), Some(ext)) => {
+            let name = format!("{}.r{r}.{}", stem.to_string_lossy(), ext.to_string_lossy());
+            path.with_file_name(name).to_string_lossy().into_owned()
+        }
+        _ => format!("{base}.r{r}"),
     }
 }
 
@@ -394,6 +405,8 @@ mod tests {
         assert_eq!(replica_path("out.xyz", 2, 4), "out.r2.xyz");
         assert_eq!(replica_path("state", 0, 2), "state.r0");
         assert_eq!(replica_path("a/b.tar.gz", 1, 2), "a/b.tar.r1.gz");
+        assert_eq!(replica_path("out.d/state", 0, 2), "out.d/state.r0");
+        assert_eq!(replica_path("out.d/traj.xyz", 1, 2), "out.d/traj.r1.xyz");
         assert_eq!(replica_path("out.xyz", 0, 1), "out.xyz");
     }
 

@@ -1,6 +1,8 @@
 //! Satellite: checkpoint save -> load -> resume must reproduce the
 //! uninterrupted run exactly (byte-identical checkpoint files), for both
-//! the block Krylov and split-Ewald displacement samplers.
+//! the block Krylov and split-Ewald displacement samplers and for an open
+//! cluster on tuned treecode parameters (the resume re-resolves them on the
+//! restored positions; both tuners are pure functions of the shape).
 //!
 //! Works because the driver's per-window RNG stream is derived from the
 //! completed-step counter: a resume at a `lambda_rpy` boundary (checkpoint
@@ -10,6 +12,7 @@
 use hibd_cli::checkpoint::Checkpoint;
 use hibd_cli::config::{Displacement, SimSpec};
 use hibd_cli::runner::run_simulation;
+use hibd_core::system::Boundary;
 use std::path::Path;
 
 fn quiet() -> impl FnMut(&str) {
@@ -20,7 +23,11 @@ fn quiet() -> impl FnMut(&str) {
 fn resumed_run_matches_uninterrupted_checkpoint() {
     let dir = std::env::temp_dir().join("hibd_ckpt_roundtrip_test");
     std::fs::create_dir_all(&dir).unwrap();
-    for (mode, tag) in [(Displacement::BlockKrylov, "block"), (Displacement::SplitEwald, "pse")] {
+    for (mode, boundary, tag) in [
+        (Displacement::BlockKrylov, Boundary::Periodic, "block"),
+        (Displacement::SplitEwald, Boundary::Periodic, "pse"),
+        (Displacement::BlockKrylov, Boundary::Open, "open"),
+    ] {
         let ck_full = dir.join(format!("{tag}_full.hibd"));
         let ck_split = dir.join(format!("{tag}_split.hibd"));
         let base = SimSpec {
@@ -28,6 +35,7 @@ fn resumed_run_matches_uninterrupted_checkpoint() {
             lambda_rpy: 2,
             seed: 4242,
             displacement: mode,
+            boundary,
             checkpoint_interval: 2,
             report_interval: 0,
             ..Default::default()

@@ -1,6 +1,7 @@
 //! End-to-end `--profile` schema check: run a small matrix-free simulation
 //! with telemetry recording enabled, render the profile document, and
-//! validate it the same way `xtask validate-profile` does.
+//! validate it the same way `xtask validate-profile` does — and the
+//! validator's own negative cases for the `report` section.
 
 use hibd_cli::config::SimSpec;
 use hibd_cli::profile::{render_profile, validate_profile, SCHEMA};
@@ -56,4 +57,64 @@ fn profile_of_a_quick_matrix_free_run_validates() {
     assert_eq!(snap.counter(telemetry::Counter::ForwardFfts) % 3, 0);
     assert!(snap.counter(telemetry::Counter::LanczosIterations) >= 1);
     assert!(snap.counter(telemetry::Counter::PmeScratchBytes) > 0);
+}
+
+/// `validate_profile` checks the report it is handed, not only that `rows`
+/// is an array.
+#[test]
+fn validation_checks_the_report_it_is_handed() {
+    let doc = |report: &str| {
+        format!(
+            "{{\"schema\":\"{SCHEMA}\",\"run\":{{\"steps\":1,\"seconds\":1,\
+             \"seconds_per_step\":1,\"krylov_iterations\":0}},\"phases\":{{}},\
+             \"counters\":{{}},\"report\":{report}}}"
+        )
+    };
+    let model = "\"model\":{\"bandwidth_bytes_per_s\":1e10,\"fft_flops_per_s\":1e9,\
+                 \"ifft_flops_per_s\":1e9,\"fft_sat_k3\":32768}";
+    let rows = |names: &[&str], measured: &str| {
+        let cells: Vec<String> = names
+            .iter()
+            .map(|n| {
+                format!("{{\"phase\":\"{n}\",\"measured_s\":{measured},\"predicted_s\":1e-3}}")
+            })
+            .collect();
+        format!("\"rows\":[{}]", cells.join(","))
+    };
+    let good = [
+        "spreading",
+        "forward_fft",
+        "influence",
+        "inverse_fft",
+        "interpolation",
+        "real_space",
+        "recip_total",
+    ];
+    validate_profile(&doc("null")).unwrap();
+    validate_profile(&doc(&format!("{{{model},{}}}", rows(&good, "2e-3")))).unwrap();
+    // v1's keys under the v2 tag, and a zero rate.
+    let v1_model = "\"model\":{\"bandwidth_bytes_per_s\":1e10,\"fft_flops_per_s\":1e9,\
+                    \"ifft_flops_per_s\":1e9,\"real_cols_n_per_s\":1e6}";
+    let zero_model = model.replace("1e10", "0");
+    let rejected = [
+        ("{}".to_string(), "missing `model`"),
+        (format!("{{\"model\":{{}},{}}}", rows(&good, "2e-3")), "missing `bandwidth_bytes_per_s`"),
+        (format!("{{{v1_model},{}}}", rows(&good, "2e-3")), "missing `fft_sat_k3`"),
+        (format!("{{{zero_model},{}}}", rows(&good, "2e-3")), "bandwidth_bytes_per_s = 0"),
+        (format!("{{{model}}}"), "not an array"),
+        (format!("{{{model},\"rows\":{{}}}}"), "not an array"),
+        (format!("{{{model},{}}}", rows(&good[..6], "2e-3")), "6 rows"),
+        (format!("{{{model},{}}}", rows(&good, "-1")), "measured_s"),
+        (format!("{{{model},{}}}", rows(&good, "1e999")), "measured_s"),
+        (format!("{{{model},{}}}", rows(&good, "\"x\"")), "not a number"),
+    ];
+    for (report, why) in rejected {
+        let err = validate_profile(&doc(&report)).expect_err(&report);
+        assert!(err.contains(why), "{report}: {err}");
+    }
+    let mut swapped = good;
+    swapped.swap(1, 3);
+    let err =
+        validate_profile(&doc(&format!("{{{model},{}}}", rows(&swapped, "2e-3")))).unwrap_err();
+    assert!(err.contains("forward_fft"), "{err}");
 }

@@ -74,8 +74,8 @@ pub struct SimSpec {
     /// Boundary condition: periodic box (PME mobility) or open/free-space
     /// cluster (treecode mobility).
     pub boundary: Boundary,
-    /// Treecode MAC parameter for open-boundary runs; `None` lets the
-    /// measured tuner derive it from `e_p`.
+    /// Treecode MAC parameter for open-boundary runs; `None` takes the
+    /// tuner's schedule tier for `e_p`.
     pub theta: Option<f64>,
     /// Far-field strategy for open-boundary runs; `None` means the default
     /// node-to-particle treecode.
@@ -294,11 +294,21 @@ impl SimSpec {
                 self.volume_fraction
             ));
         }
-        if self.dt <= 0.0 {
-            return Err("dt must be positive".into());
+        // `!(x > 0.0)` rather than `x <= 0.0`: NaN must fail too.
+        for (key, x) in [("radius", self.radius), ("viscosity", self.viscosity), ("dt", self.dt)] {
+            if !(x.is_finite() && x > 0.0) {
+                return Err(format!("{key} {x} must be positive and finite"));
+            }
         }
-        if self.kbt < 0.0 {
-            return Err("kbt must be nonnegative".into());
+        for (key, x) in [("kbt", self.kbt), ("lj_epsilon", self.lj_epsilon)] {
+            if !(x.is_finite() && x >= 0.0) {
+                return Err(format!("{key} {x} must be nonnegative and finite"));
+            }
+        }
+        if let Some(g) = self.gravity {
+            if !(g.x.is_finite() && g.y.is_finite() && g.z.is_finite()) {
+                return Err(format!("gravity {} {} {} must be finite", g.x, g.y, g.z));
+            }
         }
         if self.lambda_rpy == 0 {
             return Err("lambda_rpy must be at least 1".into());
@@ -354,8 +364,12 @@ impl SimSpec {
             return Err("checkpoint_interval must be positive when checkpoint is set".into());
         }
         if let Some(d) = self.deadline_seconds {
-            if !d.is_finite() || d <= 0.0 {
-                return Err(format!("deadline_seconds {d} must be positive"));
+            // The daemon turns it into a `Duration`: negative, NaN and
+            // infinite are not one, and neither is a finite, positive 1e30.
+            if d == 0.0 || std::time::Duration::try_from_secs_f64(d).is_err() {
+                return Err(format!(
+                    "deadline_seconds {d} must be positive and representable as a duration"
+                ));
             }
         }
         Ok(())
@@ -577,6 +591,50 @@ mod tests {
         assert!(SimSpec::parse("e_k = 2\n").is_err());
         assert!(SimSpec::parse("algorithm = dense\nparticles = 100000\n").is_err());
         assert!(SimSpec::parse("trajectory = a.xyz\ntrajectory_interval = 0\n").is_err());
+    }
+
+    #[test]
+    fn validation_rejects_every_non_finite_or_non_positive_scalar() {
+        // (config line, word the message must carry). Each of these used to
+        // parse and validate; `deadline_seconds = 1e30` then panicked the
+        // daemon's worker thread in `Duration::from_secs_f64`.
+        let rejected = [
+            ("dt = nan", "dt"),
+            ("dt = inf", "dt"),
+            ("dt = 0", "dt"),
+            ("kbt = nan", "kbt"),
+            ("kbt = -1", "kbt"),
+            ("kbt = inf", "kbt"),
+            ("radius = 0", "radius"),
+            ("radius = -1", "radius"),
+            ("radius = nan", "radius"),
+            ("radius = inf", "radius"),
+            ("viscosity = 0", "viscosity"),
+            ("viscosity = -2", "viscosity"),
+            ("viscosity = nan", "viscosity"),
+            ("viscosity = inf", "viscosity"),
+            ("lj_epsilon = nan", "lj_epsilon"),
+            ("lj_epsilon = inf", "lj_epsilon"),
+            ("lj_epsilon = -1", "lj_epsilon"),
+            ("gravity = nan 0 0", "gravity"),
+            ("gravity = 0 -inf 0", "gravity"),
+            ("volume_fraction = nan", "volume_fraction"),
+            ("e_k = nan", "e_k"),
+            ("e_p = nan", "e_p"),
+            ("boundary = open\ntheta = nan", "theta"),
+            ("deadline_seconds = 1e30", "deadline_seconds"),
+            ("deadline_seconds = inf", "deadline_seconds"),
+            ("deadline_seconds = nan", "deadline_seconds"),
+            ("deadline_seconds = -1", "deadline_seconds"),
+        ];
+        for (text, key) in rejected {
+            let e = SimSpec::parse(text).expect_err(text);
+            assert!(e.message.contains(key), "`{text}`: {}", e.message);
+        }
+        // The edges that stay legal.
+        for text in ["kbt = 0", "lj_epsilon = 0", "gravity = 0 0 -9.8", "deadline_seconds = 1e9"] {
+            SimSpec::parse(text).unwrap_or_else(|e| panic!("`{text}`: {e}"));
+        }
     }
 
     #[test]

@@ -60,15 +60,14 @@ pub struct MatrixFreeConfig {
     pub max_krylov: usize,
     /// Displacement solver variant.
     pub displacement_mode: DisplacementMode,
-    /// Explicit treecode parameters for open-boundary systems; `None` lets
-    /// the measured tuner choose `(theta, cheb_order)` from `target_ep`
-    /// (validated against the dense free-space RPY matrix). The particle
-    /// radius and viscosity are always taken from the system.
+    /// Explicit treecode parameters for open-boundary systems; `None` takes
+    /// `(theta, cheb_order)` from `hibd_treecode::tune(target_ep, ..)` — the
+    /// `SCHEDULE` tier measured against the dense free-space RPY matrix. The
+    /// particle radius and viscosity are always taken from the system.
     pub tree: Option<TreeParams>,
     /// Far-field strategy for open-boundary systems (node-to-particle
-    /// treecode vs M2L/L2L/L2P FMM). Consulted only when `tree` is `None`
-    /// (the tuner measures the chosen strategy); explicit [`TreeParams`]
-    /// carry their own `eval`.
+    /// treecode vs M2L/L2L/L2P FMM). Consulted only when `tree` is `None`;
+    /// explicit [`TreeParams`] carry their own `eval`.
     pub tree_eval: TreeEval,
 }
 
@@ -124,7 +123,9 @@ pub struct ResolvedShape {
 }
 
 /// Resolve the mobility-backend parameters for `system` under `cfg`:
-/// explicit config values win, otherwise the PME or treecode tuner chooses.
+/// explicit config values win, otherwise the PME or treecode tuner chooses
+/// — both pure functions of `(n, phi, a, eta, e_p)` and never of the
+/// positions, so a resumed job resolves the shape it started with.
 /// Pure with respect to the driver — [`MatrixFreeBd::new`] and
 /// [`MatrixFreeBd::with_plans`] both start here, so a plan built for a
 /// shape is guaranteed to match any driver resolving the same shape.
@@ -170,13 +171,7 @@ pub fn resolve_shape(
             }
             let tp = match cfg.tree {
                 Some(t) => TreeParams { a: system.a, eta: system.eta, ..t },
-                None => hibd_treecode::tune(
-                    system.positions(),
-                    cfg.target_ep,
-                    system.a,
-                    system.eta,
-                    cfg.tree_eval,
-                ),
+                None => hibd_treecode::tune(cfg.target_ep, system.a, system.eta, cfg.tree_eval),
             };
             Ok(ResolvedShape { pme: None, tree: Some(tp) })
         }
@@ -299,7 +294,7 @@ fn map_pse(e: PseError) -> BdError {
 impl MatrixFreeBd {
     /// Build the driver. For periodic systems the PME parameters come from
     /// `cfg.pme` or the PME tuner; for open systems the treecode parameters
-    /// come from `cfg.tree` or the measured treecode tuner.
+    /// come from `cfg.tree` or the treecode tuner's schedule.
     pub fn new(
         system: ParticleSystem,
         cfg: MatrixFreeConfig,
@@ -774,14 +769,9 @@ mod tests {
 
     #[test]
     fn open_resume_at_window_boundary_matches_uninterrupted_run() {
-        // Pin the tree parameters: the tuner would re-measure on the tail's
-        // (different) configuration and could in principle pick another
-        // schedule entry.
-        let cfg = MatrixFreeConfig {
-            lambda_rpy: 3,
-            tree: Some(TreeParams::default()),
-            ..Default::default()
-        };
+        // Tuned parameters on both sides: the tuner never sees positions, so
+        // the tail resolves the head's shape on the moved cluster.
+        let cfg = MatrixFreeConfig { lambda_rpy: 3, ..Default::default() };
         let sys = small_cluster(10, 0.1, 23);
 
         let mut full = MatrixFreeBd::new(sys.clone(), cfg, 91).unwrap();
@@ -796,6 +786,7 @@ mod tests {
         tail.set_completed_steps(3);
         tail.run(3).unwrap();
 
+        assert_eq!(tail.shape(), full.shape());
         for (a, b) in full.system().positions().iter().zip(tail.system().positions()) {
             for c in 0..3 {
                 assert_eq!(a[c], b[c], "open resumed trajectory diverged");

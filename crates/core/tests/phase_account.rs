@@ -7,7 +7,6 @@
 use hibd_core::mf_bd::{MatrixFreeBd, MatrixFreeConfig};
 use hibd_core::system::ParticleSystem;
 use hibd_telemetry::{self as telemetry, Counter, Phase};
-use hibd_treecode::TreeParams;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Mutex;
@@ -51,13 +50,7 @@ fn periodic_account_equals_the_recorder_across_windows() {
 fn open_account_carries_the_tree_phases() {
     let mut rng = StdRng::seed_from_u64(5);
     let system = ParticleSystem::random_cluster_with(16, 0.1, 1.0, 1.0, &mut rng);
-    // Pinned tree parameters: the measured tuner would build (and time)
-    // throw-away operators of its own.
-    let cfg = MatrixFreeConfig {
-        lambda_rpy: LAMBDA,
-        tree: Some(TreeParams::default()),
-        ..Default::default()
-    };
+    let cfg = MatrixFreeConfig { lambda_rpy: LAMBDA, ..Default::default() };
     let [job, global] = run_recorded(system, cfg);
 
     assert_eq!(job.phases, global.phases, "driver account and recorder disagree");

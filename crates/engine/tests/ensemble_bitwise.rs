@@ -8,7 +8,6 @@ use hibd_core::mf_bd::{MatrixFreeBd, MatrixFreeConfig};
 use hibd_core::system::ParticleSystem;
 use hibd_engine::EnsembleRunner;
 use hibd_telemetry::{Counter, Phase};
-use hibd_treecode::TreeParams;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -71,9 +70,7 @@ fn periodic_replicas_match_standalone_runs_bitwise() {
 fn open_replicas_match_standalone_runs_bitwise() {
     const R: usize = 2;
     const STEPS: usize = 4;
-    // Pin tree params: the measured tuner would otherwise re-run per job.
-    let cfg =
-        MatrixFreeConfig { lambda_rpy: 2, tree: Some(TreeParams::default()), ..Default::default() };
+    let cfg = MatrixFreeConfig { lambda_rpy: 2, ..Default::default() };
     let base = open_system(14, 0.1, 31);
 
     let jobs: Vec<_> = (0..R as u64).map(|r| (base.clone(), 400 + r)).collect();

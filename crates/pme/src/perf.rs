@@ -26,6 +26,13 @@
 //!   (neighbor search, Beenakker pair kernel, BCSR insertion), which at a
 //!   cost-balanced split is as large as the products it is amortized over.
 //!
+//! **Constants come from a [`Machine`] and nowhere else**: pinned in source
+//! ([`Machine::westmere`], [`Machine::knc`], [`Machine::reference`]) or
+//! fitted from measured seconds by [`Fit`]. [`PerfModel::report`] sets a
+//! run's measured phase seconds beside what a machine predicts for them;
+//! every predicted cell is one of the `t_*` methods below, real space
+//! included.
+//!
 //! **Hardware substitution note.** This host has neither a Westmere-EP pair
 //! nor Xeon Phi cards; [`Machine::westmere`] and [`Machine::knc`] encode
 //! Table I plus canonical MKL FFT efficiencies, and the hybrid scheduler
@@ -52,6 +59,8 @@
 //! function of the physical inputs. A host whose balance differs from the
 //! reference runs a split that is off its own optimum by the flatness of the
 //! cost curve (EXPERIMENTS.md, Table III), never a wrong one.
+
+use hibd_telemetry::{Phase, Snapshot, MODEL_PHASES};
 
 /// A machine description for the performance model.
 #[derive(Clone, Copy, Debug)]
@@ -132,6 +141,82 @@ impl Machine {
     pub fn p_ifft(&self, k: usize) -> f64 {
         let k3 = (k * k * k) as f64;
         self.ifft_flops * k3 / (k3 + self.fft_sat_k3)
+    }
+}
+
+/// Measured seconds on their way to a [`Machine`]: per constant, total model
+/// work over total measured time (least squares through the origin), on a
+/// base machine that supplies what is not measured (`fft_sat_k3`,
+/// `peak_flops`, `assembly_rate`) and any constant that saw no work. The one
+/// place where seconds become rates; it reads the numbers it is handed,
+/// never a clock.
+#[derive(Clone, Copy, Debug)]
+pub struct Fit {
+    base: Machine,
+    /// Work (bytes; flops at the asymptote) and seconds behind
+    /// `[bandwidth, fft_flops, ifft_flops]`.
+    work: [f64; 3],
+    secs: [f64; 3],
+}
+
+impl Fit {
+    pub fn new(base: Machine) -> Fit {
+        Fit { base, work: [0.0; 3], secs: [0.0; 3] }
+    }
+
+    fn add(mut self, constant: usize, work: f64, secs: f64) -> Fit {
+        self.work[constant] += work;
+        self.secs[constant] += secs;
+        self
+    }
+
+    /// A bandwidth-bound kernel moved `bytes` in `secs` (a STREAM triad, or
+    /// the spreading / influence / interpolation phases).
+    pub fn stream(self, bytes: f64, secs: f64) -> Fit {
+        self.add(0, bytes, secs)
+    }
+
+    /// `meshes` forward and as many inverse `K^3` transforms took
+    /// `forward_secs` / `inverse_secs`. The flops are credited at the
+    /// *asymptote* — scaled by `fft_flops / p_fft(K)` of the base machine —
+    /// so the fitted machine's own `p_fft(K)` gives the measured rate back.
+    pub fn transforms(self, k: usize, meshes: f64, forward_secs: f64, inverse_secs: f64) -> Fit {
+        let base = self.base;
+        let flops = meshes * PerfModel::new(base, k, 0, 0).fft_flops() / 3.0;
+        let (lift, ilift) = (base.fft_flops / base.p_fft(k), base.ifft_flops / base.p_ifft(k));
+        self.add(1, flops * lift, forward_secs).add(2, flops * ilift, inverse_secs)
+    }
+
+    /// The five reciprocal phases of `snap`, recorded while `cols` mobility
+    /// columns went through the pipeline on a `K^3` mesh with order-`p`
+    /// splines and `n` particles.
+    pub fn spans(self, k: usize, p: usize, n: usize, cols: f64, snap: &Snapshot) -> Fit {
+        let shape = PerfModel::new(self.base, k, p, n);
+        let secs = |ph: Phase| snap.phase(ph).total_secs();
+        let bytes = shape.spreading_bytes() + shape.influence_bytes() + shape.interpolation_bytes();
+        self.stream(
+            cols * bytes,
+            secs(Phase::Spreading) + secs(Phase::Influence) + secs(Phase::Interpolation),
+        )
+        .transforms(k, 3.0 * cols, secs(Phase::ForwardFft), secs(Phase::InverseFft))
+    }
+
+    pub fn machine(&self) -> Machine {
+        let rate = |i: usize, prior: f64| {
+            let (work, secs) = (self.work[i], self.secs[i]);
+            if work > 0.0 && secs > 0.0 {
+                work / secs
+            } else {
+                prior
+            }
+        };
+        Machine {
+            name: "fitted from measured seconds",
+            bandwidth: rate(0, self.base.bandwidth),
+            fft_flops: rate(1, self.base.fft_flops),
+            ifft_flops: rate(2, self.base.ifft_flops),
+            ..self.base
+        }
     }
 }
 
@@ -236,6 +321,96 @@ impl PerfModel {
     pub fn m_pme_bytes(&self) -> f64 {
         24.0 * self.k3() + 12.0 * self.p3n() + 8.0 * self.k3() / 2.0
     }
+
+    /// Measured against predicted seconds for a recorded run: `cols` columns
+    /// went through an operator of this shape with `blocks` stored real-space
+    /// blocks, and `snap` holds the spans. `t_real` is affine in the block
+    /// width, so a run that mixes widths is priced exactly: the matrix
+    /// streams once per apply (one `RealSpace` span each), the vectors once
+    /// per column.
+    pub fn report(&self, blocks: f64, cols: f64, snap: &Snapshot) -> Report {
+        let applies = snap.phase(Phase::RealSpace).count as f64;
+        let predicted = [
+            cols * self.t_spreading(),
+            cols * self.t_fft(),
+            cols * self.t_influence(),
+            cols * self.t_ifft(),
+            cols * self.t_interpolation(),
+            applies * self.t_real(blocks, 0) + cols * self.t_real(0.0, 1),
+        ];
+        let mut rows = [ReportRow { name: "recip_total", measured_s: 0.0, predicted_s: 0.0 }; 7];
+        for (i, ph) in MODEL_PHASES.into_iter().enumerate() {
+            let measured_s = snap.phase(ph).total_secs();
+            rows[i] = ReportRow { name: ph.name(), measured_s, predicted_s: predicted[i] };
+            if ph != Phase::RealSpace {
+                rows[6].measured_s += measured_s;
+                rows[6].predicted_s += predicted[i];
+            }
+        }
+        Report { machine: self.machine, rows }
+    }
+}
+
+/// One row of a [`Report`]: a phase (or the synthesized `recip_total`).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ReportRow {
+    pub name: &'static str,
+    pub measured_s: f64,
+    pub predicted_s: f64,
+}
+
+/// [`PerfModel::report`]: the six [`MODEL_PHASES`] rows plus `recip_total`,
+/// and the machine whose constants priced them.
+#[derive(Clone, Copy, Debug)]
+pub struct Report {
+    pub machine: Machine,
+    pub rows: [ReportRow; 7],
+}
+
+impl Report {
+    /// Human-readable aligned table; `ratio` is measured / predicted.
+    pub fn to_text(&self) -> String {
+        let m = &self.machine;
+        let mut out = format!(
+            "machine: bandwidth {:.2} GB/s, fft {:.2} GF/s, ifft {:.2} GF/s (asymptotes; half \
+             rate at K^3 = {})\n{:<14} {:>12} {:>12} {:>8}\n",
+            m.bandwidth * 1e-9,
+            m.fft_flops * 1e-9,
+            m.ifft_flops * 1e-9,
+            m.fft_sat_k3,
+            "phase",
+            "measured",
+            "predicted",
+            "ratio"
+        );
+        for r in &self.rows {
+            let (ms, pred_ms) = (r.measured_s * 1e3, r.predicted_s * 1e3);
+            let ratio = r.measured_s / r.predicted_s;
+            out += &format!("{:<14} {ms:>10.4}ms {pred_ms:>10.4}ms {ratio:>8.3}\n", r.name);
+        }
+        out
+    }
+
+    /// JSON object `{"model": {...}, "rows": [{...}, ...]}` (the `report`
+    /// section of a `hibd-profile-v2` document).
+    pub fn to_json(&self) -> String {
+        let m = &self.machine;
+        let row = |r: &ReportRow| {
+            format!(
+                "{{\"phase\":\"{}\",\"measured_s\":{:e},\"predicted_s\":{:e}}}",
+                r.name, r.measured_s, r.predicted_s
+            )
+        };
+        format!(
+            "{{\"model\":{{\"bandwidth_bytes_per_s\":{:e},\"fft_flops_per_s\":{:e},\
+             \"ifft_flops_per_s\":{:e},\"fft_sat_k3\":{:e}}},\"rows\":[{}]}}",
+            m.bandwidth,
+            m.fft_flops,
+            m.ifft_flops,
+            m.fft_sat_k3,
+            self.rows.iter().map(row).collect::<Vec<_>>().join(",")
+        )
+    }
 }
 
 #[cfg(test)]
@@ -296,6 +471,77 @@ mod tests {
         // The matrix streams once per block product; vectors scale with s.
         let want = (76.0 * b1 + 16.0 * 48.0 * 1000.0) / m.machine.bandwidth;
         assert!((m.t_real(b1, 16) - want).abs() < 1e-15);
+    }
+
+    /// The seconds `truth` predicts for `cols` columns, one span per
+    /// reciprocal phase (large `cols` keep the nanosecond rounding small).
+    fn planted(truth: &PerfModel, cols: f64) -> Snapshot {
+        let secs = [
+            truth.t_spreading(),
+            truth.t_fft(),
+            truth.t_influence(),
+            truth.t_ifft(),
+            truth.t_interpolation(),
+        ];
+        let mut snap = Snapshot::empty();
+        for (ph, t) in MODEL_PHASES.into_iter().zip(secs) {
+            snap.phases[ph as usize].record((cols * t * 1e9).round() as u64);
+        }
+        snap
+    }
+
+    #[test]
+    fn fit_recovers_planted_constants_through_the_saturation_curve() {
+        // Pooled over two shapes on either side of the half-rate mesh (48^3):
+        // a fit that took the measured rate for the asymptote would land at
+        // 0.23x - 0.70x of the truth.
+        let sat = 48.0 * 48.0 * 48.0;
+        let base = Machine { fft_sat_k3: sat, ..Machine::reference() };
+        let truth = Machine { bandwidth: 12.5e9, fft_flops: 40.0e9, ifft_flops: 35.0e9, ..base };
+        let mut fit = Fit::new(base);
+        for (n, k, p, cols) in [(500, 32, 4, 64.0e6), (2000, 64, 6, 16.0e6)] {
+            let shape = PerfModel::new(truth, k, p, n);
+            fit = fit.spans(k, p, n, cols, &planted(&shape, cols));
+        }
+        let got = fit.machine();
+        for (got, want) in [
+            (got.bandwidth, truth.bandwidth),
+            (got.fft_flops, truth.fft_flops),
+            (got.ifft_flops, truth.ifft_flops),
+        ] {
+            assert!((got - want).abs() < 1e-10 * want, "{got:e} vs {want:e}");
+        }
+        assert_eq!((got.fft_sat_k3, got.assembly_rate), (sat, base.assembly_rate));
+    }
+
+    #[test]
+    fn report_prices_every_row_with_the_models_own_terms() {
+        let model = PerfModel::new(Machine::reference(), 32, 4, 100);
+        let blocks = real_space_blocks(100, 12.8, 4.0);
+        let mut snap = planted(&model, 10.0);
+        // Two real-space applies: one 9-column block and one vector.
+        snap.phases[Phase::RealSpace as usize].record(40_000);
+        snap.phases[Phase::RealSpace as usize].record(10_000);
+        let rep = model.report(blocks, 10.0, &snap);
+        let names = MODEL_PHASES.iter().map(|ph| ph.name()).chain(["recip_total"]);
+        assert!(rep.rows.iter().map(|r| r.name).eq(names));
+        // Planted from the same machine: reciprocal rows read ratio 1.
+        for row in &rep.rows[..5] {
+            assert!((row.measured_s / row.predicted_s - 1.0).abs() < 1e-3, "{row:?}");
+        }
+        assert!((rep.rows[6].predicted_s - 10.0 * model.t_recip()).abs() < 1e-15);
+        let real = model.t_real(blocks, 9) + model.t_real(blocks, 1);
+        assert!((rep.rows[5].predicted_s - real).abs() < 1e-12 * real);
+        assert!((rep.rows[5].measured_s - 50e-6).abs() < 1e-15);
+
+        assert!(rep.rows.iter().all(|r| rep.to_text().contains(r.name)));
+        let json = hibd_telemetry::json::parse(&rep.to_json()).expect("report JSON parses");
+        assert_eq!(json.get("rows").and_then(|r| r.as_array()).unwrap().len(), 7);
+        assert!(json.get("model").and_then(|m| m.get("fft_sat_k3")).is_some());
+        // An empty snapshot is still a finite, renderable report.
+        let empty = model.report(blocks, 0.0, &Snapshot::empty());
+        assert!(empty.rows.iter().all(|r| r.measured_s == 0.0 && r.predicted_s == 0.0));
+        assert!(hibd_telemetry::json::parse(&empty.to_json()).is_ok());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! behind one mutex; the server thread periodically renders the
 //! `hibd-serve-v2` JSON document and rewrites the status file atomically.
 //! [`validate_status`] closes the loop (schema checks in tests and
-//! `xtask validate-status`), mirroring the `hibd-profile-v1` tooling.
+//! `xtask validate-status`), mirroring the `hibd-profile-v2` tooling.
 
 use crate::job::JobState;
 use hibd_telemetry::json::{self, expect_num, expect_obj, expect_schema, Value};

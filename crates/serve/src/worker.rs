@@ -201,6 +201,13 @@ impl Worker {
     fn try_admit(&mut self, job: AdmitJob) -> Result<usize, String> {
         std::fs::create_dir_all(&job.dir).map_err(|e| format!("creating job dir: {e}"))?;
         let spec = &job.spec;
+        // `SimSpec::validate` bounds it, but a panic here would take the
+        // whole worker down: fail this job instead.
+        let deadline = spec
+            .deadline_seconds
+            .map(Duration::try_from_secs_f64)
+            .transpose()
+            .map_err(|e| format!("deadline_seconds: {e}"))?;
         let traj_interval = spec.trajectory_interval.max(1) as u64;
         let sink = CountingFile::resume(&trajectory_path(&job.dir), job.traj_bytes)
             .map_err(|e| format!("opening trajectory: {e}"))?;
@@ -230,7 +237,7 @@ impl Worker {
             traj_interval,
             writer,
             committed_ckpt: None,
-            deadline: job.spec.deadline_seconds.map(Duration::from_secs_f64),
+            deadline,
             admitted: Instant::now(),
             cancel: false,
         };

@@ -252,3 +252,34 @@ fn cancellation_and_bad_jobs_leave_the_daemon_serving() {
     assert_eq!(meta.state, JobState::Cancelled);
     std::fs::remove_dir_all(&root).ok();
 }
+
+/// `deadline_seconds = 1e30` is finite and positive, so it used to validate
+/// — and then panic `Duration::from_secs_f64` on the worker thread, outside
+/// any `catch_unwind`, taking every job on that worker with it.
+#[test]
+fn a_config_value_cannot_take_the_daemon_down() {
+    let _guard = lock();
+    shutdown::reset();
+    let root = temp_root("bad_value");
+    let ok = small_spec(14, 11, 6);
+    spool_job(&root, "ok", &ok);
+    let huge = format!("{}deadline_seconds = 1e30\n", small_spec(14, 12, 6).to_config_text());
+    std::fs::write(root.join("spool").join("huge.conf"), huge).unwrap();
+    std::fs::write(root.join("spool").join("nan.conf"), "particles = 14\nviscosity = nan\n")
+        .unwrap();
+
+    let spec = ServeSpec { exit_when_idle: true, ..serve_spec(&root) };
+    let mut lines = Vec::new();
+    let report = serve(&spec, |m| lines.push(m.to_string())).unwrap();
+    assert_eq!((report.done, report.failed), (1, 2), "log: {lines:#?}");
+
+    for (name, key) in [("huge", "deadline_seconds 1000"), ("nan", "viscosity NaN")] {
+        let meta = JobMeta::load(&root.join("out").join(name)).unwrap().unwrap();
+        assert_eq!(meta.state, JobState::Failed);
+        let error = meta.error.unwrap();
+        assert!(error.contains(key), "{name}: {error}");
+    }
+    let got = std::fs::read(root.join("out").join("ok").join("trajectory.xyz")).unwrap();
+    assert_eq!(got, standalone_trajectory(&ok), "the healthy job's trajectory diverged");
+    std::fs::remove_dir_all(&root).ok();
+}

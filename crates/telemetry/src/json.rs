@@ -77,7 +77,7 @@ pub fn expect_obj<'a>(v: &'a Value, key: &str, ctx: &str) -> Result<&'a Value, S
 }
 
 /// Check the document's `"schema"` tag — the first test every versioned
-/// document (`hibd-profile-v1`, `hibd-serve-v2`, `hibd-job-v1`) must pass.
+/// document (`hibd-profile-v2`, `hibd-serve-v2`, `hibd-job-v1`) must pass.
 pub fn expect_schema(v: &Value, schema: &str) -> Result<(), String> {
     match v.get("schema").and_then(Value::as_str) {
         Some(s) if s == schema => Ok(()),

@@ -1,7 +1,6 @@
-//! Unified low-overhead phase tracing plus the Section IV-D performance
-//! model as a live subsystem.
+//! Unified low-overhead phase tracing.
 //!
-//! The crate has three layers:
+//! The crate has two layers:
 //!
 //! 1. **Recorder** ([`span`], [`start`], [`incr`], [`gauge_max`]):
 //!    a lock-free, allocation-free-at-steady-state span recorder. Each OS
@@ -14,9 +13,11 @@
 //!    all slots into per-phase count/total/min/max plus fixed-bucket log2
 //!    nanosecond histograms, and the workload counters of [`Counter`].
 //!    Merging is exact (u64 nanoseconds), associative and order-independent.
-//! 3. **Model** ([`PerfModel`]): the paper's Section IV-D cost model with
-//!    constants *calibrated from recorded spans* instead of quoted machine
-//!    specs, and a measured-vs-predicted [`Report`] (text + JSON).
+//!
+//! The Section IV-D performance model that reads these snapshots — formulas,
+//! machines fitted from spans, the measured-vs-predicted report — lives in
+//! `hibd_pme::perf`; only the list of phases it covers ([`MODEL_PHASES`]) is
+//! here, next to [`Phase`].
 //!
 //! One clock, one sink type: timing sites elsewhere in the workspace use
 //! [`start`]/[`Stopwatch::stop`], which records the span into the caller's
@@ -27,11 +28,9 @@
 //! code; the `xtask` audit rejects raw `Instant::now()` inside hot functions.
 
 pub mod json;
-mod model;
 mod recorder;
 mod stats;
 
-pub use model::{CalibrationSample, PerfModel, PhasePrediction, Report, ReportRow, MODEL_PHASES};
 pub use recorder::{disable, enable, enabled, gauge_max, incr, reset, snapshot, trace, SpanRecord};
 pub use stats::{bucket_of, merge_labeled, LabeledSnapshot, PhaseStats, Snapshot, NUM_BUCKETS};
 
@@ -81,6 +80,17 @@ pub enum Phase {
 
 /// Number of phases in the registry.
 pub const NUM_PHASES: usize = 17;
+
+/// The six phases of one PME apply that the Section IV-D model prices, in
+/// pipeline order.
+pub const MODEL_PHASES: [Phase; 6] = [
+    Phase::Spreading,
+    Phase::ForwardFft,
+    Phase::Influence,
+    Phase::InverseFft,
+    Phase::Interpolation,
+    Phase::RealSpace,
+];
 
 impl Phase {
     /// Every phase, in `repr` order.

@@ -161,7 +161,7 @@ impl Snapshot {
     }
 
     /// Render the non-empty phase statistics as a JSON object, the shared
-    /// encoding of the `hibd-profile-v1` and `hibd-serve-v2` documents.
+    /// encoding of the `hibd-profile-v2` and `hibd-serve-v2` documents.
     #[must_use]
     pub fn phases_to_json(&self) -> String {
         use std::fmt::Write as _;

@@ -14,9 +14,9 @@
 //! [`TreeOperator`] implements the same [`hibd_linalg::LinearOperator`]
 //! trait as the PME and dense operators, so block Lanczos, the BD drivers,
 //! telemetry, and the audit/alloc tooling consume it unchanged. Accuracy is
-//! governed by [`TreeParams`] (`theta`, `cheb_order`) and the [`tune`]
-//! schedule, which is validated by measurement against the dense free-space
-//! RPY matrix — not by an asymptotic error bound.
+//! governed by [`TreeParams`] (`theta`, `cheb_order`); [`tune`] looks them
+//! up in [`SCHEDULE`], whose tiers are validated by measurement against the
+//! dense free-space RPY matrix — not by an asymptotic error bound.
 //!
 //! Two far-field evaluation strategies share that machinery
 //! ([`TreeEval`]): the node-to-particle treecode (`O(n log n)`) and a true

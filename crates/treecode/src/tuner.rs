@@ -3,11 +3,14 @@
 //! The Chebyshev far field converges geometrically in the order `q` with a
 //! rate set by the MAC parameter `theta` (smaller `theta` pushes source
 //! cubes further away relative to their size). Rather than trusting an
-//! asymptotic error model, the tuner *measures*: it walks an escalating
-//! schedule of `(theta, q)` pairs and returns the first whose worst-case
-//! relative error against the dense free-space RPY matrix — on the given
-//! cloud or a subsample of it — meets the target. This is the validation
-//! required to claim a tolerance, and tests pin the schedule to it.
+//! asymptotic error model, the tolerances are *measured*: [`SCHEDULE`] is an
+//! escalating list of `(theta, q)` pairs, each pinned by `tests/accuracy.rs`
+//! to a worst-case relative error against the dense free-space RPY matrix
+//! for both far-field strategies. [`tune`] is a table lookup in it — a pure
+//! function of the tolerance, like the periodic `hibd_pme::tune`, so a
+//! resumed or re-resolved job lands on the parameters it started with
+//! whatever its particles have done since. [`measured_rel_error`] is the
+//! measurement itself, for tests and accuracy gates.
 
 use crate::operator::{TreeEval, TreeOperator, TreeParams};
 use hibd_linalg::LinearOperator;
@@ -57,36 +60,15 @@ pub fn measured_rel_error(positions: &[Vec3], params: TreeParams, trials: usize)
     worst
 }
 
-/// Choose parameters for `rel_tol` by measuring the schedule against the
-/// dense matrix on (a subsample of) `positions`, for the requested far-field
-/// strategy (the measurement runs with that strategy, so an FMM tier is
-/// validated as an FMM). Falls back to the strictest entry when even it
-/// misses the target.
-pub fn tune(positions: &[Vec3], rel_tol: f64, a: f64, eta: f64, eval: TreeEval) -> TreeParams {
+/// Parameters for `rel_tol`: the first (loosest) [`SCHEDULE`] tier that
+/// guarantees it, the strictest when none does. Never looks at a
+/// configuration: the error is a local property of the MAC geometry, not of
+/// the cloud.
+pub fn tune(rel_tol: f64, a: f64, eta: f64, eval: TreeEval) -> TreeParams {
     assert!(rel_tol > 0.0);
-    // Cap the dense reference at ~250 particles; the error is a local
-    // property of the MAC geometry, not of the cloud size.
-    let sample: Vec<Vec3> = if positions.len() > 250 {
-        let stride = positions.len().div_ceil(250);
-        positions.iter().copied().step_by(stride).collect()
-    } else {
-        positions.to_vec()
-    };
-    let mut chosen = None;
-    for &(tol, theta, q) in &SCHEDULE {
-        if tol > rel_tol {
-            continue;
-        }
-        let params = TreeParams { theta, cheb_order: q, a, eta, eval, ..TreeParams::default() };
-        if sample.len() < 2 || measured_rel_error(&sample, params, 3) <= rel_tol {
-            chosen = Some(params);
-            break;
-        }
-    }
-    chosen.unwrap_or_else(|| {
-        let (_, theta, q) = SCHEDULE[SCHEDULE.len() - 1];
-        TreeParams { theta, cheb_order: q, a, eta, eval, ..TreeParams::default() }
-    })
+    let &(_, theta, cheb_order) =
+        SCHEDULE.iter().find(|&&(tol, ..)| tol <= rel_tol).unwrap_or(&SCHEDULE[SCHEDULE.len() - 1]);
+    TreeParams { theta, cheb_order, a, eta, eval, ..TreeParams::default() }
 }
 
 #[cfg(test)]
@@ -103,12 +85,23 @@ mod tests {
     }
 
     #[test]
-    fn tune_returns_schedule_entries_in_tolerance_order() {
-        let pos = cloud(120, 20.0, 4);
-        let loose = tune(&pos, 1e-2, 1.0, 1.0, TreeEval::Tree);
-        let tight = tune(&pos, 1e-4, 1.0, 1.0, TreeEval::Tree);
-        assert!(loose.theta >= tight.theta);
-        assert!(loose.cheb_order <= tight.cheb_order);
+    fn tune_is_a_lookup_in_the_schedule() {
+        let pick = |tol| {
+            let p = tune(tol, 1.5, 2.0, TreeEval::Fmm);
+            assert_eq!((p.a, p.eta, p.eval), (1.5, 2.0, TreeEval::Fmm));
+            assert_eq!(p.leaf_capacity, TreeParams::default().leaf_capacity);
+            (p.theta, p.cheb_order)
+        };
+        assert_eq!(pick(0.5), (0.7, 3));
+        assert_eq!(pick(1e-2), (0.7, 3));
+        assert_eq!(pick(5e-3), (0.4, 3));
+        // `e_p = 1e-3`, the default: the parameters every run used before
+        // the tuner stopped measuring.
+        assert_eq!(pick(1e-3), (TreeParams::default().theta, TreeParams::default().cheb_order));
+        assert_eq!(pick(1e-4), (0.4, 4));
+        assert_eq!(pick(1e-5), (0.4, 5));
+        // Tighter than the table: the strictest tier.
+        assert_eq!(pick(1e-9), (0.4, 5));
     }
 
     #[test]
@@ -116,7 +109,7 @@ mod tests {
         let pos = cloud(100, 15.0, 8);
         for eval in [TreeEval::Tree, TreeEval::Fmm] {
             for tol in [1e-2, 1e-3] {
-                let params = tune(&pos, tol, 1.0, 1.0, eval);
+                let params = tune(tol, 1.0, 1.0, eval);
                 assert_eq!(params.eval, eval);
                 let err = measured_rel_error(&pos, params, 2);
                 assert!(err <= tol, "{eval:?} tol {tol}: measured {err}");

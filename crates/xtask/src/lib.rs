@@ -1,6 +1,6 @@
 //! Workspace audit lints (`cargo run -p xtask -- audit`).
 //!
-//! Nine machine-checked invariants, all lexical (the vendored dependency
+//! Ten machine-checked invariants, all lexical (the vendored dependency
 //! set has no `syn`, so the scanner is a hand-rolled state machine over a
 //! comment/string-blanked copy of each source file — see
 //! [`lints::source`]). The lints live in [`lints`], one module each, behind
@@ -26,6 +26,9 @@
 //!    recorder hold a serialization lock while they do.
 //! 9. **env-mutation** — no `std::env::set_var`/`remove_var` outside the
 //!    `hibd-simd` dispatch crate.
+//! 10. **pure-tuner** — non-test code of `pme/src/{tuner,perf}.rs` and
+//!     `treecode/src/tuner.rs` names no clock, environment, file system,
+//!     host probe or thread pool: shapes are pure functions of the inputs.
 //!
 //! A finding can be suppressed only by a justified
 //! `// audit:allow(<lint>): <reason>` comment on the flagged line or the

@@ -24,6 +24,7 @@ pub mod fma;
 pub mod global_state;
 pub mod hot;
 pub mod iteration;
+pub mod pure_tuner;
 pub mod simd_dispatch;
 pub mod source;
 pub mod unsafety;
@@ -54,7 +55,7 @@ pub struct Lint {
     pub run: fn(&SourceFile, &mut Vec<Violation>),
 }
 
-/// The nine workspace lints, in reporting order.
+/// The ten workspace lints, in reporting order.
 pub const LINTS: &[Lint] = &[
     Lint {
         name: "hot-alloc",
@@ -100,6 +101,11 @@ pub const LINTS: &[Lint] = &[
         name: "env-mutation",
         desc: "std::env::set_var/remove_var are process-global; forbidden",
         run: env_mutation::run,
+    },
+    Lint {
+        name: "pure-tuner",
+        desc: "pme/treecode tuners and pme::perf name no clock, env, fs, host or thread pool",
+        run: pure_tuner::run,
     },
 ];
 
@@ -185,7 +191,7 @@ mod tests {
         let before = names.len();
         names.dedup();
         assert_eq!(names.len(), before);
-        assert_eq!(before, 9);
+        assert_eq!(before, 10);
     }
 
     #[test]

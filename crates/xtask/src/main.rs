@@ -1,11 +1,11 @@
 //! `cargo run -p xtask -- audit [--root <dir>] [--json <path>] [--github]`:
-//! run the nine workspace audit lints. `--json` writes a `hibd-audit-v1`
+//! run the ten workspace audit lints. `--json` writes a `hibd-audit-v1`
 //! findings document (written on success too, with an empty violation
 //! list); `--github` prints GitHub Actions workflow commands so findings
 //! render as inline PR annotations.
 //!
 //! `cargo run -p xtask -- validate-profile <path.json>`: check that a
-//! `hibd --profile` output document matches the `hibd-profile-v1` schema.
+//! `hibd --profile` output document matches the `hibd-profile-v2` schema.
 //!
 //! `cargo run -p xtask -- validate-status <status.json>`: check that a
 //! `hibd serve` status document matches the `hibd-serve-v2` schema.
