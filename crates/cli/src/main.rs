@@ -34,8 +34,9 @@ radius          = 1.0
 viscosity       = 1.0
 seed            = 2014
 #replicas       = 8          # hibd ensemble: lockstep replicas, seeds seed+r
-boundary        = periodic   # or: open (free-space RPY via the treecode)
-#theta          = 0.4        # open only: treecode MAC (omit to tune from e_p)
+boundary        = periodic   # or: open (free-space RPY: direct sum, treecode or FMM,
+                             # chosen by modelled cost from particles and e_p)
+#theta          = 0.4        # open only: pin a hierarchy at this MAC parameter
 
 # integrator (Algorithm 2 of Liu & Chow, IPDPS 2014)
 algorithm    = matrix-free    # or: dense

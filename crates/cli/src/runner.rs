@@ -16,7 +16,7 @@ use hibd_core::mf_bd::{DisplacementMode, MatrixFreeBd};
 use hibd_core::system::{Boundary, ParticleSystem};
 use hibd_engine::EnsembleRunner;
 use hibd_telemetry::{Counter, LabeledSnapshot};
-use hibd_treecode::TreeEval;
+use hibd_treecode::{TreeEval, TreeParams};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -105,13 +105,24 @@ fn krylov_iterations(jobs: &[LabeledSnapshot]) -> usize {
 fn log_shape(bd: &MatrixFreeBd, lambda: usize, log: &mut impl FnMut(&str)) -> Option<PmeShape> {
     let resolved = bd.shape();
     if let Some(t) = resolved.tree {
-        let eval = match t.eval {
+        // Which evaluation the tuner chose, and the three modelled prices it
+        // is one of (each at this leaf capacity) — a pure function of the
+        // shape, like the periodic line below.
+        let n = bd.system().len();
+        let name = |eval| match eval {
+            TreeEval::Direct => "direct",
             TreeEval::Tree => "treecode",
             TreeEval::Fmm => "fmm",
         };
+        let [direct, tree, fmm] = [TreeEval::Direct, TreeEval::Tree, TreeEval::Fmm]
+            .map(|eval| 1e3 * hibd_treecode::tuner::cost(n, &TreeParams { eval, ..t }));
         log(&format!(
-            "matrix-free {eval}: theta = {:.2}, q = {}, leaf = {}",
-            t.theta, t.cheb_order, t.leaf_capacity
+            "matrix-free {}: n = {n}, theta = {:.2}, q = {}, leaf = {}, \
+             model direct : tree : fmm = {direct:.3} : {tree:.3} : {fmm:.3} ms/col",
+            name(t.eval),
+            t.theta,
+            t.cheb_order,
+            t.leaf_capacity
         ));
     }
     resolved.pme.map(|p| {
@@ -371,7 +382,8 @@ fn run_replicas(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{FarFieldEval, SimSpec};
+    use crate::config::SimSpec;
+    use hibd_core::mf_bd::MatrixFreeConfig;
 
     fn quiet() -> impl FnMut(&str) {
         |_msg: &str| {}
@@ -471,7 +483,11 @@ mod tests {
         assert!(report.pme.is_none(), "open runs have no PME shape");
         assert!(report.jobs[0].snapshot.phase(hibd_telemetry::Phase::NearField).count > 0);
         assert!(lines.iter().any(|l| l.contains("open boundary")));
-        assert!(lines.iter().any(|l| l.contains("treecode: theta = 0.60")));
+        // `theta` pins a hierarchy; which one and its leaf capacity are the
+        // tuner's, and the line says what it weighed.
+        let shape = lines.iter().find(|l| l.starts_with("matrix-free")).expect("shape line");
+        assert!(shape.contains("n = 15, theta = 0.60, q = 3, leaf = "), "{shape}");
+        assert!(shape.contains("model direct : tree : fmm = ") && !shape.contains("direct:"));
 
         // Resume keeps the open boundary through the checkpoint.
         let spec2 = SimSpec { steps: 2, ..spec.clone() };
@@ -485,13 +501,11 @@ mod tests {
     }
 
     #[test]
-    fn runs_an_open_boundary_fmm_simulation() {
+    fn tuned_open_runs_log_the_direct_sum_and_its_alternatives() {
         let spec = SimSpec {
             particles: 15,
             steps: 2,
             boundary: hibd_core::system::Boundary::Open,
-            theta: Some(0.6),
-            eval: Some(FarFieldEval::Fmm),
             lambda_rpy: 4,
             report_interval: 0,
             ..Default::default()
@@ -499,8 +513,42 @@ mod tests {
         let mut lines = Vec::new();
         let report = run_simulation(&spec, None, |m| lines.push(m.to_string())).unwrap();
         assert_eq!(report.steps, 2);
-        assert!(report.krylov_iterations > 0);
-        assert!(lines.iter().any(|l| l.contains("fmm: theta = 0.60")));
+        let shape = lines.iter().find(|l| l.starts_with("matrix-free")).expect("shape line");
+        assert!(shape.starts_with("matrix-free direct: n = 15, theta = 0.40, q = 3, leaf = "));
+        // A single leaf prices as the direct sum: all three agree at n = 15.
+        let (_, model) = shape.split_once("model direct : tree : fmm = ").expect("model terms");
+        let terms: Vec<&str> = model.trim_end_matches(" ms/col").split(" : ").collect();
+        assert!(terms.len() == 3 && terms[0] == terms[1] && terms[1] == terms[2], "{shape}");
+    }
+
+    #[test]
+    fn runs_an_open_boundary_fmm_simulation() {
+        // The `eval` key is gone from configs; explicit `TreeParams` are how
+        // a caller still asks for one evaluation, end to end through the
+        // engine the CLI drives.
+        let spec = SimSpec {
+            particles: 15,
+            boundary: hibd_core::system::Boundary::Open,
+            lambda_rpy: 4,
+            ..Default::default()
+        };
+        let tree = TreeParams {
+            theta: 0.6,
+            leaf_capacity: 4,
+            eval: TreeEval::Fmm,
+            ..TreeParams::default()
+        };
+        let cfg = MatrixFreeConfig { tree: Some(tree), ..spec.matrix_free_config() };
+        let jobs = vec![(spec.build_system(spec.seed), spec.seed)];
+        let mut runner = EnsembleRunner::new(cfg, jobs).unwrap();
+        let mut lines = Vec::new();
+        log_shape(runner.replica(0), spec.lambda_rpy, &mut |m: &str| lines.push(m.to_string()));
+        assert!(lines[0].starts_with("matrix-free fmm: n = 15, theta = 0.60, q = 3, leaf = 4,"));
+        runner.step().unwrap();
+        runner.step().unwrap();
+        let jobs = runner.job_snapshots();
+        assert!(krylov_iterations(&jobs) > 0);
+        assert!(jobs[0].snapshot.phase(hibd_telemetry::Phase::M2l).count > 0);
     }
 
     #[test]

@@ -69,6 +69,41 @@ fn identical_runs_write_identical_trajectories() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The open-boundary shape line — which evaluation the tuner chose and the
+/// three modelled prices it weighed — is a pure function of the shape: the
+/// real binary prints the same line on one pool thread and on two, and it is
+/// the direct sum at the ladder's open shape.
+#[test]
+fn open_shape_log_is_identical_at_every_thread_count() {
+    let dir = std::env::temp_dir().join("hibd_open_shape_log_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let conf = dir.join("open.conf");
+    std::fs::write(
+        &conf,
+        "particles = 2000\nvolume_fraction = 0.1\nboundary = open\nsteps = 0\nreport_interval = 0\n",
+    )
+    .unwrap();
+    let shape_line = |threads: &str| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_hibd"))
+            .arg("run")
+            .arg(&conf)
+            .env("RAYON_NUM_THREADS", threads)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let text = String::from_utf8(out.stdout).unwrap();
+        let line = text.lines().find(|l| l.contains("matrix-free")).expect("shape line");
+        line.to_string()
+    };
+    let one = shape_line("1");
+    assert_eq!(one, shape_line("2"));
+    assert!(
+        one.contains("matrix-free direct: n = 2000, theta = 0.40, q = 3, leaf = 64, model direct : tree : fmm = 2.397 : 2.595 : 2.243 ms/col"),
+        "{one}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The CLI-level ensemble contract: replica `r` of an `R`-replica ensemble
 /// writes byte-identical trajectory and checkpoint files to a standalone
 /// `replicas = 1` run with seed `seed + r`, with all replicas on one set of

@@ -1,6 +1,6 @@
 //! Property: any valid SimSpec survives a serialize -> parse roundtrip.
 
-use hibd_cli::config::{Algorithm, Displacement, FarFieldEval, SimSpec};
+use hibd_cli::config::{Algorithm, Displacement, SimSpec};
 use hibd_core::system::Boundary;
 use hibd_mathx::Vec3;
 use proptest::prelude::*;
@@ -20,7 +20,6 @@ fn spec_strategy() -> impl Strategy<Value = SimSpec> {
             prop::bool::ANY,
             prop::option::of(0.05f64..0.95),
             1usize..9,
-            0u8..3,
             prop::option::of(0.5f64..7200.0),
         ),
     )
@@ -30,7 +29,7 @@ fn spec_strategy() -> impl Strategy<Value = SimSpec> {
                 (solver, dt, kbt, lambda_rpy),
                 (e_k, e_p, steps, repulsion),
                 (gravity, lj_epsilon, trajectory, interval),
-                (open, theta, replicas, eval, deadline),
+                (open, theta, replicas, deadline),
             )| {
                 // solver 0 = dense, 1..=2 = matrix-free displacement modes.
                 SimSpec {
@@ -63,14 +62,9 @@ fn spec_strategy() -> impl Strategy<Value = SimSpec> {
                     checkpoint: None,
                     checkpoint_interval: 0,
                     boundary: if open { Boundary::Open } else { Boundary::Periodic },
-                    // theta/eval only tune the open-boundary operator;
-                    // validate() rejects them for periodic specs.
+                    // theta only tunes the open-boundary operator;
+                    // validate() rejects it for periodic specs.
                     theta: if open { theta } else { None },
-                    eval: match (open, eval) {
-                        (true, 1) => Some(FarFieldEval::Tree),
-                        (true, 2) => Some(FarFieldEval::Fmm),
-                        _ => None,
-                    },
                     replicas,
                     deadline_seconds: deadline,
                 }
@@ -108,6 +102,5 @@ proptest! {
         if let (Some(a), Some(b)) = (parsed.theta, spec.theta) {
             prop_assert!((a - b).abs() < 1e-12);
         }
-        prop_assert_eq!(parsed.eval, spec.eval);
     }
 }

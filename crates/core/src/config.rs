@@ -36,7 +36,6 @@ use crate::forces::{ConstantForce, Force, LennardJones, RepulsiveHarmonic};
 use crate::mf_bd::MatrixFreeConfig;
 use crate::system::{Boundary, ParticleSystem};
 use hibd_mathx::Vec3;
-use hibd_treecode::TreeParams;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
@@ -56,10 +55,6 @@ pub enum Algorithm {
 /// driver's own enum under its config-file name).
 pub use crate::mf_bd::DisplacementMode as Displacement;
 
-/// Far-field strategy of the open-boundary hierarchical operator (the
-/// treecode's own enum under its config-file name).
-pub use hibd_treecode::TreeEval as FarFieldEval;
-
 /// A fully parsed simulation specification.
 #[derive(Clone, Debug)]
 pub struct SimSpec {
@@ -74,12 +69,11 @@ pub struct SimSpec {
     /// Boundary condition: periodic box (PME mobility) or open/free-space
     /// cluster (treecode mobility).
     pub boundary: Boundary,
-    /// Treecode MAC parameter for open-boundary runs; `None` takes the
-    /// tuner's schedule tier for `e_p`.
+    /// Explicit MAC parameter for open-boundary runs: pins a hierarchical
+    /// evaluation at this `theta` (tree vs FMM and the leaf capacity are
+    /// still chosen by cost). `None` leaves everything — the exact direct
+    /// sum included — to `hibd_treecode::tune`.
     pub theta: Option<f64>,
-    /// Far-field strategy for open-boundary runs; `None` means the default
-    /// node-to-particle treecode.
-    pub eval: Option<FarFieldEval>,
     pub algorithm: Algorithm,
     pub displacement: Displacement,
     pub dt: f64,
@@ -113,7 +107,6 @@ impl Default for SimSpec {
             replicas: 1,
             boundary: Boundary::Periodic,
             theta: None,
-            eval: None,
             algorithm: Algorithm::MatrixFree,
             displacement: Displacement::BlockKrylov,
             dt: 0.01,
@@ -207,13 +200,14 @@ impl SimSpec {
                 }
                 "theta" => spec.theta = Some(parse_num(*line, key, value)?),
                 "eval" => {
-                    spec.eval = Some(match value.to_ascii_lowercase().as_str() {
-                        "tree" | "treecode" => FarFieldEval::Tree,
-                        "fmm" => FarFieldEval::Fmm,
-                        other => {
-                            return Err(err(*line, format!("unknown eval `{other}` (tree | fmm)")))
-                        }
-                    });
+                    return Err(err(
+                        *line,
+                        format!(
+                            "unknown key `eval` (value `{value}`): the open-boundary \
+                             evaluation (direct | tree | fmm) is chosen by \
+                             hibd_treecode::tune from (particles, e_p); delete the line"
+                        ),
+                    ))
                 }
                 "algorithm" => {
                     spec.algorithm = match value.to_ascii_lowercase().as_str() {
@@ -327,11 +321,6 @@ impl SimSpec {
                 return Err("theta tunes the open-boundary treecode; set boundary = open".into());
             }
         }
-        if self.eval.is_some() && self.boundary != Boundary::Open {
-            return Err(
-                "eval selects the open-boundary far-field strategy; set boundary = open".into()
-            );
-        }
         if self.boundary == Boundary::Open {
             if self.algorithm == Algorithm::Dense {
                 return Err("the dense Ewald baseline is periodic-only; open boundaries need \
@@ -379,7 +368,6 @@ impl SimSpec {
     /// run`, `hibd ensemble`, and `hibd serve`).
     #[must_use]
     pub fn matrix_free_config(&self) -> MatrixFreeConfig {
-        let eval = self.eval.unwrap_or_default();
         MatrixFreeConfig {
             dt: self.dt,
             kbt: self.kbt,
@@ -387,8 +375,15 @@ impl SimSpec {
             e_k: self.e_k,
             target_ep: self.e_p,
             displacement_mode: self.displacement,
-            tree: self.theta.map(|theta| TreeParams { theta, eval, ..TreeParams::default() }),
-            tree_eval: eval,
+            tree: self.theta.map(|theta| {
+                hibd_treecode::tune_at_theta(
+                    self.particles,
+                    theta,
+                    self.e_p,
+                    self.radius,
+                    self.viscosity,
+                )
+            }),
             ..Default::default()
         }
     }
@@ -452,13 +447,6 @@ impl SimSpec {
         writeln!(out, "boundary = {boundary}").unwrap();
         if let Some(theta) = self.theta {
             writeln!(out, "theta = {theta}").unwrap();
-        }
-        if let Some(eval) = self.eval {
-            let eval = match eval {
-                FarFieldEval::Tree => "tree",
-                FarFieldEval::Fmm => "fmm",
-            };
-            writeln!(out, "eval = {eval}").unwrap();
         }
         let alg = match self.algorithm {
             Algorithm::MatrixFree => "matrix-free",
@@ -699,26 +687,28 @@ mod tests {
     }
 
     #[test]
-    fn eval_parses_validates_and_roundtrips() {
-        let s = SimSpec::parse("boundary = open\neval = fmm\n").unwrap();
-        assert_eq!(s.eval, Some(FarFieldEval::Fmm));
-        let s = SimSpec::parse("boundary = open\neval = tree\n").unwrap();
-        assert_eq!(s.eval, Some(FarFieldEval::Tree));
-        assert!(SimSpec::parse("boundary = open\n").unwrap().eval.is_none());
-        assert!(SimSpec::parse("eval = fmm\n").unwrap_err().message.contains("boundary = open"));
-        assert!(SimSpec::parse("boundary = open\neval = bogus\n")
-            .unwrap_err()
-            .message
-            .contains("unknown eval"));
-        let spec = SimSpec {
-            boundary: Boundary::Open,
-            theta: Some(0.45),
-            eval: Some(FarFieldEval::Fmm),
-            ..SimSpec::default()
-        };
-        let back = SimSpec::parse(&spec.to_config_text()).unwrap();
-        assert_eq!(back.eval, Some(FarFieldEval::Fmm));
-        assert_eq!(back.theta, Some(0.45));
+    fn the_eval_key_is_gone_with_a_typed_error_naming_the_tuner() {
+        // The evaluation is a tuner output since PR 23: every old spelling
+        // is a parse error that says who decides now, never a panic and
+        // never silently ignored.
+        for text in ["boundary = open\neval = fmm\n", "eval = tree\n", "EVAL = direct\n"] {
+            let e = SimSpec::parse(text).unwrap_err();
+            assert!(e.line > 0 && e.message.contains("unknown key `eval`"), "{text}: {e}");
+            assert!(e.message.contains("chosen by hibd_treecode::tune"), "{text}: {e}");
+        }
+        let spec = SimSpec { boundary: Boundary::Open, theta: Some(0.45), ..SimSpec::default() };
+        assert!(!spec.to_config_text().contains("eval"));
+    }
+
+    #[test]
+    fn theta_pins_a_hierarchical_evaluation_chosen_by_cost() {
+        let spec = SimSpec::parse("boundary = open\nparticles = 300\ntheta = 0.45\n").unwrap();
+        let t = spec.matrix_free_config().tree.expect("theta resolves explicit parameters");
+        assert_eq!(t.theta, 0.45);
+        assert_ne!(t.eval, hibd_treecode::TreeEval::Direct, "theta asks for a hierarchy");
+        assert_eq!(t, hibd_treecode::tune_at_theta(300, 0.45, spec.e_p, 1.0, 1.0));
+        // Without it the whole choice is the tuner's, made in `resolve_shape`.
+        assert!(SimSpec::parse("boundary = open\n").unwrap().matrix_free_config().tree.is_none());
     }
 
     #[test]

@@ -22,7 +22,7 @@ use hibd_mathx::fill_standard_normal;
 use hibd_pme::{tune, PmeOperator, PmeParams, PmePlans};
 use hibd_pse::{PseError, PseSampler, PseSplit};
 use hibd_telemetry::{self as telemetry, Counter, Phase, Snapshot};
-use hibd_treecode::{TreeEval, TreeOperator, TreeParams, TreePlans};
+use hibd_treecode::{TreeOperator, TreeParams, TreePlans};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -60,15 +60,13 @@ pub struct MatrixFreeConfig {
     pub max_krylov: usize,
     /// Displacement solver variant.
     pub displacement_mode: DisplacementMode,
-    /// Explicit treecode parameters for open-boundary systems; `None` takes
-    /// `(theta, cheb_order)` from `hibd_treecode::tune(target_ep, ..)` — the
-    /// `SCHEDULE` tier measured against the dense free-space RPY matrix. The
-    /// particle radius and viscosity are always taken from the system.
+    /// Explicit open-boundary parameters, evaluation included; `None` lets
+    /// `hibd_treecode::tune(n, target_ep, ..)` choose — the exact direct
+    /// sum below the hierarchical crossover, above it tree vs FMM and the
+    /// leaf capacity by modelled cost at the `SCHEDULE` tier measured
+    /// against the dense free-space RPY matrix. The particle radius and
+    /// viscosity are always taken from the system.
     pub tree: Option<TreeParams>,
-    /// Far-field strategy for open-boundary systems (node-to-particle
-    /// treecode vs M2L/L2L/L2P FMM). Consulted only when `tree` is `None`;
-    /// explicit [`TreeParams`] carry their own `eval`.
-    pub tree_eval: TreeEval,
 }
 
 impl Default for MatrixFreeConfig {
@@ -83,7 +81,6 @@ impl Default for MatrixFreeConfig {
             max_krylov: 100,
             displacement_mode: DisplacementMode::BlockKrylov,
             tree: None,
-            tree_eval: TreeEval::Tree,
         }
     }
 }
@@ -171,8 +168,11 @@ pub fn resolve_shape(
             }
             let tp = match cfg.tree {
                 Some(t) => TreeParams { a: system.a, eta: system.eta, ..t },
-                None => hibd_treecode::tune(cfg.target_ep, system.a, system.eta, cfg.tree_eval),
+                None => hibd_treecode::tune(system.len(), cfg.target_ep, system.a, system.eta),
             };
+            // Explicit parameters arrive unvalidated; `TreePlans::new` would
+            // panic on what this reports.
+            tp.check().map_err(BdError::Setup)?;
             Ok(ResolvedShape { pme: None, tree: Some(tp) })
         }
     }
@@ -765,6 +765,47 @@ mod tests {
             MatrixFreeBd::new(small_cluster(8, 0.1, 2), cfg, 1),
             Err(BdError::Setup(_))
         ));
+    }
+
+    #[test]
+    fn bad_explicit_tree_params_are_setup_errors_naming_the_field() {
+        // An explicit `tree` reaches the driver unvalidated; every field
+        // `TreePlans::new` would panic on comes back as a typed error.
+        let ok = TreeParams::default();
+        for (bad, field) in [
+            (TreeParams { theta: 1.5, ..ok }, "theta 1.5"),
+            (TreeParams { theta: f64::NAN, ..ok }, "theta NaN"),
+            (TreeParams { leaf_capacity: 0, ..ok }, "leaf_capacity 0"),
+            (TreeParams { cheb_order: 1, ..ok }, "cheb_order 1"),
+            (TreeParams { cheb_order: 9, ..ok }, "cheb_order 9"),
+        ] {
+            let cfg = MatrixFreeConfig { tree: Some(bad), ..Default::default() };
+            match MatrixFreeBd::new(small_cluster(8, 0.1, 2), cfg, 1) {
+                Err(BdError::Setup(msg)) => assert!(msg.contains(field), "{field}: {msg}"),
+                Err(e) => panic!("{field}: wrong error {e}"),
+                Ok(_) => panic!("{field}: accepted"),
+            }
+        }
+        // `a` and `eta` are the system's, whatever the explicit value says.
+        let cfg =
+            MatrixFreeConfig { tree: Some(TreeParams { a: -1.0, ..ok }), ..Default::default() };
+        let shape = resolve_shape(&small_cluster(8, 0.1, 2), &cfg).unwrap();
+        assert_eq!(shape.tree.unwrap().a, 1.0);
+    }
+
+    #[test]
+    fn small_open_systems_resolve_to_the_exact_direct_sum() {
+        let sys = small_cluster(25, 0.1, 13);
+        let tuned = resolve_shape(&sys, &MatrixFreeConfig::default()).unwrap().tree.unwrap();
+        assert_eq!(tuned, hibd_treecode::tune(25, 1e-3, 1.0, 1.0));
+        assert_eq!(tuned.eval, hibd_treecode::TreeEval::Direct);
+        // An explicit hierarchy is honoured field for field.
+        let fmm = TreeParams { eval: hibd_treecode::TreeEval::Fmm, leaf_capacity: 4, ..tuned };
+        let cfg = MatrixFreeConfig { tree: Some(fmm), lambda_rpy: 2, ..Default::default() };
+        let mut bd = MatrixFreeBd::new(sys, cfg, 5).unwrap();
+        assert_eq!(bd.shape().tree, Some(fmm));
+        bd.run(2).unwrap();
+        assert!(bd.snapshot().phase(Phase::M2l).count > 0);
     }
 
     #[test]

@@ -4,10 +4,12 @@
 //! fails alone — all without breaking the replica-vs-standalone bitwise
 //! contract.
 
+use hibd_core::ewald_bd::BdError;
 use hibd_core::forces::{Force, RepulsiveHarmonic};
 use hibd_core::mf_bd::{MatrixFreeBd, MatrixFreeConfig};
 use hibd_core::system::ParticleSystem;
 use hibd_engine::{EnsembleRunner, JobFault, PlanCache};
+use hibd_treecode::TreeParams;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -164,4 +166,46 @@ fn panicking_job_fails_alone_and_bitwise() {
         assert_eq!(positions_bits(runner.replica(good0)), want0, "good0 diverged under {tag}");
         assert_eq!(positions_bits(runner.replica(good1)), want1, "good1 diverged under {tag}");
     }
+}
+
+/// A job whose explicit open-boundary parameters are invalid is refused at
+/// admission with a typed setup error naming the field — the faulty job
+/// fails alone: nothing is admitted for it, nothing panics, and the jobs
+/// already running (and the ones admitted after it) never notice.
+#[test]
+fn bad_tree_params_fail_their_own_admission_only() {
+    let open = {
+        let mut rng = StdRng::seed_from_u64(41);
+        ParticleSystem::random_cluster_with(12, 0.1, 1.0, 1.0, &mut rng)
+    };
+    let cfg = MatrixFreeConfig { lambda_rpy: 2, ..Default::default() };
+    let ok = TreeParams::default();
+    let mut runner = EnsembleRunner::with_cache(PlanCache::new());
+    let good0 = runner.admit(open.clone(), cfg, 70).unwrap();
+    runner.replica_mut(good0).add_force(RepulsiveHarmonic::default());
+    runner.step().unwrap();
+    for (bad, field) in [
+        (TreeParams { theta: 0.0, ..ok }, "theta 0"),
+        (TreeParams { leaf_capacity: 0, ..ok }, "leaf_capacity 0"),
+        (TreeParams { cheb_order: 12, ..ok }, "cheb_order 12"),
+    ] {
+        let faulty = MatrixFreeConfig { tree: Some(bad), ..cfg };
+        match runner.admit(open.clone(), faulty, 71) {
+            Err(BdError::Setup(msg)) => assert!(msg.contains(field), "{field}: {msg}"),
+            Err(e) => panic!("{field}: wrong error {e}"),
+            Ok(slot) => panic!("{field}: admitted in slot {slot}"),
+        }
+        assert_eq!(runner.len(), 1, "{field}: nothing was admitted");
+    }
+    let good1 = runner.admit(open.clone(), cfg, 72).unwrap();
+    runner.replica_mut(good1).add_force(RepulsiveHarmonic::default());
+    for _ in 0..3 {
+        runner.step().unwrap();
+    }
+    // good0 ran 4 steps, good1 the last 3: both are their standalone runs.
+    assert_eq!(
+        positions_bits(runner.replica(good0)),
+        standalone_trajectory(open.clone(), cfg, 70, 4)
+    );
+    assert_eq!(positions_bits(runner.replica(good1)), standalone_trajectory(open, cfg, 72, 3));
 }

@@ -8,6 +8,7 @@ use hibd_core::mf_bd::{MatrixFreeBd, MatrixFreeConfig};
 use hibd_core::system::ParticleSystem;
 use hibd_engine::EnsembleRunner;
 use hibd_telemetry::{Counter, Phase};
+use hibd_treecode::TreeEval;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -85,7 +86,11 @@ fn open_replicas_match_standalone_runs_bitwise() {
     let snap = runner.job_snapshot(0);
     assert_eq!(snap.phase(Phase::TreeBuild).count, 2, "one operator per window (plans are shared)");
     assert!(snap.phase(Phase::NearField).count >= STEPS as u64);
-    assert_eq!(snap.phase(Phase::Upward).count, snap.phase(Phase::NearField).count);
+    // The tuned parameters: at n = 14 the exact direct sum, one pass per tile.
+    let tuned = runner.replica(0).shape().tree.expect("open shape");
+    assert_eq!(tuned, hibd_treecode::tune(14, cfg.target_ep, 1.0, 1.0));
+    assert_eq!(tuned.eval, TreeEval::Direct);
+    assert_eq!(snap.phase(Phase::Upward).count, 0, "the direct sum has no upward pass");
     assert_eq!(snap.phase(Phase::Spreading).count, 0, "no PME on an open job");
 
     for r in 0..R {

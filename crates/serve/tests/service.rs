@@ -267,13 +267,20 @@ fn a_config_value_cannot_take_the_daemon_down() {
     std::fs::write(root.join("spool").join("huge.conf"), huge).unwrap();
     std::fs::write(root.join("spool").join("nan.conf"), "particles = 14\nviscosity = nan\n")
         .unwrap();
+    // A key that is gone (the open-boundary evaluation is a tuner output)
+    // is one more job that fails alone, with an error saying who decides now.
+    std::fs::write(root.join("spool").join("eval.conf"), "boundary = open\neval = fmm\n").unwrap();
 
     let spec = ServeSpec { exit_when_idle: true, ..serve_spec(&root) };
     let mut lines = Vec::new();
     let report = serve(&spec, |m| lines.push(m.to_string())).unwrap();
-    assert_eq!((report.done, report.failed), (1, 2), "log: {lines:#?}");
+    assert_eq!((report.done, report.failed), (1, 3), "log: {lines:#?}");
 
-    for (name, key) in [("huge", "deadline_seconds 1000"), ("nan", "viscosity NaN")] {
+    for (name, key) in [
+        ("huge", "deadline_seconds 1000"),
+        ("nan", "viscosity NaN"),
+        ("eval", "chosen by hibd_treecode::tune"),
+    ] {
         let meta = JobMeta::load(&root.join("out").join(name)).unwrap().unwrap();
         assert_eq!(meta.state, JobState::Failed);
         let error = meta.error.unwrap();

@@ -423,9 +423,7 @@ mod tests {
         let tree = Octree::build(&pos, 16);
         let t = cheb::nodes(3);
         // Reuse the operator's traversal to get realistic far pairs.
-        let mut far = Vec::new();
-        let mut near = Vec::new();
-        crate::operator::dual_traverse_for_tests(&tree, 0.4, 2.0, &mut far, &mut near);
+        let (far, _near) = crate::operator::ordered_pairs(&tree, 0.4, 2.0);
         let data = FmmData::build(&tree, &far, &t, 1.0);
         assert_eq!(data.num_pairs(), far.len());
         assert!(

@@ -14,19 +14,24 @@
 //! [`TreeOperator`] implements the same [`hibd_linalg::LinearOperator`]
 //! trait as the PME and dense operators, so block Lanczos, the BD drivers,
 //! telemetry, and the audit/alloc tooling consume it unchanged. Accuracy is
-//! governed by [`TreeParams`] (`theta`, `cheb_order`); [`tune`] looks them
-//! up in [`SCHEDULE`], whose tiers are validated by measurement against the
-//! dense free-space RPY matrix — not by an asymptotic error bound.
+//! governed by [`TreeParams`] (`theta`, `cheb_order`), looked up in
+//! [`SCHEDULE`], whose tiers are validated by measurement against the dense
+//! free-space RPY matrix — not by an asymptotic error bound.
 //!
-//! Two far-field evaluation strategies share that machinery
-//! ([`TreeEval`]): the node-to-particle treecode (`O(n log n)`) and a true
-//! kernel-independent FMM with an M2L/L2L/L2P downward pass (`O(n)`, see
-//! [`fmm`]).
+//! Three evaluations share that machinery ([`TreeEval`]): the exact direct
+//! sum (`O(n^2)` through the vectorised near-field pair kernel — the
+//! operator with the root as its only leaf), the node-to-particle treecode
+//! (`O(n log n)`) and a true kernel-independent FMM with an M2L/L2L/L2P
+//! downward pass (`O(n)`, see [`fmm`]). Which one runs, and at what leaf
+//! capacity, is not a user choice: [`tune`] picks it from `(n, tolerance)`
+//! by a modelled per-column cost — the direct sum below the hierarchical
+//! crossover, the cheapest hierarchy above it (see [`tuner`]).
 //!
 //! Module map: [`morton`] (Z-order codes), [`tree`] (linearized octree),
 //! [`cheb`] (anterpolation weights and the universal M2M transfer
 //! matrices), [`fmm`] (M2L interaction lists and translation tables),
-//! [`operator`] (the matrix-free apply), [`tuner`] (accuracy schedule).
+//! [`operator`] (the matrix-free apply), [`tuner`] (accuracy schedule and
+//! cost model).
 
 pub mod cheb;
 pub mod fmm;
@@ -37,4 +42,4 @@ pub mod tuner;
 
 pub use operator::{TreeEval, TreeOperator, TreeParams, TreePlans, MAX_CHEB_ORDER};
 pub use tree::Octree;
-pub use tuner::{measured_rel_error, tune, SCHEDULE};
+pub use tuner::{measured_rel_error, tune, tune_at_theta, SCHEDULE};

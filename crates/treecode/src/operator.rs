@@ -40,6 +40,15 @@
 //! work, level-independent per particle. See the [`crate::fmm`] module docs
 //! for the table construction and the determinism argument.
 //!
+//! With [`TreeEval::Direct`] there is no hierarchy at all: the root is the
+//! only leaf, there is no proxy grid (`q = 0`, so every per-node buffer has
+//! length zero) and an apply is one `NearField` pass — `par_direct` cuts
+//! the Morton target range into chunks that recurse under `rayon::join`
+//! like the leaf passes, each chunk against all `n` sources in full
+//! [`PAIR_TILE`] tiles through the near field's own body (`near_block`).
+//! Exact, `O(n^2)`, and below the hierarchical crossover the cheapest of the
+//! three; [`crate::tune`] decides (see [`crate::tuner`]).
+//!
 //! # Blocks of vectors
 //!
 //! The paper's Section III-B argument for PME holds here too: the tree, the
@@ -75,7 +84,8 @@
 //! columns once, transposed to `[col][comp][source]`.
 //!
 //! *The tile width is a memory bound.* The tile scratch is
-//! `(6 n + 3 q^3 nodes) w` doubles (plus `3 q^3 nodes w` FMM locals); it is
+//! `(6 n + 3 q^3 nodes) w` doubles (plus `3 q^3 nodes w` FMM locals; `6 n w`
+//! for the direct sum); it is
 //! sized for width 1 at build and grows to the widest tile applied, never
 //! back — `apply`-only users keep the single-column footprint, and
 //! `state_memory_bytes` counts whatever is resident. [`COL_TILE`] `= 8` is
@@ -137,7 +147,37 @@ impl Default for TreeParams {
     }
 }
 
-/// Far-field evaluation strategy of the hierarchical operator.
+impl TreeParams {
+    /// Check every precondition [`TreePlans::new`] relies on; the error names
+    /// the offending field and its value. Callers holding parameters from
+    /// outside the program (an explicit `MatrixFreeConfig::tree`) validate
+    /// here and report a typed setup error; `TreePlans::new` panics on the
+    /// same message.
+    pub fn check(&self) -> Result<(), String> {
+        // `!(x > 0.0)` rather than `x <= 0.0`: NaN must fail too.
+        if !(self.theta > 0.0 && self.theta < 1.0) {
+            return Err(format!("tree theta {} outside (0, 1)", self.theta));
+        }
+        if self.leaf_capacity == 0 {
+            return Err("tree leaf_capacity 0 must be positive".into());
+        }
+        if !(2..=MAX_CHEB_ORDER).contains(&self.cheb_order) {
+            return Err(format!(
+                "tree cheb_order {} outside 2..={MAX_CHEB_ORDER}",
+                self.cheb_order
+            ));
+        }
+        for (field, x) in [("a", self.a), ("eta", self.eta)] {
+            if !(x.is_finite() && x > 0.0) {
+                return Err(format!("tree {field} {x} must be positive and finite"));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Evaluation strategy of the open-boundary operator — an output of
+/// [`crate::tune`], not a user choice.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TreeEval {
     /// Node-to-particle treecode: each target particle sums every accepted
@@ -147,6 +187,11 @@ pub enum TreeEval {
     /// Kernel-independent FMM: M2L translations between proxy grids, L2L
     /// child shifts, one L2P interpolation per particle — `O(n)` far field.
     Fmm,
+    /// The exact `O(n^2)` sum: every target against every source through
+    /// the near-field pair kernel. No tree, no MAC, no proxies — error at
+    /// rounding level; the cheapest evaluation below the hierarchical
+    /// crossover (`theta` and `cheb_order` are carried but unused).
+    Direct,
 }
 
 /// Position-independent treecode setup artifacts, shareable across
@@ -168,14 +213,17 @@ pub struct TreePlans {
 
 impl TreePlans {
     /// Validate the parameters and build the shared Chebyshev tables.
+    ///
+    /// # Panics
+    /// If [`TreeParams::check`] rejects the parameters.
     pub fn new(params: TreeParams) -> TreePlans {
-        assert!(params.theta > 0.0 && params.theta < 1.0, "theta must be in (0, 1)");
-        assert!(params.leaf_capacity >= 1, "leaf capacity must be positive");
-        assert!(
-            (2..=MAX_CHEB_ORDER).contains(&params.cheb_order),
-            "cheb_order must be in 2..={MAX_CHEB_ORDER}"
-        );
-        assert!(params.a > 0.0 && params.eta > 0.0);
+        if let Err(e) = params.check() {
+            panic!("{e}");
+        }
+        if params.eval == TreeEval::Direct {
+            // The direct sum has no proxies: nothing to share.
+            return TreePlans { params, cheb_t: Vec::new(), m2m: Vec::new(), l2l: Vec::new() };
+        }
         let cheb_t = cheb::nodes(params.cheb_order);
         let m2m = cheb::m2m_octants(&cheb_t);
         // L2L is interpolation from the parent grid onto a child grid — the
@@ -281,10 +329,14 @@ impl TreeOperator {
         let sw = hibd_telemetry::start(Phase::TreeBuild);
 
         let n = positions.len();
-        let q = params.cheb_order;
-        let q3 = q * q * q;
-        let tree = Octree::build(positions, params.leaf_capacity);
+        // The direct sum is this operator with the root as its only leaf and
+        // no proxy grid (`q = 0`): the traversal below then yields the one
+        // near pair (root, root) and every per-node buffer has length zero.
+        let direct = params.eval == TreeEval::Direct;
         let cheb_t = &plans.cheb_t;
+        let q = cheb_t.len();
+        let q3 = q * q * q;
+        let tree = Octree::build(positions, if direct { usize::MAX } else { params.leaf_capacity });
 
         // Per-particle anterpolation weights toward the owning leaf's grid.
         let mut pw = vec![0.0; n * 3 * q];
@@ -309,19 +361,7 @@ impl TreeOperator {
         }
 
         // Dual traversal -> ordered (target, source) pair lists.
-        let mut far_pairs: Vec<(u32, u32)> = Vec::new();
-        let mut near_pairs: Vec<(u32, u32)> = Vec::new();
-        if !tree.nodes.is_empty() {
-            dual_traverse(
-                &tree,
-                0,
-                0,
-                params.theta,
-                2.0 * params.a,
-                &mut far_pairs,
-                &mut near_pairs,
-            );
-        }
+        let (far_pairs, near_pairs) = ordered_pairs(&tree, params.theta, 2.0 * params.a);
 
         let nleaves = tree.leaves.len();
         let mut leaf_index = vec![u32::MAX; tree.nodes.len()];
@@ -370,6 +410,7 @@ impl TreeOperator {
                 let state = FmmState { data, locals: Vec::new() };
                 (vec![0u32; nleaves + 1], Vec::new(), Some(state), far_evals)
             }
+            TreeEval::Direct => (vec![0u32; nleaves + 1], Vec::new(), None, 0),
         };
 
         // Workload per apply: far field plus direct near pairs.
@@ -503,45 +544,53 @@ impl TreeOperator {
         // The buffers a pass writes are moved out so the kernels can borrow
         // `self` shared while writing disjoint slices of them (no
         // allocation: `take` swaps in an empty vec).
-        let sw = hibd_telemetry::start(Phase::Upward);
+        let direct = self.plans.params.eval == TreeEval::Direct;
+        let mut sw = hibd_telemetry::start(if direct { Phase::NearField } else { Phase::Upward });
         gather(&self.tree.order, x, s, col0, w, &mut self.xr[..tile]);
-        let mut weights = std::mem::take(&mut self.weights);
-        par_sweep(self, Sweep::Up, 0, w, &mut weights[..grid]);
-        self.weights = weights;
-        sw.stop(&mut self.snap);
-
         let mut yr = std::mem::take(&mut self.yr);
         let yt = &mut yr[..tile];
         yt.fill(0.0);
 
-        if self.fmm.is_some() {
-            // FMM far field: M2L into the locals (node-parallel, disjoint
-            // slices), L2L push-down by subtree, then one L2P pass per leaf.
-            // The state is taken out so the M2L pass can borrow `self`
-            // shared, and restored before L2P reads the locals through it.
-            let mut st = self.fmm.take().expect("checked above");
-            let m2l_pairs = st.data.num_pairs() as u64;
-            let locals = &mut st.locals[..grid];
-
-            let sw = hibd_telemetry::start(Phase::M2l);
-            locals.fill(0.0);
-            par_m2l(self, &st.data, 0, self.tree.nodes.len(), w, locals);
-            sw.stop(&mut self.snap);
-
-            let sw = hibd_telemetry::start(Phase::Downward);
-            par_sweep(self, Sweep::Down, 0, w, locals);
-            self.fmm = Some(st);
-            par_leaf_pass(self, LeafPass::L2p, 0, nleaves, w, yt);
-            sw.stop(&mut self.snap);
-            hibd_telemetry::incr(Counter::M2lTranslations, m2l_pairs * w as u64);
+        if direct {
+            // The whole apply is one pass of the pair kernel: every target
+            // chunk against all sources.
+            par_direct(self, 0, self.n, w, yt);
         } else {
-            let sw = hibd_telemetry::start(Phase::FarField);
-            par_leaf_pass(self, LeafPass::Far, 0, nleaves, w, yt);
+            let mut weights = std::mem::take(&mut self.weights);
+            par_sweep(self, Sweep::Up, 0, w, &mut weights[..grid]);
+            self.weights = weights;
             sw.stop(&mut self.snap);
-        }
 
-        let sw = hibd_telemetry::start(Phase::NearField);
-        par_leaf_pass(self, LeafPass::Near, 0, nleaves, w, yt);
+            if self.fmm.is_some() {
+                // FMM far field: M2L into the locals (node-parallel, disjoint
+                // slices), L2L push-down by subtree, then one L2P pass per
+                // leaf. The state is taken out so the M2L pass can borrow
+                // `self` shared, and restored before L2P reads the locals
+                // through it.
+                let mut st = self.fmm.take().expect("checked above");
+                let m2l_pairs = st.data.num_pairs() as u64;
+                let locals = &mut st.locals[..grid];
+
+                let sw = hibd_telemetry::start(Phase::M2l);
+                locals.fill(0.0);
+                par_m2l(self, &st.data, 0, self.tree.nodes.len(), w, locals);
+                sw.stop(&mut self.snap);
+
+                let sw = hibd_telemetry::start(Phase::Downward);
+                par_sweep(self, Sweep::Down, 0, w, locals);
+                self.fmm = Some(st);
+                par_leaf_pass(self, LeafPass::L2p, 0, nleaves, w, yt);
+                sw.stop(&mut self.snap);
+                hibd_telemetry::incr(Counter::M2lTranslations, m2l_pairs * w as u64);
+            } else {
+                let sw = hibd_telemetry::start(Phase::FarField);
+                par_leaf_pass(self, LeafPass::Far, 0, nleaves, w, yt);
+                sw.stop(&mut self.snap);
+            }
+
+            sw = hibd_telemetry::start(Phase::NearField);
+            par_leaf_pass(self, LeafPass::Near, 0, nleaves, w, yt);
+        }
         sw.stop(&mut self.snap);
 
         scatter(&self.tree.order, yt, s, col0, w, y);
@@ -582,6 +631,9 @@ enum Kernel<'a> {
     Leaf { pass: LeafPass, ord: usize, y: &'a mut [f64] },
     /// M2L fan-in of target node `node`; `out` is its local expansion.
     M2l { data: &'a fmm::FmmData, node: usize, out: &'a mut [f64] },
+    /// One target chunk of a [`par_direct`] pass, starting at Morton index
+    /// `first`; `y` is the chunk's output slice.
+    Direct { first: usize, y: &'a mut [f64] },
 }
 
 /// The single SIMD dispatch point of the apply: every width-generic kernel
@@ -646,6 +698,9 @@ fn kernel(op: &TreeOperator, w: usize, work: Kernel) {
             }
         }
         Kernel::M2l { data, node, out } => m2l_node(op, data, node, w, out),
+        Kernel::Direct { first, y } => {
+            near_block(op, first..first + y.len() / (3 * w), std::iter::once(0..op.n), w, y);
+        }
     }
 }
 
@@ -787,30 +842,41 @@ pub(crate) fn far_columns(
     }
 }
 
-/// Dual tree traversal emitting ordered far pairs (both directions) and
-/// ordered near leaf pairs (both directions; `(l, l)` once). The MAC is the
-/// two-sided ratio criterion (see inline comment), so an accepted pair is
-/// admissible as source *and* as target.
-fn dual_traverse(
+/// How the dual traversal settled an unordered node pair.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Settled {
+    /// MAC-accepted: each side's proxy grid serves the other.
+    Far,
+    /// Two leaves (or one leaf with itself) the MAC could not separate.
+    Near,
+}
+
+/// Dual tree traversal from the node pair `(a, b)` — `(0, 0)` for the whole
+/// tree: `emit` sees every settled *unordered* pair once (a leaf's self pair
+/// as `(l, l)`), in a fixed order. The MAC is the two-sided ratio criterion
+/// (see inline comment), so an accepted pair is admissible as source *and*
+/// as target. The operator turns the pairs into its interaction lists; the
+/// tuner's cost model counts them on a synthetic tree.
+pub(crate) fn dual_traverse(
     tree: &Octree,
     a: usize,
     b: usize,
     theta: f64,
     two_a: f64,
-    far: &mut Vec<(u32, u32)>,
-    near: &mut Vec<(u32, u32)>,
+    emit: &mut impl FnMut(Settled, usize, usize),
 ) {
     let na = &tree.nodes[a];
     let nb = &tree.nodes[b];
     if a == b {
         if na.leaf {
-            near.push((a as u32, a as u32));
+            emit(Settled::Near, a, a);
             return;
         }
-        let kids: Vec<u32> = na.children.iter().copied().filter(|&c| c != NO_CHILD).collect();
-        for (i, &ci) in kids.iter().enumerate() {
-            for &cj in &kids[i..] {
-                dual_traverse(tree, ci as usize, cj as usize, theta, two_a, far, near);
+        for (i, &ci) in na.children.iter().enumerate() {
+            for &cj in &na.children[i..] {
+                if ci != NO_CHILD && cj != NO_CHILD {
+                    dual_traverse(tree, ci as usize, cj as usize, theta, two_a, emit);
+                }
             }
         }
         return;
@@ -822,44 +888,47 @@ fn dual_traverse(
     // source nodes instead of many small ones. `theta < 1` makes either
     // clause imply `d > ra + rb`; the `2a` clause keeps the far branch exact.
     if rb < theta * (d - ra) && ra < theta * (d - rb) && d - ra - rb >= two_a {
-        far.push((a as u32, b as u32));
-        far.push((b as u32, a as u32));
+        emit(Settled::Far, a, b);
         return;
     }
     if na.leaf && nb.leaf {
-        near.push((a as u32, b as u32));
-        near.push((b as u32, a as u32));
+        emit(Settled::Near, a, b);
         return;
     }
     // Split the internal one; of two internals, the larger (ties: `a`).
     if nb.leaf || (!na.leaf && na.half >= nb.half) {
         for c in na.children {
             if c != NO_CHILD {
-                dual_traverse(tree, c as usize, b, theta, two_a, far, near);
+                dual_traverse(tree, c as usize, b, theta, two_a, emit);
             }
         }
     } else {
         for c in nb.children {
             if c != NO_CHILD {
-                dual_traverse(tree, a, c as usize, theta, two_a, far, near);
+                dual_traverse(tree, a, c as usize, theta, two_a, emit);
             }
         }
     }
 }
 
-/// Test-only handle on the traversal: the `fmm` unit tests build realistic
-/// MAC-accepted pair lists without constructing a full operator.
-#[cfg(test)]
-pub(crate) fn dual_traverse_for_tests(
-    tree: &Octree,
-    theta: f64,
-    two_a: f64,
-    far: &mut Vec<(u32, u32)>,
-    near: &mut Vec<(u32, u32)>,
-) {
+/// Ordered `(target, source)` node pairs.
+pub(crate) type PairList = Vec<(u32, u32)>;
+
+/// The whole tree's traversal as ordered pair lists, `(far, near)`: both
+/// directions of every settled pair, `(l, l)` once.
+pub(crate) fn ordered_pairs(tree: &Octree, theta: f64, two_a: f64) -> (PairList, PairList) {
+    let mut far = PairList::new();
+    let mut near = PairList::new();
     if !tree.nodes.is_empty() {
-        dual_traverse(tree, 0, 0, theta, two_a, far, near);
+        dual_traverse(tree, 0, 0, theta, two_a, &mut |settled, a, b| {
+            let list = if settled == Settled::Far { &mut far } else { &mut near };
+            list.push((a as u32, b as u32));
+            if a != b {
+                list.push((b as u32, a as u32));
+            }
+        });
     }
+    (far, near)
 }
 
 /// Flatten per-leaf lists into CSR (offsets, indices).
@@ -914,6 +983,29 @@ fn par_leaf_pass(
         || par_leaf_pass(op, pass, lo, mid, w, left),
         || par_leaf_pass(op, pass, mid, hi, w, right),
     );
+}
+
+/// Targets per unit of [`par_direct`] work: enough that staging a source
+/// tile (`3 w` copies per source) is noise beside the chunk's pair
+/// evaluations, few enough that n = 500 still splits eight ways. Not a
+/// numerical parameter — a target's sum does not depend on its chunk.
+const DIRECT_CHUNK: usize = 64;
+
+/// The direct sum over the Morton target range `lo..hi`: split at multiples
+/// of [`DIRECT_CHUNK`] under `rayon::join` like [`par_leaf_pass`] (a single
+/// root leaf would leave the pool idle), every chunk against all `n`
+/// sources in full [`PAIR_TILE`] tiles. `yr` covers exactly targets
+/// `lo..hi`. Each target accumulates the source tiles in index order, so
+/// the result is bitwise independent of the chunking and the schedule.
+fn par_direct(op: &TreeOperator, lo: usize, hi: usize, w: usize, yr: &mut [f64]) {
+    let chunks = (hi - lo).div_ceil(DIRECT_CHUNK);
+    if chunks <= 1 {
+        run_kernel(op, w, Kernel::Direct { first: lo, y: yr });
+        return;
+    }
+    let mid = lo + chunks / 2 * DIRECT_CHUNK;
+    let (left, right) = yr.split_at_mut(3 * w * (mid - lo));
+    rayon::join(|| par_direct(op, lo, mid, w, left), || par_direct(op, mid, hi, w, right));
 }
 
 /// Direction of a [`par_sweep`]: proxy weights up (P2M, M2M) or FMM locals
@@ -1129,28 +1221,47 @@ fn far_leaf(op: &TreeOperator, ord: usize, node: &Node, w: usize, y: &mut [f64])
 }
 
 /// Near field for one target leaf: direct two-branch RPY against every
-/// source leaf in the near list via the batched pair kernel
-/// ([`hibd_rpy::rpy_pairs_accumulate_multi`]: four pairs per AVX2
-/// iteration, pair scalars shared by the tile's columns). Sources are
-/// staged once per SoA tile — positions, and the `w` columns transposed to
-/// `[col][comp][source]` — and reused by every target of the leaf. The self
-/// block needs no special casing: the kernel's coincident (`r = 0`) lanes
-/// contribute exactly the `mu0 I` diagonal.
+/// source leaf in the near list. The self block needs no special casing: the
+/// kernel's coincident (`r = 0`) lanes contribute exactly the `mu0 I`
+/// diagonal.
 #[hibd::hot]
 #[inline(always)]
 fn near_leaf(op: &TreeOperator, ord: usize, node: &Node, w: usize, y: &mut [f64]) {
+    let srcs = &op.near_src[op.near_off[ord] as usize..op.near_off[ord + 1] as usize];
+    let ranges = srcs.iter().map(|&s| {
+        let sn = &op.tree.nodes[s as usize];
+        sn.start as usize..sn.end as usize
+    });
+    near_block(op, node.start as usize..node.end as usize, ranges, w, y);
+}
+
+/// The pair-kernel pass both the near field and the direct sum run: the
+/// Morton range `targets` against each source range of `srcs`, in order, via
+/// the batched pair kernel ([`hibd_rpy::rpy_pairs_accumulate_multi`]: four
+/// pairs per AVX2 iteration, pair scalars shared by the tile's columns).
+/// Sources are staged once per SoA tile of at most [`PAIR_TILE`] — positions,
+/// and the `w` columns transposed to `[col][comp][source]` — and reused by
+/// every target of the block. A target's sum runs over the source tiles in
+/// the order given, whatever `targets` it was grouped with.
+#[hibd::hot]
+#[inline(always)]
+fn near_block(
+    op: &TreeOperator,
+    targets: std::ops::Range<usize>,
+    srcs: impl Iterator<Item = std::ops::Range<usize>>,
+    w: usize,
+    y: &mut [f64],
+) {
     let mu0 = rpy_self_mobility(op.plans.params.a, op.plans.params.eta);
     let a = op.plans.params.a;
-    let srcs = &op.near_src[op.near_off[ord] as usize..op.near_off[ord + 1] as usize];
     let mut sx = [0.0f64; PAIR_TILE];
     let mut sy = [0.0f64; PAIR_TILE];
     let mut sz = [0.0f64; PAIR_TILE];
     let mut v = [[[0.0f64; PAIR_TILE]; 3]; COL_TILE];
-    for &s in srcs {
-        let sn = &op.tree.nodes[s as usize];
-        let mut j0 = sn.start as usize;
-        while j0 < sn.end as usize {
-            let l = (sn.end as usize - j0).min(PAIR_TILE);
+    for src in srcs {
+        let mut j0 = src.start;
+        while j0 < src.end {
+            let l = (src.end - j0).min(PAIR_TILE);
             for (t, xj) in op.xr[3 * w * j0..3 * w * (j0 + l)].chunks_exact(3 * w).enumerate() {
                 let pj = op.tree.pos[j0 + t];
                 sx[t] = pj.x;
@@ -1164,7 +1275,7 @@ fn near_leaf(op: &TreeOperator, ord: usize, node: &Node, w: usize, y: &mut [f64]
             }
             let cols: [[&[f64]; 3]; COL_TILE] =
                 std::array::from_fn(|j| v[j].each_ref().map(|c| &c[..l]));
-            for (k, yk) in (node.start as usize..node.end as usize).zip(y.chunks_exact_mut(3 * w)) {
+            for (k, yk) in targets.clone().zip(y.chunks_exact_mut(3 * w)) {
                 let p = op.tree.pos[k];
                 let mut acc = [[0.0f64; 3]; COL_TILE];
                 rpy_pairs_accumulate_multi(
@@ -1299,11 +1410,11 @@ mod tests {
     fn coincident_particles_use_the_regularized_limit() {
         let p = Vec3::new(0.3, 0.3, 0.3);
         let pos = vec![p, p, p + Vec3::new(5.0, 0.0, 0.0)];
-        let mut op = TreeOperator::new(&pos, TreeParams::default());
         let dense_ref = {
             // r -> 0 overlap limit is mu0 I; build the expected matrix by
             // hand from the pair tensor where defined.
             let mu0 = rpy_self_mobility(1.0, 1.0);
+            let pos = &pos;
             move |x: &[f64], y: &mut [f64]| {
                 y.iter_mut().for_each(|v| *v = 0.0);
                 for i in 0..3 {
@@ -1333,9 +1444,12 @@ mod tests {
         let x = test_vec(9, 7);
         let mut yt = vec![0.0; 9];
         let mut yd = vec![0.0; 9];
-        op.apply(&x, &mut yt);
         dense_ref(&x, &mut yd);
-        assert!(rel_err(&yt, &yd) < 1e-3);
+        for (eval, tol) in [(TreeEval::Tree, 1e-3), (TreeEval::Direct, 1e-14)] {
+            let mut op = TreeOperator::new(&pos, TreeParams { eval, ..TreeParams::default() });
+            op.apply(&x, &mut yt);
+            assert!(rel_err(&yt, &yd) < tol, "{eval:?}: {}", rel_err(&yt, &yd));
+        }
     }
 
     /// The SIMD override is process-global; the tests that flip it serialize.
@@ -1377,7 +1491,9 @@ mod tests {
         for scalar in [false, true] {
             let _g = scalar.then(hibd_simd::ScalarGuard::new);
             let mut op = structured_op(eval);
-            assert!(op.max_depth() >= 3 && op.interactions_per_apply() > 0);
+            let hierarchical = eval != TreeEval::Direct;
+            assert!(op.max_depth() >= 3 || !hierarchical);
+            assert!(op.interactions_per_apply() > 0);
             let dim = op.dim();
             let mut x = vec![0.0; dim];
             let mut y = vec![0.0; dim];
@@ -1418,6 +1534,12 @@ mod tests {
 
     #[test]
     #[cfg_attr(miri, ignore = "hundreds of applies: too slow to interpret")]
+    fn direct_apply_multi_matches_column_by_column_apply() {
+        assert_block_columns_are_applies(TreeEval::Direct);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "hundreds of applies: too slow to interpret")]
     fn apply_and_block_apply_keep_their_recorded_bits() {
         // FNV-1a over the `to_bits` of `apply` and of `apply_multi(s = 16)`,
         // recorded at the commit before `apply` became the width-1 instance
@@ -1425,8 +1547,9 @@ mod tests {
         // column: `(eval, [avx2 leg, scalar leg])`, each leg `(apply, s16)`.
         // The legs differ through the near-field pair kernel only. CI runs
         // this at RAYON_NUM_THREADS = 1 and 3, so it also pins serial ==
-        // rayon against one absolute value.
-        const GOLDEN: [(TreeEval, [(u64, u64); 2]); 2] = [
+        // rayon against one absolute value. The `Direct` row was recorded
+        // when the direct sum landed (PR 23); the other two did not move.
+        const GOLDEN: [(TreeEval, [(u64, u64); 2]); 3] = [
             (
                 TreeEval::Tree,
                 [
@@ -1439,6 +1562,13 @@ mod tests {
                 [
                     (0xa2bb_d2c8_b7f0_9dd6, 0x8370_db4d_4853_1983),
                     (0x57dd_f7ad_7363_eaf4, 0xe518_28bc_767d_5b83),
+                ],
+            ),
+            (
+                TreeEval::Direct,
+                [
+                    (0xd181_e34c_f713_c506, 0xed9f_fa65_2c16_fcb3),
+                    (0x3b25_1a14_db8c_4b1f, 0x9955_e280_d690_641f),
                 ],
             ),
         ];
@@ -1572,6 +1702,70 @@ mod tests {
         op.apply(&x, &mut y);
         for (g, w) in y.iter().zip(&x) {
             assert!((g - mu0 * w).abs() < 1e-14);
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "dense references up to n = 340: too slow to interpret")]
+    fn direct_sum_is_the_dense_matrix_to_rounding() {
+        // Overlapping pairs (Yamakawa branch) included — the dense builder
+        // has no coincident limit, `coincident_particles_...` covers that —
+        // a block of columns, sizes on both sides of the chunk and tile
+        // boundaries; `theta`, `q` and the leaf capacity are carried, not used.
+        let params =
+            TreeParams { eval: TreeEval::Direct, leaf_capacity: 4, ..TreeParams::default() };
+        let overlapping = structured_cloud()[..340].to_vec();
+        for pos in [overlapping, cloud(1, 5.0, 3), cloud(33, 6.0, 5), cloud(130, 9.0, 7)] {
+            let dim = 3 * pos.len();
+            let dense = dense_rpy_free(&pos, 1.0, 1.0);
+            let mut op = TreeOperator::new(&pos, params);
+            assert_eq!((op.max_depth(), op.fmm_stats()), (0, None));
+            assert_eq!(op.interactions_per_apply(), (pos.len() * pos.len()) as u64);
+            let s = 9;
+            let xm = test_vec(dim * s, 21);
+            let mut ym = vec![0.0; dim * s];
+            op.apply_multi(&xm, &mut ym, s);
+            let (mut x, mut yd) = (vec![0.0; dim], vec![0.0; dim]);
+            for col in 0..s {
+                for i in 0..dim {
+                    x[i] = xm[i * s + col];
+                }
+                dense.mul_vec(&x, &mut yd);
+                let got: Vec<f64> = (0..dim).map(|i| ym[i * s + col]).collect();
+                let err = rel_err(&got, &yd);
+                assert!(err <= 1e-13, "n = {}, column {col}: rel err {err}", pos.len());
+            }
+            let snap = op.snapshot();
+            assert_eq!(snap.phase(Phase::NearField).count, 2, "one span per column tile");
+            for ph in [Phase::Upward, Phase::FarField, Phase::M2l, Phase::Downward] {
+                assert_eq!(snap.phase(ph).count, 0, "{}", ph.name());
+            }
+        }
+        let mut empty = TreeOperator::new(&[], params);
+        empty.apply(&[], &mut []);
+        assert_eq!(empty.interactions_per_apply(), 0);
+    }
+
+    #[test]
+    fn setup_errors_name_the_field_and_value() {
+        let ok = TreeParams::default();
+        assert!(ok.check().is_ok());
+        for (bad, field) in [
+            (TreeParams { theta: 0.0, ..ok }, "theta 0"),
+            (TreeParams { theta: 1.0, ..ok }, "theta 1"),
+            (TreeParams { theta: f64::NAN, ..ok }, "theta NaN"),
+            (TreeParams { leaf_capacity: 0, ..ok }, "leaf_capacity 0"),
+            (TreeParams { cheb_order: 1, ..ok }, "cheb_order 1"),
+            (TreeParams { cheb_order: MAX_CHEB_ORDER + 1, ..ok }, "cheb_order 9"),
+            (TreeParams { a: 0.0, ..ok }, "a 0"),
+            (TreeParams { a: f64::INFINITY, ..ok }, "a inf"),
+            (TreeParams { eta: -1.0, ..ok }, "eta -1"),
+        ] {
+            // The direct sum carries the same fields under the same rules.
+            for eval in [TreeEval::Tree, TreeEval::Direct] {
+                let e = TreeParams { eval, ..bad }.check().unwrap_err();
+                assert!(e.contains(field), "{field}: {e}");
+            }
         }
     }
 

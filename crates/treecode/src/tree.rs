@@ -123,6 +123,62 @@ impl Octree {
         tree
     }
 
+    /// The complete octree of the unit cube with every leaf at `depth` and no
+    /// particles: the geometry a uniform cloud's tree tends to, which is all
+    /// the tuner's cost model needs of a cloud (`tuner::count_lists` runs
+    /// the operator's own traversal over it).
+    pub(crate) fn full(depth: u32) -> Octree {
+        assert!(depth <= morton::MORTON_BITS);
+        let mut tree =
+            Octree { order: Vec::new(), pos: Vec::new(), nodes: Vec::new(), leaves: Vec::new() };
+        tree.grow(Vec3::splat(0.5), 0.5, 0, [0; 3], 0, depth);
+        tree
+    }
+
+    /// Append the complete subtree under the cell `(level, cell)` in
+    /// preorder; returns its root's index.
+    fn grow(
+        &mut self,
+        center: Vec3,
+        half: f64,
+        octant: u8,
+        cell: [u32; 3],
+        level: u8,
+        depth: u32,
+    ) -> u32 {
+        let ni = self.nodes.len();
+        let leaf = u32::from(level) == depth;
+        self.nodes.push(Node {
+            center,
+            half,
+            start: 0,
+            end: 0,
+            children: [NO_CHILD; 8],
+            octant,
+            level,
+            cell,
+            leaf,
+        });
+        if leaf {
+            self.leaves.push(ni as u32);
+            return ni as u32;
+        }
+        for oct in 0..8u8 {
+            let bit = |shift: u8| u32::from((oct >> shift) & 1);
+            let off = |shift: u8| if bit(shift) != 0 { half / 2.0 } else { -half / 2.0 };
+            let child = self.grow(
+                Vec3::new(center.x + off(2), center.y + off(1), center.z + off(0)),
+                half / 2.0,
+                oct,
+                [2 * cell[0] + bit(2), 2 * cell[1] + bit(1), 2 * cell[2] + bit(0)],
+                level + 1,
+                depth,
+            );
+            self.nodes[ni].children[oct as usize] = child;
+        }
+        ni as u32
+    }
+
     /// Deepest level of any node (`0` for a single-leaf or empty tree).
     pub fn max_depth(&self) -> u32 {
         self.nodes.iter().map(|n| u32::from(n.level)).max().unwrap_or(0)
@@ -287,6 +343,41 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_full_tree_is_the_tree_of_one_particle_per_finest_cell() {
+        // Same preorder, same cells, same centers as `build` produces for a
+        // cloud that fills every depth-2 cell: the synthetic geometry is the
+        // real builder's, not a second convention.
+        let mut pos = Vec::new();
+        for i in 0..4 {
+            for j in 0..4 {
+                for k in 0..4 {
+                    for (dx, dy) in [(0.2, 0.3), (0.7, 0.6)] {
+                        pos.push(Vec3::new(
+                            (f64::from(i) + dx) / 4.0,
+                            (f64::from(j) + dy) / 4.0,
+                            (f64::from(k) + 0.5) / 4.0,
+                        ));
+                    }
+                }
+            }
+        }
+        // Pin the bounding cube to the unit cube.
+        pos.push(Vec3::ZERO);
+        pos.push(Vec3::splat(1.0));
+        let built = Octree::build(&pos, 3);
+        let full = Octree::full(2);
+        assert_eq!((full.nodes.len(), full.leaves.len()), (1 + 8 + 64, 64));
+        assert_eq!(built.nodes.len(), full.nodes.len());
+        assert_eq!(built.leaves, full.leaves);
+        for (b, f) in built.nodes.iter().zip(&full.nodes) {
+            assert_eq!((b.level, b.cell, b.octant, b.leaf), (f.level, f.cell, f.octant, f.leaf));
+            assert_eq!(b.children, f.children);
+            assert!((b.center - f.center).norm() < 1e-12 && (b.half - f.half).abs() < 1e-12);
+        }
+        assert_eq!(Octree::full(0).leaves, vec![0]);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 use hibd_linalg::LinearOperator;
 use hibd_mathx::Vec3;
 use hibd_rpy::dense_rpy_free;
+use hibd_treecode::tuner::LEAF_CAPACITIES;
 use hibd_treecode::{measured_rel_error, TreeEval, TreeOperator, TreeParams, SCHEDULE};
 use proptest::prelude::*;
 
@@ -51,6 +52,47 @@ fn fmm_meets_every_schedule_tier_against_dense() {
             TreeParams { theta, cheb_order: q, eval: TreeEval::Fmm, ..TreeParams::default() };
         let err = measured_rel_error(&pos, params, 3);
         assert!(err <= tol, "FMM schedule ({theta}, {q}): measured {err} > {tol}");
+    }
+}
+
+#[test]
+fn every_tier_holds_at_every_leaf_capacity_the_tuner_may_return() {
+    // The tuner picks the leaf capacity and tree-vs-FMM by cost, so every
+    // combination must keep each tier's advertised tolerance. Per capacity
+    // the cloud is sized to a clean depth-2 tree (level-1 cells hold 1.6
+    // capacities, level-2 cells a fifth of one) — the shallowest with a far
+    // field at either theta — at the ladder's open density. The reference is
+    // the direct sum (`direct_sum_is_the_dense_matrix_to_rounding` pins it
+    // to the dense matrix at 1e-13): a dense matrix at n = 3200 is 0.7 GB.
+    for leaf_capacity in LEAF_CAPACITIES {
+        let n = 25 * leaf_capacity / 2;
+        let spread = (4.0 * std::f64::consts::PI * n as f64 / (3.0 * 0.1)).cbrt();
+        let pos = cloud(n, spread, 7 + leaf_capacity as u64);
+        let x: Vec<f64> = (0..3 * n).map(|i| (i as f64 * 0.37).sin()).collect();
+        let apply = |params: TreeParams| {
+            let mut op = TreeOperator::new(&pos, params);
+            let mut y = vec![0.0; 3 * n];
+            op.apply(&x, &mut y);
+            (y, op.max_depth())
+        };
+        let (exact, _) = apply(TreeParams { eval: TreeEval::Direct, ..TreeParams::default() });
+        let ref2: f64 = exact.iter().map(|e| e * e).sum();
+        for &(tol, theta, q) in &SCHEDULE {
+            for eval in [TreeEval::Tree, TreeEval::Fmm] {
+                let params = TreeParams {
+                    theta,
+                    cheb_order: q,
+                    leaf_capacity,
+                    eval,
+                    ..TreeParams::default()
+                };
+                let (y, depth) = apply(params);
+                assert_eq!(depth, 2, "leaf {leaf_capacity}: the cloud must reach a far field");
+                let err2: f64 = y.iter().zip(&exact).map(|(t, e)| (t - e) * (t - e)).sum();
+                let err = (err2 / ref2).sqrt();
+                assert!(err <= tol, "{eval:?} ({theta}, {q}) leaf {leaf_capacity}: {err} > {tol}");
+            }
+        }
     }
 }
 

@@ -53,7 +53,7 @@ fn apply_multi_is_allocation_free_at_steady_state() {
     let n = 200;
     let s = 16;
     let pos = cloud(n, 20.0, 9);
-    for eval in [TreeEval::Tree, TreeEval::Fmm] {
+    for eval in [TreeEval::Tree, TreeEval::Fmm, TreeEval::Direct] {
         let params = TreeParams { leaf_capacity: 16, eval, ..TreeParams::default() };
         let mut op = TreeOperator::new(&pos, params);
         let built = op.memory_bytes();
@@ -75,6 +75,31 @@ fn apply_multi_is_allocation_free_at_steady_state() {
         );
         assert_eq!(op.memory_bytes(), mem, "{eval:?}: block scratch grew after warm-up");
     }
+}
+
+#[test]
+fn direct_sum_owns_two_tiles_and_nothing_per_node() {
+    // The direct sum's whole state is the Morton order, the positions and
+    // the gathered input / output tiles: `6 n w` doubles of scratch at the
+    // widest tile applied, no proxy grids, no lists, no shared tables.
+    let _guard = exclusive();
+    let n = 300;
+    let pos = cloud(n, 25.0, 17);
+    let params = TreeParams { eval: TreeEval::Direct, ..TreeParams::default() };
+    let mut op = TreeOperator::new(&pos, params);
+    let fixed = n * (std::mem::size_of::<Vec3>() + std::mem::size_of::<u32>());
+    let tiles = |w: usize| 6 * n * w * std::mem::size_of::<f64>();
+    let slack = 512; // the root node (a `Vec`'s first growth holds four), one leaf id, CSR offsets
+    assert_eq!(op.memory_bytes(), op.state_memory_bytes(), "nothing lives in the plans");
+    let built = op.state_memory_bytes();
+    assert!((fixed + tiles(1)..=fixed + tiles(1) + slack).contains(&built), "{built}");
+    let s = 16;
+    let x = vec![0.25; 3 * n * s];
+    let mut y = vec![0.0; 3 * n * s];
+    op.apply_multi(&x, &mut y, s);
+    let wide = op.state_memory_bytes();
+    let w = hibd_rpy::COL_TILE;
+    assert!((fixed + tiles(w)..=fixed + tiles(w) + slack).contains(&wide), "{wide}");
 }
 
 #[test]
