@@ -597,6 +597,21 @@ mod tests {
     }
 
     #[test]
+    fn krylov_faults_keep_their_text_through_both_displacement_paths() {
+        let fault = hibd_krylov::KrylovError::NonFinite { iteration: 3 };
+        let direct = BdError::Krylov(fault.to_string()).to_string();
+        assert!(
+            direct.ends_with("operator output is not finite (Lanczos iteration 3)"),
+            "{direct}"
+        );
+        let via_pse = map_pse(PseError::from(fault)).to_string();
+        assert!(
+            via_pse.ends_with("operator output is not finite (Lanczos iteration 3)"),
+            "{via_pse}"
+        );
+    }
+
+    #[test]
     fn steps_advance_with_tuned_parameters() {
         let sys = small_system(30, 0.1, 1);
         let mut bd = MatrixFreeBd::new(sys, MatrixFreeConfig::default(), 42).unwrap();

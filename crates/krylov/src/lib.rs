@@ -6,24 +6,28 @@
 //! crate implements the matrix-free alternative of the paper (Section III-B,
 //! ref. \[8\] — Ando, Chow, Saad & Skolnick, J. Chem. Phys. 137, 2012):
 //!
-//! * [`lanczos_sqrt`] — single-vector Lanczos: build the Krylov basis
-//!   `K_m(M, z)`, project to a small tridiagonal `T_m`, and approximate
-//!   `M^{1/2} z ≈ ||z|| V_m T_m^{1/2} e_1`;
-//! * [`block_lanczos_sqrt`] — the block variant used by Algorithm 2: since
+//! * [`block_lanczos_sqrt`] — the block Lanczos used by Algorithm 2: since
 //!   the mobility matrix is reused for `lambda_RPY` time steps, all
 //!   `lambda_RPY` displacement vectors are computed together, which both
 //!   converges in fewer iterations and turns the real-space SpMV into a
-//!   multi-RHS SpMM (paper refs. \[8\], \[24\]).
+//!   multi-RHS SpMM (paper refs. \[8\], \[24\]). It builds an orthonormal
+//!   basis `V_m` of the block Krylov space `K_m(M, Z)`, projects `M` to a
+//!   small block tridiagonal `T_m`, and approximates
+//!   `M^{1/2} Z ≈ V_m T_m^{1/2} E_1 R` (`Z = V_1 R`);
+//! * [`lanczos_sqrt`] — the single-vector method, i.e. the same solver at
+//!   block width one (`T_m` tridiagonal, `R = ||z||`).
 //!
-//! Both run against any [`LinearOperator`], so they accept the dense Ewald
+//! They run against any [`LinearOperator`], so they accept the dense Ewald
 //! matrix and the PME operator interchangeably. Convergence is declared when
 //! the relative change between successive iterates drops below the paper's
-//! `e_k` tolerance.
+//! `e_k` tolerance. With orthonormal panels that change is the change of the
+//! small coefficient block `c_m = T_m^{1/2} E_1 R`
+//! (`||V_m c_m - V_{m-1} c_{m-1}||_F = ||c_m - [c_{m-1}; 0]||_F`), so it is
+//! tested there and the `n x s` product `V_m c_m` is formed once, at the end.
 
 #![allow(clippy::needless_range_loop)] // index-heavy numeric kernels
 
-use hibd_hot as hibd;
-use hibd_linalg::{sym_sqrt_times_block, thin_qr, DMat, LinearOperator};
+use hibd_linalg::{sym_sqrt_times_block, DMat, EigError, LinearOperator, ThinQr};
 
 /// Options for the Lanczos square-root solvers.
 #[derive(Clone, Copy, Debug)]
@@ -32,8 +36,12 @@ pub struct KrylovConfig {
     pub tol: f64,
     /// Hard iteration cap.
     pub max_iter: usize,
-    /// Check convergence every this many iterations (checks cost `O(m^3)`
-    /// eigen-solves of the projected matrix).
+    /// Check convergence every this many iterations. A check is one dense
+    /// eigensolve of the `m*s x m*s` projected matrix plus an `m*s x s`
+    /// norm — about a millisecond at `m*s = 100`, independent of the
+    /// operator's dimension, against tens of milliseconds for one block
+    /// apply at the shapes run here — so 1 is the right value unless `s` is
+    /// very large.
     pub check_interval: usize,
 }
 
@@ -62,6 +70,12 @@ pub enum KrylovError {
     /// The projected matrix had a significantly negative eigenvalue: the
     /// operator is not positive semidefinite.
     NotPositiveSemidefinite { eigenvalue: f64 },
+    /// The operator's output at iteration `iteration` (1-based) holds a NaN
+    /// or an infinity (`iteration` 0: the input block `z` does).
+    NonFinite { iteration: usize },
+    /// The eigensolve of the (finite) `dimension x dimension` projected
+    /// matrix hit its QL sweep cap.
+    EigensolveStalled { dimension: usize },
     /// Dimension/shape mismatch.
     BadShape(String),
 }
@@ -72,6 +86,13 @@ impl std::fmt::Display for KrylovError {
             KrylovError::NotPositiveSemidefinite { eigenvalue } => {
                 write!(f, "operator is not PSD (projected eigenvalue {eigenvalue:e})")
             }
+            KrylovError::NonFinite { iteration: 0 } => write!(f, "non-finite input block"),
+            KrylovError::NonFinite { iteration } => {
+                write!(f, "operator output is not finite (Lanczos iteration {iteration})")
+            }
+            KrylovError::EigensolveStalled { dimension } => {
+                write!(f, "eigensolve of the {dimension} x {dimension} projected matrix stalled")
+            }
             KrylovError::BadShape(s) => write!(f, "bad shape: {s}"),
         }
     }
@@ -79,18 +100,9 @@ impl std::fmt::Display for KrylovError {
 
 impl std::error::Error for KrylovError {}
 
-/// Approximate `g = M^{1/2} z` for an SPD operator using single-vector
-/// Terminal bookkeeping for a square-root solve: publish the iteration and
-/// restart counts to the global telemetry recorder (each call to a Lanczos
-/// solver builds a fresh Krylov space, i.e. one restart), then hand back the
-/// result unchanged.
-fn done(g: Vec<f64>, stats: KrylovStats) -> Result<(Vec<f64>, KrylovStats), KrylovError> {
-    hibd_telemetry::incr(hibd_telemetry::Counter::LanczosRestarts, 1);
-    hibd_telemetry::incr(hibd_telemetry::Counter::LanczosIterations, stats.iterations as u64);
-    Ok((g, stats))
-}
-
-/// Lanczos with full reorthogonalization.
+/// Approximate `g = M^{1/2} z` for an SPD operator with single-vector
+/// Lanczos (full reorthogonalization): [`block_lanczos_sqrt`] at block width
+/// one.
 ///
 /// Returns the approximation and convergence statistics.
 pub fn lanczos_sqrt(
@@ -98,105 +110,7 @@ pub fn lanczos_sqrt(
     z: &[f64],
     cfg: &KrylovConfig,
 ) -> Result<(Vec<f64>, KrylovStats), KrylovError> {
-    let n = op.dim();
-    if z.len() != n {
-        return Err(KrylovError::BadShape(format!("z has {} entries, operator dim {n}", z.len())));
-    }
-    let beta0 = norm(z);
-    if beta0 == 0.0 {
-        return done(vec![0.0; n], KrylovStats { iterations: 0, converged: true, rel_change: 0.0 });
-    }
-
-    // Krylov basis vectors, alphas (diagonal of T), betas (subdiagonal).
-    let mut v: Vec<Vec<f64>> = vec![z.iter().map(|x| x / beta0).collect()];
-    let mut alpha: Vec<f64> = Vec::new();
-    let mut beta: Vec<f64> = Vec::new();
-
-    let mut w = vec![0.0; n];
-    let mut g_prev: Option<Vec<f64>> = None;
-    let mut rel_change = f64::INFINITY;
-    let mut breakdown = false;
-
-    for j in 0..cfg.max_iter {
-        op.apply(&v[j], &mut w);
-        let a = dot(&v[j], &w);
-        alpha.push(a);
-        for (wi, vi) in w.iter_mut().zip(&v[j]) {
-            *wi -= a * vi;
-        }
-        if j > 0 {
-            let b = beta[j - 1];
-            for (wi, vi) in w.iter_mut().zip(&v[j - 1]) {
-                *wi -= b * vi;
-            }
-        }
-        // Full reorthogonalization (cheap at these subspace sizes, avoids
-        // the ghost-eigenvalue pathology).
-        for vk in &v {
-            let p = dot(vk, &w);
-            for (wi, vi) in w.iter_mut().zip(vk) {
-                *wi -= p * vi;
-            }
-        }
-        let b = norm(&w);
-
-        let check_now = (j + 1) % cfg.check_interval == 0 || j + 1 == cfg.max_iter;
-        if b <= 1e-13 * beta0 {
-            breakdown = true;
-        } else {
-            v.push(w.iter().map(|x| x / b).collect());
-            beta.push(b);
-        }
-
-        if check_now || breakdown {
-            let g = evaluate_sqrt_single(&v, &alpha, &beta, beta0)?;
-            if let Some(prev) = &g_prev {
-                rel_change = rel_diff(&g, prev);
-                if rel_change < cfg.tol || breakdown {
-                    return done(g, KrylovStats { iterations: j + 1, converged: true, rel_change });
-                }
-            } else if breakdown {
-                return done(
-                    g,
-                    KrylovStats { iterations: j + 1, converged: true, rel_change: 0.0 },
-                );
-            }
-            g_prev = Some(g);
-        }
-    }
-    let g = g_prev.expect("at least one evaluation");
-    done(g, KrylovStats { iterations: cfg.max_iter, converged: false, rel_change })
-}
-
-/// `g_m = beta0 * V_m * sqrt(T_m) * e_1` for the current tridiagonal.
-fn evaluate_sqrt_single(
-    v: &[Vec<f64>],
-    alpha: &[f64],
-    beta: &[f64],
-    beta0: f64,
-) -> Result<Vec<f64>, KrylovError> {
-    let m = alpha.len();
-    let mut t = DMat::zeros(m, m);
-    for i in 0..m {
-        t[(i, i)] = alpha[i];
-        if i + 1 < m {
-            t[(i, i + 1)] = beta[i];
-            t[(i + 1, i)] = beta[i];
-        }
-    }
-    let mut e1 = DMat::zeros(m, 1);
-    e1[(0, 0)] = beta0;
-    let coeffs = sym_sqrt_times_block(&t, &e1)
-        .map_err(|w| KrylovError::NotPositiveSemidefinite { eigenvalue: w })?;
-    let n = v[0].len();
-    let mut g = vec![0.0; n];
-    for (k, vk) in v.iter().take(m).enumerate() {
-        let c = coeffs[(k, 0)];
-        for (gi, vi) in g.iter_mut().zip(vk) {
-            *gi += c * vi;
-        }
-    }
-    Ok(g)
+    block_lanczos_sqrt(op, z, 1, cfg)
 }
 
 /// Approximate `G = M^{1/2} Z` for a block of `s` vectors (`z` row-major
@@ -234,24 +148,35 @@ pub fn block_lanczos_sqrt(
         return Err(KrylovError::BadShape(format!("block width {s} exceeds dimension {n}")));
     }
 
-    // V_1 R = Z (thin QR); the copy of `z` the factorization reads dies here.
-    let qr0 = thin_qr(&DMat::from_vec(n, s, z.to_vec()));
-    let r0 = qr0.r;
-    let mut panels: Vec<DMat> = vec![qr0.q];
+    if !all_finite(z) {
+        return Err(KrylovError::NonFinite { iteration: 0 });
+    }
+    // V_1 R = Z (thin QR, in place on the one copy of `z` made here).
+    let ThinQr { q, r: r0, .. } = ThinQr::factor(DMat::from_vec(n, s, z.to_vec()));
+    let mut panels: Vec<DMat> = vec![q];
     let mut a_blocks: Vec<DMat> = Vec::new(); // diagonal blocks A_j (s x s)
     let mut b_blocks: Vec<DMat> = Vec::new(); // subdiagonal blocks B_j (s x s)
 
-    // W is reused across iterations; apply_multi writes the operator's
-    // batched block product straight into it (it fully overwrites), and the
-    // projections subtract `V P` row by row (`add_scaled_matmul`), so the
-    // hot loop holds no `n x s` temporary besides W and the new panel.
-    let mut wmat = DMat::zeros(n, s);
-    let mut g_prev: Option<DMat> = None;
+    // Coefficients `c_m` (`m*s x s`) at the last convergence check.
+    let mut coeffs: Option<DMat> = None;
     let mut rel_change = f64::INFINITY;
-    let mut breakdown = false;
+    let mut iterations = 0;
+    let mut converged = false;
 
-    for j in 0..cfg.max_iter {
+    while iterations < cfg.max_iter && !converged {
+        let j = iterations;
+        iterations += 1;
+        // W is born as the operator's batched block product (apply_multi
+        // fully overwrites it), is projected in place row by row
+        // (`add_scaled_matmul`), factored in place, and ends as the next
+        // panel: the loop holds no other `n x s` buffer.
+        let mut wmat = DMat::zeros(n, s);
         op.apply_multi(panels[j].as_slice(), wmat.as_mut_slice(), s);
+        // Past this check T_m is finite: the eigensolve cannot be handed a
+        // NaN, and an infinite column cannot pass for a breakdown.
+        if !all_finite(wmat.as_slice()) {
+            return Err(KrylovError::NonFinite { iteration: iterations });
+        }
         if j > 0 {
             // W -= V_{j-1} B_{j-1}^T
             wmat.add_scaled_matmul(-1.0, &panels[j - 1], &b_blocks[j - 1].transpose());
@@ -259,48 +184,55 @@ pub fn block_lanczos_sqrt(
         // A_j = V_j^T W; W -= V_j A_j
         let aj = panels[j].tr_matmul(&wmat);
         wmat.add_scaled_matmul(-1.0, &panels[j], &aj);
-        a_blocks.push(symmetrize(aj));
         // Full block reorthogonalization.
         for vk in &panels {
             let p = vk.tr_matmul(&wmat);
             wmat.add_scaled_matmul(-1.0, vk, &p);
         }
-        let qr = thin_qr(&wmat);
-        if qr.deficient.len() == s {
-            breakdown = true;
-        } else {
-            b_blocks.push(qr.r.clone());
+        let qr = ThinQr::factor(wmat);
+        a_blocks.push(symmetrize(aj));
+        // Every column collapsed: the basis spans an invariant subspace.
+        let breakdown = qr.deficient.len() == s;
+        if !breakdown {
+            b_blocks.push(qr.r);
             panels.push(qr.q);
         }
 
-        let check_now = (j + 1) % cfg.check_interval == 0 || j + 1 == cfg.max_iter;
-        if check_now || breakdown {
-            let g = evaluate_sqrt_block(&panels, &a_blocks, &b_blocks, &r0, s)?;
-            if let Some(prev) = &g_prev {
-                rel_change = rel_diff(g.as_slice(), prev.as_slice());
-                if rel_change < cfg.tol || breakdown {
-                    return done(
-                        g.into_vec(),
-                        KrylovStats { iterations: j + 1, converged: true, rel_change },
-                    );
+        if breakdown || iterations % cfg.check_interval == 0 || iterations == cfg.max_iter {
+            let c = sqrt_coefficients(&a_blocks, &b_blocks, &r0, s)?;
+            match &coeffs {
+                Some(prev) => {
+                    rel_change = padded_rel_diff(&c, prev);
+                    converged = breakdown || rel_change < cfg.tol;
                 }
-            } else if breakdown {
-                return done(
-                    g.into_vec(),
-                    KrylovStats { iterations: j + 1, converged: true, rel_change: 0.0 },
-                );
+                None if breakdown => {
+                    rel_change = 0.0;
+                    converged = true;
+                }
+                None => {}
             }
-            g_prev = Some(g);
+            coeffs = Some(c);
         }
     }
-    let g = g_prev.expect("at least one evaluation");
-    done(g.into_vec(), KrylovStats { iterations: cfg.max_iter, converged: false, rel_change })
+
+    // G = sum_j V_j c[j s .. (j+1) s, :], once. (`max_iter = 0` never
+    // evaluates: the zero block.)
+    let mut g = DMat::zeros(n, s);
+    if let Some(c) = &coeffs {
+        for (vj, cj) in panels.iter().zip(c.as_slice().chunks_exact(s * s)) {
+            g.add_scaled_matmul(1.0, vj, &DMat::from_vec(s, s, cj.to_vec()));
+        }
+    }
+    // Each call builds a fresh Krylov space, i.e. one restart.
+    hibd_telemetry::incr(hibd_telemetry::Counter::LanczosRestarts, 1);
+    hibd_telemetry::incr(hibd_telemetry::Counter::LanczosIterations, iterations as u64);
+    Ok((g.into_vec(), KrylovStats { iterations, converged, rel_change }))
 }
 
-/// `G_m = [V_1 .. V_m] * sqrt(T_m) * E_1 * R` for the current block
-/// tridiagonal `T_m` (`m*s x m*s`).
-fn evaluate_sqrt_block(
-    panels: &[DMat],
+/// `c_m = sqrt(T_m) E_1 R` (`m*s x s`) for the current block tridiagonal
+/// `T_m` (`m*s x m*s`): the coefficients of `G_m` in the basis
+/// `[V_1 .. V_m]`.
+fn sqrt_coefficients(
     a_blocks: &[DMat],
     b_blocks: &[DMat],
     r0: &DMat,
@@ -327,38 +259,27 @@ fn evaluate_sqrt_block(
     }
     // E_1 R: ms x s block with R in the top block.
     let mut e1r = DMat::zeros(ms, s);
-    for i in 0..s {
-        for k in 0..s {
-            e1r[(i, k)] = r0[(i, k)];
-        }
-    }
-    let coeffs = sym_sqrt_times_block(&t, &e1r)
-        .map_err(|w| KrylovError::NotPositiveSemidefinite { eigenvalue: w })?;
-    // G = sum_j V_j * coeffs[j s .. (j+1) s, :]
-    let n = panels[0].nrows();
-    let mut g = DMat::zeros(n, s);
-    for (jb, vj) in panels.iter().take(m).enumerate() {
-        let cj = DMat::from_fn(s, s, |i, k| coeffs[(jb * s + i, k)]);
-        g.add_scaled_matmul(1.0, vj, &cj);
-    }
-    Ok(g)
+    e1r.as_mut_slice()[..s * s].copy_from_slice(r0.as_slice());
+    sym_sqrt_times_block(&t, &e1r).map_err(|e| match e {
+        EigError::Negative { eigenvalue } => KrylovError::NotPositiveSemidefinite { eigenvalue },
+        EigError::NoConvergence { .. } => KrylovError::EigensolveStalled { dimension: ms },
+    })
 }
 
-#[hibd::hot]
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
+/// `||c - [prev; 0]||_F / ||c||_F` for coefficient blocks of the same width
+/// (`prev` has fewer rows): the relative change `||G - G_prev|| / ||G||` of
+/// the iterates they are the coefficients of.
+fn padded_rel_diff(c: &DMat, prev: &DMat) -> f64 {
+    let (head, tail) = c.as_slice().split_at(prev.as_slice().len());
+    let moved: f64 = head.iter().zip(prev.as_slice()).map(|(x, y)| (x - y) * (x - y)).sum();
+    let grown: f64 = tail.iter().map(|x| x * x).sum();
+    (moved + grown).sqrt() / c.fro_norm().max(1e-300)
 }
 
-#[hibd::hot]
-fn norm(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
-#[hibd::hot]
-fn rel_diff(a: &[f64], b: &[f64]) -> f64 {
-    let num: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>().sqrt();
-    let den = norm(a).max(1e-300);
-    num / den
+/// No NaN, no infinity (a branch-free scan: `O(n s)` beside an operator
+/// apply).
+fn all_finite(a: &[f64]) -> bool {
+    !a.iter().fold(false, |bad, v| bad | !v.is_finite())
 }
 
 fn symmetrize(a: DMat) -> DMat {
@@ -373,12 +294,17 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    fn rel_diff(a: &[f64], b: &[f64]) -> f64 {
+        let num: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>().sqrt();
+        num / a.iter().map(|x| x * x).sum::<f64>().sqrt().max(1e-300)
+    }
+
     /// SPD matrix with eigenvalues log-uniform in [lo, hi].
     fn spd_with_spectrum(n: usize, lo: f64, hi: f64, seed: u64) -> DMat {
         let mut rng = StdRng::seed_from_u64(seed);
         let raw = DMat::from_fn(n, n, |_, _| rng.gen_range(-1.0..1.0));
         let sym = DMat::from_fn(n, n, |i, j| raw[(i, j)] + raw[(j, i)]);
-        let (_, v) = sym_eig(&sym);
+        let (_, v) = sym_eig(&sym).unwrap();
         let w: Vec<f64> = (0..n).map(|_| (rng.gen_range(lo.ln()..hi.ln())).exp()).collect();
         // A = V diag(w) V^T
         let mut vw = v.clone();
@@ -392,7 +318,7 @@ mod tests {
 
     /// Exact M^{1/2} x via eigendecomposition.
     fn exact_sqrt_times(m: &DMat, x: &[f64]) -> Vec<f64> {
-        let (w, v) = sym_eig(m);
+        let (w, v) = sym_eig(m).unwrap();
         let n = m.nrows();
         let mut vtx = vec![0.0; n];
         for j in 0..n {
@@ -560,5 +486,167 @@ mod tests {
             let u2: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
             *x = (-2.0 * u1.ln()).sqrt() * u2.cos();
         }
+    }
+
+    /// Every iterate the solver would have tested, recovered from outside:
+    /// `tol = 0` never converges, so a run capped at `k` iterations returns
+    /// `G_k` and, in `rel_change`, the coefficient-space change the solver
+    /// measured at `k`. Stops once that change is under `floor` (or on a
+    /// breakdown).
+    fn iterates(m: &DMat, z: &[f64], s: usize, floor: f64) -> Vec<(Vec<f64>, f64)> {
+        let mut out = Vec::new();
+        for k in 1..=40 {
+            let cfg = KrylovConfig { tol: 0.0, max_iter: k, check_interval: 1 };
+            let (g, st) = block_lanczos_sqrt(&mut DenseOp::new(m.clone()), z, s, &cfg).unwrap();
+            out.push((g, st.rel_change));
+            if st.converged || st.rel_change < floor {
+                break;
+            }
+        }
+        out
+    }
+
+    /// The coefficient-space relative change is the `G`-space one the solver
+    /// used to compute (`rel_diff` of successive `n x s` iterates), to
+    /// `1e-10` relative (plus the `G`-space form's own roundoff floor), and
+    /// stops every solve at the same iteration.
+    fn assert_coefficient_test_is_the_g_space_test(m: &DMat, z: &[f64], s: usize) {
+        let its = iterates(m, z, s, 1e-11);
+        let old: Vec<f64> = its.windows(2).map(|w| rel_diff(&w[1].0, &w[0].0)).collect();
+        for (k, (old, (_, new))) in old.iter().zip(&its[1..]).enumerate() {
+            assert!(
+                (old - new).abs() <= 1e-10 * old + 1e-14,
+                "s = {s}, iteration {}: G-space {old:e} vs coefficient-space {new:e}",
+                k + 2
+            );
+        }
+        for tol in [1e-2, 1e-6, 1e-10] {
+            // old[k] is the change measured at iteration k + 2.
+            let want = old.iter().position(|&r| r < tol).expect("reaches every tol") + 2;
+            let cfg = KrylovConfig { tol, max_iter: 40, check_interval: 1 };
+            let (g, st) = block_lanczos_sqrt(&mut DenseOp::new(m.clone()), z, s, &cfg).unwrap();
+            assert!(st.converged);
+            assert_eq!(st.iterations, want, "s = {s}, tol = {tol:e}");
+            // ... and returns that iteration's iterate, bit for bit.
+            assert_eq!(g, its[want - 1].0, "s = {s}, tol = {tol:e}");
+        }
+    }
+
+    #[test]
+    fn coefficient_space_change_is_the_g_space_change() {
+        for (s, n) in [(1usize, 60usize), (4, 120), (16, 320)] {
+            let m = spd_with_spectrum(n, 0.2, 2.5, 50 + s as u64);
+            let mut rng = StdRng::seed_from_u64(60 + s as u64);
+            let z: Vec<f64> = (0..n * s).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            assert_coefficient_test_is_the_g_space_test(&m, &z, s);
+        }
+    }
+
+    #[test]
+    fn coefficient_space_change_holds_with_a_deficient_column() {
+        // M = diag(1.3, M') and the first sample along e_0, an eigenvector:
+        // that column of W collapses at the first iteration (thin_qr zeroes
+        // it and flags it deficient) while the other three go on, so every
+        // later panel carries a zero column.
+        let (n, s) = (81, 4);
+        let inner = spd_with_spectrum(n - 1, 0.2, 2.5, 71);
+        let m = DMat::from_fn(n, n, |i, j| match (i, j) {
+            (0, 0) => 1.3,
+            (0, _) | (_, 0) => 0.0,
+            _ => inner[(i - 1, j - 1)],
+        });
+        let mut rng = StdRng::seed_from_u64(72);
+        let mut z: Vec<f64> = (0..n * s).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        for i in 0..n {
+            z[i * s] = if i == 0 { 1.0 } else { 0.0 };
+        }
+        // The premise, checked on the first residual panel itself.
+        let v1 = ThinQr::factor(DMat::from_vec(n, s, z.clone())).q;
+        let mut w = m.matmul(&v1);
+        let a1 = v1.tr_matmul(&w);
+        w.add_scaled_matmul(-1.0, &v1, &a1);
+        assert_eq!(ThinQr::factor(w).deficient, vec![0]);
+        assert_coefficient_test_is_the_g_space_test(&m, &z, s);
+    }
+
+    /// Forwards to a dense operator and plants one NaN in the output of its
+    /// third block apply.
+    struct NanOnThirdApply {
+        inner: DenseOp,
+        applies: usize,
+    }
+
+    impl LinearOperator for NanOnThirdApply {
+        fn dim(&self) -> usize {
+            self.inner.dim()
+        }
+        fn apply(&mut self, x: &[f64], y: &mut [f64]) {
+            self.apply_multi(x, y, 1);
+        }
+        fn apply_multi(&mut self, x: &[f64], y: &mut [f64], s: usize) {
+            self.inner.apply_multi(x, y, s);
+            self.applies += 1;
+            if self.applies == 3 {
+                y[y.len() / 2] = f64::NAN;
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_operator_output_is_a_typed_error() {
+        let n = 40;
+        let m = spd_with_spectrum(n, 0.05, 5.0, 81);
+        let mut rng = StdRng::seed_from_u64(82);
+        let cfg = KrylovConfig { tol: 1e-12, max_iter: 30, check_interval: 1 };
+        for s in [1, 4] {
+            let z: Vec<f64> = (0..n * s).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let mut op = NanOnThirdApply { inner: DenseOp::new(m.clone()), applies: 0 };
+            let err = block_lanczos_sqrt(&mut op, &z, s, &cfg).unwrap_err();
+            assert_eq!(err, KrylovError::NonFinite { iteration: 3 });
+            assert_eq!(err.to_string(), "operator output is not finite (Lanczos iteration 3)");
+            assert_eq!(op.applies, 3, "the solve stops at the faulty apply");
+
+            let mut bad = z.clone();
+            bad[s] = f64::INFINITY;
+            let err = block_lanczos_sqrt(&mut DenseOp::new(m.clone()), &bad, s, &cfg).unwrap_err();
+            assert_eq!(err, KrylovError::NonFinite { iteration: 0 });
+        }
+    }
+
+    #[test]
+    fn zero_iteration_cap_returns_the_zero_block_unconverged() {
+        let cfg = KrylovConfig { tol: 1e-2, max_iter: 0, check_interval: 1 };
+        let (g, st) =
+            block_lanczos_sqrt(&mut DenseOp::new(DMat::identity(3)), &[1.0; 3], 1, &cfg).unwrap();
+        assert_eq!((g, st.iterations, st.converged), (vec![0.0; 3], 0, false));
+    }
+
+    /// Absolute golden bits of one solve at the ladder's block width on a
+    /// fixed dense operator (built without an eigensolve, from an LCG): pins
+    /// serial == rayon against a value — CI runs this at `RAYON_NUM_THREADS`
+    /// 1 and 3 on both `HIBD_SIMD` legs. Nothing under the solver dispatches
+    /// on SIMD or calls `libm` beyond `sqrt`, so there is one hash.
+    #[test]
+    fn block_solve_golden_bits() {
+        let (n, s) = (240, 16);
+        let mut state = 0x2014_u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let b = DMat::from_fn(n, n, |_, _| next());
+        let mut m = b.matmul(&b.transpose());
+        for i in 0..n {
+            m[(i, i)] += 4.0;
+        }
+        let z: Vec<f64> = (0..n * s).map(|_| next()).collect();
+        let cfg = KrylovConfig { tol: 1e-2, max_iter: 50, check_interval: 1 };
+        let (g, st) = block_lanczos_sqrt(&mut DenseOp::new(m), &z, s, &cfg).unwrap();
+        assert!(st.converged);
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        for b in g.iter().flat_map(|x| x.to_bits().to_le_bytes()) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+        assert_eq!((st.iterations, h), (5, 0xe564_4e60_f120_b112), "got {h:#018x}");
     }
 }

@@ -11,7 +11,7 @@ const CASES: u64 = 24;
 fn spd_from(raw: &[f64], n: usize, lo: f64, hi: f64) -> DMat {
     let b = DMat::from_vec(n, n, raw.to_vec());
     let sym = DMat::from_fn(n, n, |i, j| b[(i, j)] + b[(j, i)]);
-    let (_, v) = sym_eig(&sym);
+    let (_, v) = sym_eig(&sym).unwrap();
     let mut vw = v.clone();
     for i in 0..n {
         for j in 0..n {
@@ -23,7 +23,7 @@ fn spd_from(raw: &[f64], n: usize, lo: f64, hi: f64) -> DMat {
 }
 
 fn exact_sqrt_times(m: &DMat, x: &[f64]) -> Vec<f64> {
-    let (w, v) = sym_eig(m);
+    let (w, v) = sym_eig(m).unwrap();
     let n = m.nrows();
     let mut tmp = vec![0.0; n];
     for j in 0..n {

@@ -156,20 +156,31 @@ impl DMat {
     }
 
     /// `C = A^T * B` where `A` is `n x p`, `B` is `n x q` → `p x q`.
+    ///
+    /// The rows are cut into blocks of `TR_MATMUL_ROWS` = 128 (boundaries depend
+    /// on `nrows` only), each block's partial product is accumulated row by
+    /// row from zero — in parallel across blocks — and the partials are added
+    /// in block order. The summation tree is therefore fixed by the shape:
+    /// the result is the same bits at every thread count.
     pub fn tr_matmul(&self, b: &DMat) -> DMat {
         assert_eq!(self.nrows, b.nrows);
         let (p, q) = (self.ncols, b.ncols);
         let mut c = DMat::zeros(p, q);
-        for i in 0..self.nrows {
-            let arow = self.row(i);
-            let brow = b.row(i);
-            for (k, av) in arow.iter().enumerate() {
-                if *av != 0.0 {
-                    let crow = c.row_mut(k);
-                    for (cv, bv) in crow.iter_mut().zip(brow) {
-                        *cv += av * bv;
-                    }
-                }
+        if p * q == 0 {
+            return c;
+        }
+        if self.nrows <= TR_MATMUL_ROWS {
+            tr_matmul_rows(self, b, 0..self.nrows, &mut c.data);
+            return c;
+        }
+        let mut partials = vec![0.0; self.nrows.div_ceil(TR_MATMUL_ROWS) * p * q];
+        partials.par_chunks_mut(p * q).enumerate().for_each(|(blk, part)| {
+            let start = blk * TR_MATMUL_ROWS;
+            tr_matmul_rows(self, b, start..(start + TR_MATMUL_ROWS).min(self.nrows), part);
+        });
+        for part in partials.chunks_exact(p * q) {
+            for (cv, pv) in c.data.iter_mut().zip(part) {
+                *cv += pv;
             }
         }
         c
@@ -223,6 +234,24 @@ impl std::ops::IndexMut<(usize, usize)> for DMat {
     fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f64 {
         debug_assert!(i < self.nrows && j < self.ncols);
         &mut self.data[i * self.ncols + j]
+    }
+}
+
+/// Row-block height of [`DMat::tr_matmul`]'s fixed summation tree.
+const TR_MATMUL_ROWS: usize = 128;
+
+/// `c += A[rows]^T B[rows]` (`c` row-major `p x q`), one row at a time.
+fn tr_matmul_rows(a: &DMat, b: &DMat, rows: std::ops::Range<usize>, c: &mut [f64]) {
+    let q = b.ncols;
+    for i in rows {
+        let brow = b.row(i);
+        for (av, crow) in a.row(i).iter().zip(c.chunks_exact_mut(q)) {
+            if *av != 0.0 {
+                for (cv, bv) in crow.iter_mut().zip(brow) {
+                    *cv += av * bv;
+                }
+            }
+        }
     }
 }
 
@@ -306,6 +335,54 @@ mod tests {
         let c1 = a.tr_matmul(&b);
         let c2 = a.transpose().matmul(&b);
         assert!(c1.max_abs_diff(&c2) < 1e-13);
+    }
+
+    #[test]
+    fn tr_matmul_is_its_block_tree_bitwise() {
+        // The same tree evaluated serially with explicit transposes: blocks
+        // of TR_MATMUL_ROWS rows, each partial accumulated row by row from
+        // zero, partials added in block order (a single block is its own
+        // partial). Whatever the thread count, `tr_matmul` must return these
+        // bits. 599 / 600 are the periodic ladder panel and its neighbour,
+        // 6000 the open one.
+        let bits = |m: &DMat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for nrows in [1usize, 599, 600, 6000] {
+            let mut state = nrows as u64;
+            let mut gen = |cols: usize| {
+                DMat::from_fn(nrows, cols, |i, j| {
+                    state =
+                        state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    // A few exact zeros: both forms skip them.
+                    if (i + j) % 11 == 0 {
+                        0.0
+                    } else {
+                        (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+                    }
+                })
+            };
+            let (a, b) = (gen(16), gen(16));
+            let mut want = DMat::zeros(16, 16);
+            for start in (0..nrows).step_by(TR_MATMUL_ROWS) {
+                let mut part = DMat::zeros(16, 16);
+                for i in start..(start + TR_MATMUL_ROWS).min(nrows) {
+                    for k in 0..16 {
+                        for l in 0..16 {
+                            if a[(i, k)] != 0.0 {
+                                part[(k, l)] += a[(i, k)] * b[(i, l)];
+                            }
+                        }
+                    }
+                }
+                if nrows <= TR_MATMUL_ROWS {
+                    want = part;
+                } else {
+                    for (w, p) in want.as_mut_slice().iter_mut().zip(part.as_slice()) {
+                        *w += p;
+                    }
+                }
+            }
+            assert_eq!(bits(&a.tr_matmul(&b)), bits(&want), "nrows = {nrows}");
+        }
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //!   solves (the conventional Brownian-displacement path, Algorithm 1);
 //! * [`qr`] — thin QR of tall skinny blocks (block Lanczos orthogonalizes
 //!   `n x s` panels every iteration);
-//! * [`eig`] — cyclic Jacobi eigensolver for small symmetric matrices and an
-//!   implicit-shift QL solver for symmetric tridiagonals, plus the matrix
-//!   square roots `f(T) = T^{1/2}` that the Krylov displacement method needs;
+//! * [`eig`] — Householder tridiagonalization + implicit-shift QL for small
+//!   symmetric matrices (the QL core alone for symmetric tridiagonals), plus
+//!   the matrix square roots `f(T) = T^{1/2}` that the Krylov displacement
+//!   method needs;
 //! * [`op`] — the [`LinearOperator`] abstraction through
 //!   which the Krylov solver consumes either a dense mobility matrix or the
 //!   matrix-free PME operator.
@@ -26,6 +27,6 @@ pub mod qr;
 
 pub use chol::CholeskyFactor;
 pub use dmat::DMat;
-pub use eig::{sym_eig, sym_sqrt_times_block, tridiag_eig};
+pub use eig::{sym_eig, sym_sqrt_times_block, tridiag_eig, EigError};
 pub use op::{DenseOp, LinearOperator};
-pub use qr::thin_qr;
+pub use qr::{thin_qr, ThinQr};

@@ -5,7 +5,7 @@
 //! Gram–Schmidt with one re-orthogonalization pass is numerically adequate at
 //! these panel widths and trivially parallel over the long dimension.
 
-use crate::dmat::{dot, DMat};
+use crate::dmat::DMat;
 
 /// Result of a thin QR: `A = Q R` with `Q` `n x s` orthonormal columns and
 /// `R` `s x s` upper triangular.
@@ -24,56 +24,95 @@ pub struct ThinQr {
 /// Uses modified Gram–Schmidt with a second orthogonalization pass
 /// ("twice is enough").
 pub fn thin_qr(a: &DMat) -> ThinQr {
-    let n = a.nrows();
-    let s = a.ncols();
-    assert!(n >= s, "panel must be tall: {n} x {s}");
-    // Work on columns: copy into column-major scratch.
-    let mut cols: Vec<Vec<f64>> = (0..s).map(|j| (0..n).map(|i| a[(i, j)]).collect()).collect();
-    let mut r = DMat::zeros(s, s);
-    let mut deficient = Vec::new();
+    ThinQr::factor(a.clone())
+}
 
-    let scale = cols
-        .iter()
-        .map(|c| c.iter().map(|v| v * v).sum::<f64>().sqrt())
-        .fold(0.0f64, f64::max)
-        .max(1e-300);
+impl ThinQr {
+    /// [`thin_qr`] in place: the panel's buffer becomes `Q`.
+    ///
+    /// The panel stays row-major throughout; the only scratch is one
+    /// contiguous column. Column `j`'s *first* pass against `q_0 .. q_{j-1}`
+    /// is done right-looking — as soon as `q_k` is final it is projected out
+    /// of every later column in sweeps whose inner loop runs along a row —
+    /// and its *second* pass left-looking, just before it is normalized.
+    /// Each column still sees the same projections in the same order, and
+    /// every dot product still sums its rows first to last, so the factors
+    /// are those of the textbook column-by-column loop to the bit. (The
+    /// second pass is a chain of dependent additions `n` long per projection
+    /// in any layout; that chain, not data movement, is what this costs.)
+    pub fn factor(mut q: DMat) -> ThinQr {
+        let (n, s) = (q.nrows(), q.ncols());
+        assert!(n >= s, "panel must be tall: {n} x {s}");
+        let mut r = DMat::zeros(s, s);
+        let mut deficient = Vec::new();
+        if s == 0 {
+            return ThinQr { q, r, deficient };
+        }
+        let data = q.as_mut_slice();
 
-    for j in 0..s {
-        // Two MGS passes against the already-finished columns.
-        for _pass in 0..2 {
-            for k in 0..j {
-                let proj = dot_vec(&cols[k], &cols[j]);
-                r[(k, j)] += proj;
-                // cols[j] -= proj * cols[k]; split borrows by index math.
-                let (left, right) = cols.split_at_mut(j);
-                let qk = &left[k];
-                let cj = &mut right[0];
-                for (x, qv) in cj.iter_mut().zip(qk) {
-                    *x -= proj * qv;
+        // One accumulator per column, swept along the rows: squared column
+        // norms here, first-pass projections below.
+        let mut acc = vec![0.0; s];
+        for row in data.chunks_exact(s) {
+            for (a, v) in acc.iter_mut().zip(row) {
+                *a += v * v;
+            }
+        }
+        let scale = acc.iter().map(|v| v.sqrt()).fold(0.0f64, f64::max).max(1e-300);
+
+        let mut cj = vec![0.0; n];
+        for j in 0..s {
+            // Second pass of column j against the finished columns, on a
+            // contiguous copy of the column, one sweep per column k:
+            // subtract the projection on q_{k-1} found by the sweep before,
+            // accumulate the one on q_k. The last sweep (k = j) accumulates
+            // the column's own squared norm.
+            for (c, row) in cj.iter_mut().zip(data.chunks_exact(s)) {
+                *c = row[j];
+            }
+            let mut proj = 0.0;
+            for k in 0..=j {
+                let mut sum = 0.0;
+                for (c, row) in cj.iter_mut().zip(data.chunks_exact(s)) {
+                    if k > 0 {
+                        *c -= proj * row[k - 1];
+                    }
+                    sum += if k < j { row[k] } else { *c } * *c;
+                }
+                if k < j {
+                    r[(k, j)] += sum;
+                }
+                proj = sum;
+            }
+            let norm = proj.sqrt();
+            let inv = if norm <= 1e-14 * scale {
+                deficient.push(j);
+                None
+            } else {
+                r[(j, j)] = norm;
+                Some(norm)
+            };
+            // Normalize q_j and take the first pass of every later column
+            // against it: projections in one sweep, subtraction in the next.
+            let later = &mut acc[j + 1..];
+            later.fill(0.0);
+            for (c, row) in cj.iter().zip(data.chunks_exact_mut(s)) {
+                row[j] = inv.map_or(0.0, |norm| c / norm);
+                let qj = row[j];
+                for (p, v) in later.iter_mut().zip(&row[j + 1..]) {
+                    *p += qj * v;
+                }
+            }
+            r.row_mut(j)[j + 1..].copy_from_slice(later);
+            for row in data.chunks_exact_mut(s) {
+                let qj = row[j];
+                for (v, p) in row[j + 1..].iter_mut().zip(&*later) {
+                    *v -= p * qj;
                 }
             }
         }
-        let norm = cols[j].iter().map(|v| v * v).sum::<f64>().sqrt();
-        if norm <= 1e-14 * scale {
-            deficient.push(j);
-            r[(j, j)] = 0.0;
-            for v in &mut cols[j] {
-                *v = 0.0;
-            }
-        } else {
-            r[(j, j)] = norm;
-            for v in &mut cols[j] {
-                *v /= norm;
-            }
-        }
+        ThinQr { q, r, deficient }
     }
-
-    let q = DMat::from_fn(n, s, |i, j| cols[j][i]);
-    ThinQr { q, r, deficient }
-}
-
-fn dot_vec(a: &[f64], b: &[f64]) -> f64 {
-    dot(a, b)
 }
 
 #[cfg(test)]

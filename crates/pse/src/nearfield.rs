@@ -217,7 +217,7 @@ mod tests {
         let dim = 3 * pos.len();
         let m = DMat::from_vec(dim, dim, op.to_dense());
         assert!(m.max_asymmetry() < 1e-13);
-        let (w, _) = sym_eig(&m);
+        let (w, _) = sym_eig(&m).unwrap();
         let min = w.iter().copied().fold(f64::MAX, f64::min);
         assert!(min > 0.0, "near field not SPD: min eigenvalue {min}");
     }

@@ -360,7 +360,7 @@ mod tests {
             }
         }
         assert!(m.max_asymmetry() < 1e-12);
-        sym_eig(&m).0.iter().copied().fold(f64::MAX, f64::min)
+        sym_eig(&m).unwrap().0.iter().copied().fold(f64::MAX, f64::min)
     }
 
     #[test]
